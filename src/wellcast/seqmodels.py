@@ -490,7 +490,10 @@ def train_vanilla(model: VanillaTransformer, panel_or_values, epochs: int,
 def forecast(model, context, context_timestamps, target_timestamps,
              n_samples: int, seed: int) -> ForecastEnsemble:
     """Normalize the context, run one generative pass, sample the Gaussian
-    head, and map the ensemble back to the original scale."""
+    head, and map the ensemble back to the original scale.
+
+    Raises TrainingError naming the first horizon step whose samples are
+    not finite."""
     context = np.atleast_2d(np.asarray(context, dtype=np.float64))
     if context.shape[0] != model.l_x:
         raise ParameterError(f"context must supply exactly {model.l_x} rows")
@@ -502,5 +505,8 @@ def forecast(model, context, context_timestamps, target_timestamps,
     ens = sample_paths(mean, log_var, n_samples,
                        rng_mod.stream(seed, rng_mod.PATH),
                        timestamps=target_timestamps)
+    bad = np.flatnonzero(~np.isfinite(ens.samples).all(axis=(0, 2)))
+    if bad.size:
+        raise TrainingError(f"non-finite forecast samples at horizon step t={bad[0]}")
     return ForecastEnsemble(samples=stats.denormalize(ens.samples),
                             timestamps=ens.timestamps, denormalized=True)

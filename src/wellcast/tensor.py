@@ -284,16 +284,22 @@ def sigmoid(a: Tensor) -> Tensor:
     return _record((a,), out, bwd)
 
 
+def elu_array(x: np.ndarray) -> np.ndarray:
+    """x for x >= 0, exp(x) - 1 below, on a plain array.
+
+    Each half sees only its own side of zero, so expm1 cannot overflow and
+    no sign mask is needed; -0.0 maps to +0.0.
+    """
+    return np.maximum(x, 0.0) + np.expm1(np.minimum(x, 0.0))
+
+
 def elu(a: Tensor) -> Tensor:
     """x for x >= 0, exp(x) - 1 below."""
-    neg = a.data < 0
-    # expm1 evaluated on the clamped array so the discarded branch cannot
-    # overflow inside np.where
-    out = np.where(neg, np.expm1(np.minimum(a.data, 0.0)), a.data)
-    deriv = np.where(neg, out + 1.0, 1.0)
+    out = elu_array(a.data)
 
     def bwd(g):
-        return (g * deriv,)
+        # built only when the tape is walked; no-grad callers never pay for it
+        return (g * np.where(a.data < 0, out + 1.0, 1.0),)
 
     return _record((a,), out, bwd)
 

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rng_mod
+# reverse_step stays bound here although forecast samples through
+# diffusion.sample: bench/tracing.py wraps timegrad.reverse_step by name
 from .diffusion import (EpsilonNet, NoiseSchedule, build_schedule, ddpm_loss,
-                        reverse_step)
+                        reverse_step, sample)
 from .errors import ContractError, ParameterError, TrainingError
 from .evaluation import ForecastEnsemble
 from .optim import AdamW
@@ -266,7 +268,8 @@ def forecast(model: TimeGradModel, context: np.ndarray, horizon: int,
     Every path owns a Philox noise stream keyed by (seed, PATH, key), so the
     set of paths depends only on the set of keys, not their order.  Paths
     advance in lockstep as one batch for speed; the arithmetic per row is
-    path-independent.
+    path-independent.  Raises TrainingError naming the horizon step whose
+    draws are not finite.
     """
     context = np.atleast_2d(np.asarray(context, dtype=np.float64))
     if context.shape[0] != model.context_length:
@@ -298,12 +301,11 @@ def forecast(model: TimeGradModel, context: np.ndarray, horizon: int,
         states = [constant(np.repeat(h.data, n_samples, axis=0)) for h in states]
         out = np.empty((n_samples, horizon, dim))
         for t in range(horizon):
-            x = noise[:, t, 0, :]
-            h_cond = states[-1].data
-            for n in range(big_n, 0, -1):
-                z = np.zeros_like(x) if n == 1 else noise[:, t, big_n - n + 1, :]
-                x = reverse_step(x, h_cond, n, model.eps_net, model.sched, z,
-                                 paper_literal=model.paper_literal_sampler)
+            x = sample(noise[:, t, 0], states[-1].data, model.eps_net,
+                       model.sched, noise=noise[:, t, 1:].swapaxes(0, 1),
+                       paper_literal=model.paper_literal_sampler)
+            if not np.isfinite(x).all():
+                raise TrainingError(f"non-finite forecast draws at horizon step t={t}")
             out[:, t, :] = x
             states = model.step_state(x, states)
     return ForecastEnsemble(samples=stats.denormalize(out),

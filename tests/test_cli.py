@@ -1,9 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wellcast
 from wellcast import checkpoint, data
 from wellcast.cli import main
 from wellcast.evaluation import MetricsReport
@@ -148,6 +152,20 @@ class TestForecastEvaluate:
         assert run("forecast", "--model", "timegrad", "--data", str(csv_path),
                    "--out", str(tmp_path / "none"), *COMMON, *SIZES) == 2
 
+    def test_poisoned_checkpoint_exits_numeric_without_ensemble(self, small_field,
+                                                                tmp_path):
+        csv_path, _, _ = small_field
+        out = tmp_path / "nan"
+        args = ("--model", "timegrad", "--data", str(csv_path), "--out", str(out),
+                *COMMON, *SIZES)
+        assert run("train", *args) == 0
+        ckpt = out / "timegrad_all.gck"
+        rec = checkpoint.load(ckpt)
+        rec["timegrad/eps/w3"] = np.full_like(rec["timegrad/eps/w3"], np.nan)
+        checkpoint.save(ckpt, rec)
+        assert run("forecast", *args) == 3
+        assert not (out / "timegrad_all_ensemble.gck").exists()
+
     def test_horizon_exceeding_test_span(self, trained):
         csv_path, out = trained
         code = run("forecast", "--model", "informer", "--data", str(csv_path),
@@ -238,3 +256,28 @@ class TestPipeline:
                 assert (out / f"{model}_all_ensemble.gck").exists()
                 assert (out / f"{model}_report.csv").exists()
         assert hashes[0] == hashes[1]
+
+    def test_artifacts_independent_of_blas_threads(self, tmp_path):
+        # OPENBLAS_NUM_THREADS is set on the child processes only
+        cfg = data.SyntheticFieldConfig(n_sites=2, wells_per_site=2,
+                                        n_steps=220, seed=5)
+        conf = tmp_path / "field.cfg"
+        conf.write_text(data.config_to_text(cfg))
+        src = str(Path(wellcast.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            proc = subprocess.run(
+                [sys.executable, "-m", "wellcast", "pipeline",
+                 "--synthetic-config", str(conf), "--out", str(out),
+                 "--horizon", "5", "--samples", "100", "--epochs", "1",
+                 "--windows-per-epoch", "2", "--seed", "11", "--lr", "1e-3",
+                 "--context-length", "20", "--enc-length", "20",
+                 "--token-length", "6"],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            digests.append({f.name: file_hash(f) for f in sorted(out.iterdir())})
+        assert len(digests[0]) > 0
+        assert digests[0] == digests[1]

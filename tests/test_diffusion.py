@@ -145,6 +145,9 @@ class _ZeroNet:
     def forward(self, x_n, h, n):
         return T.constant(np.zeros_like(np.atleast_2d(x_n)))
 
+    def conditioned(self, h):
+        return lambda x_n, n: np.zeros_like(x_n)
+
 
 class TestDdpmLoss:
     def test_perfect_predictor_gives_exact_zero(self):
@@ -241,6 +244,38 @@ class TestReverseStep:
         net = _OracleNet(eps)
         back = reverse_step(x1, np.zeros((1, 0)), 1, net, sched, np.zeros((1, 4)))
         assert np.abs(back - x0).max() < 1e-9
+
+
+class TestConditionedPredictor:
+    # h_rows = 1 with batch 100 is one conditioning row shared by the batch
+    @pytest.mark.parametrize("batch,h_rows", [(1, 1), (100, 100), (100, 1)])
+    @pytest.mark.parametrize("cond_dim", [0, 3])
+    def test_matches_tape_forward(self, batch, h_rows, cond_dim):
+        sched = build_schedule(12)
+        rng = stream(40 + batch + cond_dim, TRAIN)
+        net = EpsilonNet(2, cond_dim, sched.n_steps, hidden=16, embed_dim=8,
+                         rng=rng)
+        for p in net.params()[1::2]:
+            p.data[...] = rng.normal(scale=0.1, size=p.shape)  # nonzero biases
+        x = rng.normal(size=(batch, 2))
+        h = rng.normal(size=(h_rows, cond_dim))
+        predict = net.conditioned(h)
+        for n in (1, sched.n_steps):
+            with T.no_grad():
+                ref = net.forward(x, h, n).data
+            got = predict(x, n)
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert T.current_record() == []
+
+    def test_rejects_bad_width_and_step(self):
+        net = EpsilonNet(2, 3, 5, hidden=8, embed_dim=8, rng=stream(45, TRAIN))
+        with pytest.raises(ContractError):
+            net.conditioned(np.zeros((1, 2)))
+        predict = net.conditioned(np.zeros((1, 3)))
+        for n in (0, 6):
+            with pytest.raises(ParameterError):
+                predict(np.zeros((1, 2)), n)
 
 
 class TestSampler:

@@ -302,6 +302,15 @@ class TestForecastInterface:
         assert np.array_equal(a.samples, b.samples)
         assert a.denormalized
 
+    def test_non_finite_samples_raise_training_error(self):
+        model = tiny_informer(data_dim=2, seed=28)
+        for p in model.head.params():
+            p.data[...] = np.nan
+        ctx = trend_panel(12, 2)
+        with pytest.raises(TrainingError, match="horizon step t=0"):
+            forecast(model, ctx, np.arange(12) * 2.0, (12 + np.arange(5)) * 2.0,
+                     n_samples=3, seed=1)
+
     def test_wrong_context_length(self):
         model = tiny_informer(seed=29)
         with pytest.raises(ParameterError):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from gradcheck import check_gradients
 from wellcast import checkpoint
@@ -78,6 +81,15 @@ class TestElementwise:
         assert T.elu(Tensor([0.0])).data[0] == 0.0
         assert np.isclose(T.elu(Tensor([-40.0])).data[0], -1.0, atol=1e-12)
         assert T.elu(Tensor([2.5])).data[0] == 2.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, array_shapes(max_dims=2, max_side=16),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)))
+    def test_elu_array_matches_where_formula(self, x):
+        # the np.where formulation elu_array replaced; -0.0 vs +0.0 compare equal
+        reference = np.where(x < 0, np.expm1(np.minimum(x, 0.0)), x)
+        assert np.array_equal(T.elu_array(x), reference, equal_nan=True)
+        assert np.array_equal(T.elu(Tensor(x)).data, reference, equal_nan=True)
 
     def test_layer_norm_constant_row(self):
         x = Tensor(np.full((3, 5), 7.0))

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wellcast import tensor as T
-from wellcast.errors import ParameterError
+from wellcast.diffusion import reverse_step
+from wellcast.errors import ParameterError, TrainingError
 from wellcast.optim import AdamW
-from wellcast.rng import TRAIN, stream
+from wellcast.rng import PATH, TRAIN, stream
 from wellcast.timegrad import (GRUCell, TimeGradModel, fit, forecast,
                                gru_step, normalize_window, train_epoch)
 
@@ -211,6 +212,40 @@ class TestForecast:
         assert np.array_equal(a.samples[perm], b.samples)
         # and leaves every sorted per-step sample set identical
         assert np.array_equal(np.sort(a.samples, axis=0), np.sort(b.samples, axis=0))
+
+    @pytest.mark.parametrize("paper_literal", [False, True])
+    def test_matches_reverse_step_rollout(self, paper_literal):
+        # reference: the per-step tape-path rollout over the same per-path
+        # noise, z = noise[p, t, N - n + 1] at step n and x_N = noise[p, t, 0]
+        model = tiny_model(seed=33, paper_literal_sampler=paper_literal)
+        ctx = stream(34, TRAIN).normal(size=(6, 2))
+        horizon, paths, seed = 3, 5, 12
+        got = forecast(model, ctx, horizon=horizon, n_samples=paths, seed=seed)
+        ctx_n, stats = normalize_window(ctx)
+        big_n = model.sched.n_steps
+        noise = np.stack([stream(seed, PATH, key).standard_normal(
+            (horizon, big_n, 2)) for key in range(paths)])
+        ref = np.empty((paths, horizon, 2))
+        with T.no_grad():
+            states = model.unroll(ctx_n)
+            states = [T.constant(np.repeat(h.data, paths, axis=0)) for h in states]
+            for t in range(horizon):
+                x = noise[:, t, 0]
+                for n in range(big_n, 0, -1):
+                    z = np.zeros_like(x) if n == 1 else noise[:, t, big_n - n + 1]
+                    x = reverse_step(x, states[-1].data, n, model.eps_net,
+                                     model.sched, z, paper_literal=paper_literal)
+                ref[:, t] = x
+                states = model.step_state(x, states)
+        ref = stats.denormalize(ref)
+        assert np.abs(got.samples - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_non_finite_draws_raise_training_error(self):
+        model = tiny_model(seed=35)
+        model.eps_net.w3.data[...] = np.nan
+        ctx = stream(36, TRAIN).normal(size=(6, 2))
+        with pytest.raises(TrainingError, match="horizon step t=0"):
+            forecast(model, ctx, horizon=2, n_samples=3, seed=1)
 
     def test_affine_equivariance_of_normalization(self):
         # dyadic-friendly inputs keep the normalized context bit-identical,
