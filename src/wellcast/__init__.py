@@ -16,8 +16,7 @@ from .diffusion import (EpsilonNet, NoiseSchedule, build_schedule, ddpm_loss,
 from .evaluation import (ForecastEnsemble, MetricsReport, best_quantile,
                          ensemble_moments, mase, mse, quantile_path)
 from .seqmodels import (InformerModel, VanillaTransformer, gaussian_nll,
-                        informer_forward, sample_paths, train_informer,
-                        train_vanilla)
+                        sample_paths)
 from .tensor import Tensor, backward, no_grad
 from .timegrad import (GRUCell, TimeGradModel, forecast, gru_step,
                        normalize_window, train_epoch)
@@ -29,8 +28,7 @@ __all__ = [
     "forward_sample", "posterior_params", "reverse_step", "sample",
     "ForecastEnsemble", "MetricsReport", "best_quantile", "ensemble_moments",
     "mase", "mse", "quantile_path",
-    "InformerModel", "VanillaTransformer", "gaussian_nll", "informer_forward",
-    "sample_paths", "train_informer", "train_vanilla",
+    "InformerModel", "VanillaTransformer", "gaussian_nll", "sample_paths",
     "Tensor", "backward", "no_grad",
     "GRUCell", "TimeGradModel", "forecast", "gru_step", "normalize_window",
     "train_epoch",

@@ -12,6 +12,7 @@ Record order is preserved and the float payload is written bit-exactly, so
 save -> load -> save reproduces identical bytes.
 """
 
+import math
 import struct
 from pathlib import Path
 
@@ -55,13 +56,22 @@ def unpack_records(blob: bytes) -> dict[str, np.ndarray]:
     records: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = take("<I")
-        name = blob[pos:pos + name_len].decode("utf-8")
+        try:
+            name = blob[pos:pos + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"record name at byte {pos} is not utf-8") from None
+        if name in records:
+            raise FormatError(f"duplicate record name {name!r}")
         pos += name_len
         (ndim,) = take("<I")
         dims = take(f"<{ndim}I") if ndim else ()
         (nbytes,) = take("<Q")
         if pos + nbytes > len(blob):
             raise FormatError("truncated checkpoint payload")
+        if nbytes != 8 * math.prod(dims):
+            raise FormatError(
+                f"record {name!r}: payload of {nbytes} bytes does not hold "
+                f"float64 dims {dims}")
         arr = np.frombuffer(blob[pos:pos + nbytes], dtype="<f8").reshape(dims)
         pos += nbytes
         records[name] = arr.copy()

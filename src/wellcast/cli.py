@@ -82,12 +82,13 @@ def config_from_file(path) -> dict:
         if not sep or key not in names:
             raise ParameterError(f"unknown config key at line {row}: {line!r}")
         value = value.strip()
-        if key in _INT_FIELDS:
-            updates[key] = int(value)
-        elif key in _FLOAT_FIELDS:
-            updates[key] = float(value)
-        else:
-            updates[key] = value
+        kind = int if key in _INT_FIELDS else float if key in _FLOAT_FIELDS else str
+        try:
+            updates[key] = kind(value)
+        except ValueError:
+            raise ParameterError(
+                f"config line {row}: {key} expects {kind.__name__}, "
+                f"got {value!r}") from None
     return updates
 
 

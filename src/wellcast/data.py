@@ -17,6 +17,7 @@ are the sum of their wells.
 """
 
 import datetime
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -188,8 +189,10 @@ def load_csv(path) -> SeriesPanel:
             value = float(value_s)
         except ValueError:
             raise FormatError(f"non-numeric value {value_s!r} at row {row}") from None
-        if value < 0:
-            raise ValidationError(f"negative value at row {row}")
+        if not 0.0 <= value < math.inf:  # one test per row for nan, inf and < 0
+            if math.isfinite(value):
+                raise ValidationError(f"negative value at row {row}")
+            raise FormatError(f"non-finite value {value_s!r} at row {row}")
         key = (day, site, channel)
         if key in cells:
             raise FormatError(f"duplicate cell {key} at row {row}")

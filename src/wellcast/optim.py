@@ -5,8 +5,6 @@ adaptive update, so lr = 0 is an exact fixed point and a zero gradient with
 nonzero decay shrinks weights by exactly that factor.
 """
 
-from typing import Optional
-
 import numpy as np
 
 from .errors import ParameterError, TrainingError
@@ -17,8 +15,8 @@ class AdamW:
     def __init__(self, params: list[Tensor], lr: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999,
                  epsilon: float = 1e-8, weight_decay: float = 0.0):
-        if lr < 0:
-            raise ParameterError("learning rate must be nonnegative")
+        if not lr >= 0:  # also rejects nan
+            raise ParameterError(f"learning rate must be nonnegative, got {lr}")
         if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
             raise ParameterError("betas must lie in (0, 1)")
         if epsilon <= 0:
@@ -83,11 +81,3 @@ class AdamW:
                 raise ParameterError(f"optimizer state {i} does not match parameter shape")
             self.m[i] = m.copy()
             self.v[i] = v.copy()
-
-
-def adamw_step(opt: AdamW, params: Optional[list] = None, grads: Optional[list] = None) -> None:
-    """Functional form: assign grads to params (when given) and step."""
-    if params is not None and grads is not None:
-        for p, g in zip(params, grads):
-            p.grad = None if g is None else np.asarray(g, dtype=np.float64)
-    opt.step()

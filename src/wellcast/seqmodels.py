@@ -364,12 +364,6 @@ class VanillaTransformer(_SeqForecaster):
         return x
 
 
-def informer_forward(model, x_enc, x_token, enc_timestamps, target_timestamps,
-                     training=False, drop_rng=None):
-    return model.forward(x_enc, x_token, enc_timestamps, target_timestamps,
-                         training=training, drop_rng=drop_rng)
-
-
 def gaussian_nll(mean: Tensor, log_var: Tensor, target) -> Tensor:
     """Sum over positions and dims of 0.5 (log 2pi + log_var + (t-m)^2/var)."""
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
@@ -475,16 +469,6 @@ def train_model(model, panel_or_values, epochs: int, seed: int,
         if on_epoch is not None:
             on_epoch(e, train_loss, val_loss)
     return history, opt
-
-
-def train_informer(model: InformerModel, panel_or_values, epochs: int,
-                   seed: int, **kw):
-    return train_model(model, panel_or_values, epochs, seed, **kw)
-
-
-def train_vanilla(model: VanillaTransformer, panel_or_values, epochs: int,
-                  seed: int, **kw):
-    return train_model(model, panel_or_values, epochs, seed, **kw)
 
 
 def forecast(model, context, context_timestamps, target_timestamps,

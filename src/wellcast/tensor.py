@@ -273,10 +273,16 @@ def tanh(a: Tensor) -> Tensor:
     return _record((a,), out, bwd)
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Logistic function on a plain array."""
     # clamp at +-500 where sigmoid saturates exactly in float64, avoiding
     # a spurious overflow warning from exp
-    out = 1.0 / (1.0 + np.exp(-np.clip(a.data, -500.0, 500.0)))
+    # (np.minimum/np.maximum equal np.clip here and skip its dispatch cost)
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500.0), 500.0)))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = sigmoid_array(a.data)
 
     def bwd(g):
         return (g * out * (1.0 - out),)

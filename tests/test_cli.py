@@ -216,6 +216,26 @@ class TestConfigFile:
         conf.write_text("bogus=1\n")
         assert run("train", "--config", str(conf)) == 2
 
+    @pytest.mark.parametrize("line", ["horizon=abc", "lr=fast"])
+    def test_non_numeric_value_exits_2(self, tmp_path, capsys, line):
+        conf = tmp_path / "bad.cfg"
+        conf.write_text(f"seed=1\n{line}\n")
+        assert run("train", "--config", str(conf)) == 2
+        out = capsys.readouterr()
+        key = line.partition("=")[0]
+        assert "error=validation" in out.out
+        assert f"config line 2: {key}" in out.out
+        assert "Traceback" not in out.out + out.err
+
+    def test_nan_learning_rate_exits_2(self, small_field, tmp_path):
+        csv_path, _, _ = small_field
+        conf = tmp_path / "nan.cfg"
+        conf.write_text("lr=nan\n")
+        out = tmp_path / "o"
+        assert run("train", "--config", str(conf), "--data", str(csv_path),
+                   "--out", str(out), "--model", "timegrad", *SIZES) == 2
+        assert not list(out.glob("*.gck"))
+
 
 class TestGroupings:
     def test_per_site_and_pairs(self, small_field, tmp_path):

@@ -175,6 +175,15 @@ class TestCsv:
         with pytest.raises(ValidationError):
             load_csv(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_value_is_format_error(self, tmp_path, token):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text("date,site,channel,value\n"
+                        "1970-01-01,A,oil,1.0\n"
+                        f"1970-01-02,A,oil,{token}\n")
+        with pytest.raises(FormatError, match="non-finite.*row 3"):
+            load_csv(path)
+
     def test_bad_date_reports_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("date,site,channel,value\n"

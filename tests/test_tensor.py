@@ -91,6 +91,15 @@ class TestElementwise:
         assert np.array_equal(T.elu_array(x), reference, equal_nan=True)
         assert np.array_equal(T.elu(Tensor(x)).data, reference, equal_nan=True)
 
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, array_shapes(max_dims=2, max_side=16),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)))
+    def test_sigmoid_array_matches_clip_formula(self, x):
+        # the np.clip formulation sigmoid_array replaced
+        reference = 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+        assert np.array_equal(T.sigmoid_array(x), reference, equal_nan=True)
+        assert np.array_equal(T.sigmoid(Tensor(x)).data, reference, equal_nan=True)
+
     def test_layer_norm_constant_row(self):
         x = Tensor(np.full((3, 5), 7.0))
         out = T.layer_norm(x, Tensor(np.ones(5)), Tensor(np.zeros(5)))
@@ -448,3 +457,51 @@ class TestCheckpoint:
         path.write_bytes(blob[:-5])
         with pytest.raises(FormatError):
             checkpoint.load(path)
+
+    def test_bad_name_bytes_are_format_error(self):
+        blob = bytearray(checkpoint.pack_records({"w": np.ones(2)}))
+        blob[12] = 0xFF  # the single name byte: never valid utf-8
+        with pytest.raises(FormatError, match="utf-8"):
+            checkpoint.unpack_records(bytes(blob))
+
+    def test_dims_disagreeing_with_payload_are_format_error(self):
+        blob = bytearray(checkpoint.pack_records({"w": np.ones((2, 3))}))
+        blob[17] = 5  # dims (2, 3) -> (5, 3); the payload still holds 6 values
+        with pytest.raises(FormatError, match="does not hold"):
+            checkpoint.unpack_records(bytes(blob))
+
+    def test_payload_not_whole_float64s_is_format_error(self):
+        blob = checkpoint.pack_records({"w": np.ones(0)})
+        # an empty record claiming 3 payload bytes, which are present
+        blob = blob[:-8] + (3).to_bytes(8, "little") + b"abc"
+        with pytest.raises(FormatError, match="does not hold"):
+            checkpoint.unpack_records(blob)
+
+    def test_duplicate_record_name_is_format_error(self):
+        one = checkpoint.pack_records({"w": np.ones(1)})
+        blob = one[:4] + (2).to_bytes(4, "little") + one[8:] * 2
+        with pytest.raises(FormatError, match="duplicate"):
+            checkpoint.unpack_records(blob)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_damaged_blob_raises_format_error_or_round_trips(self, draw):
+        blob = checkpoint.pack_records({
+            "gru/0/w": np.arange(6.0).reshape(2, 3),
+            "b": np.array([0.5, -1.0]),
+            "s": np.array(2.0),
+            "": np.ones((0, 4)),
+        })
+        if draw.draw(st.booleans(), label="truncate"):
+            cut = draw.draw(st.integers(0, len(blob) - 1), label="cut")
+            damaged = blob[:cut]
+        else:
+            pos = draw.draw(st.integers(0, len(blob) - 1), label="pos")
+            byte = draw.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]),
+                             label="byte")
+            damaged = blob[:pos] + bytes([byte]) + blob[pos + 1:]
+        try:
+            records = checkpoint.unpack_records(damaged)
+        except FormatError:
+            return
+        assert checkpoint.pack_records(records) == damaged

@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wellcast import tensor as T
-from wellcast.diffusion import reverse_step
-from wellcast.errors import ParameterError, TrainingError
+from wellcast.diffusion import ddpm_loss, reverse_step
+from wellcast.errors import ContractError, ParameterError, TrainingError
 from wellcast.optim import AdamW
 from wellcast.rng import PATH, TRAIN, stream
 from wellcast.timegrad import (GRUCell, TimeGradModel, fit, forecast,
-                               gru_step, normalize_window, train_epoch)
+                               gru_step, normalize_window, train_epoch,
+                               window_loss)
 
 
 @pytest.fixture(autouse=True)
@@ -57,6 +58,87 @@ class TestGRUCell:
             h = cell.step(T.constant(rng.normal(size=(1, 2))), h)
         T.backward(T.tsum(h))
         assert all(p.grad is not None for p in cell.params())
+
+
+def rel_err(got, ref):
+    return np.abs(got - ref).max() / max(np.abs(ref).max(), 1e-300)
+
+
+def weighted_grads(layers, make_out, leaves, weights):
+    """Gradients of sum(weights * make_out()) w.r.t. every cell parameter
+    and each extra leaf, on a clean record."""
+    params = [p for cell in layers for p in cell.params()] + leaves
+    for p in params:
+        p.grad = None
+    out = make_out()
+    T.backward(T.tsum(T.mul(out, T.constant(weights))))
+    return out.data, [p.grad.copy() for p in params]
+
+
+class TestGRUSequence:
+    """GRUCell.sequence (one fused node) against a loop of GRUCell.step."""
+
+    @pytest.mark.parametrize("steps", [1, 7])
+    def test_matches_step_loop(self, steps):
+        rng = stream(40 + steps, TRAIN)
+        cell = GRUCell(3, 5, rng)
+        for p in cell.params():  # nonzero biases exercise the bias gradients
+            p.data[...] = rng.normal(scale=0.7, size=p.shape)
+        xs = T.Tensor(rng.normal(size=(steps, 3)), requires_grad=True)
+        h0 = T.Tensor(rng.normal(size=(1, 5)), requires_grad=True)
+        weights = rng.normal(size=(steps, 5))
+
+        def loop():
+            h, rows = h0, []
+            for t in range(steps):
+                h = cell.step(T.slice_rows(xs, t, t + 1), h)
+                rows.append(h)
+            return T.concat(rows, axis=0)
+
+        ref, ref_g = weighted_grads([cell], loop, [xs, h0], weights)
+        got, got_g = weighted_grads([cell], lambda: cell.sequence(xs, h0),
+                                    [xs, h0], weights)
+        assert rel_err(got, ref) <= 1e-12
+        assert len(got_g) == 11
+        for g, r in zip(got_g, ref_g):
+            assert rel_err(g, r) <= 1e-10
+
+    def test_stacked_layers_match_time_major_stepping(self):
+        model = tiny_model(n_layers=2, seed=41)
+        rng = stream(42, TRAIN)
+        for p in model.params():
+            p.data[...] = rng.normal(scale=0.5, size=p.shape)
+        values = rng.normal(size=(9, 2))
+        weights = rng.normal(size=(9, 8))
+
+        def stepped():
+            states, rows = model.initial_state(), []
+            for t in range(values.shape[0]):
+                states = model.step_state(values[t:t + 1], states)
+                rows.append(states[-1])
+            return T.concat(rows, axis=0)
+
+        ref, ref_g = weighted_grads(model.layers, stepped, [], weights)
+        got, got_g = weighted_grads(model.layers,
+                                    lambda: model.sequences(values)[-1], [],
+                                    weights)
+        assert rel_err(got, ref) <= 1e-12
+        for g, r in zip(got_g, ref_g):
+            assert rel_err(g, r) <= 1e-10
+
+    def test_one_node_per_layer(self):
+        model = tiny_model(n_layers=2, seed=43)
+        model.sequences(np.ones((12, 2)))
+        assert T.record_length() == 2
+
+    def test_shape_contract(self):
+        cell = GRUCell(3, 4, stream(0, TRAIN))
+        with pytest.raises(ContractError):
+            cell.sequence(T.constant(np.ones((5, 2))), T.constant(np.zeros((1, 4))))
+        with pytest.raises(ContractError):
+            cell.sequence(T.constant(np.ones((5, 3))), T.constant(np.zeros((1, 3))))
+        with pytest.raises(ContractError):
+            cell.sequence(T.constant(np.ones(3)), T.constant(np.zeros((1, 4))))
 
 
 class TestNormalizeWindow:
@@ -112,6 +194,49 @@ class TestTraining:
         assert loss == 0.0
         for p, b in zip(model.params(), before):
             assert np.array_equal(p.data, b)
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_window_loss_gradients_match_step_path(self, n_layers):
+        # reference: the time-major step loop over the same inputs and noise
+        model = tiny_model(n_layers=n_layers, seed=44, loss_norm="l2")
+        values = stream(45, TRAIN).normal(size=(9, 2)) * 3.0 + 1.0
+        ctx, target = values[:6], values[6:]
+
+        def stepped():
+            ctx_n, stats = normalize_window(ctx)
+            target_n = stats.normalize(target)
+            states, rows = model.initial_state(), []
+            for x in np.concatenate([ctx_n, target_n[:-1]]):
+                states = model.step_state(x[None, :], states)
+                rows.append(states[-1])
+            h_batch = T.concat(rows[ctx_n.shape[0] - 1:], axis=0)
+            return ddpm_loss(target_n, h_batch, model.eps_net, model.sched,
+                             stream(46, TRAIN), norm=model.loss_norm)
+
+        grads = []
+        for make_loss in (stepped,
+                          lambda: window_loss(model, ctx, target, stream(46, TRAIN))):
+            for p in model.params():
+                p.grad = None
+            loss = make_loss()
+            T.backward(loss)
+            grads.append((loss.item(), [p.grad.copy() for p in model.params()]))
+        (ref_loss, ref_g), (got_loss, got_g) = grads
+        assert abs(got_loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        for g, r in zip(got_g, ref_g):
+            assert rel_err(g, r) <= 1e-10
+
+    def test_window_tape_length_independent_of_context(self):
+        # the recurrence is one node per layer, whatever the window length
+        lengths = []
+        for context in (5, 50):
+            model = tiny_model(seed=47, context_length=context)
+            values = stream(48, TRAIN).normal(size=(context + 3, 2))
+            window_loss(model, values[:context], values[context:],
+                        stream(49, TRAIN))
+            lengths.append(T.record_length())
+            T.reset_record()
+        assert lengths[0] == lengths[1]
 
     def test_window_too_long_raises(self):
         model = tiny_model()
