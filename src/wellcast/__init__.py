@@ -18,8 +18,8 @@ from .evaluation import (ForecastEnsemble, MetricsReport, best_quantile,
 from .seqmodels import (InformerModel, VanillaTransformer, gaussian_nll,
                         sample_paths)
 from .tensor import Tensor, backward, no_grad
-from .timegrad import (GRUCell, TimeGradModel, forecast, gru_step,
-                       normalize_window, train_epoch)
+from .timegrad import (GRUCell, TimeGradModel, fit, forecast, gru_step,
+                       normalize_window)
 
 __all__ = [
     "SeriesPanel", "SyntheticFieldConfig", "generate_synthetic", "load_csv",
@@ -30,6 +30,6 @@ __all__ = [
     "mase", "mse", "quantile_path",
     "InformerModel", "VanillaTransformer", "gaussian_nll", "sample_paths",
     "Tensor", "backward", "no_grad",
-    "GRUCell", "TimeGradModel", "forecast", "gru_step", "normalize_window",
-    "train_epoch",
+    "GRUCell", "TimeGradModel", "fit", "forecast", "gru_step",
+    "normalize_window",
 ]

@@ -13,6 +13,7 @@ save -> load -> save reproduces identical bytes.
 """
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -81,7 +82,16 @@ def unpack_records(blob: bytes) -> dict[str, np.ndarray]:
 
 
 def save(path, records: dict[str, np.ndarray]) -> None:
-    Path(path).write_bytes(pack_records(records))
+    """Write ``<name>.tmp`` beside the target, then rename it over the target,
+    so a crash leaves either the old file or the new one, never a torn one."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(pack_records(records))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load(path) -> dict[str, np.ndarray]:

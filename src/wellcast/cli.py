@@ -19,7 +19,9 @@ from .errors import ParameterError, TrainingError, ValidationError
 from .evaluation import ForecastEnsemble, MetricsReport, SiteMetrics
 from .optim import AdamW
 
-MODEL_KINDS = ("timegrad", "informer", "vanilla")
+MODELS = {cls.kind: cls for cls in (timegrad.TimeGradModel, seqmodels.InformerModel,
+                                    seqmodels.VanillaTransformer)}
+MODEL_KINDS = tuple(MODELS)
 GROUPINGS = ("all_sites_oil", "oil_water_per_site", "oil_only_pairs")
 DEFAULT_EPOCHS = {"timegrad": 40, "informer": 9, "vanilla": 40}
 
@@ -143,11 +145,7 @@ def _build_model(cfg: RunConfig, dim: int, stride: float):
         return timegrad.TimeGradModel(
             dim, context_length=cfg.context_length,
             prediction_length=cfg.horizon, seed=cfg.seed)
-    if cfg.model == "informer":
-        return seqmodels.InformerModel(
-            dim, l_x=cfg.enc_length, l_token=cfg.token_length,
-            l_y=cfg.horizon, stride=stride, seed=cfg.seed)
-    return seqmodels.VanillaTransformer(
+    return MODELS[cfg.model](
         dim, l_x=cfg.enc_length, l_token=cfg.token_length,
         l_y=cfg.horizon, stride=stride, seed=cfg.seed)
 
@@ -156,11 +154,23 @@ def _load_model(cfg: RunConfig, rec: dict):
     if f"{cfg.model}/config" not in rec:
         raise ParameterError(
             f"checkpoint does not contain a {cfg.model} model")
-    if cfg.model == "timegrad":
-        return timegrad.TimeGradModel.from_records(rec)
-    if cfg.model == "informer":
-        return seqmodels.InformerModel.from_records(rec)
-    return seqmodels.VanillaTransformer.from_records(rec)
+    return MODELS[cfg.model].from_records(rec)
+
+
+def _check_resume(cfg: RunConfig, ckpt: Path, fresh, rec: dict) -> None:
+    """Refuse to resume a checkpoint under flags it was not trained with."""
+    key = f"{cfg.model}/config"
+    wanted, saved_lr = fresh.state_records()[key], rec["opt/hyper"][0]
+    diffs = []
+    if not np.array_equal(wanted, rec[key]):
+        diffs.append(f"{key} {rec[key].tolist()} vs {wanted.tolist()}")
+    if cfg.lr != saved_lr:
+        diffs.append(f"lr {float(saved_lr)!r} vs {cfg.lr!r}")
+    if diffs:
+        raise ParameterError(
+            f"checkpoint {ckpt} was trained with other flags "
+            f"(checkpoint vs flags: {'; '.join(diffs)}); resume with the "
+            f"flags it was trained with, or train into another --out")
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +203,16 @@ def cmd_train(cfg: RunConfig) -> None:
         loss_csv = out / f"{cfg.model}_{group}_loss.csv"
         start_epoch = 0
         opt = None
+        model = _build_model(cfg, gpanel.values.shape[1], float(gpanel.stride))
         if ckpt.exists():
             rec = checkpoint.load(ckpt)
-            model = _load_model(cfg, rec)
+            fresh, model = model, _load_model(cfg, rec)
+            _check_resume(cfg, ckpt, fresh, rec)
             start_epoch = int(rec["meta/epochs_done"][0])
             opt = AdamW(model.params(), lr=cfg.lr)
             opt.load_state_records(rec)
             log(command="train", group=group, resumed_from=ckpt,
                 epochs_done=start_epoch)
-        else:
-            dim = gpanel.values.shape[1]
-            model = _build_model(cfg, dim, float(gpanel.stride))
         epochs = cfg.effective_epochs
 
         def on_epoch(e, tr, vl, _group=group):
@@ -211,16 +220,10 @@ def cmd_train(cfg: RunConfig) -> None:
                 train_loss=f"{tr:.6f}", val_loss=f"{vl:.6f}",
                 gap=f"{vl - tr:.6f}")
 
-        if cfg.model == "timegrad":
-            history, opt = timegrad.fit(
-                model, gpanel, epochs=epochs, seed=cfg.seed, lr=cfg.lr,
-                windows_per_epoch=cfg.windows_per_epoch, opt=opt,
-                start_epoch=start_epoch, on_epoch=on_epoch)
-        else:
-            history, opt = seqmodels.train_model(
-                model, gpanel, epochs=epochs, seed=cfg.seed, lr=cfg.lr,
-                windows_per_epoch=cfg.windows_per_epoch, opt=opt,
-                start_epoch=start_epoch, on_epoch=on_epoch)
+        history, opt = timegrad.fit(
+            model, gpanel, epochs=epochs, seed=cfg.seed, lr=cfg.lr,
+            windows_per_epoch=cfg.windows_per_epoch, opt=opt,
+            start_epoch=start_epoch, on_epoch=on_epoch)
 
         rec = model.state_records()
         rec.update(opt.state_records())
@@ -244,7 +247,7 @@ def cmd_train(cfg: RunConfig) -> None:
 def _group_context(cfg: RunConfig, model, gpanel):
     """Context window ending at the split plus target timestamps."""
     k = gpanel.split_index
-    need = model.context_length if cfg.model == "timegrad" else model.l_x
+    need = model.context_rows
     if k < need:
         raise ParameterError(f"train span {k} shorter than context {need}")
     if gpanel.n_steps - k < cfg.horizon:
@@ -268,16 +271,8 @@ def cmd_forecast(cfg: RunConfig) -> None:
             raise ParameterError(f"checkpoint {ckpt} not found; train first")
         model = _load_model(cfg, checkpoint.load(ckpt))
         context, context_ts, target_ts = _group_context(cfg, model, gpanel)
-        if cfg.model == "timegrad":
-            ens = timegrad.forecast(model, context, cfg.horizon, cfg.samples,
-                                    cfg.seed, timestamps=target_ts)
-        else:
-            if cfg.horizon != model.l_y:
-                raise ParameterError(
-                    f"one-shot decoder emits {model.l_y} steps; retrain with "
-                    f"--horizon {cfg.horizon} or forecast at {model.l_y}")
-            ens = seqmodels.forecast(model, context, context_ts, target_ts,
-                                     cfg.samples, cfg.seed)
+        ens = model.forecast(context, context_ts, target_ts, cfg.samples,
+                             cfg.seed)
         checkpoint.save(_ensemble_path(cfg, group), {
             "ensemble/samples": ens.samples,
             "ensemble/timestamps": target_ts,

@@ -25,11 +25,13 @@ from .attention import (AttentionConfig, DistillWeights, MultiHeadWeights,
                         distill, multi_head)
 from .errors import ContractError, ParameterError, TrainingError
 from .evaluation import ForecastEnsemble
-from .optim import AdamW
+# backward stays bound here although fit walks the tape from timegrad:
+# bench/tracing.py wraps seqmodels.backward by name
 from .tensor import (Tensor, add, backward, clip, concat, constant, dropout,
                      elu, exp, layer_norm, matmul, mul, no_grad, parameter,
                      scale, slice_rows, sub, tsum, zeros_parameter)
-from .timegrad import TrainHistory, normalize_window
+# the shared loop keeps this name for the callers that train transformers
+from .timegrad import fit as train_model, normalize_window
 
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
 LOG_VAR_BOUND = 20.0
@@ -168,7 +170,6 @@ class _SeqForecaster:
     """Shared machinery; concrete models fix attention mode and encoder shape."""
 
     attention_mode = "full"
-    use_distill = False
 
     def __init__(self, data_dim, d_model, n_heads, ff_width, p_drop, c,
                  l_x, l_token, l_y, stride, seed):
@@ -217,6 +218,27 @@ class _SeqForecaster:
                 raise ParameterError(f"checkpoint record {name} has wrong shape")
             p.data = rec[name].copy()
 
+    # -- the model protocol of timegrad.fit and the CLI -----------------
+
+    context_rows = property(lambda self: self.l_x)
+    horizon = property(lambda self: self.l_y)
+
+    def window_loss(self, values, timestamps, start, rng, drop_rng) -> Tensor:
+        """Gaussian NLL of the window at ``start``, dropout on when drop_rng
+        is given; ``rng`` is unused.  Rows of a raw array (timestamps None)
+        are stamped ``row * stride``."""
+        mid, end = start + self.l_x, start + self.l_x + self.l_y
+        ts = (np.arange(start, end, dtype=np.float64) * self.stride
+              if timestamps is None else timestamps[start:end])
+        ctx_n, stats = normalize_window(values[start:mid])
+        mean, log_var = self.forward(
+            ctx_n, ctx_n[-self.l_token:], ts[:self.l_x], ts[self.l_x:],
+            training=drop_rng is not None, drop_rng=drop_rng)
+        return gaussian_nll(mean, log_var, stats.normalize(values[mid:end]))
+
+    def forecast(self, context, context_ts, target_ts, n_samples, seed):
+        return forecast(self, context, context_ts, target_ts, n_samples, seed)
+
     def forward(self, x_enc, x_token, enc_timestamps, target_timestamps,
                 training: bool = False, drop_rng=None):
         """One generative pass: Gaussian parameters for all target positions.
@@ -233,7 +255,9 @@ class _SeqForecaster:
         enc_ts = np.asarray(enc_timestamps, dtype=np.float64)
         tgt_ts = np.asarray(target_timestamps, dtype=np.float64)
         if len(tgt_ts) != self.l_y:
-            raise ParameterError(f"target timestamps must cover {self.l_y} steps")
+            raise ParameterError(
+                f"one-shot decoder emits {self.l_y} steps, not {len(tgt_ts)}; "
+                f"retrain at horizon {len(tgt_ts)} to forecast that many")
         if training and drop_rng is None:
             raise ContractError("training mode needs a dropout stream")
         anchor = float(enc_ts[0])
@@ -261,7 +285,6 @@ class InformerModel(_SeqForecaster):
 
     kind = "informer"
     attention_mode = "prob"
-    use_distill = True
 
     def __init__(self, data_dim, d_model=64, n_heads=4, ff_width=128,
                  p_drop=0.1, c=5.0, l_x=96, l_token=48, l_y=45,
@@ -324,7 +347,6 @@ class VanillaTransformer(_SeqForecaster):
 
     kind = "vanilla"
     attention_mode = "full"
-    use_distill = False
 
     def __init__(self, data_dim, d_model=64, n_heads=4, ff_width=128,
                  p_drop=0.2, l_x=96, l_token=48, l_y=45, stride=2.0, seed=0):
@@ -391,84 +413,6 @@ def sample_paths(mean, log_var, n_samples: int, rng: np.random.Generator,
     samples = mean[None] + np.exp(0.5 * log_var)[None] * z
     return ForecastEnsemble(samples=samples, timestamps=timestamps,
                             denormalized=False)
-
-
-def _panel_arrays(panel_or_values, stride):
-    if hasattr(panel_or_values, "values") and hasattr(panel_or_values, "split_index"):
-        p = panel_or_values
-        vals = np.asarray(p.values[:p.split_index], dtype=np.float64)
-        ts = np.asarray(p.timestamps[:p.split_index], dtype=np.float64)
-        return vals, ts
-    vals = np.atleast_2d(np.asarray(panel_or_values, dtype=np.float64))
-    return vals, np.arange(vals.shape[0], dtype=np.float64) * stride
-
-
-def _window_nll(model, values, timestamps, start, training, drop_rng):
-    ctx = values[start:start + model.l_x]
-    target = values[start + model.l_x:start + model.l_x + model.l_y]
-    ctx_n, stats = normalize_window(ctx)
-    target_n = stats.normalize(target)
-    token = ctx_n[-model.l_token:]
-    mean, log_var = model.forward(
-        ctx_n, token, timestamps[start:start + model.l_x],
-        timestamps[start + model.l_x:start + model.l_x + model.l_y],
-        training=training, drop_rng=drop_rng)
-    return gaussian_nll(mean, log_var, target_n)
-
-
-def train_model(model, panel_or_values, epochs: int, seed: int,
-                lr: float = 1e-4, windows_per_epoch: int = 64,
-                opt: AdamW | None = None, val_fraction: float = 0.1,
-                start_epoch: int = 0, on_epoch=None):
-    """Window-sampled NLL training shared by both transformer models.
-
-    Context windows are normalized by their own statistics; the adjacent
-    target window shares those statistics.  A tail slice of the training
-    span is held out for per-epoch validation so the train/validation gap
-    (the overfitting indicator) can be reported.  Returns (history, opt).
-    """
-    values, timestamps = _panel_arrays(panel_or_values, model.stride)
-    total = model.l_x + model.l_y
-    if values.shape[0] < total:
-        raise ParameterError(
-            f"training span {values.shape[0]} shorter than context+target {total}")
-    if opt is None:
-        opt = AdamW(model.params(), lr=lr)
-    val_span = int(val_fraction * values.shape[0])
-    val_starts = []
-    train_hi = values.shape[0]
-    if val_span >= total and values.shape[0] - val_span >= total:
-        val_lo = values.shape[0] - val_span
-        step = max(1, (val_span - total) // 4 + 1)
-        val_starts = list(range(val_lo, values.shape[0] - total + 1, step))[:5]
-        train_hi = val_lo
-    history = TrainHistory([], [])
-    for e in range(start_epoch, start_epoch + epochs):
-        rng = rng_mod.stream(seed, rng_mod.TRAIN, e)
-        drop_rng = rng_mod.stream(seed, rng_mod.DROPOUT, e)
-        epoch_losses = []
-        for w in range(windows_per_epoch):
-            start = int(rng.integers(0, train_hi - total + 1))
-            loss = _window_nll(model, values, timestamps, start, True,
-                               drop_rng)
-            val = loss.item()
-            if not np.isfinite(val):
-                raise TrainingError(
-                    f"non-finite loss at epoch={e} window={w} start={start}")
-            opt.zero_grad()
-            backward(loss)
-            opt.step()
-            epoch_losses.append(val)
-        train_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
-        with no_grad():
-            vals = [_window_nll(model, values, timestamps, s, False,
-                                None).item() for s in val_starts]
-        val_loss = float(np.mean(vals)) if vals else float("nan")
-        history.train_loss.append(train_loss)
-        history.val_loss.append(val_loss)
-        if on_epoch is not None:
-            on_epoch(e, train_loss, val_loss)
-    return history, opt
 
 
 def forecast(model, context, context_timestamps, target_timestamps,

@@ -19,6 +19,10 @@ the op-by-op reference that ``sequence`` is tested against.
 
 Each window is normalized by its own context statistics; forecasts are mapped
 back to the original scale before they leave this module.
+
+``fit`` is the package's one training loop: the transformers of
+``seqmodels`` train through it too, over the small model protocol that its
+docstring states.
 """
 
 from dataclasses import dataclass
@@ -175,6 +179,8 @@ def normalize_window(window: np.ndarray, scale_by_variance: bool = False):
 
 
 class TimeGradModel:
+    kind = "timegrad"
+
     def __init__(self, data_dim: int, hidden_dim: int = 64, n_layers: int = 1,
                  context_length: int = 90, prediction_length: int = 45,
                  sched: NoiseSchedule | None = None, loss_norm: str = "l1",
@@ -238,6 +244,22 @@ class TimeGradModel:
         steps = values.shape[0]
         return [slice_rows(s, steps - 1, steps) for s in self.sequences(values, states)]
 
+    # -- the model protocol of ``fit`` and the CLI ----------------------
+
+    context_rows = property(lambda self: self.context_length)
+    horizon = property(lambda self: self.prediction_length)
+
+    def window_loss(self, values, timestamps, start, rng, drop_rng) -> Tensor:
+        """Loss of the window at ``start``; ``rng`` also draws the diffusion
+        noise.  There is no dropout and timestamps are not an input."""
+        mid = start + self.context_length
+        return window_loss(self, values[start:mid],
+                           values[mid:mid + self.prediction_length], rng)
+
+    def forecast(self, context, context_ts, target_ts, n_samples, seed):
+        return forecast(self, context, len(target_ts), n_samples, seed,
+                        timestamps=target_ts)
+
     # -- persistence ----------------------------------------------------
 
     def state_records(self) -> dict:
@@ -277,13 +299,6 @@ class TimeGradModel:
         return model
 
 
-def _train_values(panel_or_values) -> np.ndarray:
-    if hasattr(panel_or_values, "values") and hasattr(panel_or_values, "split_index"):
-        p = panel_or_values
-        return np.asarray(p.values[:p.split_index], dtype=np.float64)
-    return np.atleast_2d(np.asarray(panel_or_values, dtype=np.float64))
-
-
 def window_loss(model: TimeGradModel, ctx: np.ndarray, target: np.ndarray,
                 rng: np.random.Generator) -> Tensor:
     """Diffusion loss summed over one prediction window (teacher forcing)."""
@@ -295,52 +310,6 @@ def window_loss(model: TimeGradModel, ctx: np.ndarray, target: np.ndarray,
     h_batch = slice_rows(h_all, ctx_n.shape[0] - 1, inputs.shape[0])
     return ddpm_loss(target_n, h_batch, model.eps_net, model.sched, rng,
                      norm=model.loss_norm)
-
-
-def train_epoch(model: TimeGradModel, panel_or_values, opt: AdamW,
-                rng: np.random.Generator, windows_per_epoch: int = 64) -> float:
-    """One epoch of randomly placed context+prediction windows.
-
-    Windows are sampled from the training span only; each window takes one
-    optimizer step.  Returns the mean window loss (0.0 for an empty epoch).
-    """
-    values = _train_values(panel_or_values)
-    span = values.shape[0]
-    total = model.context_length + model.prediction_length
-    if span < total:
-        raise ParameterError(
-            f"training span {span} shorter than context+prediction {total}")
-    if windows_per_epoch == 0:
-        return 0.0
-    losses = []
-    for w in range(windows_per_epoch):
-        start = int(rng.integers(0, span - total + 1))
-        ctx = values[start:start + model.context_length]
-        target = values[start + model.context_length:start + total]
-        loss = window_loss(model, ctx, target, rng)
-        if not np.isfinite(loss.item()):
-            raise TrainingError(
-                f"non-finite loss at window={w} start={start}")
-        opt.zero_grad()
-        backward(loss)
-        opt.step()
-        losses.append(loss.item())
-    return float(np.mean(losses))
-
-
-def validation_loss(model: TimeGradModel, values: np.ndarray,
-                    starts, seed: int) -> float:
-    """Loss over fixed windows with a fixed noise stream (no updates)."""
-    rng = rng_mod.stream(seed, rng_mod.EVAL)
-    total = model.context_length + model.prediction_length
-    losses = []
-    with no_grad():
-        for start in starts:
-            ctx = values[start:start + model.context_length]
-            target = values[start + model.context_length:start + total]
-            loss = window_loss(model, ctx, target, rng)
-            losses.append(loss.item())
-    return float(np.mean(losses)) if losses else float("nan")
 
 
 def forecast(model: TimeGradModel, context: np.ndarray, horizon: int,
@@ -406,38 +375,62 @@ class TrainHistory:
         return [v - t for t, v in zip(self.train_loss, self.val_loss)]
 
 
-def fit(model: TimeGradModel, panel_or_values, epochs: int, seed: int,
-        lr: float = 1e-4, windows_per_epoch: int = 64, opt: AdamW | None = None,
+def fit(model, panel_or_values, epochs: int, seed: int, lr: float = 1e-4,
+        windows_per_epoch: int = 64, opt: AdamW | None = None,
         val_fraction: float = 0.1, start_epoch: int = 0,
         on_epoch=None) -> tuple:
-    """Train for ``epochs`` epochs with a held-out validation tail.
+    """Train a forecaster on random windows; return (history, optimizer).
 
-    The last val_fraction of the *training* span is reserved for validation
-    windows; training windows are drawn from the remainder, so validation
-    never influences updates and neither part touches the test span.
-    Returns (history, optimizer) so callers can checkpoint optimizer state.
+    Protocol: ``context_rows`` and ``horizon`` (window rows), ``params()``,
+    and ``window_loss(values, timestamps, start, rng, drop_rng)``, the loss
+    of the window at row ``start``; timestamps are None for a raw array and
+    ``drop_rng=None`` means evaluation.  A panel is cut at its split index.
+    The last val_fraction of that span holds up to 5 validation windows,
+    disjoint from the training windows.  Epoch e draws window starts and
+    diffusion noise from the (seed, TRAIN, e) stream and dropout masks from
+    (seed, DROPOUT, e); validation runs under no_grad on a fresh
+    (seed, EVAL) stream, so every epoch scores the same noise.
     """
-    values = _train_values(panel_or_values)
-    total = model.context_length + model.prediction_length
-    if values.shape[0] < total:
-        raise ParameterError("training span shorter than one window")
+    if hasattr(panel_or_values, "split_index"):
+        k = panel_or_values.split_index
+        values = np.asarray(panel_or_values.values[:k], dtype=np.float64)
+        timestamps = np.asarray(panel_or_values.timestamps[:k], dtype=np.float64)
+    else:
+        values = np.atleast_2d(np.asarray(panel_or_values, dtype=np.float64))
+        timestamps = None
+    n, total = values.shape[0], model.context_rows + model.horizon
+    if n < total:
+        raise ParameterError(
+            f"training span {n} shorter than context+horizon {total}")
     if opt is None:
         opt = AdamW(model.params(), lr=lr)
-    val_span = int(val_fraction * values.shape[0])
-    val_starts = []
-    if val_span >= total and values.shape[0] - val_span >= total:
-        # validation tail is fully disjoint from the training windows
-        val_lo = values.shape[0] - val_span
+    val_span = int(val_fraction * n)
+    val_starts, train_hi = [], n
+    if val_span >= total and n - val_span >= total:
+        train_hi = n - val_span
         step = max(1, (val_span - total) // 4 + 1)
-        val_starts = list(range(val_lo, values.shape[0] - total + 1, step))[:5]
-        train_values = values[:val_lo]
-    else:
-        train_values = values
+        val_starts = list(range(train_hi, n - total + 1, step))[:5]
     history = TrainHistory([], [])
     for e in range(start_epoch, start_epoch + epochs):
         rng = rng_mod.stream(seed, rng_mod.TRAIN, e)
-        tr = train_epoch(model, train_values, opt, rng, windows_per_epoch)
-        vl = validation_loss(model, values, val_starts, seed)
+        drop_rng = rng_mod.stream(seed, rng_mod.DROPOUT, e)
+        losses = []
+        for w in range(windows_per_epoch):
+            start = int(rng.integers(0, train_hi - total + 1))
+            loss = model.window_loss(values, timestamps, start, rng, drop_rng)
+            losses.append(loss.item())
+            if not np.isfinite(losses[-1]):
+                raise TrainingError(
+                    f"non-finite loss at epoch={e} window={w} start={start}")
+            opt.zero_grad()
+            backward(loss)
+            opt.step()
+        eval_rng = rng_mod.stream(seed, rng_mod.EVAL)
+        with no_grad():
+            val = [model.window_loss(values, timestamps, s, eval_rng, None).item()
+                   for s in val_starts]
+        tr = float(np.mean(losses)) if losses else 0.0
+        vl = float(np.mean(val)) if val else float("nan")
         history.train_loss.append(tr)
         history.val_loss.append(vl)
         if on_epoch is not None:

@@ -88,6 +88,25 @@ class TestTrain:
         rec = checkpoint.load(out / "vanilla_all.gck")
         assert rec["meta/epochs_done"][0] == 4.0
 
+    @pytest.mark.parametrize("changed", [
+        ["--horizon", "9", "--enc-length", "40", "--lr", "5e-2"],
+        ["--lr", "5e-2"]])
+    def test_resume_refuses_conflicting_flags(self, small_field, tmp_path,
+                                              capsys, changed):
+        csv_path, _, _ = small_field
+        out = tmp_path / "run"
+        args = ["train", "--model", "vanilla", "--data", str(csv_path),
+                "--out", str(out), *COMMON, *ENC]
+        assert run(*args) == 0
+        ckpt, loss_csv = out / "vanilla_all.gck", out / "vanilla_all_loss.csv"
+        before = ckpt.read_bytes(), loss_csv.read_bytes()
+        capsys.readouterr()
+        assert run(*args, *changed) == 2
+        detail = capsys.readouterr().out
+        assert str(ckpt) in detail and "lr 0.001 vs 0.05" in detail
+        assert ("vanilla/config" in detail) == ("--horizon" in changed)
+        assert (ckpt.read_bytes(), loss_csv.read_bytes()) == before
+
     def test_seed_reproducibility(self, small_field, tmp_path):
         csv_path, _, _ = small_field
         outs = []
@@ -165,6 +184,18 @@ class TestForecastEvaluate:
         checkpoint.save(ckpt, rec)
         assert run("forecast", *args) == 3
         assert not (out / "timegrad_all_ensemble.gck").exists()
+
+    def test_one_shot_horizon_mismatch_exits_2(self, trained, tmp_path, capsys):
+        # trained at horizon 6, the one-shot decoder cannot emit 5 steps
+        csv_path, out = trained
+        fresh = tmp_path / "h5"
+        code = run("forecast", "--model", "informer", "--data", str(csv_path),
+                   "--out", str(fresh), "--checkpoint",
+                   str(out / "informer_all.gck"), *COMMON, *ENC,
+                   "--horizon", "5")
+        assert code == 2
+        assert "emits 6 steps, not 5" in capsys.readouterr().out
+        assert not (fresh / "informer_all_ensemble.gck").exists()
 
     def test_horizon_exceeding_test_span(self, trained):
         csv_path, out = trained

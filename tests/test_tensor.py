@@ -444,6 +444,30 @@ class TestCheckpoint:
         checkpoint.save(again, loaded)
         assert again.read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("failing", ["replace", "write"])
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch,
+                                             failing):
+        path = tmp_path / "model.gck"
+        checkpoint.save(path, {"w": np.ones(3)})
+        before = path.read_bytes()
+
+        def boom(*args):
+            raise OSError("disk full")
+
+        def torn_write(self, blob):
+            with open(self, "wb") as fh:
+                fh.write(blob[:5])
+            boom()
+
+        if failing == "replace":
+            monkeypatch.setattr(checkpoint.os, "replace", boom)
+        else:
+            monkeypatch.setattr(type(path), "write_bytes", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            checkpoint.save(path, {"w": np.zeros(3)})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.gck"]
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.gck"
         path.write_bytes(b"NOPE" + b"\x00" * 16)

@@ -10,8 +10,7 @@ from wellcast.errors import ContractError, ParameterError, TrainingError
 from wellcast.optim import AdamW
 from wellcast.rng import PATH, TRAIN, stream
 from wellcast.timegrad import (GRUCell, TimeGradModel, fit, forecast,
-                               gru_step, normalize_window, train_epoch,
-                               window_loss)
+                               gru_step, normalize_window, window_loss)
 
 
 @pytest.fixture(autouse=True)
@@ -190,8 +189,9 @@ class TestTraining:
         before = [p.data.copy() for p in model.params()]
         opt = AdamW(model.params(), lr=1e-2)
         values = stream(4, TRAIN).normal(size=(30, 2))
-        loss = train_epoch(model, values, opt, stream(5, TRAIN), windows_per_epoch=0)
-        assert loss == 0.0
+        history, _ = fit(model, values, epochs=1, seed=5, opt=opt,
+                         windows_per_epoch=0)
+        assert history.train_loss == [0.0]
         for p, b in zip(model.params(), before):
             assert np.array_equal(p.data, b)
 
@@ -241,16 +241,16 @@ class TestTraining:
     def test_window_too_long_raises(self):
         model = tiny_model()
         with pytest.raises(ParameterError):
-            train_epoch(model, np.zeros((5, 2)), AdamW(model.params()),
-                        stream(5, TRAIN))
+            fit(model, np.zeros((5, 2)), epochs=1, seed=5,
+                opt=AdamW(model.params()))
 
     def test_deterministic_under_fixed_seed(self):
         def run():
             model = tiny_model(seed=11)
             opt = AdamW(model.params(), lr=1e-3)
             values = stream(6, TRAIN).normal(size=(40, 2))
-            losses = [train_epoch(model, values, opt, stream(7, TRAIN, e),
-                                  windows_per_epoch=4) for e in range(3)]
+            losses = fit(model, values, epochs=3, seed=7, opt=opt,
+                         windows_per_epoch=4)[0].train_loss
             return np.array(losses).tobytes(), model.params()[0].data.tobytes()
 
         assert run() == run()
@@ -261,8 +261,8 @@ class TestTraining:
         model = tiny_model(data_dim=1, seed=12)
         values = np.full((60, 1), 5.0)
         opt = AdamW(model.params(), lr=5e-3)
-        losses = [train_epoch(model, values, opt, stream(8, TRAIN, e),
-                              windows_per_epoch=16) for e in range(5)]
+        losses = fit(model, values, epochs=5, seed=8, opt=opt,
+                     windows_per_epoch=16)[0].train_loss
         assert losses[-1] < losses[0]
 
     def test_never_reads_test_span(self):
@@ -274,12 +274,13 @@ class TestTraining:
         class PanelStub:
             split_index = 40
             values = poisoned
+            timestamps = np.arange(50) * 2.0
 
         model = tiny_model(seed=13)
         opt = AdamW(model.params(), lr=1e-3)
-        loss = train_epoch(model, PanelStub(), opt, stream(10, TRAIN),
-                           windows_per_epoch=8)
-        assert np.isfinite(loss)
+        history, _ = fit(model, PanelStub(), epochs=1, seed=10, opt=opt,
+                         windows_per_epoch=8)
+        assert np.isfinite(history.train_loss).all()
 
     def test_nan_loss_aborts_with_diagnostic(self):
         from wellcast.errors import TrainingError
@@ -288,8 +289,43 @@ class TestTraining:
         opt = AdamW(model.params(), lr=1e-3)
         values = stream(17, TRAIN).normal(size=(40, 2))
         with pytest.raises(TrainingError, match="window=0 start="):
-            train_epoch(model, values, opt, stream(18, TRAIN),
-                        windows_per_epoch=2)
+            fit(model, values, epochs=1, seed=18, opt=opt,
+                windows_per_epoch=2)
+
+    def test_fit_needs_only_the_protocol(self):
+        # a one-weight model with just context_rows, horizon, params and
+        # window_loss; it learns the level of the target rows
+        class Toy:
+            context_rows, horizon = 3, 2
+
+            def __init__(self):
+                self.w = T.Tensor(np.zeros((1, 1)), requires_grad=True)
+                self.calls = []
+
+            def params(self):
+                return [self.w]
+
+            def window_loss(self, values, timestamps, start, rng, drop_rng):
+                self.calls.append((start, drop_rng is None, T.grad_enabled(),
+                                   timestamps is None))
+                target = values[start + 3:start + 5]
+                d = T.sub(T.constant(target), self.w)
+                return T.tsum(T.mul(d, d))
+
+        toy = Toy()
+        values = np.full((100, 1), 3.0)
+        history, _ = fit(toy, values, epochs=2, seed=4, lr=0.1,
+                         windows_per_epoch=6)
+        assert len(history.train_loss) == 2
+        assert history.val_loss[1] < history.val_loss[0]
+        # validation is the 10-row tail; training windows end before it
+        train = [c for c in toy.calls if not c[1]]
+        val = [c for c in toy.calls if c[1]]
+        assert len(train) == 12 and all(c[2] for c in train)
+        assert all(c[0] + 5 <= 90 for c in train)
+        assert [c[0] for c in val] == [90, 92, 94] * 2
+        assert not any(c[2] for c in val)  # under no_grad
+        assert all(c[3] for c in toy.calls)
 
     def test_fit_reports_train_and_val(self):
         model = tiny_model(seed=14)
@@ -400,9 +436,7 @@ class TestTrainedToy:
                               loss_norm="l2", seed=30)
         values = np.full((80, 1), c)
         opt = AdamW(model.params(), lr=5e-3)
-        for e in range(12):
-            train_epoch(model, values, opt, stream(31, TRAIN, e),
-                        windows_per_epoch=16)
+        fit(model, values, epochs=12, seed=31, opt=opt, windows_per_epoch=16)
         ens = forecast(model, values[:8], horizon=4, n_samples=64, seed=32)
         means = ens.samples.mean(axis=0)[:, 0]
         assert np.all(np.abs(means - c) < 0.05 * c)
