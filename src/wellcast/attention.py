@@ -12,8 +12,10 @@ allowed to see, which keeps every output row a convex combination of values.
 
 Two measure variants are provided.  ``lse_minus_mean`` contrasts the
 log-sum-exp of the scaled scores with their arithmetic mean (the form the
-top-u heuristic is built around); ``paper_literal`` subtracts the mean of the
-exponentiated scores instead, matching one printed formulation.
+top-u heuristic is built around, and the one query selection uses);
+``paper_literal`` subtracts the mean of the exponentiated scores instead,
+matching one printed formulation, and is available through
+``sparsity_measure``.
 
 Masked positions contribute -inf scores.  Under a causal mask the top-u set
 is ranked per prefix: query i is active iff its measure, centered by the
@@ -54,8 +56,6 @@ class AttentionConfig:
     d_model: int
     n_heads: int
     c: float = 5.0
-    causal: bool = False
-    measure_variant: str = "lse_minus_mean"
 
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
@@ -63,8 +63,6 @@ class AttentionConfig:
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.c <= 0:
             raise ParameterError("sampling constant c must be positive")
-        if self.measure_variant not in ("lse_minus_mean", "paper_literal"):
-            raise ParameterError(f"unknown measure variant {self.measure_variant!r}")
 
     @property
     def d(self) -> int:
@@ -162,22 +160,17 @@ def select_top_queries(q_data: np.ndarray, k_data: np.ndarray,
         raise ParameterError("need at least one query")
     scores = _scaled_scores(q_data, k_data)
     COUNTER.measure_dot_products += l_q * l_k
-    measures = _measures_from_scores(scores, cfg.measure_variant)
+    measures = _measures_from_scores(scores, "lse_minus_mean")
     u = top_u_count(cfg.c, l_q)
     order = np.argsort(-measures, kind="stable")
     return np.sort(order[:u])
 
 
-def _uniform_baseline(scores: np.ndarray, allowed: np.ndarray,
-                      variant: str) -> np.ndarray:
+def _uniform_baseline(allowed: np.ndarray) -> np.ndarray:
     """Measure each query would score if its visible scores were replaced by
-    their mean.  Subtracting it makes rows with different visible-key counts
-    comparable (a flat score row always nets exactly zero)."""
-    counts = allowed.sum(axis=1)
-    s_bar = np.where(allowed, scores, 0.0).sum(axis=1) / counts
-    if variant == "lse_minus_mean":
-        return np.log(counts)
-    return np.log(counts) + s_bar - np.exp(s_bar)
+    their mean, log(visible keys).  Subtracting it makes rows with different
+    visible-key counts comparable (a flat score row always nets exactly zero)."""
+    return np.log(allowed.sum(axis=1))
 
 
 def _prefix_top_u(excess: np.ndarray, u: int) -> np.ndarray:
@@ -199,11 +192,9 @@ def _prefix_top_u(excess: np.ndarray, u: int) -> np.ndarray:
 
 
 def probsparse_attention(qkv: QKV, cfg: AttentionConfig,
-                         causal: bool | None = None) -> Tensor:
+                         causal: bool = False) -> Tensor:
     """Sparse attention: exact rows for active queries, mean-of-values rows
     (running mean under causality) for the rest."""
-    if causal is None:
-        causal = cfg.causal
     l_q, d = qkv.q.shape
     l_k = qkv.k.shape[0]
     if l_k == 0:
@@ -211,10 +202,10 @@ def probsparse_attention(qkv: QKV, cfg: AttentionConfig,
     mask = causal_mask(l_q, l_k) if causal else None
     scores = _scaled_scores(qkv.q.data, qkv.k.data)
     COUNTER.measure_dot_products += l_q * l_k
-    measures = _measures_from_scores(scores, cfg.measure_variant, mask)
+    measures = _measures_from_scores(scores, "lse_minus_mean", mask)
     u = top_u_count(cfg.c, l_q)
     if causal:
-        excess = measures - _uniform_baseline(scores, mask, cfg.measure_variant)
+        excess = measures - _uniform_baseline(mask)
         sel = _prefix_top_u(excess, u)
     else:
         order = np.argsort(-measures, kind="stable")

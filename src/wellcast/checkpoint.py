@@ -96,3 +96,21 @@ def save(path, records: dict[str, np.ndarray]) -> None:
 
 def load(path) -> dict[str, np.ndarray]:
     return unpack_records(Path(path).read_bytes())
+
+
+def read(records: dict, name: str, shape: tuple | None = None) -> np.ndarray:
+    """A copy of record ``name``; FormatError if it is absent or, when
+    ``shape`` is given, shaped otherwise.  Every loader reads through here."""
+    if name not in records:
+        raise FormatError(f"checkpoint has no record {name!r}")
+    arr = records[name]
+    if shape is not None and arr.shape != tuple(shape):
+        raise FormatError(f"record {name!r} has shape {arr.shape}, "
+                          f"expected {tuple(shape)}")
+    return arr.copy()
+
+
+def load_params(records: dict, named: dict) -> None:
+    """Set each parameter of ``{record name: tensor}`` from its record."""
+    for name, p in named.items():
+        p.data = read(records, name, p.shape)

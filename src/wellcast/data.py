@@ -18,7 +18,7 @@ are the sum of their wells.
 
 import datetime
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -367,50 +367,50 @@ def generate_synthetic(cfg: SyntheticFieldConfig, return_wells: bool = False):
     return panel
 
 
-# flat key=value config file for the generator
-_FIELD_TYPES = {
-    "n_sites": int, "wells_per_site": int, "n_steps": int, "stride_days": int,
-    "start_day": int, "well_start_frac": float, "water_ramp_steps": float,
-    "shutin_rate": float, "surge_amplitude": float, "surge_decay_steps": float,
-    "noise_scale": float, "seed": int,
-}
-_PAIR_TYPES = {
-    "q_init_range": float, "decline_range": float, "b_range": float,
-    "breakthrough_delay_range": int, "water_cut_max_range": float,
-    "shutin_duration_range": int,
-}
+def parse_config(text: str, schema) -> dict:
+    """Read flat ``key=value`` lines into typed values for a dataclass schema.
 
-
-def config_to_text(cfg: SyntheticFieldConfig) -> str:
-    lines = []
-    for name in _FIELD_TYPES:
-        lines.append(f"{name}={getattr(cfg, name)}")
-    for name in _PAIR_TYPES:
-        lo, hi = getattr(cfg, name)
-        lines.append(f"{name}={lo},{hi}")
-    return "\n".join(lines) + "\n"
-
-
-def config_from_text(text: str) -> SyntheticFieldConfig:
-    cfg = SyntheticFieldConfig()
+    A field's default fixes its type: the value is read with ``type(default)``,
+    and a tuple default reads ``lo,hi`` with one type per element.  Blank lines
+    and ``#`` lines are skipped, and ``-`` in a key reads as ``_``.  Returns
+    only the keys the text sets; a malformed line raises FormatError naming
+    it.  Run configs and generator sidecars are both read here.
+    """
+    defaults = {f.name: f.default for f in fields(schema)}
     updates = {}
     for row, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise FormatError(f"expected key=value at line {row}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key in _FIELD_TYPES:
-            updates[key] = _FIELD_TYPES[key](value)
-        elif key in _PAIR_TYPES:
-            parts = value.split(",")
-            if len(parts) != 2:
-                raise FormatError(f"{key} needs two comma-separated values")
-            conv = _PAIR_TYPES[key]
-            updates[key] = (conv(parts[0]), conv(parts[1]))
-        else:
-            raise FormatError(f"unknown generator key {key!r} at line {row}")
-    return replace(cfg, **updates)
+        key, sep, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if not sep or key not in defaults:
+            raise FormatError(f"unknown config key at line {row}: {line!r}")
+        value, default = value.strip(), defaults[key]
+        pair = isinstance(default, tuple)
+        kinds = [type(d) for d in (default if pair else (default,))]
+        parts = value.split(",") if pair else [value]
+        try:
+            if len(parts) != len(kinds):
+                raise ValueError
+            typed = tuple(kind(part) for kind, part in zip(kinds, parts))
+        except ValueError:
+            raise FormatError(
+                f"config line {row}: {key} expects "
+                f"{','.join(k.__name__ for k in kinds)}, got {value!r}") from None
+        updates[key] = typed if pair else typed[0]
+    return updates
+
+
+def config_to_text(cfg: SyntheticFieldConfig) -> str:
+    """Scalar fields, then the ``lo,hi`` ranges, each in field order."""
+    lines = []
+    for f in sorted(fields(cfg), key=lambda f: isinstance(f.default, tuple)):
+        value = getattr(cfg, f.name)
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else value
+        lines.append(f"{f.name}={text}")
+    return "\n".join(lines) + "\n"
+
+
+def config_from_text(text: str) -> SyntheticFieldConfig:
+    return SyntheticFieldConfig(**parse_config(text, SyntheticFieldConfig))

@@ -235,24 +235,6 @@ class EpsilonNet:
 
         return predict
 
-    def state_records(self, prefix: str = "eps") -> dict:
-        return {
-            f"{prefix}/dims": np.array([self.data_dim, self.cond_dim, self.n_steps,
-                                        self.hidden, self.embed_dim], dtype=np.float64),
-            f"{prefix}/w1": self.w1.data, f"{prefix}/b1": self.b1.data,
-            f"{prefix}/w2": self.w2.data, f"{prefix}/b2": self.b2.data,
-            f"{prefix}/w3": self.w3.data, f"{prefix}/b3": self.b3.data,
-        }
-
-    @classmethod
-    def from_records(cls, records: dict, prefix: str = "eps") -> "EpsilonNet":
-        dims = records[f"{prefix}/dims"].astype(int)
-        net = cls(dims[0], dims[1], dims[2], hidden=dims[3], embed_dim=dims[4])
-        for name, p in (("w1", net.w1), ("b1", net.b1), ("w2", net.w2),
-                        ("b2", net.b2), ("w3", net.w3), ("b3", net.b3)):
-            p.data = records[f"{prefix}/{name}"].copy()
-        return net
-
 
 def ddpm_loss(x0, h_prev, net: EpsilonNet, sched: NoiseSchedule,
               rng: np.random.Generator, norm: str = "l1",

@@ -7,6 +7,7 @@ nonzero decay shrinks weights by exactly that factor.
 
 import numpy as np
 
+from .checkpoint import read
 from .errors import ParameterError, TrainingError
 from .tensor import Tensor
 
@@ -70,14 +71,9 @@ class AdamW:
         return rec
 
     def load_state_records(self, records: dict, prefix: str = "opt") -> None:
-        self.step_count = int(records[f"{prefix}/step"][0])
-        hyper = records[f"{prefix}/hyper"]
+        self.step_count = int(read(records, f"{prefix}/step", (1,))[0])
         self.lr, self.beta1, self.beta2, self.epsilon, self.weight_decay = (
-            float(h) for h in hyper)
+            float(h) for h in read(records, f"{prefix}/hyper", (5,)))
         for i, p in enumerate(self.params):
-            m = records[f"{prefix}/m/{i}"]
-            v = records[f"{prefix}/v/{i}"]
-            if m.shape != p.shape or v.shape != p.shape:
-                raise ParameterError(f"optimizer state {i} does not match parameter shape")
-            self.m[i] = m.copy()
-            self.v[i] = v.copy()
+            self.m[i] = read(records, f"{prefix}/m/{i}", p.shape)
+            self.v[i] = read(records, f"{prefix}/v/{i}", p.shape)

@@ -18,11 +18,14 @@ a single forward pass.  An instrumented counter records decoder passes so
 tests can assert the one-pass contract.
 """
 
+import inspect
+
 import numpy as np
 
 from . import rng as rng_mod
 from .attention import (AttentionConfig, DistillWeights, MultiHeadWeights,
                         distill, multi_head)
+from .checkpoint import load_params, read
 from .errors import ContractError, ParameterError, TrainingError
 from .evaluation import ForecastEnsemble
 # backward stays bound here although fit walks the tape from timegrad:
@@ -167,9 +170,14 @@ def _ceil_half(n: int, times: int) -> int:
 
 
 class _SeqForecaster:
-    """Shared machinery; concrete models fix attention mode and encoder shape."""
+    """Shared machinery; concrete models fix attention mode and encoder shape.
+
+    ``config_keys`` names the constructor keywords in the order of the
+    ``<kind>/config`` checkpoint record.
+    """
 
     attention_mode = "full"
+    config_keys: tuple = ()
 
     def __init__(self, data_dim, d_model, n_heads, ff_width, p_drop, c,
                  l_x, l_token, l_y, stride, seed):
@@ -203,20 +211,33 @@ class _SeqForecaster:
         out += self.head.params()
         return out
 
+    # config_keys entries that live on the attention config
+    n_heads = property(lambda self: self.cfg.n_heads)
+    c = property(lambda self: self.cfg.c)
+
     def named_params(self) -> dict:
         return {f"{self.kind}/p/{i}": p for i, p in enumerate(self.params())}
 
+    def _config_vector(self) -> np.ndarray:
+        return np.array([getattr(self, k) for k in self.config_keys],
+                        dtype=np.float64)
+
     def state_records(self) -> dict:
-        rec = {f"{self.kind}/config": np.array(self._config_vector())}
+        rec = {f"{self.kind}/config": self._config_vector()}
         for name, p in self.named_params().items():
             rec[name] = p.data
         return rec
 
-    def load_records(self, rec: dict) -> None:
-        for name, p in self.named_params().items():
-            if rec[name].shape != p.shape:
-                raise ParameterError(f"checkpoint record {name} has wrong shape")
-            p.data = rec[name].copy()
+    @classmethod
+    def from_records(cls, rec: dict):
+        """Rebuild from ``<kind>/config``; a keyword whose default is a float
+        is read as a float, every other one as an int."""
+        vec = read(rec, f"{cls.kind}/config", (len(cls.config_keys),))
+        defaults = inspect.signature(cls).parameters
+        model = cls(**{k: float(v) if isinstance(defaults[k].default, float)
+                       else int(v) for k, v in zip(cls.config_keys, vec)})
+        load_params(rec, model.named_params())
+        return model
 
     # -- the model protocol of timegrad.fit and the CLI -----------------
 
@@ -285,6 +306,8 @@ class InformerModel(_SeqForecaster):
 
     kind = "informer"
     attention_mode = "prob"
+    config_keys = ("data_dim", "d_model", "n_heads", "ff_width", "p_drop", "c",
+                   "l_x", "l_token", "l_y", "n_stacks", "main_blocks", "stride")
 
     def __init__(self, data_dim, d_model=64, n_heads=4, ff_width=128,
                  p_drop=0.1, c=5.0, l_x=96, l_token=48, l_y=45,
@@ -314,22 +337,6 @@ class InformerModel(_SeqForecaster):
                 out += block.params() + dw.params()
         return out + self._shared_params()
 
-    def _config_vector(self):
-        return [self.data_dim, self.d_model, self.cfg.n_heads, self.ff_width,
-                self.p_drop, self.cfg.c, self.l_x, self.l_token, self.l_y,
-                self.n_stacks, self.main_blocks, self.stride]
-
-    @classmethod
-    def from_records(cls, rec: dict) -> "InformerModel":
-        cfg = rec["informer/config"]
-        model = cls(data_dim=int(cfg[0]), d_model=int(cfg[1]),
-                    n_heads=int(cfg[2]), ff_width=int(cfg[3]), p_drop=cfg[4],
-                    c=cfg[5], l_x=int(cfg[6]), l_token=int(cfg[7]),
-                    l_y=int(cfg[8]), n_stacks=int(cfg[9]),
-                    main_blocks=int(cfg[10]), stride=cfg[11])
-        model.load_records(rec)
-        return model
-
     def _encode(self, e: Tensor, training, drop):
         parts = []
         for s, blocks in enumerate(self.stacks):
@@ -347,6 +354,8 @@ class VanillaTransformer(_SeqForecaster):
 
     kind = "vanilla"
     attention_mode = "full"
+    config_keys = ("data_dim", "d_model", "n_heads", "ff_width", "p_drop",
+                   "l_x", "l_token", "l_y", "stride")
 
     def __init__(self, data_dim, d_model=64, n_heads=4, ff_width=128,
                  p_drop=0.2, l_x=96, l_token=48, l_y=45, stride=2.0, seed=0):
@@ -364,20 +373,6 @@ class VanillaTransformer(_SeqForecaster):
         for block in self.enc_layers:
             out += block.params()
         return out + self._shared_params()
-
-    def _config_vector(self):
-        return [self.data_dim, self.d_model, self.cfg.n_heads, self.ff_width,
-                self.p_drop, self.l_x, self.l_token, self.l_y, self.stride]
-
-    @classmethod
-    def from_records(cls, rec: dict) -> "VanillaTransformer":
-        cfg = rec["vanilla/config"]
-        model = cls(data_dim=int(cfg[0]), d_model=int(cfg[1]),
-                    n_heads=int(cfg[2]), ff_width=int(cfg[3]), p_drop=cfg[4],
-                    l_x=int(cfg[5]), l_token=int(cfg[6]), l_y=int(cfg[7]),
-                    stride=cfg[8])
-        model.load_records(rec)
-        return model
 
     def _encode(self, e: Tensor, training, drop):
         x = e

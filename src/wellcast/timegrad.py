@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rng_mod
+from .checkpoint import load_params, read
 # reverse_step stays bound here although forecast samples through
 # diffusion.sample: bench/tracing.py wraps timegrad.reverse_step by name
 from .diffusion import (EpsilonNet, NoiseSchedule, build_schedule, ddpm_loss,
@@ -262,7 +263,14 @@ class TimeGradModel:
 
     # -- persistence ----------------------------------------------------
 
+    def named_params(self) -> dict:
+        gru = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
+        names = [f"timegrad/gru/{i}/{n}" for i in range(len(self.layers)) for n in gru]
+        names += [f"timegrad/eps/{n}" for n in ("w1", "b1", "w2", "b2", "w3", "b3")]
+        return dict(zip(names, self.params()))
+
     def state_records(self) -> dict:
+        net = self.eps_net
         rec = {
             "timegrad/config": np.array([
                 self.data_dim, self.hidden_dim, len(self.layers),
@@ -274,28 +282,26 @@ class TimeGradModel:
             "timegrad/sched": np.array([
                 self.sched.n_steps, self.sched.beta_start, self.sched.beta_end]),
         }
-        names = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
-        for i, cell in enumerate(self.layers):
-            for name, p in zip(names, cell.params()):
-                rec[f"timegrad/gru/{i}/{name}"] = p.data
-        rec.update(self.eps_net.state_records(prefix="timegrad/eps"))
+        for name, p in self.named_params().items():
+            if name == "timegrad/eps/w1":
+                # kept for compatibility; loading sizes the net from the config
+                rec["timegrad/eps/dims"] = np.array(
+                    [net.data_dim, net.cond_dim, net.n_steps, net.hidden,
+                     net.embed_dim], dtype=np.float64)
+            rec[name] = p.data
         return rec
 
     @classmethod
     def from_records(cls, rec: dict) -> "TimeGradModel":
-        cfg = rec["timegrad/config"]
-        sc = rec["timegrad/sched"]
+        cfg = read(rec, "timegrad/config", (8,))
+        sc = read(rec, "timegrad/sched", (3,))
         model = cls(
             data_dim=int(cfg[0]), hidden_dim=int(cfg[1]), n_layers=int(cfg[2]),
             context_length=int(cfg[3]), prediction_length=int(cfg[4]),
             sched=build_schedule(int(sc[0]), sc[1], sc[2]),
             loss_norm="l1" if cfg[5] == 1.0 else "l2",
             scale_by_variance=bool(cfg[6]), paper_literal_sampler=bool(cfg[7]))
-        names = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
-        for i, cell in enumerate(model.layers):
-            for name, p in zip(names, cell.params()):
-                p.data = rec[f"timegrad/gru/{i}/{name}"].copy()
-        model.eps_net = EpsilonNet.from_records(rec, prefix="timegrad/eps")
+        load_params(rec, model.named_params())
         return model
 
 
@@ -384,7 +390,8 @@ def fit(model, panel_or_values, epochs: int, seed: int, lr: float = 1e-4,
     Protocol: ``context_rows`` and ``horizon`` (window rows), ``params()``,
     and ``window_loss(values, timestamps, start, rng, drop_rng)``, the loss
     of the window at row ``start``; timestamps are None for a raw array and
-    ``drop_rng=None`` means evaluation.  A panel is cut at its split index.
+    ``drop_rng=None`` means evaluation.  A 1-D raw array is one column.  A
+    panel is cut at its split index.
     The last val_fraction of that span holds up to 5 validation windows,
     disjoint from the training windows.  Epoch e draws window starts and
     diffusion noise from the (seed, TRAIN, e) stream and dropout masks from
@@ -396,7 +403,9 @@ def fit(model, panel_or_values, epochs: int, seed: int, lr: float = 1e-4,
         values = np.asarray(panel_or_values.values[:k], dtype=np.float64)
         timestamps = np.asarray(panel_or_values.timestamps[:k], dtype=np.float64)
     else:
-        values = np.atleast_2d(np.asarray(panel_or_values, dtype=np.float64))
+        values = np.asarray(panel_or_values, dtype=np.float64)
+        if values.ndim < 2:  # a 1-D series is one column
+            values = values.reshape(-1, 1)
         timestamps = None
     n, total = values.shape[0], model.context_rows + model.horizon
     if n < total:

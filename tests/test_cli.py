@@ -268,6 +268,81 @@ class TestConfigFile:
         assert not list(out.glob("*.gck"))
 
 
+class TestMalformedInputs:
+    """A malformed sidecar, checkpoint or ensemble exits 2 naming the line
+    or the record, never with a traceback."""
+
+    @pytest.mark.parametrize("line", ["n_sites=abc", "seed=1.5",
+                                      "q_init_range=1,x", "wells_per_site="])
+    def test_bad_sidecar_line_exits_2(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"# field\n{line}\n")
+        assert run("generate", "--synthetic-config", str(bad),
+                   "--out", str(tmp_path / "x")) == 2
+        out = capsys.readouterr()
+        assert f"config line 2: {line.partition('=')[0]} expects" in out.out
+        assert "Traceback" not in out.out + out.err
+
+    @pytest.fixture(scope="class")
+    def initial(self, small_field, tmp_path_factory):
+        """Untrained timegrad and informer checkpoints, with optimizer state."""
+        csv_path, _, _ = small_field
+        out = tmp_path_factory.mktemp("initial")
+        for model, sizes in (("timegrad", SIZES), ("informer", ENC)):
+            assert run("train", "--model", model, "--data", str(csv_path),
+                       "--out", str(out), *COMMON, *sizes, "--epochs", "0") == 0
+        return csv_path, out
+
+    @pytest.mark.parametrize("damage", ["missing", "shape", "short_config"])
+    @pytest.mark.parametrize("model,param,sizes", [
+        ("timegrad", "timegrad/gru/0/u_h", SIZES),
+        ("informer", "informer/p/3", ENC)])
+    def test_damaged_model_checkpoint_forecast_exits_2(
+            self, initial, tmp_path, capsys, model, param, sizes, damage):
+        csv_path, out = initial
+        rec = checkpoint.load(out / f"{model}_all.gck")
+        name = f"{model}/config" if damage == "short_config" else param
+        if damage == "missing":
+            del rec[name]
+        else:
+            rec[name] = rec[name][..., :-1]
+        checkpoint.save(tmp_path / f"{model}_all.gck", rec)
+        capsys.readouterr()
+        assert run("forecast", "--model", model, "--data", str(csv_path),
+                   "--out", str(tmp_path), *COMMON, *sizes) == 2
+        printed = capsys.readouterr()
+        assert repr(name) in printed.out
+        assert "Traceback" not in printed.out + printed.err
+        assert not (tmp_path / f"{model}_all_ensemble.gck").exists()
+
+    @pytest.mark.parametrize("name", ["opt/hyper", "meta/epochs_done"])
+    def test_resume_without_state_record_exits_2(self, initial, tmp_path,
+                                                 capsys, name):
+        csv_path, out = initial
+        rec = checkpoint.load(out / "informer_all.gck")
+        del rec[name]
+        ckpt = tmp_path / "informer_all.gck"
+        checkpoint.save(ckpt, rec)
+        before = ckpt.read_bytes()
+        capsys.readouterr()
+        assert run("train", "--model", "informer", "--data", str(csv_path),
+                   "--out", str(tmp_path), *COMMON, *ENC, "--epochs", "0") == 2
+        assert repr(name) in capsys.readouterr().out
+        assert ckpt.read_bytes() == before
+
+    def test_ensemble_without_samples_exits_2(self, small_field, tmp_path,
+                                              capsys):
+        csv_path, _, _ = small_field
+        checkpoint.save(tmp_path / "informer_all_ensemble.gck", {
+            "ensemble/timestamps": np.arange(6.0),
+            "ensemble/denormalized": np.array([1.0]),
+        })
+        assert run("evaluate", "--model", "informer", "--data", str(csv_path),
+                   "--out", str(tmp_path), "--horizon", "6") == 2
+        assert "'ensemble/samples'" in capsys.readouterr().out
+        assert not (tmp_path / "informer_report.csv").exists()
+
+
 class TestGroupings:
     def test_per_site_and_pairs(self, small_field, tmp_path):
         csv_path, _, _ = small_field

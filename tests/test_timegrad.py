@@ -9,6 +9,7 @@ from wellcast.diffusion import ddpm_loss, reverse_step
 from wellcast.errors import ContractError, ParameterError, TrainingError
 from wellcast.optim import AdamW
 from wellcast.rng import PATH, TRAIN, stream
+from wellcast.seqmodels import VanillaTransformer
 from wellcast.timegrad import (GRUCell, TimeGradModel, fit, forecast,
                                gru_step, normalize_window, window_loss)
 
@@ -237,6 +238,19 @@ class TestTraining:
             lengths.append(T.record_length())
             T.reset_record()
         assert lengths[0] == lengths[1]
+
+    @pytest.mark.parametrize("kind", ["timegrad", "vanilla"])
+    def test_one_dimensional_series_is_one_column(self, kind):
+        def run(values):
+            model = (tiny_model(data_dim=1, seed=12) if kind == "timegrad" else
+                     VanillaTransformer(1, d_model=8, n_heads=2, ff_width=8,
+                                        l_x=6, l_token=3, l_y=3, seed=12))
+            history, _ = fit(model, values, epochs=2, seed=13,
+                             windows_per_epoch=3)
+            return repr(history), [p.data.tobytes() for p in model.params()]
+
+        series = stream(14, TRAIN).normal(size=100)
+        assert run(series) == run(series[:, None])
 
     def test_window_too_long_raises(self):
         model = tiny_model()
