@@ -24,6 +24,19 @@ uniform-scores baseline for its visible-key count, is in the top u over rows
 earlier query from the active set, breaking bit-exact causality; the prefix
 rule keeps every output row a function of inputs at or before it.  The
 non-causal path always selects exactly u queries.
+
+One numpy core, ``_attend``, runs every head of a call as one [H, L, d]
+batch, and each ``multi_head`` call is recorded as one tape node over its
+inputs and the per-head weights, with a hand-written backward.  The scores
+are formed once: a single max/exp pass gives both the softmax and the
+log-sum-exp of the measure.  A lazy row's weights are constants
+(``mask / count``, the visible-value mean), so the softmax backward acts
+only on active rows (the lazy rows of the probabilities are zeroed) and
+the value gradient of lazy rows passes straight back through those
+constant weights.  ``full_attention`` and ``probsparse_attention`` stay as
+one-head wrappers over the same core, not a second implementation: they
+state the two modes on plain query/key/value tensors, the form in which
+the reduction and causality checks (and the benchmark's tracer) call them.
 """
 
 from dataclasses import dataclass
@@ -31,8 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .tensor import (Tensor, add, concat, constant, elu, conv1d, matmul,
-                     max_pool1d, parameter, scale, softmax, take_rows,
+from .tensor import (Tensor, _record, elu, conv1d, max_pool1d, parameter,
                      transpose)
 
 
@@ -88,48 +100,46 @@ def causal_mask(l_q: int, l_k: int) -> np.ndarray:
     return np.arange(l_k)[None, :] <= (np.arange(l_q)[:, None] + offset)
 
 
-def full_attention(qkv: QKV, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax(Q K^T / sqrt(d)) V with optional -inf masking."""
-    l_q, d = qkv.q.shape
-    l_k = qkv.k.shape[0]
-    if l_k == 0:
-        raise DimensionError("attention needs at least one key")
-    scores = scale(matmul(qkv.q, transpose(qkv.k)), 1.0 / np.sqrt(d))
+def _scaled_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Q K^T / sqrt(d) over the last two axes."""
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores *= 1.0 / np.sqrt(q.shape[-1])
+    return scores
+
+
+def _visible(mask: np.ndarray | None, l_k: int):
+    return l_k if mask is None else mask.sum(axis=-1)
+
+
+def _mean_term(scores, mask, variant="lse_minus_mean"):
+    """Mean of each row's visible scores (or of their exponentials)."""
+    kept = scores if variant == "lse_minus_mean" else np.exp(scores)
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (l_q, l_k):
-            raise DimensionError(f"mask shape {mask.shape} != scores {(l_q, l_k)}")
-        if not mask.any(axis=1).all():
-            raise ParameterError("mask leaves a query with no visible key")
-        scores = add(scores, constant(np.where(mask, 0.0, -np.inf)))
-    COUNTER.attention_dot_products += l_q * l_k
-    return matmul(softmax(scores, axis=1), qkv.v)
+        kept = np.where(mask, kept, 0.0)
+    return kept.sum(axis=-1) / _visible(mask, scores.shape[-1])
 
 
-def _scaled_scores(q_data: np.ndarray, k_data: np.ndarray) -> np.ndarray:
-    return (q_data @ k_data.T) / np.sqrt(q_data.shape[1])
+def _softmax_rows(scores: np.ndarray, mask: np.ndarray | None):
+    """Softmax over the last axis, written over ``scores`` (masked entries
+    become exact zeros), and the log-sum-exp of each row's visible scores.
+    One max/exp pass serves both, in one [..., L_q, L_k] buffer."""
+    if mask is not None:
+        scores += np.where(mask, 0.0, -np.inf)
+    row_max = scores.max(axis=-1, keepdims=True)
+    scores -= row_max
+    np.exp(scores, out=scores)
+    total = scores.sum(axis=-1, keepdims=True)
+    scores /= total
+    return scores, (row_max + np.log(total))[..., 0]
 
 
-def _measures_from_scores(scores: np.ndarray, variant: str,
-                          mask: np.ndarray | None = None) -> np.ndarray:
-    """Per-query sparsity measure from a [L_q, L_k] score matrix."""
+def _measures_from_scores(scores: np.ndarray, variant: str) -> np.ndarray:
+    """Per-query sparsity measure from an unmasked [L_q, L_k] score matrix,
+    which it overwrites: log-sum-exp minus the mean term of ``variant``."""
     if variant not in ("lse_minus_mean", "paper_literal"):
         raise ParameterError(f"unknown measure variant {variant!r}")
-    if mask is None:
-        allowed = np.ones(scores.shape, dtype=bool)
-    else:
-        allowed = np.asarray(mask, dtype=bool)
-        if not allowed.any(axis=1).all():
-            raise ParameterError("mask leaves a query with no visible key")
-    neg = np.where(allowed, scores, -np.inf)
-    row_max = neg.max(axis=1, keepdims=True)
-    lse = row_max[:, 0] + np.log(np.exp(neg - row_max).sum(axis=1))
-    counts = allowed.sum(axis=1)
-    if variant == "lse_minus_mean":
-        mean_term = np.where(allowed, scores, 0.0).sum(axis=1) / counts
-    else:
-        mean_term = np.where(allowed, np.exp(scores), 0.0).sum(axis=1) / counts
-    return lse - mean_term
+    mean = _mean_term(scores, None, variant)
+    return _softmax_rows(scores, None)[1] - mean
 
 
 def sparsity_measure(q_i: np.ndarray, keys: np.ndarray,
@@ -147,6 +157,31 @@ def top_u_count(c: float, l_q: int) -> int:
     return min(l_q, max(1, int(np.ceil(c * np.log(l_q)))))
 
 
+def _top_u_rows(measures: np.ndarray, u: int, prefix: bool) -> np.ndarray:
+    """Boolean [..., L_q] mask of the queries granted exact attention, per
+    leading index (head); the one query-selection rule.
+
+    Without ``prefix`` the u largest measures win and ties resolve to the
+    lower index (stable sort on descending measure).  With ``prefix`` row i
+    wins iff fewer than u of rows 0..i-1 measure at least as much as it:
+    membership for row i depends only on rows <= i, so perturbing later
+    inputs can never change earlier outputs, which a global top-u cannot
+    offer.  The prefix rank uses comparisons only, so it is bit-stable.
+    """
+    if u >= measures.shape[-1]:
+        return np.ones(measures.shape, dtype=bool)
+    if prefix:
+        # ahead[..., i, j] = m[j] >= m[i] for j < i; >= implements the
+        # lower-index tie-break of the global rule
+        ahead = measures[..., None, :] >= measures[..., :, None]
+        ahead &= np.tri(measures.shape[-1], k=-1, dtype=bool)
+        return np.count_nonzero(ahead, axis=-1) < u
+    order = np.argsort(-measures, axis=-1, kind="stable")[..., :u]
+    active = np.zeros(measures.shape, dtype=bool)
+    np.put_along_axis(active, order, True, axis=-1)
+    return active
+
+
 def select_top_queries(q_data: np.ndarray, k_data: np.ndarray,
                        cfg: AttentionConfig) -> np.ndarray:
     """Ascending indices of the u queries with the largest measures.
@@ -161,78 +196,88 @@ def select_top_queries(q_data: np.ndarray, k_data: np.ndarray,
     scores = _scaled_scores(q_data, k_data)
     COUNTER.measure_dot_products += l_q * l_k
     measures = _measures_from_scores(scores, "lse_minus_mean")
-    u = top_u_count(cfg.c, l_q)
-    order = np.argsort(-measures, kind="stable")
-    return np.sort(order[:u])
+    return np.flatnonzero(_top_u_rows(measures, top_u_count(cfg.c, l_q), False))
 
 
-def _uniform_baseline(allowed: np.ndarray) -> np.ndarray:
-    """Measure each query would score if its visible scores were replaced by
-    their mean, log(visible keys).  Subtracting it makes rows with different
-    visible-key counts comparable (a flat score row always nets exactly zero)."""
-    return np.log(allowed.sum(axis=1))
+def _attend(q, k, v, mask=None, u=None, prefix=False):
+    """Attention over head batches q [H, L_q, d] and k, v [H, L_k, d].
 
-
-def _prefix_top_u(excess: np.ndarray, u: int) -> np.ndarray:
-    """Causal-safe active set: i is active iff its excess measure ranks in
-    the top u of rows 0..i (ties favour the earlier index).
-
-    Membership for row i depends only on rows <= i, so perturbing later
-    inputs can never change earlier outputs; a global top-u cannot offer
-    that guarantee.
+    Full attention when ``u`` is None; otherwise sparse attention with u
+    active queries per head, ranked per prefix when ``prefix``.  Returns the
+    output [H, L_q, d] and a function mapping its gradient to (dq, dk, dv).
     """
-    l_q = len(excess)
-    selected = np.zeros(l_q, dtype=bool)
-    for i in range(l_q):
-        # >= implements the lower-index tie-break: an equal earlier measure
-        # outranks this one, matching the global selection rule
-        rank = int(np.sum(excess[:i] >= excess[i]))
-        selected[i] = rank < u
-    return np.flatnonzero(selected)
+    n_heads, l_q, _ = q.shape
+    l_k = k.shape[1]
+    if l_k == 0:
+        raise DimensionError("attention needs at least one key")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (l_q, l_k):
+            raise DimensionError(f"mask shape {mask.shape} != scores {(l_q, l_k)}")
+        if not mask.any(axis=1).all():
+            raise ParameterError("mask leaves a query with no visible key")
+    inv_sqrt_d = 1.0 / np.sqrt(q.shape[2])
+    scores = _scaled_scores(q, k)
+    if u is None:
+        COUNTER.attention_dot_products += n_heads * l_q * l_k
+        probs = _softmax_rows(scores, mask)[0]
+        out, lazy = probs @ v, None
+    else:
+        COUNTER.measure_dot_products += n_heads * l_q * l_k
+        mean = _mean_term(scores, mask)
+        probs, lse = _softmax_rows(scores, mask)
+        measures = lse - mean
+        if prefix:
+            # center by the uniform-scores baseline log(visible keys): a
+            # flat score row then nets exactly zero whatever its count
+            measures -= np.log(_visible(mask, l_k))
+        active = _top_u_rows(measures, u, prefix)[..., None]
+        COUNTER.attention_dot_products += int(active.sum()) * l_k
+        # a lazy row's weights are the constants mask / count (the mean of
+        # the visible values), shared by every head, and carry no softmax
+        # gradient; zeroing those rows of probs leaves the active ones
+        lazy_rows = ~active
+        lazy = (np.full((l_q, l_k), 1.0 / l_k) if mask is None
+                else mask / mask.sum(axis=1, keepdims=True))
+        np.multiply(probs, active, out=probs)
+        out = probs @ v + lazy_rows * (lazy @ v)
+
+    def bwd(g):
+        # softmax backward; an active row's sum_j P_ij dP_ij is g_i . out_i
+        d_scores = g @ np.swapaxes(v, 1, 2)
+        d_scores -= (g * out).sum(axis=-1, keepdims=True)
+        d_scores *= probs
+        d_v = np.swapaxes(probs, 1, 2) @ g
+        if lazy is not None:
+            d_v += lazy.T @ (lazy_rows * g)
+        return ((d_scores @ k) * inv_sqrt_d,
+                (np.swapaxes(d_scores, 1, 2) @ q) * inv_sqrt_d, d_v)
+
+    return out, bwd
+
+
+def _one_head(qkv: QKV, mask, u=None, prefix=False) -> Tensor:
+    out, attend_bwd = _attend(qkv.q.data[None], qkv.k.data[None],
+                              qkv.v.data[None], mask, u, prefix)
+
+    def bwd(g):
+        return tuple(d[0] for d in attend_bwd(g[None]))
+
+    return _record((qkv.q, qkv.k, qkv.v), out[0], bwd)
+
+
+def full_attention(qkv: QKV, mask: np.ndarray | None = None) -> Tensor:
+    """Softmax(Q K^T / sqrt(d)) V with optional -inf masking."""
+    return _one_head(qkv, mask)
 
 
 def probsparse_attention(qkv: QKV, cfg: AttentionConfig,
                          causal: bool = False) -> Tensor:
     """Sparse attention: exact rows for active queries, mean-of-values rows
     (running mean under causality) for the rest."""
-    l_q, d = qkv.q.shape
-    l_k = qkv.k.shape[0]
-    if l_k == 0:
-        raise DimensionError("attention needs at least one key")
+    l_q, l_k = qkv.q.shape[0], qkv.k.shape[0]
     mask = causal_mask(l_q, l_k) if causal else None
-    scores = _scaled_scores(qkv.q.data, qkv.k.data)
-    COUNTER.measure_dot_products += l_q * l_k
-    measures = _measures_from_scores(scores, "lse_minus_mean", mask)
-    u = top_u_count(cfg.c, l_q)
-    if causal:
-        excess = measures - _uniform_baseline(mask)
-        sel = _prefix_top_u(excess, u)
-    else:
-        order = np.argsort(-measures, kind="stable")
-        sel = np.sort(order[:u])
-    unsel = np.setdiff1d(np.arange(l_q), sel)
-
-    q_sel = take_rows(qkv.q, sel)
-    sel_scores = scale(matmul(q_sel, transpose(qkv.k)), 1.0 / np.sqrt(d))
-    if mask is not None:
-        sel_scores = add(sel_scores, constant(np.where(mask[sel], 0.0, -np.inf)))
-    out_sel = matmul(softmax(sel_scores, axis=1), qkv.v)
-    COUNTER.attention_dot_products += len(sel) * l_k
-
-    if len(unsel) > 0:
-        if mask is None:
-            weights = np.full((l_q, l_k), 1.0 / l_k)
-        else:
-            weights = mask / mask.sum(axis=1, keepdims=True)
-        fallback_all = matmul(constant(weights), qkv.v)
-        out_lazy = take_rows(fallback_all, unsel)
-        stacked = concat([out_sel, out_lazy], axis=0)
-    else:
-        stacked = out_sel
-    order_rows = np.concatenate([sel, unsel]).astype(np.intp)
-    inverse = np.empty(l_q, dtype=np.intp)
-    inverse[order_rows] = np.arange(l_q)
-    return take_rows(stacked, inverse)
+    return _one_head(qkv, mask, top_u_count(cfg.c, l_q), causal)
 
 
 class MultiHeadWeights:
@@ -252,23 +297,48 @@ class MultiHeadWeights:
 def multi_head(x_q: Tensor, x_kv: Tensor, weights: MultiHeadWeights,
                cfg: AttentionConfig, mode: str = "full",
                causal: bool = False) -> Tensor:
-    """Project, attend per head, concatenate, and project back to d_model.
+    """Project, attend per head, concatenate, and project back to d_model,
+    recorded as one tape node over x_q, x_kv and every weight.
 
-    Residual connections and layer normalization are the caller's job.
+    Each side is projected by one matmul against its heads' weights side by
+    side; the heads then run as one batch through ``_attend``.  Residual
+    connections and layer normalization are the caller's job.
     """
     if mode not in ("full", "prob"):
         raise ParameterError(f"mode must be 'full' or 'prob', got {mode!r}")
-    l_q = x_q.shape[0]
-    l_k = x_kv.shape[0]
-    mask = causal_mask(l_q, l_k) if causal else None
-    heads = []
-    for w_q, w_k, w_v in zip(weights.w_q, weights.w_k, weights.w_v):
-        qkv = QKV(matmul(x_q, w_q), matmul(x_kv, w_k), matmul(x_kv, w_v))
-        if mode == "full":
-            heads.append(full_attention(qkv, mask))
-        else:
-            heads.append(probsparse_attention(qkv, cfg, causal=causal))
-    return matmul(concat(heads, axis=1), weights.w_out)
+    l_q, l_k = x_q.shape[0], x_kv.shape[0]
+    n_heads = len(weights.w_q)
+    w_q = np.concatenate([w.data for w in weights.w_q], axis=1)
+    w_kv = np.concatenate([w.data for w in weights.w_k + weights.w_v], axis=1)
+    w_out = weights.w_out.data
+    width = w_q.shape[1]
+    d = width // n_heads
+
+    def split_heads(a):  # [L, H d] -> [H, L, d]
+        return np.swapaxes(a.reshape(a.shape[0], n_heads, d), 0, 1)
+
+    def join_heads(a):  # [H, L, d] -> [L, H d]
+        return np.swapaxes(a, 0, 1).reshape(a.shape[1], width)
+
+    kv = x_kv.data @ w_kv
+    out, attend_bwd = _attend(
+        split_heads(x_q.data @ w_q), split_heads(kv[:, :width]),
+        split_heads(kv[:, width:]),
+        causal_mask(l_q, l_k) if causal else None,
+        top_u_count(cfg.c, l_q) if mode == "prob" else None, causal)
+    joined = join_heads(out)
+
+    def bwd(g):
+        d_q, d_k, d_v = attend_bwd(split_heads(g @ w_out.T))
+        d_q = join_heads(d_q)
+        d_kv = np.concatenate([join_heads(d_k), join_heads(d_v)], axis=1)
+        return (d_q @ w_q.T if x_q.requires_grad else None,
+                d_kv @ w_kv.T if x_kv.requires_grad else None,
+                *np.split(x_q.data.T @ d_q, n_heads, axis=1),
+                *np.split(x_kv.data.T @ d_kv, 2 * n_heads, axis=1),
+                joined.T @ g)
+
+    return _record((x_q, x_kv, *weights.params()), joined @ w_out, bwd)
 
 
 class DistillWeights:

@@ -110,6 +110,20 @@ def read(records: dict, name: str, shape: tuple | None = None) -> np.ndarray:
     return arr.copy()
 
 
+def read_int(records: dict, name: str, index: int,
+             shape: tuple | None = None) -> int:
+    """Entry ``index`` of record ``name`` (read as by ``read``) as an int;
+    FormatError unless the entry exists and is finite and integral."""
+    flat = read(records, name, shape).reshape(-1)
+    if index >= flat.size:
+        raise FormatError(f"record {name!r} has no entry {index}")
+    value = flat[index]
+    if not (np.isfinite(value) and value == np.floor(value)):
+        raise FormatError(f"record {name!r} entry {index} is {value!r}, "
+                          f"expected an integer")
+    return int(value)
+
+
 def load_params(records: dict, named: dict) -> None:
     """Set each parameter of ``{record name: tensor}`` from its record."""
     for name, p in named.items():

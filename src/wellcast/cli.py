@@ -182,7 +182,7 @@ def cmd_train(cfg: RunConfig) -> None:
             rec = checkpoint.load(ckpt)
             fresh, model = model, _load_model(cfg, rec)
             _check_resume(cfg, ckpt, fresh, rec)
-            start_epoch = int(checkpoint.read(rec, "meta/epochs_done", (1,))[0])
+            start_epoch = checkpoint.read_int(rec, "meta/epochs_done", 0, (1,))
             opt = AdamW(model.params(), lr=cfg.lr)
             opt.load_state_records(rec)
             log(command="train", group=group, resumed_from=ckpt,

@@ -270,6 +270,14 @@ class SyntheticFieldConfig:
             raise ParameterError("b range must sit inside [0, 1]")
         if self.noise_scale < 0:
             raise ParameterError("noise_scale must be nonnegative")
+        # negated comparisons so NaN fails them too
+        for name in ("shutin_rate", "well_start_frac"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ParameterError(f"{name} must lie in [0, 1]")
+        for name in ("breakthrough_delay_range", "shutin_duration_range"):
+            lo, hi = getattr(self, name)
+            if not lo < hi:
+                raise ParameterError(f"{name} needs lo < hi, got {lo},{hi}")
 
 
 def arps_rate(q_init: float, decline: float, b: float, dt: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ nonzero decay shrinks weights by exactly that factor.
 
 import numpy as np
 
-from .checkpoint import read
+from .checkpoint import read, read_int
 from .errors import ParameterError, TrainingError
 from .tensor import Tensor
 
@@ -71,7 +71,7 @@ class AdamW:
         return rec
 
     def load_state_records(self, records: dict, prefix: str = "opt") -> None:
-        self.step_count = int(read(records, f"{prefix}/step", (1,))[0])
+        self.step_count = read_int(records, f"{prefix}/step", 0, (1,))
         self.lr, self.beta1, self.beta2, self.epsilon, self.weight_decay = (
             float(h) for h in read(records, f"{prefix}/hyper", (5,)))
         for i, p in enumerate(self.params):

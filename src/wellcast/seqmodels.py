@@ -25,7 +25,7 @@ import numpy as np
 from . import rng as rng_mod
 from .attention import (AttentionConfig, DistillWeights, MultiHeadWeights,
                         distill, multi_head)
-from .checkpoint import load_params, read
+from .checkpoint import load_params, read, read_int
 from .errors import ContractError, ParameterError, TrainingError
 from .evaluation import ForecastEnsemble
 # backward stays bound here although fit walks the tape from timegrad:
@@ -231,11 +231,13 @@ class _SeqForecaster:
     @classmethod
     def from_records(cls, rec: dict):
         """Rebuild from ``<kind>/config``; a keyword whose default is a float
-        is read as a float, every other one as an int."""
-        vec = read(rec, f"{cls.kind}/config", (len(cls.config_keys),))
+        is read as a float, every other one as a checked int."""
+        name = f"{cls.kind}/config"
+        vec = read(rec, name, (len(cls.config_keys),))
         defaults = inspect.signature(cls).parameters
-        model = cls(**{k: float(v) if isinstance(defaults[k].default, float)
-                       else int(v) for k, v in zip(cls.config_keys, vec)})
+        model = cls(**{k: float(vec[i]) if isinstance(defaults[k].default, float)
+                       else read_int(rec, name, i)
+                       for i, k in enumerate(cls.config_keys)})
         load_params(rec, model.named_params())
         return model
 

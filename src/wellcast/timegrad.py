@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rng_mod
-from .checkpoint import load_params, read
+from .checkpoint import load_params, read, read_int
 # reverse_step stays bound here although forecast samples through
 # diffusion.sample: bench/tracing.py wraps timegrad.reverse_step by name
 from .diffusion import (EpsilonNet, NoiseSchedule, build_schedule, ddpm_loss,
@@ -295,10 +295,11 @@ class TimeGradModel:
     def from_records(cls, rec: dict) -> "TimeGradModel":
         cfg = read(rec, "timegrad/config", (8,))
         sc = read(rec, "timegrad/sched", (3,))
+        sizes = ("data_dim", "hidden_dim", "n_layers", "context_length",
+                 "prediction_length")
         model = cls(
-            data_dim=int(cfg[0]), hidden_dim=int(cfg[1]), n_layers=int(cfg[2]),
-            context_length=int(cfg[3]), prediction_length=int(cfg[4]),
-            sched=build_schedule(int(sc[0]), sc[1], sc[2]),
+            **{k: read_int(rec, "timegrad/config", i) for i, k in enumerate(sizes)},
+            sched=build_schedule(read_int(rec, "timegrad/sched", 0), sc[1], sc[2]),
             loss_norm="l1" if cfg[5] == 1.0 else "l2",
             scale_by_variance=bool(cfg[6]), paper_literal_sampler=bool(cfg[7]))
         load_params(rec, model.named_params())

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import check_gradients
 from wellcast import tensor as T
 from wellcast.attention import (COUNTER, AttentionConfig, DistillWeights,
-                                MultiHeadWeights, QKV, causal_mask, distill,
-                                full_attention, multi_head,
-                                probsparse_attention, select_top_queries,
-                                sparsity_measure, top_u_count)
+                                MultiHeadWeights, QKV, _top_u_rows,
+                                causal_mask, distill, full_attention,
+                                multi_head, probsparse_attention,
+                                select_top_queries, sparsity_measure,
+                                top_u_count)
 from wellcast.errors import DimensionError
 from wellcast.rng import TRAIN, stream
 from wellcast.tensor import Tensor
@@ -180,6 +183,43 @@ class TestSelectTopQueries:
         assert top_u_count(100.0, 7) == 7
 
 
+def prefix_rank_loop(excess, u):
+    """Row i is active iff fewer than u earlier rows measure at least as
+    much as it (the causal selection rule, one row at a time)."""
+    return np.array([np.sum(excess[:i] >= excess[i]) < u
+                     for i in range(len(excess))], dtype=bool)
+
+
+class TestSelectionRule:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+           st.sampled_from(["one", "l-1", "l", "l+3"]))
+    def test_prefix_rank_matches_loop_with_ties(self, values, which):
+        # integer-valued excess makes ties common
+        excess = np.array(values, dtype=np.float64)
+        n = len(excess)
+        u = {"one": 1, "l-1": max(1, n - 1), "l": n, "l+3": n + 3}[which]
+        got = _top_u_rows(excess, u, prefix=True)
+        assert np.array_equal(got, prefix_rank_loop(excess, u))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+                    min_size=1, max_size=4),
+           st.integers(1, 8))
+    def test_heads_select_independently(self, rows, u):
+        measures = np.array(rows, dtype=np.float64)
+        for prefix in (False, True):
+            got = _top_u_rows(measures, u, prefix)
+            for h, m in enumerate(measures):
+                assert np.array_equal(got[h], _top_u_rows(m, u, prefix))
+        # the global rule: exactly min(u, L) rows, ties to the lower index
+        top = _top_u_rows(measures, u, False)
+        assert (top.sum(axis=1) == min(u, 6)).all()
+        for h, m in enumerate(measures):
+            order = sorted(range(6), key=lambda i: (-m[i], i))[:u]
+            assert np.array_equal(np.flatnonzero(top[h]), sorted(order))
+
+
 class TestProbSparse:
     @pytest.mark.parametrize("seed", range(10))
     def test_reduction_to_full_attention(self, seed):
@@ -324,6 +364,114 @@ class TestMultiHead:
                                            causal=True), w))
 
         check_gradients(make_loss, [x] + weights.params()[:2])
+
+
+def reference_multi_head(x_q, x_kv, weights, cfg, mode, causal):
+    """multi_head from one-head tape ops, with the query selection written
+    out here; returns the output and the expected COUNTER deltas."""
+    l_q, l_k = x_q.shape[0], x_kv.shape[0]
+    mask = causal_mask(l_q, l_k) if causal else np.ones((l_q, l_k), bool)
+    counts = mask.sum(axis=1)
+    heads, measure_dots, attention_dots = [], 0, 0
+    for w_q, w_k, w_v in zip(weights.w_q, weights.w_k, weights.w_v):
+        q, k, v = T.matmul(x_q, w_q), T.matmul(x_kv, w_k), T.matmul(x_kv, w_v)
+        d = q.shape[1]
+        scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(d))
+        probs = T.softmax(T.add(scores, T.constant(np.where(mask, 0.0, -np.inf))),
+                          axis=1)
+        active = np.ones(l_q, dtype=bool)
+        if mode == "prob":
+            measure_dots += l_q * l_k
+            s = scores.data
+            lse = np.array([np.log(np.exp(s[i][mask[i]]).sum())
+                            for i in range(l_q)])
+            measure = lse - np.where(mask, s, 0.0).sum(axis=1) / counts
+            u = top_u_count(cfg.c, l_q)
+            if causal:
+                active = prefix_rank_loop(measure - np.log(counts), u)
+            else:
+                order = sorted(range(l_q), key=lambda i: (-measure[i], i))
+                active = np.isin(np.arange(l_q), order[:u])
+        attention_dots += int(active.sum()) * l_k
+        keep = T.constant(active[:, None] * 1.0)
+        lazy = T.constant((~active)[:, None] * mask / counts[:, None])
+        heads.append(T.add(T.mul(keep, T.matmul(probs, v)), T.matmul(lazy, v)))
+    out = T.matmul(T.concat(heads, axis=1), weights.w_out)
+    return out, (measure_dots, attention_dots)
+
+
+FUSED_CASES = [(mode, causal, c, cross)
+               for mode in ("full", "prob") for causal in (False, True)
+               for c in (0.5, 100.0) for cross in (False, True)]
+
+
+def fused_inputs(seed, cross, d_model=4, n_heads=2, l_q=5):
+    rng = stream(60 + seed, TRAIN)
+    weights = MultiHeadWeights(d_model, n_heads, rng)
+    x_q = Tensor(rng.normal(size=(l_q, d_model)), requires_grad=True)
+    x_kv = (Tensor(rng.normal(size=(l_q + 2, d_model)), requires_grad=True)
+            if cross else x_q)
+    probe = T.constant(rng.normal(size=(l_q, d_model)))
+    return weights, x_q, x_kv, probe
+
+
+class TestFusedMultiHead:
+    """multi_head is one tape node; its hand-written backward is checked
+    against finite differences and against a one-head tape reference."""
+
+    @pytest.mark.parametrize("mode,causal,c,cross", FUSED_CASES)
+    def test_gradcheck_every_input(self, mode, causal, c, cross):
+        weights, x_q, x_kv, probe = fused_inputs(0, cross)
+        cfg = AttentionConfig(d_model=4, n_heads=2, c=c)
+        assert (top_u_count(c, 5) < 5) == (c == 0.5)
+
+        def make_loss():
+            return T.tsum(T.mul(multi_head(x_q, x_kv, weights, cfg, mode=mode,
+                                           causal=causal), probe))
+
+        inputs = [x_q] + ([x_kv] if cross else [])
+        check_gradients(make_loss, inputs + weights.params())
+
+    @pytest.mark.parametrize("mode,causal,c,cross", FUSED_CASES)
+    def test_matches_one_head_tape_reference(self, mode, causal, c, cross):
+        weights, x_q, x_kv, probe = fused_inputs(1, cross, d_model=8, l_q=9)
+        cfg = AttentionConfig(d_model=8, n_heads=2, c=c)
+        inputs = [x_q] + ([x_kv] if cross else []) + weights.params()
+        results = []
+        for build in (multi_head, reference_multi_head):
+            for t in inputs:
+                t.grad = None
+            COUNTER.reset()
+            out = build(x_q, x_kv, weights, cfg, mode, causal)
+            if build is multi_head:
+                counted = (COUNTER.measure_dot_products,
+                           COUNTER.attention_dot_products)
+            else:
+                out, counted = out
+            T.backward(T.tsum(T.mul(out, probe)))
+            results.append((out.data, [t.grad.copy() for t in inputs], counted))
+        (fused, fused_grads, fused_dots), (ref, ref_grads, ref_dots) = results
+        assert fused_dots == ref_dots
+        scale = np.abs(ref).max()
+        assert np.abs(fused - ref).max() <= 1e-12 * scale
+        for got, want in zip(fused_grads, ref_grads):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("mode", ["full", "prob"])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_one_tape_node_per_call(self, mode, causal):
+        weights, x_q, _, _ = fused_inputs(2, False, d_model=8, l_q=12)
+        cfg = AttentionConfig(d_model=8, n_heads=2, c=1.0)
+        before = T.record_length()
+        multi_head(x_q, x_q, weights, cfg, mode=mode, causal=causal)
+        assert T.record_length() == before + 1
+
+    def test_no_grad_records_nothing(self):
+        weights, x_q, _, _ = fused_inputs(3, False)
+        cfg = AttentionConfig(d_model=4, n_heads=2, c=1.0)
+        with T.no_grad():
+            out = multi_head(x_q, x_q, weights, cfg, mode="prob", causal=True)
+        assert T.record_length() == 0 and not out.requires_grad
 
 
 class TestDistill:

@@ -283,6 +283,21 @@ class TestMalformedInputs:
         assert f"config line 2: {line.partition('=')[0]} expects" in out.out
         assert "Traceback" not in out.out + out.err
 
+    @pytest.mark.parametrize("line", ["shutin_rate=2.0",
+                                      "breakthrough_delay_range=5,5",
+                                      "shutin_duration_range=4,2",
+                                      "well_start_frac=nan"])
+    def test_out_of_range_sidecar_value_exits_2(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"{line}\n")
+        assert run("generate", "--synthetic-config", str(bad),
+                   "--out", str(tmp_path / "x")) == 2
+        out = capsys.readouterr()
+        assert "error=validation" in out.out
+        assert line.partition("=")[0] in out.out
+        assert "Traceback" not in out.out + out.err
+        assert not (tmp_path / "x" / "data.csv").exists()
+
     @pytest.fixture(scope="class")
     def initial(self, small_field, tmp_path_factory):
         """Untrained timegrad and informer checkpoints, with optimizer state."""
@@ -314,6 +329,42 @@ class TestMalformedInputs:
         assert repr(name) in printed.out
         assert "Traceback" not in printed.out + printed.err
         assert not (tmp_path / f"{model}_all_ensemble.gck").exists()
+
+    @pytest.mark.parametrize("model,name,index,value,sizes", [
+        ("timegrad", "timegrad/config", 0, np.nan, SIZES),
+        ("timegrad", "timegrad/sched", 0, np.inf, SIZES),
+        ("informer", "informer/config", 1, 8.5, ENC)])
+    def test_non_integral_config_entry_forecast_exits_2(
+            self, initial, tmp_path, capsys, model, name, index, value, sizes):
+        csv_path, out = initial
+        rec = checkpoint.load(out / f"{model}_all.gck")
+        rec[name][index] = value
+        checkpoint.save(tmp_path / f"{model}_all.gck", rec)
+        capsys.readouterr()
+        assert run("forecast", "--model", model, "--data", str(csv_path),
+                   "--out", str(tmp_path), *COMMON, *sizes) == 2
+        printed = capsys.readouterr()
+        assert f"record {name!r} entry {index}" in printed.out
+        assert "Traceback" not in printed.out + printed.err
+
+    @pytest.mark.parametrize("name,value", [("opt/step", -np.inf),
+                                            ("meta/epochs_done", np.nan),
+                                            ("meta/epochs_done", 1.5)])
+    def test_non_integral_counter_resume_exits_2(self, initial, tmp_path,
+                                                 capsys, name, value):
+        csv_path, out = initial
+        rec = checkpoint.load(out / "informer_all.gck")
+        rec[name][0] = value
+        ckpt = tmp_path / "informer_all.gck"
+        checkpoint.save(ckpt, rec)
+        before = ckpt.read_bytes()
+        capsys.readouterr()
+        assert run("train", "--model", "informer", "--data", str(csv_path),
+                   "--out", str(tmp_path), *COMMON, *ENC, "--epochs", "0") == 2
+        printed = capsys.readouterr()
+        assert f"record {name!r} entry 0" in printed.out
+        assert "Traceback" not in printed.out + printed.err
+        assert ckpt.read_bytes() == before
 
     @pytest.mark.parametrize("name", ["opt/hyper", "meta/epochs_done"])
     def test_resume_without_state_record_exits_2(self, initial, tmp_path,

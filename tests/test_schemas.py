@@ -138,3 +138,47 @@ class TestRead:
         with pytest.raises(FormatError,
                            match=r"'w' has shape \(2, 3\), expected \(3, 2\)"):
             checkpoint.read({"w": np.zeros((2, 3))}, "w", (3, 2))
+
+
+class TestReadInt:
+    @pytest.mark.parametrize("value", [3.0, -2.0, 0.0])
+    def test_integral_values(self, value):
+        records = {"c": np.array([9.0, value])}
+        got = checkpoint.read_int(records, "c", 1)
+        assert got == int(value) and isinstance(got, int)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 8.5, -0.25])
+    def test_rejects_non_integral(self, value):
+        with pytest.raises(FormatError, match="'c' entry 1 is .*integer"):
+            checkpoint.read_int({"c": np.array([1.0, value])}, "c", 1)
+
+    def test_missing_entry_and_shape(self):
+        with pytest.raises(FormatError, match="'c' has no entry 2"):
+            checkpoint.read_int({"c": np.zeros(2)}, "c", 2)
+        with pytest.raises(FormatError, match="has shape"):
+            checkpoint.read_int({"c": np.zeros(2)}, "c", 0, (1,))
+
+    @pytest.mark.parametrize("name,index", [("timegrad/config", i)
+                                            for i in range(5)]
+                             + [("timegrad/sched", 0)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.5])
+    def test_timegrad_integer_entries(self, name, index, value):
+        rec = TimeGradModel(2, hidden_dim=4, context_length=5,
+                            prediction_length=2,
+                            sched=build_schedule(8, 1e-4, 0.2)).state_records()
+        rec[name][index] = value
+        with pytest.raises(FormatError, match=f"'{name}' entry {index}"):
+            TimeGradModel.from_records(rec)
+
+    @pytest.mark.parametrize("cls", [InformerModel, VanillaTransformer])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 8.5])
+    def test_transformer_int_keys(self, cls, value):
+        model = cls(3, d_model=8, n_heads=2, ff_width=12, l_x=10, l_token=4,
+                    l_y=5)
+        for index, key in enumerate(cls.config_keys):
+            if isinstance(getattr(model, key), float):
+                continue
+            rec = model.state_records()
+            rec[f"{cls.kind}/config"][index] = value
+            with pytest.raises(FormatError, match=f"entry {index} is"):
+                cls.from_records(rec)

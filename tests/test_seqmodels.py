@@ -290,6 +290,26 @@ class TestVanillaWiring:
         assert len(tiny_informer().decoder) == 2
 
 
+class TestTapeBudget:
+    """Each multi-head attention call is one tape node, so a training window
+    at the benchmark's shapes stays small whatever the data; un-fusing
+    attention (445 and 414 nodes) fails here."""
+
+    @pytest.mark.parametrize("cls", [InformerModel, VanillaTransformer])
+    def test_training_window_node_count(self, cls):
+        model = cls(4, l_x=96, l_token=48, l_y=45, seed=0)
+        lengths = []
+        for seed in (0, 1):
+            values = 50.0 + 10.0 * stream(seed, TRAIN).normal(size=(141, 4))
+            T.reset_record()
+            model.window_loss(values, None, 0, None, stream(seed, TRAIN, 1))
+            lengths.append(T.record_length())
+        assert lengths[0] <= 110, lengths
+        # the causal prefix top-u once made the informer's count depend on
+        # the data
+        assert lengths[0] == lengths[1]
+
+
 class TestForecastInterface:
     def test_ensemble_shape_and_determinism(self):
         model = tiny_informer(data_dim=2, seed=28)
