@@ -42,10 +42,10 @@ the reduction and causality checks (and the benchmark's tracer) call them.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, ParameterError
-from .tensor import (Tensor, _record, elu, conv1d, max_pool1d, parameter,
-                     transpose)
+from .tensor import Tensor, _record, elu_array, parameter
 
 
 @dataclass
@@ -352,10 +352,46 @@ class DistillWeights:
 
 def distill(x: Tensor, weights: DistillWeights) -> Tensor:
     """Conv1d (same padding) over time, ELU, then max-pool window 3 stride 2
-    pad 1: the sequence length halves to ceil(L/2)."""
-    if x.shape[0] < 2:
+    pad 1: the sequence length halves to ceil(L/2).
+
+    Recorded as one tape node.  It works row-major on x [L, d_model], so the
+    transposes of the channels-first ops (``conv1d``, ``max_pool1d``, which
+    stay as its op-by-op reference) drop out: every time step's window of
+    rows is one row of ``cols``, the convolution is one ``cols @ kmat.T``,
+    and pooling takes the max over windows of rows, ties to the earliest.
+    """
+    length = x.shape[0]
+    if length < 2:
         raise DimensionError("distill needs a sequence of length >= 2")
-    channels_first = transpose(x)
-    convolved = conv1d(channels_first, weights.kernels, padding="same")
-    pooled = max_pool1d(elu(convolved), window=3, stride=2, pad=1)
-    return transpose(pooled)
+    kernels = weights.kernels.data
+    c_out, c_in, w = kernels.shape
+    if x.shape[1] != c_in:
+        raise DimensionError(f"kernel channel count {c_in} != input channels "
+                             f"{x.shape[1]}")
+    pad_l = (w - 1) // 2
+    xp = np.pad(x.data, ((pad_l, w // 2), (0, 0)))
+    cols = sliding_window_view(xp, w, axis=0).reshape(length, c_in * w)
+    kmat = kernels.reshape(c_out, c_in * w)
+    conv = cols @ kmat.T
+    act = elu_array(conv)
+    pooled_in = np.pad(act, ((1, 1), (0, 0)), constant_values=-np.inf)
+    windows = sliding_window_view(pooled_in, 3, axis=0)[::2]
+    # absolute row (in pooled_in) of each output's maximum
+    rows = windows.argmax(axis=-1) + 2 * np.arange(len(windows))[:, None]
+
+    def bwd(g):
+        # windows overlap by one row, so a row takes at most two terms
+        d_in = np.zeros(pooled_in.shape)
+        np.add.at(d_in, (rows, np.arange(c_out)), g)
+        d_conv = d_in[1:1 + length] * np.where(conv < 0, act + 1.0, 1.0)
+        d_cols = (d_conv @ kmat).reshape(length, c_in, w)
+        # channels-first memory, as the op-by-op reference leaves it: the
+        # layer norm before distill sums this gradient over rows, and
+        # numpy's summation order follows the memory layout
+        d_xp = np.zeros(xp.shape, order="F")
+        for j in range(w):
+            d_xp[j:j + length] += d_cols[:, :, j]
+        return (d_xp[pad_l:pad_l + length],
+                (d_conv.T @ cols).reshape(c_out, c_in, w))
+
+    return _record((x, weights.kernels), windows.max(axis=-1), bwd)

@@ -61,6 +61,10 @@ class RunConfig:
             raise ParameterError("samples must be >= 1")
         if not 0.0 <= self.quantile <= 1.0:
             raise ParameterError("quantile must lie in [0, 1]")
+        if self.windows_per_epoch < 1:
+            raise ParameterError("windows_per_epoch must be >= 1")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def effective_epochs(self) -> int:

@@ -270,6 +270,8 @@ class SyntheticFieldConfig:
             raise ParameterError("b range must sit inside [0, 1]")
         if self.noise_scale < 0:
             raise ParameterError("noise_scale must be nonnegative")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         # negated comparisons so NaN fails them too
         for name in ("shutin_rate", "well_start_frac"):
             if not 0.0 <= getattr(self, name) <= 1.0:

@@ -3,13 +3,30 @@
 The decay multiplies parameters by (1 - lr*weight_decay) *before* the
 adaptive update, so lr = 0 is an exact fixed point and a zero gradient with
 nonzero decay shrinks weights by exactly that factor.
+
+The moments of consecutive parameters share flat blocks of at most
+``BLOCK_ELEMENTS`` values (a larger parameter gets a block of its own);
+``m[i]`` and ``v[i]`` are views of them shaped like parameter i.  A step
+updates each run of a block's consecutive parameters that have gradients
+at once: one concatenate gathers their gradients, and a dozen in-place
+vector ops over the run give every element the arithmetic of the
+one-array-at-a-time update, so results are bit-identical to it.  A block,
+and so each temporary of a step, stays under 128 kB, where glibc stops
+serving arrays from its heap: with one block for every parameter a vanilla
+training window was about 8% slower.  The temporaries are made per step
+rather than kept, since kept ones raised timegrad training's peak RSS by
+about 0.5 MB.
 """
+
+from itertools import groupby
 
 import numpy as np
 
 from .checkpoint import read, read_int
 from .errors import ParameterError, TrainingError
 from .tensor import Tensor
+
+BLOCK_ELEMENTS = 15_000
 
 
 class AdamW:
@@ -31,32 +48,70 @@ class AdamW:
         self.epsilon = float(epsilon)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        self.m = [np.zeros(p.shape) for p in self.params]
-        self.v = [np.zeros(p.shape) for p in self.params]
+        self.m, self.v = [], []
+        # (first parameter index, element offsets of its parameters, m, v)
+        self._blocks = []
+        first = 0
+        while first < len(self.params):
+            offsets = [0]
+            for p in self.params[first:]:
+                if len(offsets) > 1 and offsets[-1] + p.size > BLOCK_ELEMENTS:
+                    break
+                offsets.append(offsets[-1] + p.size)
+            m, v = np.zeros(offsets[-1]), np.zeros(offsets[-1])
+            for k, p in enumerate(self.params[first:first + len(offsets) - 1]):
+                self.m.append(m[offsets[k]:offsets[k + 1]].reshape(p.shape))
+                self.v.append(v[offsets[k]:offsets[k + 1]].reshape(p.shape))
+            self._blocks.append((first, offsets, m, v))
+            first += len(offsets) - 1
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
     def step(self) -> None:
-        """One update. Parameters whose grad is None are left untouched."""
+        """One update. Parameters whose grad is None are left untouched, and
+        so are their moments.  A non-finite gradient raises TrainingError
+        naming the first such parameter, before its run is updated."""
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                continue
-            if not np.isfinite(g).all():
-                raise TrainingError(f"non-finite gradient at parameter {i} on step {t}")
-            if self.weight_decay:
-                p.data *= 1.0 - self.lr * self.weight_decay
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        b1, b2, lr = self.beta1, self.beta2, self.lr
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
+        decay = 1.0 - lr * self.weight_decay
+        for first, offsets, m_block, v_block in self._blocks:
+            k = 0
+            block = self.params[first:first + len(offsets) - 1]
+            for has_grad, run in groupby(block, lambda p: p.grad is not None):
+                run = list(run)
+                lo, hi = offsets[k], offsets[k + len(run)]
+                if has_grad:
+                    g = np.concatenate([p.grad.reshape(-1) for p in run])
+                    if not np.isfinite(g).all():
+                        bad = next(first + k + r for r, p in enumerate(run)
+                                   if not np.isfinite(p.grad).all())
+                        raise TrainingError(
+                            f"non-finite gradient at parameter {bad} on step {t}")
+                    m, v = m_block[lo:hi], v_block[lo:hi]
+                    m *= b1
+                    upd = g * (1.0 - b1)
+                    m += upd
+                    v *= b2
+                    g *= g  # g is spent from here on: reuse it
+                    g *= 1.0 - b2
+                    v += g
+                    np.divide(m, bc1, out=upd)
+                    upd *= lr  # lr * m_hat
+                    np.divide(v, bc2, out=g)
+                    np.sqrt(g, out=g)
+                    g += self.epsilon
+                    upd /= g
+                    for r, p in enumerate(run):
+                        if self.weight_decay:
+                            p.data *= decay
+                        p.data -= upd[offsets[k + r] - lo:
+                                      offsets[k + r + 1] - lo].reshape(p.shape)
+                k += len(run)
 
     def state_records(self, prefix: str = "opt") -> dict:
         """Moment arrays and counters as flat named records for checkpoints."""
@@ -75,5 +130,5 @@ class AdamW:
         self.lr, self.beta1, self.beta2, self.epsilon, self.weight_decay = (
             float(h) for h in read(records, f"{prefix}/hyper", (5,)))
         for i, p in enumerate(self.params):
-            self.m[i] = read(records, f"{prefix}/m/{i}", p.shape)
-            self.v[i] = read(records, f"{prefix}/v/{i}", p.shape)
+            self.m[i][...] = read(records, f"{prefix}/m/{i}", p.shape)
+            self.v[i][...] = read(records, f"{prefix}/v/{i}", p.shape)

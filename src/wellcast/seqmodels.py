@@ -30,9 +30,10 @@ from .errors import ContractError, ParameterError, TrainingError
 from .evaluation import ForecastEnsemble
 # backward stays bound here although fit walks the tape from timegrad:
 # bench/tracing.py wraps seqmodels.backward by name
-from .tensor import (Tensor, add, backward, clip, concat, constant, dropout,
-                     elu, exp, layer_norm, matmul, mul, no_grad, parameter,
-                     scale, slice_rows, sub, tsum, zeros_parameter)
+from .tensor import (Tensor, _record, add, backward, clip, concat, constant,
+                     dropout, dropout_mask, elu_array, exp, layer_norm_array,
+                     matmul, mul, no_grad, parameter, scale, slice_rows, sub,
+                     tsum, zeros_parameter)
 # the shared loop keeps this name for the callers that train transformers
 from .timegrad import fit as train_model, normalize_window
 
@@ -83,7 +84,17 @@ class FeedForward:
         return [self.w1, self.b1, self.w2, self.b2]
 
     def forward(self, x: Tensor) -> Tensor:
-        return add(matmul(elu(add(matmul(x, self.w1), self.b1)), self.w2), self.b2)
+        """elu(x W1 + b1) W2 + b2, recorded as one tape node."""
+        w1, w2 = self.w1.data, self.w2.data
+        pre = x.data @ w1 + self.b1.data
+        act = elu_array(pre)
+
+        def bwd(g):
+            d_pre = (g @ w2.T) * np.where(pre < 0, act + 1.0, 1.0)
+            return (d_pre @ w1.T if x.requires_grad else None, x.data.T @ d_pre,
+                    d_pre.sum(axis=0), act.T @ g, g.sum(axis=0))
+
+        return _record((x, *self.params()), act @ w2 + self.b2.data, bwd)
 
 
 class ResidualNorm:
@@ -94,8 +105,21 @@ class ResidualNorm:
     def params(self):
         return [self.gain, self.bias]
 
-    def forward(self, x: Tensor, sublayer_out: Tensor) -> Tensor:
-        return layer_norm(add(x, sublayer_out), self.gain, self.bias)
+    def forward(self, x: Tensor, sublayer_out: Tensor, p_drop: float,
+                training: bool, rng: np.random.Generator) -> Tensor:
+        """layer_norm(x + dropout(sublayer_out)), recorded as one tape node;
+        the dropout mask is drawn from ``rng`` as ``dropout`` draws it."""
+        s = sublayer_out.data
+        keep = dropout_mask(s.shape, p_drop, training, rng)
+        out, norm_bwd = layer_norm_array(
+            x.data + (s if keep is None else s * keep),
+            self.gain.data, self.bias.data)
+
+        def bwd(g):
+            dx, d_gain, d_bias = norm_bwd(g)
+            return dx, dx if keep is None else dx * keep, d_gain, d_bias
+
+        return _record((x, sublayer_out, self.gain, self.bias), out, bwd)
 
 
 class EncoderBlock:
@@ -111,9 +135,9 @@ class EncoderBlock:
 
     def forward(self, x, cfg, mode, p_drop, training, drop_rng):
         a = multi_head(x, x, self.attn, cfg, mode=mode, causal=False)
-        x = self.norm1.forward(x, dropout(a, p_drop, training, drop_rng))
-        f = self.ff.forward(x)
-        return self.norm2.forward(x, dropout(f, p_drop, training, drop_rng))
+        x = self.norm1.forward(x, a, p_drop, training, drop_rng)
+        return self.norm2.forward(x, self.ff.forward(x), p_drop, training,
+                                  drop_rng)
 
 
 class DecoderLayer:
@@ -132,11 +156,11 @@ class DecoderLayer:
 
     def forward(self, x, memory, cfg, self_mode, p_drop, training, drop_rng):
         a = multi_head(x, x, self.self_attn, cfg, mode=self_mode, causal=True)
-        x = self.norm1.forward(x, dropout(a, p_drop, training, drop_rng))
+        x = self.norm1.forward(x, a, p_drop, training, drop_rng)
         c = multi_head(x, memory, self.cross_attn, cfg, mode="full", causal=False)
-        x = self.norm2.forward(x, dropout(c, p_drop, training, drop_rng))
-        f = self.ff.forward(x)
-        return self.norm3.forward(x, dropout(f, p_drop, training, drop_rng))
+        x = self.norm2.forward(x, c, p_drop, training, drop_rng)
+        return self.norm3.forward(x, self.ff.forward(x), p_drop, training,
+                                  drop_rng)
 
 
 class GaussianHead:

@@ -321,20 +321,20 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _record((a,), out, bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis to zero mean / unit variance, then apply
-    the affine (gain, bias).  The variance guard epsilon keeps constant rows
-    finite (they normalize to exact zeros)."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    d = x.data - mu
+def layer_norm_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                     eps: float = 1e-5):
+    """``layer_norm`` on plain arrays: the output and a function mapping its
+    gradient to (dx, dgain, dbias)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    d = x - mu
     var = (d * d).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = d * inv
-    out = gain.data * xhat + bias.data
+    out = gain * xhat + bias
     lead = tuple(range(x.ndim - 1))
 
     def bwd(g):
-        dxhat = g * gain.data
+        dxhat = g * gain
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         dx = inv * (dxhat - m1 - xhat * m2)
@@ -342,19 +342,37 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         dbias = g.sum(axis=lead) if lead else g
         return dx, _unbroadcast(dgain, gain.shape), _unbroadcast(dbias, bias.shape)
 
+    return out, bwd
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize over the last axis to zero mean / unit variance, then apply
+    the affine (gain, bias).  The variance guard epsilon keeps constant rows
+    finite (they normalize to exact zeros)."""
+    out, bwd = layer_norm_array(x.data, gain.data, bias.data, eps)
     return _record((x, gain, bias), out, bwd)
+
+
+def dropout_mask(shape, p: float, training: bool,
+                 rng: np.random.Generator) -> Optional[np.ndarray]:
+    """The inverted-dropout multiplier for an array of ``shape`` (1/(1-p)
+    where kept, 0 where dropped), or None, drawing nothing, in eval mode or
+    at p = 0.  p must lie in [0, 1)."""
+    if not 0.0 <= p < 1.0:
+        raise ParameterError(f"dropout rate must be in [0, 1), got {p}")
+    if not training or p == 0.0:
+        return None
+    return (rng.random(shape) >= p) / (1.0 - p)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: surviving entries are scaled by 1/(1-p) in training
     mode; identity in eval mode.  p must lie in [0, 1)."""
-    if not 0.0 <= p < 1.0:
-        raise ParameterError(f"dropout rate must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    keep = dropout_mask(x.shape, p, training, rng)
+    if keep is None:
         def bwd_id(g):
             return (g,)
         return _record((x,), x.data.copy(), bwd_id)
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
 
     def bwd(g):
         return (g * keep,)

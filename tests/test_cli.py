@@ -117,6 +117,49 @@ class TestTrain:
             outs.append(file_hash(out / "timegrad_all.gck"))
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("model,sizes", [("vanilla", ENC),
+                                             ("timegrad", SIZES)])
+    def test_resumed_run_gives_straight_run_bytes(self, small_field, tmp_path,
+                                                  model, sizes):
+        csv_path, _, _ = small_field
+        args = ["train", "--model", model, "--data", str(csv_path), *COMMON,
+                *sizes]
+        straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+        assert run(*args, "--out", str(straight), "--epochs", "2") == 0
+        for _ in range(2):
+            assert run(*args, "--out", str(resumed), "--epochs", "1") == 0
+        for name in (f"{model}_all.gck", f"{model}_all_loss.csv"):
+            assert (resumed / name).read_bytes() == (straight / name).read_bytes()
+
+    @pytest.mark.parametrize("windows", ["0", "-3"])
+    def test_nonpositive_windows_per_epoch_exits_2(self, small_field, tmp_path,
+                                                   capsys, windows):
+        csv_path, _, _ = small_field
+        out = tmp_path / "run"
+        assert run("train", "--model", "vanilla", "--data", str(csv_path),
+                   "--out", str(out), *COMMON, *ENC,
+                   "--windows-per-epoch", windows) == 2
+        assert "windows_per_epoch must be >= 1" in capsys.readouterr().out
+        assert not (out / "vanilla_all.gck").exists()
+
+
+class TestNegativeSeed:
+    """A negative seed exits 2 instead of ending in numpy's ValueError; the
+    sidecar line ``seed=-1`` is a case of TestMalformedInputs."""
+
+    def test_generate_flag(self, tmp_path, capsys):
+        assert run("generate", "--seed", "-1", "--out", str(tmp_path / "x")) == 2
+        assert "seed must be >= 0" in capsys.readouterr().out
+        assert not (tmp_path / "x" / "data.csv").exists()
+
+    def test_train_flag(self, small_field, tmp_path, capsys):
+        csv_path, _, _ = small_field
+        out = tmp_path / "run"
+        assert run("train", "--model", "timegrad", "--data", str(csv_path),
+                   "--out", str(out), *COMMON, *SIZES, "--seed", "-1") == 2
+        assert "seed must be >= 0" in capsys.readouterr().out
+        assert not (out / "timegrad_all.gck").exists()
+
 
 @pytest.fixture(scope="module")
 def trained(small_field, tmp_path_factory):
@@ -286,7 +329,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("line", ["shutin_rate=2.0",
                                       "breakthrough_delay_range=5,5",
                                       "shutin_duration_range=4,2",
-                                      "well_start_frac=nan"])
+                                      "well_start_frac=nan", "seed=-1"])
     def test_out_of_range_sidecar_value_exits_2(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"{line}\n")

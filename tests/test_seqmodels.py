@@ -291,9 +291,11 @@ class TestVanillaWiring:
 
 
 class TestTapeBudget:
-    """Each multi-head attention call is one tape node, so a training window
-    at the benchmark's shapes stays small whatever the data; un-fusing
-    attention (445 and 414 nodes) fails here."""
+    """Each multi-head attention call, residual dropout-layer-norm,
+    feed-forward block and distill is one tape node, so a training window at
+    the benchmark's shapes stays small whatever the data (50 and 51 nodes);
+    un-fusing any of them (106 and 105 with only attention fused) fails
+    here."""
 
     @pytest.mark.parametrize("cls", [InformerModel, VanillaTransformer])
     def test_training_window_node_count(self, cls):
@@ -304,7 +306,7 @@ class TestTapeBudget:
             T.reset_record()
             model.window_loss(values, None, 0, None, stream(seed, TRAIN, 1))
             lengths.append(T.record_length())
-        assert lengths[0] <= 110, lengths
+        assert lengths[0] <= 52, lengths
         # the causal prefix top-u once made the informer's count depend on
         # the data
         assert lengths[0] == lengths[1]
