@@ -9,7 +9,8 @@ Layout (all integers little-endian):
              uint64 payload bytes, payload (little-endian float64)
 
 Record order is preserved and the float payload is written bit-exactly, so
-save -> load -> save reproduces identical bytes.
+save -> load -> save reproduces identical bytes.  Every artifact, checkpoint
+or not, reaches disk through ``atomic_write``.
 """
 
 import math
@@ -81,17 +82,25 @@ def unpack_records(blob: bytes) -> dict[str, np.ndarray]:
     return records
 
 
-def save(path, records: dict[str, np.ndarray]) -> None:
-    """Write ``<name>.tmp`` beside the target, then rename it over the target,
-    so a crash leaves either the old file or the new one, never a torn one."""
+def atomic_write(path, data: bytes | str) -> None:
+    """Write ``data`` (a str as utf-8) to ``<name>.tmp`` beside ``path``, making
+    the parent directory first, then rename it over ``path``, so a crash
+    leaves either the old file or the new one, never a torn one."""
     path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(pack_records(records))
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save(path, records: dict[str, np.ndarray]) -> None:
+    atomic_write(path, pack_records(records))
 
 
 def load(path) -> dict[str, np.ndarray]:

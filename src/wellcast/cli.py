@@ -2,7 +2,8 @@
 
 Configuration is a flat key=value file plus CLI flag overrides (flags win).
 Every command is deterministic given (config, seed, input files) and writes
-only under its --out directory.  Logs are line-oriented key=value records.
+only under its --out directory (made by checkpoint.atomic_write on the first
+write).  Logs are line-oriented key=value records.
 
 Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 I/O error.
 """
@@ -160,13 +161,11 @@ def cmd_generate(cfg: RunConfig) -> None:
     if cfg.synthetic_config:
         gen_cfg = data.config_from_text(Path(cfg.synthetic_config).read_text())
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     panel = data.generate_synthetic(gen_cfg)
     csv_path = out / "data.csv"
     data.save_csv(panel, csv_path)
     # provenance sidecar: full generator config echo, reusable as input
-    (out / "data.sidecar").write_text(data.config_to_text(gen_cfg),
-                                      encoding="utf-8")
+    checkpoint.atomic_write(out / "data.sidecar", data.config_to_text(gen_cfg))
     log(command="generate", csv=csv_path, steps=panel.n_steps,
         sites=len(panel.site_names), seed=gen_cfg.seed)
 
@@ -175,7 +174,6 @@ def cmd_train(cfg: RunConfig) -> None:
     cfg.validate()
     panel = load_panel(cfg)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     for group, gpanel in build_groups(panel, cfg.grouping):
         ckpt = _ckpt_path(cfg, group)
         loss_csv = out / f"{cfg.model}_{group}_loss.csv"
@@ -209,14 +207,12 @@ def cmd_train(cfg: RunConfig) -> None:
         rec["meta/seed"] = np.array([float(cfg.seed)])
         checkpoint.save(ckpt, rec)
 
-        header = "epoch,train_loss,val_loss\n"
-        mode = "a" if (start_epoch > 0 and loss_csv.exists()) else "w"
-        with open(loss_csv, mode, encoding="utf-8", newline="\n") as fh:
-            if mode == "w":
-                fh.write(header)
-            for i, (tr, vl) in enumerate(zip(history.train_loss,
-                                             history.val_loss)):
-                fh.write(f"{start_epoch + i},{tr!r},{vl!r}\n")
+        resumed = start_epoch > 0 and loss_csv.exists()
+        text = (loss_csv.read_text(encoding="utf-8") if resumed
+                else "epoch,train_loss,val_loss\n")
+        for i, (tr, vl) in enumerate(zip(history.train_loss, history.val_loss)):
+            text += f"{start_epoch + i},{tr!r},{vl!r}\n"
+        checkpoint.atomic_write(loss_csv, text)
         log(command="train", group=group, checkpoint=ckpt,
             final_loss=f"{history.train_loss[-1]:.6f}" if history.train_loss
             else "nan")
@@ -242,7 +238,6 @@ def cmd_forecast(cfg: RunConfig) -> None:
     cfg.validate()
     panel = load_panel(cfg)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     for group, gpanel in build_groups(panel, cfg.grouping):
         ckpt = _ckpt_path(cfg, group)
         if not ckpt.exists():
@@ -271,7 +266,7 @@ def cmd_forecast(cfg: RunConfig) -> None:
                 band=(lo[:, j], hi[:, j]),
                 title=f"{cfg.model} {site} {channel} "
                       f"(quantile {cfg.quantile:.2f}, band 0.05-0.95)")
-            (out / f"{stem}.svg").write_text(svg, encoding="utf-8")
+            checkpoint.atomic_write(out / f"{stem}.svg", svg)
         log(command="forecast", model=cfg.model, group=group,
             samples=cfg.samples, horizon=cfg.horizon,
             ensemble=_ensemble_path(cfg, group))
@@ -281,7 +276,6 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     cfg.validate()
     panel = load_panel(cfg)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for group, gpanel in build_groups(panel, cfg.grouping):
         ens_path = _ensemble_path(cfg, group)
@@ -307,35 +301,29 @@ def cmd_evaluate(cfg: RunConfig) -> None:
             def mase_metric(pred, t, _train=train_series):
                 return evaluation.mase(pred, t, _train)
 
-            rows.append(SiteMetrics(
-                site=label, quantile=cfg.quantile,
-                mse=evaluation.mse(chosen[:, j], truth),
-                mase=mase_metric(chosen[:, j], truth),
-                ensemble_mean=float(moments.pooled_mean[j]),
-                ensemble_std=float(moments.pooled_std[j]),
-                truth_mean=float(truth.mean()),
-                truth_std=float(truth.std()),
-            ))
+            def row(suffix, q, path, mase):  # called in this iteration only
+                return SiteMetrics(
+                    site=label + suffix, quantile=q,
+                    mse=evaluation.mse(path, truth), mase=mase,
+                    ensemble_mean=float(moments.pooled_mean[j]),
+                    ensemble_std=float(moments.pooled_std[j]),
+                    truth_mean=float(truth.mean()), truth_std=float(truth.std()))
+
+            rows.append(row("", cfg.quantile, chosen[:, j],
+                            mase_metric(chosen[:, j], truth)))
             best_q, best_mase = evaluation.best_quantile(
                 ens, truth, mase_metric, dim=j)
-            best_path = evaluation.quantile_path(ens, best_q)[:, j]
-            rows.append(SiteMetrics(
-                site=label + "*", quantile=best_q,
-                mse=evaluation.mse(best_path, truth), mase=best_mase,
-                ensemble_mean=float(moments.pooled_mean[j]),
-                ensemble_std=float(moments.pooled_std[j]),
-                truth_mean=float(truth.mean()),
-                truth_std=float(truth.std()),
-            ))
+            rows.append(row("*", best_q,
+                            evaluation.quantile_path(ens, best_q)[:, j],
+                            best_mase))
             log(command="evaluate", model=cfg.model, site=label,
                 quantile=cfg.quantile, mase=f"{rows[-2].mase:.4f}",
                 best_quantile=best_q, best_mase=f"{best_mase:.4f}",
                 selection="oracle-on-test")
     report = MetricsReport(model=cfg.model, rows=rows)
-    (out / f"{cfg.model}_report.csv").write_text(report.to_csv_text(),
-                                                 encoding="utf-8")
-    (out / f"{cfg.model}_report.txt").write_text(report.to_table_text(),
-                                                 encoding="utf-8")
+    checkpoint.atomic_write(out / f"{cfg.model}_report.csv", report.to_csv_text())
+    checkpoint.atomic_write(out / f"{cfg.model}_report.txt",
+                            report.to_table_text())
     log(command="evaluate", model=cfg.model,
         report=out / f"{cfg.model}_report.csv",
         note="starred rows use the oracle-selected best quantile")
@@ -347,7 +335,6 @@ def cmd_pipeline(cfg: RunConfig) -> None:
         raise ParameterError(
             "exactly one data source: pass --data or --synthetic-config")
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     if not cfg.data:
         cmd_generate(cfg)
         cfg.data = str(out / "data.csv")

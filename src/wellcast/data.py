@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import checkpoint
 from . import rng as rng_mod
 from .errors import (FormatError, NoBreakthroughError, ParameterError,
                      ValidationError)
@@ -68,6 +69,8 @@ class SeriesPanel:
                 bad = int(np.flatnonzero(diffs != diffs[0])[0]) + 1
                 raise FormatError(
                     f"ragged dates: stride changes at timestamp index {bad}")
+        if not np.isfinite(self.values).all():
+            raise ValidationError("production values must be finite")
         if np.any(self.values < 0):
             raise ValidationError("production values must be nonnegative")
         if self.split_index < 0:
@@ -160,8 +163,7 @@ def save_csv(panel: SeriesPanel, path) -> None:
         date = epoch_days_to_date(panel.timestamps[t])
         for j, (site, channel) in enumerate(panel.columns):
             lines.append(f"{date},{site},{channel},{panel.values[t, j]:.6f}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    checkpoint.atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_csv(path) -> SeriesPanel:

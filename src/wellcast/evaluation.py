@@ -7,10 +7,10 @@ standard deviations use the population convention.
 """
 
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
+from . import checkpoint
 from .errors import ContractError, MetricError, ParameterError
 
 # 0.05 .. 0.95 in steps of 0.05; the handful of individually named levels
@@ -189,7 +189,7 @@ def write_plot_csv(path, timestamps, truth, prediction, q_low, q_high) -> None:
         lines.append(f"{int(timestamps[i])},{repr(float(truth[i]))},"
                      f"{repr(float(prediction[i]))},{repr(float(q_low[i]))},"
                      f"{repr(float(q_high[i]))}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    checkpoint.atomic_write(path, "\n".join(lines) + "\n")
 
 
 def svg_line_chart(timestamps, series: dict, band=None, title: str = "",

@@ -1,7 +1,9 @@
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +343,18 @@ class TestMalformedInputs:
         assert "Traceback" not in out.out + out.err
         assert not (tmp_path / "x" / "data.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("line", ["surge_decay_steps=0", "noise_scale=1000",
+                                      "q_init_range=1e300,1e308"])
+    def test_non_finite_field_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                      line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"n_steps=300\nn_sites=2\nwells_per_site=2\n{line}\n")
+        assert run("generate", "--synthetic-config", str(bad),
+                   "--out", str(tmp_path / "x")) == 2
+        assert "production values must be finite" in capsys.readouterr().out
+        assert not (tmp_path / "x").exists()
+
     @pytest.fixture(scope="class")
     def initial(self, small_field, tmp_path_factory):
         """Untrained timegrad and informer checkpoints, with optimizer state."""
@@ -435,6 +449,77 @@ class TestMalformedInputs:
                    "--out", str(tmp_path), "--horizon", "6") == 2
         assert "'ensemble/samples'" in capsys.readouterr().out
         assert not (tmp_path / "informer_report.csv").exists()
+
+
+class TestArtifactWrites:
+    """Every artifact reaches disk by tmp-and-rename, and --out is made by the
+    first write."""
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--seed", "-1"],
+        ["train", "--model", "timegrad", "--context-length", "0"],
+        ["forecast"],
+        ["evaluate"]], ids=lambda argv: argv[0])
+    def test_failure_before_first_write_leaves_no_out(self, small_field,
+                                                      tmp_path, argv):
+        source = [] if argv[0] == "generate" else ["--data", str(small_field[0])]
+        assert run(*argv, *source, "--out", str(tmp_path / "out")) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        """An --out holding every artifact kind, and a second field sidecar."""
+        root = tmp_path_factory.mktemp("written")
+        cfg = data.SyntheticFieldConfig(n_sites=2, wells_per_site=2,
+                                        n_steps=220, seed=5)
+        conf, other = root / "field.cfg", root / "other.cfg"
+        conf.write_text(data.config_to_text(cfg))
+        other.write_text(data.config_to_text(replace(cfg, seed=6)))
+        out = root / "out"
+        assert run("generate", "--synthetic-config", str(conf),
+                   "--out", str(out)) == 0
+        for command in ("train", "forecast", "evaluate"):
+            assert run(command, "--model", "vanilla", "--data",
+                       str(out / "data.csv"), "--out", str(out), *COMMON,
+                       *ENC) == 0
+        return out, other
+
+    # each rerun changes what it writes; the rename of the first file whose
+    # name ends with the target fails, and so does the command
+    @pytest.mark.parametrize("command,target", [
+        ("generate", "data.csv"), ("generate", "data.sidecar"),
+        ("train", "_all.gck"), ("train", "_loss.csv"),
+        ("forecast", "_ensemble.gck"), ("forecast", "_plot.csv"),
+        ("forecast", ".svg"),
+        ("evaluate", "_report.csv"), ("evaluate", "_report.txt")])
+    def test_failed_rename_keeps_previous_bytes(self, written, tmp_path,
+                                                monkeypatch, command, target):
+        out = tmp_path / "out"
+        shutil.copytree(written[0], out)
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        field = ["--model", "vanilla", "--data", str(out / "data.csv"),
+                 "--out", str(out), *COMMON, *ENC]
+        argv = {"generate": ["--synthetic-config", str(written[1]),
+                             "--out", str(out)],
+                "train": field,  # resumes from the checkpoint
+                "forecast": [*field, "--seed", "4"],
+                "evaluate": [*field, "--quantile", "0.3"]}[command]
+        real_replace, replaced, refused = os.replace, [], []
+
+        def replace_unless_target(src, dst):
+            if Path(dst).name.endswith(target):
+                refused.append(Path(src).read_bytes() != Path(dst).read_bytes())
+                raise OSError(f"rename onto {dst} refused")
+            real_replace(src, dst)
+            replaced.append(Path(dst).name)
+
+        monkeypatch.setattr(os, "replace", replace_unless_target)
+        assert run(command, *argv) == 4
+        assert refused == [True]  # the refused write would have changed bytes
+        assert sorted(f.name for f in out.iterdir()) == sorted(before)
+        for name, blob in before.items():
+            if name not in replaced:
+                assert (out / name).read_bytes() == blob, name
 
 
 class TestGroupings:

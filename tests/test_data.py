@@ -39,6 +39,11 @@ class TestSeriesPanel:
         with pytest.raises(ValidationError):
             panel_from([[-1.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValidationError, match="must be finite"):
+            panel_from([[1.0], [2.0], [bad]])
+
     def test_column_lookup(self):
         p = panel_from(np.ones((4, 2)))
         assert p.column_index("A", "water") == 1
