@@ -74,9 +74,9 @@ def unpack_records(blob: bytes) -> dict[str, np.ndarray]:
             raise FormatError(
                 f"record {name!r}: payload of {nbytes} bytes does not hold "
                 f"float64 dims {dims}")
-        arr = np.frombuffer(blob[pos:pos + nbytes], dtype="<f8").reshape(dims)
+        records[name] = np.frombuffer(blob, "<f8", nbytes // 8,
+                                      pos).reshape(dims).copy()
         pos += nbytes
-        records[name] = arr.copy()
     if pos != len(blob):
         raise FormatError("trailing bytes after final record")
     return records

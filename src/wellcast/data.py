@@ -19,6 +19,7 @@ are the sum of their wells.
 import datetime
 import math
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -32,12 +33,11 @@ OIL = "oil"
 WATER = "water"
 
 
-def date_to_epoch_days(iso: str, row: int | None = None) -> int:
+def date_to_epoch_days(iso: str) -> int:
     try:
         return (datetime.date.fromisoformat(iso) - EPOCH).days
     except ValueError as exc:
-        where = f" at row {row}" if row is not None else ""
-        raise FormatError(f"bad ISO date {iso!r}{where}") from exc
+        raise FormatError(f"bad ISO date {iso!r}") from exc
 
 
 def epoch_days_to_date(days: int) -> str:
@@ -166,65 +166,114 @@ def save_csv(panel: SeriesPanel, path) -> None:
     checkpoint.atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _first(mask: np.ndarray) -> int | None:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else None
+
+
+def _codes(column: list) -> tuple:
+    """(distinct entries in first-seen order, each entry's index among them)."""
+    code = {v: i for i, v in enumerate(dict.fromkeys(column))}
+    return list(code), np.fromiter(map(code.__getitem__, column), np.int64,
+                                   len(column))
+
+
 def load_csv(path) -> SeriesPanel:
     """Parse a panel; every (date, site, channel) cell must be present
-    exactly once.  Out-of-order dates are sorted; duplicates are errors."""
+    exactly once.  Out-of-order dates are sorted; duplicates are errors.
+
+    The rows are parsed column-wise.  Each row check runs over the lines
+    before the first failure found so far, in the order fields, date,
+    number, range, duplicate, so the error names the first faulty row in
+    file order and that row's first failing check.  The whole-file checks
+    (no data rows, ragged stride, missing cell) come after every row passes.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise FormatError(f"expected header {CSV_HEADER!r}")
-    cells = {}
-    columns = []
-    dates = []
-    seen_dates = set()
-    first_row = {}
-    for row, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise FormatError(f"expected 4 fields at row {row}")
-        date_s, site, channel, value_s = parts
-        day = date_to_epoch_days(date_s, row)
-        first_row.setdefault(day, row)
+    # file row number of each nonblank line after the header
+    rows = np.flatnonzero(np.fromiter(map(len, lines), np.int64,
+                                      len(lines)))[1:] + 1
+    lines = list(filter(None, lines))[1:]
+    # lines[:n] pass every check so far; bad is (class, message) for line n
+    n, bad = len(lines), None
+
+    commas = np.fromiter(map(str.count, lines, repeat(",")), np.int64, n)
+    k = _first(commas != 3)
+    if k is not None:
+        n, bad = k, (FormatError, "expected 4 fields")
+    # every line of lines[:n] has 3 commas, so the fields stay in row order
+    joined = ",".join(lines[:n])
+    del lines
+    parts = joined.split(",") if n else []
+    del joined
+    date_s, sites, channels, value_s = (parts[i::4] for i in range(4))
+    del parts
+
+    strings, date_code = _codes(date_s)
+    days = []
+    for iso in strings:  # first-seen order: a bad one is in the first bad row
         try:
-            value = float(value_s)
-        except ValueError:
-            raise FormatError(f"non-numeric value {value_s!r} at row {row}") from None
-        if not 0.0 <= value < math.inf:  # one test per row for nan, inf and < 0
-            if math.isfinite(value):
-                raise ValidationError(f"negative value at row {row}")
-            raise FormatError(f"non-finite value {value_s!r} at row {row}")
-        key = (day, site, channel)
-        if key in cells:
-            raise FormatError(f"duplicate cell {key} at row {row}")
-        cells[key] = value
-        if (site, channel) not in columns:
-            columns.append((site, channel))
-        if day not in seen_dates:
-            seen_dates.add(day)
-            dates.append(day)
-    if not cells:
-        raise FormatError("no data rows")
-    dates.sort()
-    if len(dates) >= 2:
-        strides = np.diff(dates)
-        if np.any(strides != strides[0]):
-            bad_day = dates[int(np.flatnonzero(strides != strides[0])[0]) + 1]
-            raise FormatError(
-                f"ragged dates: {epoch_days_to_date(bad_day)} (first seen at "
-                f"row {first_row[bad_day]}) breaks the constant stride")
-    values = np.empty((len(dates), len(columns)))
-    for t, day in enumerate(dates):
-        for j, (site, channel) in enumerate(columns):
+            days.append(date_to_epoch_days(iso))
+        except FormatError as exc:
+            n, bad = date_s.index(iso), (FormatError, str(exc))
+            break
+
+    try:
+        values = np.fromiter(map(float, value_s[:n]), np.float64, n)
+    except ValueError:
+        for k, value in enumerate(value_s):
             try:
-                values[t, j] = cells[(day, site, channel)]
-            except KeyError:
-                raise FormatError(
-                    f"missing cell for {epoch_days_to_date(day)} "
-                    f"({site}, {channel})") from None
-    return SeriesPanel(columns=columns, timestamps=np.array(dates),
-                       values=values)
+                float(value)
+            except ValueError:
+                break
+        n, bad = k, (FormatError, f"non-numeric value {value!r}")
+        values = np.fromiter(map(float, value_s[:n]), np.float64, n)
+    k = _first(~((values >= 0.0) & (values < math.inf)))  # nan fails both
+    if k is not None:
+        n, bad = k, ((ValidationError, "negative value")
+                     if math.isfinite(values[k]) else
+                     (FormatError, f"non-finite value {value_s[k]!r}"))
+        values = values[:n]
+    del date_s, value_s
+
+    timestamps, t_of_string = np.unique(np.array(days, np.int64),
+                                        return_inverse=True)
+    t = t_of_string[date_code[:n]]
+    pairs, col = _codes(list(map(",".join, zip(sites[:n], channels[:n]))))
+    columns = [tuple(pair.split(",")) for pair in pairs]
+    cell = t * len(columns) + col
+    count = np.bincount(cell, minlength=len(timestamps) * len(columns))
+    if n and count.max() > 1:
+        repeated = np.ones(n, dtype=bool)
+        repeated[np.unique(cell, return_index=True)[1]] = False
+        k = _first(repeated)
+        key = (int(timestamps[t[k]]), sites[k], channels[k])
+        n, bad = k, (FormatError, f"duplicate cell {key}")
+    if bad is not None:
+        cls, message = bad
+        raise cls(f"{message} at row {rows[n]}")
+    if not n:
+        raise FormatError("no data rows")
+
+    strides = np.diff(timestamps)
+    k = _first(strides != strides[:1])  # one date has no stride to break
+    if k is not None:
+        odd = k + 1  # the first date off the stride
+        raise FormatError(
+            f"ragged dates: {epoch_days_to_date(timestamps[odd])} (first seen "
+            f"at row {rows[_first(t == odd)]}) breaks the constant stride")
+    k = _first(count == 0)
+    if k is not None:
+        t_missing, j = divmod(k, len(columns))
+        raise FormatError(
+            f"missing cell for {epoch_days_to_date(timestamps[t_missing])} "
+            f"({columns[j][0]}, {columns[j][1]})")
+    panel = np.empty(count.size)
+    panel[cell] = values
+    return SeriesPanel(columns=columns, timestamps=timestamps,
+                       values=panel.reshape(len(timestamps), len(columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +321,10 @@ class SyntheticFieldConfig:
             raise ParameterError("b range must sit inside [0, 1]")
         if self.noise_scale < 0:
             raise ParameterError("noise_scale must be nonnegative")
+        for name in ("surge_decay_steps", "water_ramp_steps"):  # each divides
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ParameterError(f"production values must be finite, so "
+                                     f"{name} must be > 0, got {getattr(self, name)}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         # negated comparisons so NaN fails them too
@@ -340,6 +393,7 @@ def _well_series(cfg: SyntheticFieldConfig, rng: np.random.Generator,
     return oil, water
 
 
+@np.errstate(all="ignore")  # overflow ends in the finiteness check, unwarned
 def generate_synthetic(cfg: SyntheticFieldConfig, return_wells: bool = False):
     """Build the panel; deterministic per seed.
 
@@ -370,6 +424,9 @@ def generate_synthetic(cfg: SyntheticFieldConfig, return_wells: bool = False):
         columns += [(site, OIL), (site, WATER)]
         series += [oil_sum, water_sum]
     values = np.stack(series, axis=1)
+    if not np.isfinite(values).all():
+        raise ValidationError("production values must be finite; lower "
+                              "q_init_range or noise_scale")
     # snap to the CSV's 6-decimal grid for exact round-trips
     values = np.array([[float(f"{v:.6f}") for v in row] for row in values])
     timestamps = cfg.start_day + np.arange(cfg.n_steps, dtype=np.int64) * cfg.stride_days

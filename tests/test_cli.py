@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -353,6 +354,23 @@ class TestMalformedInputs:
         assert run("generate", "--synthetic-config", str(bad),
                    "--out", str(tmp_path / "x")) == 2
         assert "production values must be finite" in capsys.readouterr().out
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("line", ["surge_decay_steps=0",
+                                      "water_ramp_steps=0", "noise_scale=1000",
+                                      "q_init_range=1e300,1e308"])
+    def test_unusable_field_names_its_key_without_warnings(self, tmp_path,
+                                                           capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"n_steps=300\nn_sites=2\nwells_per_site=2\n{line}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("generate", "--synthetic-config", str(bad),
+                       "--out", str(tmp_path / "x")) == 2
+        out = capsys.readouterr()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in out.err
+        assert line.partition("=")[0] in out.out
         assert not (tmp_path / "x").exists()
 
     @pytest.fixture(scope="class")

@@ -1,10 +1,14 @@
+import datetime
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wellcast.data import (SeriesPanel, SyntheticFieldConfig, arps_rate,
-                           config_from_text, config_to_text,
+from wellcast.data import (CSV_HEADER, EPOCH, SeriesPanel,
+                           SyntheticFieldConfig, arps_rate, config_from_text,
+                           config_to_text, epoch_days_to_date,
                            generate_synthetic, load_csv, save_csv, split,
                            truncate_at_breakthrough)
 from wellcast.errors import (FormatError, NoBreakthroughError, ParameterError,
@@ -226,6 +230,184 @@ class TestCsv:
         path = tmp_path / "big.csv"
         save_csv(panel, path)
         assert load_csv(path).split_index == 5760
+
+
+def reference_date_to_epoch_days(iso, row=None):
+    try:
+        return (datetime.date.fromisoformat(iso) - EPOCH).days
+    except ValueError as exc:
+        where = f" at row {row}" if row is not None else ""
+        raise FormatError(f"bad ISO date {iso!r}{where}") from exc
+
+
+def reference_load_csv(path):
+    """The per-row parser that ``load_csv`` replaced, kept as its oracle."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise FormatError(f"expected header {CSV_HEADER!r}")
+    cells = {}
+    columns = []
+    dates = []
+    seen_dates = set()
+    first_row = {}
+    for row, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise FormatError(f"expected 4 fields at row {row}")
+        date_s, site, channel, value_s = parts
+        day = reference_date_to_epoch_days(date_s, row)
+        first_row.setdefault(day, row)
+        try:
+            value = float(value_s)
+        except ValueError:
+            raise FormatError(f"non-numeric value {value_s!r} at row {row}") from None
+        if not 0.0 <= value < math.inf:  # one test per row for nan, inf and < 0
+            if math.isfinite(value):
+                raise ValidationError(f"negative value at row {row}")
+            raise FormatError(f"non-finite value {value_s!r} at row {row}")
+        key = (day, site, channel)
+        if key in cells:
+            raise FormatError(f"duplicate cell {key} at row {row}")
+        cells[key] = value
+        if (site, channel) not in columns:
+            columns.append((site, channel))
+        if day not in seen_dates:
+            seen_dates.add(day)
+            dates.append(day)
+    if not cells:
+        raise FormatError("no data rows")
+    dates.sort()
+    if len(dates) >= 2:
+        strides = np.diff(dates)
+        if np.any(strides != strides[0]):
+            bad_day = dates[int(np.flatnonzero(strides != strides[0])[0]) + 1]
+            raise FormatError(
+                f"ragged dates: {epoch_days_to_date(bad_day)} (first seen at "
+                f"row {first_row[bad_day]}) breaks the constant stride")
+    values = np.empty((len(dates), len(columns)))
+    for t, day in enumerate(dates):
+        for j, (site, channel) in enumerate(columns):
+            try:
+                values[t, j] = cells[(day, site, channel)]
+            except KeyError:
+                raise FormatError(
+                    f"missing cell for {epoch_days_to_date(day)} "
+                    f"({site}, {channel})") from None
+    return SeriesPanel(columns=columns, timestamps=np.array(dates),
+                       values=values)
+
+
+def parse_outcome(parse, path):
+    """The panel's bytes, or the error's class and text."""
+    try:
+        p = parse(path)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return (p.columns, p.timestamps.dtype, p.timestamps.tobytes(),
+            p.values.shape, p.values.tobytes(), p.split_index)
+
+
+FAULTS = ("fields", "date", "date_alias", "number", "non_finite", "negative",
+          "duplicate", "ragged", "missing", "empty")
+
+
+@st.composite
+def csv_texts(draw):
+    """A small panel as CSV text: shuffled rows, value spellings that
+    ``float`` accepts, and zero or more faults, blank lines and CRLFs."""
+    sites = draw(st.lists(st.sampled_from(["A", "B", "SITE02"]), min_size=1,
+                          max_size=3, unique=True))
+    channels = draw(st.lists(st.sampled_from(["oil", "water"]), min_size=1,
+                             max_size=2, unique=True))
+    start, stride = draw(st.integers(0, 800)), draw(st.integers(1, 3))
+    n_dates = draw(st.integers(1, 5))
+    spelling = st.sampled_from(["0.000000", "1.5", "12.345678", " 3 ",
+                                "1_000", "2e-3", "7"])
+    rows = [[epoch_days_to_date(start + t * stride), site, channel,
+             draw(spelling)]
+            for t in range(n_dates) for site in sites for channel in channels]
+    rows = draw(st.permutations(rows))
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3)):
+        if not rows:
+            break
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if fault == "fields" and (len(row) < 2 or draw(st.booleans())):
+            row.append("x")
+        elif fault == "fields":
+            row.pop()
+        elif fault == "date":
+            row[0] = draw(st.sampled_from(["1970-13-01", "x", "", "2021-02-29"]))
+        elif fault == "date_alias":  # another spelling of the same day
+            row[0] = row[0].replace("-", "")
+        elif fault == "number":
+            row[-1] = draw(st.sampled_from(["abc", "", "1.2.3", "--1"]))
+        elif fault == "non_finite":
+            row[-1] = draw(st.sampled_from(["nan", "inf", "-inf", "Infinity"]))
+        elif fault == "negative":
+            row[-1] = "-1.5"
+        elif fault == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), list(row))
+        elif fault == "ragged":  # move one date a day off the stride
+            day = start + draw(st.integers(0, n_dates - 1)) * stride
+            for other in rows:
+                if other[0] == epoch_days_to_date(day):
+                    other[0] = epoch_days_to_date(day + 1)
+        elif fault == "missing":
+            rows.remove(row)
+        else:
+            rows.clear()
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([CSV_HEADER] + lines) + newline
+
+
+class TestCsvParserMatchesReference:
+    @settings(max_examples=500, deadline=None)
+    @given(text=csv_texts())
+    def test_same_panel_or_same_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "reference_case.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert parse_outcome(load_csv, path) == \
+            parse_outcome(reference_load_csv, path)
+
+    @pytest.mark.parametrize("body,error", [
+        # a duplicate at row 3 comes before a bad date at row 4
+        (["1970-01-01,A,oil,1", "1970-01-01,A,oil,2", "x,A,oil,3"],
+         "duplicate cell (0, 'A', 'oil') at row 3"),
+        # within one row, the date is checked before the number
+        (["1970-01-01,A,oil,1", "x,A,oil,abc"], "bad ISO date 'x' at row 3"),
+        # a field-count fault at row 2 hides every later fault
+        (["1970-01-01,A,oil", "1970-01-03,A,oil,-1"],
+         "expected 4 fields at row 2"),
+        # blank lines keep their row numbers
+        (["", "1970-01-01,A,oil,1", "", "1970-01-03,A,oil,nan"],
+         "non-finite value 'nan' at row 5"),
+        # two spellings of one day are one date
+        (["1970-01-01,A,oil,1", "19700101,A,oil,2"],
+         "duplicate cell (0, 'A', 'oil') at row 3"),
+    ])
+    def test_first_faulty_row_in_file_order(self, tmp_path, body, error):
+        path = tmp_path / "faults.csv"
+        path.write_text("\n".join([CSV_HEADER] + body) + "\n")
+        with pytest.raises(FormatError) as raised:
+            load_csv(path)
+        assert str(raised.value) == error
+
+    def test_site_first_seen_mid_file_orders_columns(self, tmp_path):
+        path = tmp_path / "late.csv"
+        path.write_text("date,site,channel,value\n"
+                        "1970-01-03,B,oil,3\n"
+                        "1970-01-01,B,oil,1\n"
+                        "1970-01-01,A,water,2\n"
+                        "1970-01-03,A,water,4\n")
+        p = load_csv(path)
+        assert p.columns == [("B", "oil"), ("A", "water")]
+        assert np.array_equal(p.values, [[1.0, 2.0], [3.0, 4.0]])
 
 
 class TestArps:

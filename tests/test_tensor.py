@@ -494,6 +494,26 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="does not hold"):
             checkpoint.unpack_records(bytes(blob))
 
+    def test_truncated_payload_and_trailing_bytes_are_format_errors(self):
+        blob = checkpoint.pack_records({"w": np.ones((2, 3)), "b": np.ones(2)})
+        with pytest.raises(FormatError, match="^truncated checkpoint payload$"):
+            checkpoint.unpack_records(blob[:-1])
+        with pytest.raises(FormatError,
+                           match="^trailing bytes after final record$"):
+            checkpoint.unpack_records(blob + b"\x00")
+
+    def test_loaded_arrays_own_their_data(self, tmp_path):
+        path = tmp_path / "model.gck"
+        checkpoint.save(path, {"w": np.arange(6.0).reshape(2, 3),
+                               "s": np.array(2.0), "e": np.ones((0, 4))})
+        first = checkpoint.load(path)
+        for arr in first.values():
+            assert arr.flags.owndata and arr.flags.writeable
+            arr[...] = -7.0
+        second = checkpoint.load(path)
+        assert np.array_equal(second["w"], np.arange(6.0).reshape(2, 3))
+        assert second["s"] == 2.0 and second["e"].shape == (0, 4)
+
     def test_payload_not_whole_float64s_is_format_error(self):
         blob = checkpoint.pack_records({"w": np.ones(0)})
         # an empty record claiming 3 payload bytes, which are present
