@@ -205,14 +205,17 @@ def cmd_train(cfg: RunConfig) -> None:
         rec.update(opt.state_records())
         rec["meta/epochs_done"] = np.array([float(start_epoch + epochs)])
         rec["meta/seed"] = np.array([float(cfg.seed)])
-        checkpoint.save(ckpt, rec)
 
-        resumed = start_epoch > 0 and loss_csv.exists()
-        text = (loss_csv.read_text(encoding="utf-8") if resumed
-                else "epoch,train_loss,val_loss\n")
+        # the loss CSV goes first: if the checkpoint write then fails, the
+        # next run keeps only the header and the checkpoint's epochs
+        text = "epoch,train_loss,val_loss\n"
+        if start_epoch > 0 and loss_csv.exists():
+            text = "".join(loss_csv.read_text(encoding="utf-8")
+                           .splitlines(keepends=True)[:1 + start_epoch])
         for i, (tr, vl) in enumerate(zip(history.train_loss, history.val_loss)):
             text += f"{start_epoch + i},{tr!r},{vl!r}\n"
         checkpoint.atomic_write(loss_csv, text)
+        checkpoint.save(ckpt, rec)
         log(command="train", group=group, checkpoint=ckpt,
             final_loss=f"{history.train_loss[-1]:.6f}" if history.train_loss
             else "nan")
@@ -285,6 +288,10 @@ def cmd_evaluate(cfg: RunConfig) -> None:
         samples = checkpoint.read(rec, "ensemble/samples")
         ens = ForecastEnsemble(samples=samples, timestamps=checkpoint.read(
             rec, "ensemble/timestamps", samples.shape[1:2]))
+        if ens.n_dims != len(gpanel.columns):
+            raise ParameterError(
+                f"ensemble {ens_path} has {ens.n_dims} columns but the data "
+                f"group has {len(gpanel.columns)}")
         k = gpanel.split_index
         horizon = ens.horizon
         if gpanel.n_steps - k < horizon:
@@ -353,18 +360,16 @@ CHOICES = {"model": MODEL_KINDS, "grouping": GROUPINGS}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One flag per RunConfig field, typed by its default."""
+    """The command, then one flag per RunConfig field, typed by its default."""
     parser = argparse.ArgumentParser(
         prog="wellcast",
         description="probabilistic multi-well production forecasting")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="flat key=value file")
-        for f in fields(RunConfig):
-            if f.name != "command":
-                p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                               type=type(f.default), choices=CHOICES.get(f.name))
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="flat key=value file")
+    for f in fields(RunConfig):
+        if f.name != "command":
+            parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                                type=type(f.default), choices=CHOICES.get(f.name))
     return parser
 
 
@@ -372,7 +377,7 @@ def config_from_args(args) -> RunConfig:
     """The --config file's fields, overridden by the flags given."""
     text = Path(args.config).read_text() if args.config else ""
     cfg = RunConfig(**data.parse_config(text, RunConfig))
-    for f in fields(RunConfig):  # command included: the subparser sets it
+    for f in fields(RunConfig):  # command included: the parser sets it
         flag = getattr(args, f.name, None)
         if flag is not None:
             setattr(cfg, f.name, flag)

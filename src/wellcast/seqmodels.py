@@ -1,15 +1,16 @@
 """Encoder-decoder forecasters assembled from the attention kernels.
 
-Two models share one skeleton: a linear value embedding plus an additive
-time encoding, an encoder, a two-to-three layer decoder with masked
-self-attention and cross-attention, and a diagonal-Gaussian output head.
+Both models are configurations of one skeleton: a linear value embedding
+plus an additive time encoding, an encoder of one or more stacks of
+attention blocks, a two-to-three layer decoder with masked self-attention
+and cross-attention, and a diagonal-Gaussian output head.
 
 The sparse-attention model runs top-query attention in the encoder and the
 masked decoder, halves the encoder sequence with a distill step after every
 encoder block, and keeps replica stacks on tail-halved inputs whose outputs
-are concatenated into the cross-attention memory.  The dense baseline uses
-three full-attention layers on each side, no distilling, and a higher
-dropout rate.
+are concatenated into the cross-attention memory.  The dense baseline is one
+stack of three full-attention blocks without distilling, with three decoder
+layers and a higher dropout rate.
 
 Decoding is generative and one-shot: the decoder input concatenates a start
 token (the tail of the encoder context) with a zero-valued placeholder that
@@ -194,13 +195,14 @@ def _ceil_half(n: int, times: int) -> int:
 
 
 class _SeqForecaster:
-    """Shared machinery; concrete models fix attention mode and encoder shape.
+    """The one encoder-decoder skeleton; a subclass is a configuration.
 
+    A subclass sets ``attention_mode``, the encoder shape (``n_stacks``,
+    ``main_blocks``, ``distilling``) and ``decoder_layers``.
     ``config_keys`` names the constructor keywords in the order of the
     ``<kind>/config`` checkpoint record.
     """
 
-    attention_mode = "full"
     config_keys: tuple = ()
 
     def __init__(self, data_dim, d_model, n_heads, ff_width, p_drop, c,
@@ -223,17 +225,39 @@ class _SeqForecaster:
         rng = rng_mod.stream(seed, rng_mod.TRAIN, 7000)
         self.embed_enc = ValueEmbedding(data_dim, d_model, rng)
         self.embed_dec = ValueEmbedding(data_dim, d_model, rng)
-        self._build(rng)
+        # stack s runs on the tail ceil(L_x / 2^s) rows with one fewer block
+        width = (self.d_model, self.cfg.n_heads, self.ff_width)
+        self.stacks = [[(EncoderBlock(*width, rng),
+                         DistillWeights(self.d_model, rng) if self.distilling
+                         else None)
+                        for _ in range(max(1, self.main_blocks - s))]
+                       for s in range(self.n_stacks)]
+        self.decoder = [DecoderLayer(*width, rng)
+                        for _ in range(self.decoder_layers)]
         self.head = GaussianHead(d_model, data_dim, rng)
 
-    # concrete classes implement _build & _encode and params()
-
-    def _shared_params(self):
-        out = self.embed_enc.params() + self.embed_dec.params()
+    def params(self):
+        out = []
+        for blocks in self.stacks:
+            for block, dw in blocks:
+                out += block.params() + (dw.params() if dw else [])
+        out += self.embed_enc.params() + self.embed_dec.params()
         for layer in self.decoder:
             out += layer.params()
-        out += self.head.params()
-        return out
+        return out + self.head.params()
+
+    def _encode(self, e: Tensor, training, drop):
+        parts = []
+        for s, blocks in enumerate(self.stacks):
+            take = _ceil_half(self.l_x, s)
+            x = slice_rows(e, self.l_x - take, self.l_x) if take < self.l_x else e
+            for block, dw in blocks:
+                x = block.forward(x, self.cfg, self.attention_mode, self.p_drop,
+                                  training, drop)
+                if dw:
+                    x = distill(x, dw)
+            parts.append(x)
+        return concat(parts, axis=0) if len(parts) > 1 else parts[0]
 
     # config_keys entries that live on the attention config
     n_heads = property(lambda self: self.cfg.n_heads)
@@ -332,6 +356,7 @@ class InformerModel(_SeqForecaster):
 
     kind = "informer"
     attention_mode = "prob"
+    distilling, decoder_layers = True, 2
     config_keys = ("data_dim", "d_model", "n_heads", "ff_width", "p_drop", "c",
                    "l_x", "l_token", "l_y", "n_stacks", "main_blocks", "stride")
 
@@ -343,43 +368,13 @@ class InformerModel(_SeqForecaster):
         super().__init__(data_dim, d_model, n_heads, ff_width, p_drop, c,
                          l_x, l_token, l_y, stride, seed)
 
-    def _build(self, rng):
-        # stack s runs on the tail ceil(L_x / 2^s) rows with one fewer block
-        self.stacks = []
-        for s in range(self.n_stacks):
-            blocks = [
-                (EncoderBlock(self.d_model, self.cfg.n_heads, self.ff_width, rng),
-                 DistillWeights(self.d_model, rng))
-                for _ in range(max(1, self.main_blocks - s))
-            ]
-            self.stacks.append(blocks)
-        self.decoder = [DecoderLayer(self.d_model, self.cfg.n_heads,
-                                     self.ff_width, rng) for _ in range(2)]
-
-    def params(self):
-        out = []
-        for blocks in self.stacks:
-            for block, dw in blocks:
-                out += block.params() + dw.params()
-        return out + self._shared_params()
-
-    def _encode(self, e: Tensor, training, drop):
-        parts = []
-        for s, blocks in enumerate(self.stacks):
-            take = _ceil_half(self.l_x, s)
-            x = slice_rows(e, self.l_x - take, self.l_x) if take < self.l_x else e
-            for block, dw in blocks:
-                x = block.forward(x, self.cfg, "prob", self.p_drop, training, drop)
-                x = distill(x, dw)
-            parts.append(x)
-        return concat(parts, axis=0) if len(parts) > 1 else parts[0]
-
 
 class VanillaTransformer(_SeqForecaster):
     """Dense-attention baseline: 3 encoder and 3 decoder layers, dropout 0.2."""
 
     kind = "vanilla"
     attention_mode = "full"
+    n_stacks, main_blocks, distilling, decoder_layers = 1, 3, False, 3
     config_keys = ("data_dim", "d_model", "n_heads", "ff_width", "p_drop",
                    "l_x", "l_token", "l_y", "stride")
 
@@ -387,24 +382,6 @@ class VanillaTransformer(_SeqForecaster):
                  p_drop=0.2, l_x=96, l_token=48, l_y=45, stride=2.0, seed=0):
         super().__init__(data_dim, d_model, n_heads, ff_width, p_drop, 5.0,
                          l_x, l_token, l_y, stride, seed)
-
-    def _build(self, rng):
-        self.enc_layers = [EncoderBlock(self.d_model, self.cfg.n_heads,
-                                        self.ff_width, rng) for _ in range(3)]
-        self.decoder = [DecoderLayer(self.d_model, self.cfg.n_heads,
-                                     self.ff_width, rng) for _ in range(3)]
-
-    def params(self):
-        out = []
-        for block in self.enc_layers:
-            out += block.params()
-        return out + self._shared_params()
-
-    def _encode(self, e: Tensor, training, drop):
-        x = e
-        for block in self.enc_layers:
-            x = block.forward(x, self.cfg, "full", self.p_drop, training, drop)
-        return x
 
 
 def gaussian_nll(mean: Tensor, log_var: Tensor, target) -> Tensor:

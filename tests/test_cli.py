@@ -212,6 +212,28 @@ class TestForecastEvaluate:
         txt = (out / "informer_report.txt").read_text()
         assert "MASE" in txt and "informer" in txt
 
+    def test_column_count_mismatch_exits_2_without_report(self, tmp_path,
+                                                          capsys):
+        """Same timestamps, one more site in --data than in the ensemble."""
+        fields_ = {}
+        for name, sites in (("a", 2), ("b", 3)):
+            conf = tmp_path / f"{name}.cfg"
+            conf.write_text(data.config_to_text(data.SyntheticFieldConfig(
+                n_sites=sites, wells_per_site=2, n_steps=220, seed=5)))
+            fields_[name] = tmp_path / name
+            assert run("generate", "--synthetic-config", str(conf),
+                       "--out", str(fields_[name])) == 0
+        out = fields_["a"]
+        args = ["--model", "vanilla", "--out", str(out), *COMMON, *ENC]
+        for command in ("train", "forecast"):
+            assert run(command, "--data", str(out / "data.csv"), *args) == 0
+        capsys.readouterr()
+        assert run("evaluate", "--data", str(fields_["b"] / "data.csv"),
+                   *args) == 2
+        assert "has 2 columns but the data group has 3" in \
+            capsys.readouterr().out
+        assert not list(out.glob("vanilla_report.*"))
+
     def test_missing_checkpoint_is_validation_error(self, small_field, tmp_path):
         csv_path, _, _ = small_field
         assert run("forecast", "--model", "timegrad", "--data", str(csv_path),
@@ -538,6 +560,36 @@ class TestArtifactWrites:
         for name, blob in before.items():
             if name not in replaced:
                 assert (out / name).read_bytes() == blob, name
+
+
+    @pytest.mark.parametrize("target", ["_all.gck", "_loss.csv"])
+    def test_rerun_after_failed_train_rename_gives_resume_bytes(
+            self, written, tmp_path, monkeypatch, target):
+        """Whichever of train's two renames fails, rerunning the same train
+        leaves the bytes of a resume that never failed."""
+        outs = {name: tmp_path / name for name in ("straight", "rerun")}
+        for out in outs.values():
+            shutil.copytree(written[0], out)
+
+        def train(out):
+            return run("train", "--model", "vanilla", "--data",
+                       str(out / "data.csv"), "--out", str(out), *COMMON, *ENC)
+
+        assert train(outs["straight"]) == 0
+        real_replace = os.replace
+
+        def replace_unless_target(src, dst):
+            if Path(dst).name.endswith(target):
+                raise OSError(f"rename onto {dst} refused")
+            real_replace(src, dst)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", replace_unless_target)
+            assert train(outs["rerun"]) == 4
+        assert train(outs["rerun"]) == 0
+        straight, rerun = ({f.name: f.read_bytes() for f in out.iterdir()}
+                           for out in outs.values())
+        assert rerun == straight
 
 
 class TestGroupings:

@@ -24,6 +24,19 @@ class TestRunConfig:
         parsed = vars(cli.build_parser().parse_args(["train"]))
         assert set(parsed) == {f.name for f in fields(cli.RunConfig)} | {"config"}
 
+    def test_unset_flags_parse_as_none(self):
+        parsed = vars(cli.build_parser().parse_args(["train", "--seed", "3"]))
+        assert parsed.pop("command") == "train" and parsed.pop("seed") == 3
+        assert set(parsed.values()) == {None}
+
+    @pytest.mark.parametrize("argv", [[], ["--seed", "3"], ["fit"]],
+                             ids=["none", "flag-only", "unknown"])
+    def test_missing_or_unknown_command_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "command" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field", RUN_FIELDS, ids=lambda f: f.name)
     def test_field_is_a_flag_and_a_config_key_of_one_type(self, field,
                                                           tmp_path):
@@ -97,6 +110,20 @@ class TestCheckpointRecords:
         assert rec["timegrad/eps/dims"].tolist() == [2, 8, 8, 128, 64]
         assert len(model.params()) == 24
 
+    @staticmethod
+    def transformer_shapes(enc_blocks, distilling, dec_layers):
+        """Parameter shapes in checkpoint order at d_model 8, 2 heads, ff
+        width 12 and 3 data columns: encoder blocks (each followed by its
+        distill kernel when distilling), both embeddings, decoder layers,
+        then the Gaussian head."""
+        attn = [(8, 4)] * 6 + [(8, 8)]
+        norm = [(8,), (8,)]
+        feed = [(8, 12), (12,), (12, 8), (8,)]
+        block = attn + norm + feed + norm + ([(8, 8, 3)] if distilling else [])
+        layer = attn + norm + attn + norm + feed + norm
+        return (block * enc_blocks + [(3, 8)] * 2 + layer * dec_layers
+                + [(8, 3), (3,), (8, 3), (3,)])
+
     @pytest.mark.parametrize("cls,extra,config,n_params,counts", [
         (InformerModel, dict(c=3.0, n_stacks=1, main_blocks=2),
          [3, 8, 2, 12, 0.25, 3.0, 10, 4, 5, 1, 2, 7.0], 86,
@@ -117,6 +144,10 @@ class TestCheckpointRecords:
         assert len(cls.config_keys) == len(config)
         assert Counter(arr.shape for name, arr in rec.items()
                        if "/p/" in name) == counts
+        # (encoder blocks, distilling, decoder layers) of each configuration
+        walk = {InformerModel: (2, True, 2), VanillaTransformer: (3, False, 3)}
+        assert [rec[f"{kind}/p/{i}"].shape for i in range(n_params)] == \
+            self.transformer_shapes(*walk[cls])
         clone = cls.from_records(rec)
         assert checkpoint.pack_records(clone.state_records()) == \
             checkpoint.pack_records(rec)

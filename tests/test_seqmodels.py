@@ -285,7 +285,8 @@ class TestVanillaWiring:
 
     def test_layer_counts(self):
         model = tiny_vanilla()
-        assert len(model.enc_layers) == 3
+        assert [[dw for _, dw in blocks] for blocks in model.stacks] == \
+            [[None] * 3]
         assert len(model.decoder) == 3
         assert len(tiny_informer().decoder) == 2
 
