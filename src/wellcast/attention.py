@@ -281,36 +281,38 @@ def probsparse_attention(qkv: QKV, cfg: AttentionConfig,
 
 
 class MultiHeadWeights:
-    """Per-head Q/K/V projections (d_model -> d) plus the output projection."""
+    """Fused Q/K/V projections (d_model -> d per head) and the output
+    projection: ``w_q`` [d_model, H d] holds head h in columns h d .. (h+1) d,
+    ``w_kv`` [d_model, 2 H d] every head's K block, then every V block.  The
+    blocks are drawn head by head (all Q, then K, then V), then laid out."""
 
     def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator):
-        d = d_model // n_heads
-        self.w_q = [parameter(rng, (d_model, d)) for _ in range(n_heads)]
-        self.w_k = [parameter(rng, (d_model, d)) for _ in range(n_heads)]
-        self.w_v = [parameter(rng, (d_model, d)) for _ in range(n_heads)]
+        blocks = parameter(rng, (3 * n_heads, d_model, d_model // n_heads),
+                           fan_in=d_model).data
+        self.w_q, self.w_kv = (
+            Tensor(np.swapaxes(b, 0, 1).reshape(d_model, -1), requires_grad=True)
+            for b in (blocks[:n_heads], blocks[n_heads:]))
         self.w_out = parameter(rng, (d_model, d_model))
 
     def params(self) -> list:
-        return self.w_q + self.w_k + self.w_v + [self.w_out]
+        return [self.w_q, self.w_kv, self.w_out]
 
 
 def multi_head(x_q: Tensor, x_kv: Tensor, weights: MultiHeadWeights,
                cfg: AttentionConfig, mode: str = "full",
                causal: bool = False) -> Tensor:
     """Project, attend per head, concatenate, and project back to d_model,
-    recorded as one tape node over x_q, x_kv and every weight.
+    recorded as one tape node over x_q, x_kv and the three weights.
 
-    Each side is projected by one matmul against its heads' weights side by
-    side; the heads then run as one batch through ``_attend``.  Residual
-    connections and layer normalization are the caller's job.
+    Each side is projected by one matmul against its fused weight; the heads
+    then run as one batch through ``_attend``.  Residual connections and
+    layer normalization are the caller's job.
     """
     if mode not in ("full", "prob"):
         raise ParameterError(f"mode must be 'full' or 'prob', got {mode!r}")
     l_q, l_k = x_q.shape[0], x_kv.shape[0]
-    n_heads = len(weights.w_q)
-    w_q = np.concatenate([w.data for w in weights.w_q], axis=1)
-    w_kv = np.concatenate([w.data for w in weights.w_k + weights.w_v], axis=1)
-    w_out = weights.w_out.data
+    n_heads = cfg.n_heads
+    w_q, w_kv, w_out = (w.data for w in weights.params())
     width = w_q.shape[1]
     d = width // n_heads
 
@@ -334,9 +336,7 @@ def multi_head(x_q: Tensor, x_kv: Tensor, weights: MultiHeadWeights,
         d_kv = np.concatenate([join_heads(d_k), join_heads(d_v)], axis=1)
         return (d_q @ w_q.T if x_q.requires_grad else None,
                 d_kv @ w_kv.T if x_kv.requires_grad else None,
-                *np.split(x_q.data.T @ d_q, n_heads, axis=1),
-                *np.split(x_kv.data.T @ d_kv, 2 * n_heads, axis=1),
-                joined.T @ g)
+                x_q.data.T @ d_q, x_kv.data.T @ d_kv, joined.T @ g)
 
     return _record((x_q, x_kv, *weights.params()), joined @ w_out, bwd)
 

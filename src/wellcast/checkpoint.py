@@ -119,10 +119,16 @@ def read(records: dict, name: str, shape: tuple | None = None) -> np.ndarray:
     return arr.copy()
 
 
+def _stored_values(records: dict) -> int:
+    return sum(arr.size for arr in records.values())
+
+
 def read_int(records: dict, name: str, index: int,
-             shape: tuple | None = None) -> int:
+             shape: tuple | None = None, size: bool = False) -> int:
     """Entry ``index`` of record ``name`` (read as by ``read``) as an int;
-    FormatError unless the entry exists and is finite and integral."""
+    FormatError unless the entry exists and is finite and integral.  A
+    ``size`` shapes an allocation, so it must also lie between 1 and the
+    number of float64 values the records hold."""
     flat = read(records, name, shape).reshape(-1)
     if index >= flat.size:
         raise FormatError(f"record {name!r} has no entry {index}")
@@ -130,7 +136,27 @@ def read_int(records: dict, name: str, index: int,
     if not (np.isfinite(value) and value == np.floor(value)):
         raise FormatError(f"record {name!r} entry {index} is {value!r}, "
                           f"expected an integer")
+    if size and not 1 <= value <= _stored_values(records):
+        raise FormatError(f"record {name!r} entry {index} is {value!r}, "
+                          f"expected a size from 1 to {_stored_values(records)}")
     return int(value)
+
+
+class Undrawn:
+    """Init stream for a model whose parameters are then set from
+    ``records``: each ``uniform`` draw is left unset, and FormatError once
+    the draws ask for more values than the records hold, which a model that
+    the records can fill never does."""
+
+    def __init__(self, records: dict):
+        self.budget = _stored_values(records)
+
+    def uniform(self, low, high, size) -> np.ndarray:
+        self.budget -= math.prod(size)
+        if self.budget < 0:
+            raise FormatError("checkpoint config asks for more parameter "
+                              "values than the checkpoint holds")
+        return np.empty(size)
 
 
 def load_params(records: dict, named: dict) -> None:

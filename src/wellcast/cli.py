@@ -249,11 +249,6 @@ def cmd_forecast(cfg: RunConfig) -> None:
         context, context_ts, target_ts = _group_context(cfg, model, gpanel)
         ens = model.forecast(context, context_ts, target_ts, cfg.samples,
                              cfg.seed)
-        checkpoint.save(_ensemble_path(cfg, group), {
-            "ensemble/samples": ens.samples,
-            "ensemble/timestamps": target_ts,
-            "ensemble/denormalized": np.array([1.0]),
-        })
         k = gpanel.split_index
         chosen = evaluation.quantile_path(ens, cfg.quantile)
         lo = evaluation.quantile_path(ens, 0.05)
@@ -270,6 +265,12 @@ def cmd_forecast(cfg: RunConfig) -> None:
                 title=f"{cfg.model} {site} {channel} "
                       f"(quantile {cfg.quantile:.2f}, band 0.05-0.95)")
             checkpoint.atomic_write(out / f"{stem}.svg", svg)
+        # the ensemble goes last, so a present one marks a complete set
+        checkpoint.save(_ensemble_path(cfg, group), {
+            "ensemble/samples": ens.samples,
+            "ensemble/timestamps": target_ts,
+            "ensemble/denormalized": np.array([1.0]),
+        })
         log(command="forecast", model=cfg.model, group=group,
             samples=cfg.samples, horizon=cfg.horizon,
             ensemble=_ensemble_path(cfg, group))

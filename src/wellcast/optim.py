@@ -5,8 +5,11 @@ adaptive update, so lr = 0 is an exact fixed point and a zero gradient with
 nonzero decay shrinks weights by exactly that factor.
 
 The moments of consecutive parameters share flat blocks of at most
-``BLOCK_ELEMENTS`` values (a larger parameter gets a block of its own);
-``m[i]`` and ``v[i]`` are views of them shaped like parameter i.  A step
+``BLOCK_ELEMENTS`` values (a larger parameter gets a block of its own),
+cut from one zeroed array per moment; ``m[i]`` and ``v[i]`` are views of
+them shaped like parameter i.  A large zeroed array comes as fresh pages
+that take memory only once written, so an optimizer that never steps
+holds almost no moment memory.  A step
 updates each run of a block's consecutive parameters that have gradients
 at once: one concatenate gathers their gradients, and a dozen in-place
 vector ops over the run give every element the arithmetic of the
@@ -51,14 +54,17 @@ class AdamW:
         self.m, self.v = [], []
         # (first parameter index, element offsets of its parameters, m, v)
         self._blocks = []
-        first = 0
+        total = sum(p.size for p in self.params)
+        m_all, v_all = np.zeros(total), np.zeros(total)
+        first = start = 0
         while first < len(self.params):
             offsets = [0]
             for p in self.params[first:]:
                 if len(offsets) > 1 and offsets[-1] + p.size > BLOCK_ELEMENTS:
                     break
                 offsets.append(offsets[-1] + p.size)
-            m, v = np.zeros(offsets[-1]), np.zeros(offsets[-1])
+            stop = start + offsets[-1]
+            m, v, start = m_all[start:stop], v_all[start:stop], stop
             for k, p in enumerate(self.params[first:first + len(offsets) - 1]):
                 self.m.append(m[offsets[k]:offsets[k + 1]].reshape(p.shape))
                 self.v.append(v[offsets[k]:offsets[k + 1]].reshape(p.shape))

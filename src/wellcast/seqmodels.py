@@ -26,7 +26,7 @@ import numpy as np
 from . import rng as rng_mod
 from .attention import (AttentionConfig, DistillWeights, MultiHeadWeights,
                         distill, multi_head)
-from .checkpoint import load_params, read, read_int
+from .checkpoint import Undrawn, load_params, read, read_int
 from .errors import ContractError, ParameterError, TrainingError
 from .evaluation import ForecastEnsemble
 # backward stays bound here although fit walks the tape from timegrad:
@@ -206,7 +206,7 @@ class _SeqForecaster:
     config_keys: tuple = ()
 
     def __init__(self, data_dim, d_model, n_heads, ff_width, p_drop, c,
-                 l_x, l_token, l_y, stride, seed):
+                 l_x, l_token, l_y, stride, seed, init_rng=None):
         if l_token > l_x:
             raise ParameterError(f"start token {l_token} longer than context {l_x}")
         if min(l_x, l_token, l_y) < 1:
@@ -222,7 +222,7 @@ class _SeqForecaster:
         self.stride = float(stride)
         self.seed = int(seed)
         self.decoder_forward_count = 0
-        rng = rng_mod.stream(seed, rng_mod.TRAIN, 7000)
+        rng = init_rng or rng_mod.stream(seed, rng_mod.TRAIN, 7000)
         self.embed_enc = ValueEmbedding(data_dim, d_model, rng)
         self.embed_dec = ValueEmbedding(data_dim, d_model, rng)
         # stack s runs on the tail ceil(L_x / 2^s) rows with one fewer block
@@ -278,14 +278,16 @@ class _SeqForecaster:
 
     @classmethod
     def from_records(cls, rec: dict):
-        """Rebuild from ``<kind>/config``; a keyword whose default is a float
-        is read as a float, every other one as a checked int."""
+        """Rebuild from ``<kind>/config`` without drawing an initialisation;
+        a keyword whose default is a float is read as a float, every other
+        one as a checked size."""
         name = f"{cls.kind}/config"
         vec = read(rec, name, (len(cls.config_keys),))
         defaults = inspect.signature(cls).parameters
         model = cls(**{k: float(vec[i]) if isinstance(defaults[k].default, float)
-                       else read_int(rec, name, i)
-                       for i, k in enumerate(cls.config_keys)})
+                       else read_int(rec, name, i, size=True)
+                       for i, k in enumerate(cls.config_keys)},
+                    init_rng=Undrawn(rec))
         load_params(rec, model.named_params())
         return model
 
@@ -362,11 +364,11 @@ class InformerModel(_SeqForecaster):
 
     def __init__(self, data_dim, d_model=64, n_heads=4, ff_width=128,
                  p_drop=0.1, c=5.0, l_x=96, l_token=48, l_y=45,
-                 n_stacks=2, main_blocks=2, stride=2.0, seed=0):
+                 n_stacks=2, main_blocks=2, stride=2.0, seed=0, init_rng=None):
         self.n_stacks = int(n_stacks)
         self.main_blocks = int(main_blocks)
         super().__init__(data_dim, d_model, n_heads, ff_width, p_drop, c,
-                         l_x, l_token, l_y, stride, seed)
+                         l_x, l_token, l_y, stride, seed, init_rng)
 
 
 class VanillaTransformer(_SeqForecaster):
@@ -379,9 +381,10 @@ class VanillaTransformer(_SeqForecaster):
                    "l_x", "l_token", "l_y", "stride")
 
     def __init__(self, data_dim, d_model=64, n_heads=4, ff_width=128,
-                 p_drop=0.2, l_x=96, l_token=48, l_y=45, stride=2.0, seed=0):
+                 p_drop=0.2, l_x=96, l_token=48, l_y=45, stride=2.0, seed=0,
+                 init_rng=None):
         super().__init__(data_dim, d_model, n_heads, ff_width, p_drop, 5.0,
-                         l_x, l_token, l_y, stride, seed)
+                         l_x, l_token, l_y, stride, seed, init_rng)
 
 
 def gaussian_nll(mean: Tensor, log_var: Tensor, target) -> Tensor:

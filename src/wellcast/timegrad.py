@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rng_mod
-from .checkpoint import load_params, read, read_int
+from .checkpoint import Undrawn, load_params, read, read_int
 # reverse_step stays bound here although forecast samples through
 # diffusion.sample: bench/tracing.py wraps timegrad.reverse_step by name
 from .diffusion import (EpsilonNet, NoiseSchedule, build_schedule, ddpm_loss,
@@ -186,7 +186,7 @@ class TimeGradModel:
                  context_length: int = 90, prediction_length: int = 45,
                  sched: NoiseSchedule | None = None, loss_norm: str = "l1",
                  scale_by_variance: bool = False, paper_literal_sampler: bool = False,
-                 seed: int = 0):
+                 seed: int = 0, init_rng=None):
         if context_length < 1 or prediction_length < 1:
             raise ParameterError("context and prediction lengths must be >= 1")
         if loss_norm not in ("l1", "l2"):
@@ -199,7 +199,7 @@ class TimeGradModel:
         self.scale_by_variance = bool(scale_by_variance)
         self.paper_literal_sampler = bool(paper_literal_sampler)
         self.sched = sched if sched is not None else build_schedule()
-        rng = rng_mod.stream(seed, rng_mod.TRAIN, 9000)
+        rng = init_rng or rng_mod.stream(seed, rng_mod.TRAIN, 9000)
         self.layers = [GRUCell(data_dim if i == 0 else hidden_dim, hidden_dim, rng)
                        for i in range(int(n_layers))]
         self.eps_net = EpsilonNet(data_dim, hidden_dim, self.sched.n_steps, rng=rng)
@@ -298,10 +298,13 @@ class TimeGradModel:
         sizes = ("data_dim", "hidden_dim", "n_layers", "context_length",
                  "prediction_length")
         model = cls(
-            **{k: read_int(rec, "timegrad/config", i) for i, k in enumerate(sizes)},
-            sched=build_schedule(read_int(rec, "timegrad/sched", 0), sc[1], sc[2]),
+            **{k: read_int(rec, "timegrad/config", i, size=True)
+               for i, k in enumerate(sizes)},
+            sched=build_schedule(read_int(rec, "timegrad/sched", 0, size=True),
+                                 sc[1], sc[2]),
             loss_norm="l1" if cfg[5] == 1.0 else "l2",
-            scale_by_variance=bool(cfg[6]), paper_literal_sampler=bool(cfg[7]))
+            scale_by_variance=bool(cfg[6]), paper_literal_sampler=bool(cfg[7]),
+            init_rng=Undrawn(rec))
         load_params(rec, model.named_params())
         return model
 

@@ -330,8 +330,9 @@ class TestMultiHead:
         d_model = 4
         cfg = AttentionConfig(d_model=d_model, n_heads=1, c=5.0)
         weights = MultiHeadWeights(d_model, 1, rng)
-        for w in (weights.w_q[0], weights.w_k[0], weights.w_v[0], weights.w_out):
-            w.data = np.eye(d_model)
+        assert [w.shape for w in weights.params()] == [(4, 4), (4, 8), (4, 4)]
+        weights.w_q.data = weights.w_out.data = np.eye(d_model)
+        weights.w_kv.data = np.hstack([np.eye(d_model)] * 2)
         x = Tensor(rng.normal(size=(6, d_model)))
         out = multi_head(x, x, weights, cfg, mode="full")
         direct = full_attention(QKV(x, x, x))
@@ -345,10 +346,12 @@ class TestMultiHead:
         weights.w_out.data = np.eye(d_model)  # expose the concatenation
         x = Tensor(rng.normal(size=(5, d_model)))
         out = multi_head(x, x, weights, cfg, mode="full").data
-        # swap the two heads' projection weights
-        weights.w_q.reverse(); weights.w_k.reverse(); weights.w_v.reverse()
-        swapped = multi_head(x, x, weights, cfg, mode="full").data
+        # swap the two heads' column blocks of Q, of K and of V
         d = d_model // n_heads
+        swap = np.r_[d:2 * d, 0:d]
+        weights.w_q.data = weights.w_q.data[:, swap]
+        weights.w_kv.data = weights.w_kv.data[:, np.r_[swap, swap + d_model]]
+        swapped = multi_head(x, x, weights, cfg, mode="full").data
         assert np.allclose(out[:, :d], swapped[:, d:], atol=1e-12)
         assert np.allclose(out[:, d:], swapped[:, :d], atol=1e-12)
 
@@ -363,19 +366,26 @@ class TestMultiHead:
             return T.tsum(T.mul(multi_head(x, x, weights, cfg, mode="full",
                                            causal=True), w))
 
-        check_gradients(make_loss, [x] + weights.params()[:2])
+        check_gradients(make_loss, [x, weights.w_q])
 
 
 def reference_multi_head(x_q, x_kv, weights, cfg, mode, causal):
-    """multi_head from one-head tape ops, with the query selection written
-    out here; returns the output and the expected COUNTER deltas."""
+    """multi_head from one-head tape ops on column blocks of the fused
+    weights, with the query selection written out here; returns the output
+    and the expected COUNTER deltas."""
     l_q, l_k = x_q.shape[0], x_kv.shape[0]
     mask = causal_mask(l_q, l_k) if causal else np.ones((l_q, l_k), bool)
     counts = mask.sum(axis=1)
     heads, measure_dots, attention_dots = [], 0, 0
-    for w_q, w_k, w_v in zip(weights.w_q, weights.w_k, weights.w_v):
-        q, k, v = T.matmul(x_q, w_q), T.matmul(x_kv, w_k), T.matmul(x_kv, w_v)
-        d = q.shape[1]
+    d, width = cfg.d, cfg.d_model
+
+    def columns(w, lo):  # w[:, lo:lo + d], on the tape
+        return T.transpose(T.slice_rows(T.transpose(w), lo, lo + d))
+
+    for lo in range(0, width, d):
+        q = T.matmul(x_q, columns(weights.w_q, lo))
+        k = T.matmul(x_kv, columns(weights.w_kv, lo))
+        v = T.matmul(x_kv, columns(weights.w_kv, width + lo))
         scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(d))
         probs = T.softmax(T.add(scores, T.constant(np.where(mask, 0.0, -np.inf))),
                           axis=1)

@@ -14,6 +14,7 @@ import wellcast
 from wellcast import checkpoint, data
 from wellcast.cli import main
 from wellcast.evaluation import MetricsReport
+from wellcast.seqmodels import InformerModel
 
 
 def run(*argv):
@@ -444,6 +445,74 @@ class TestMalformedInputs:
         assert f"record {name!r} entry {index}" in printed.out
         assert "Traceback" not in printed.out + printed.err
 
+    @pytest.mark.parametrize("model,name,index,value,sizes", [
+        ("informer", "informer/config", 3, 2.0 ** 40, ENC),  # ff_width
+        ("informer", "informer/config", 2, 0.0, ENC),  # n_heads
+        ("informer", "informer/config", 0, -4.0, ENC),  # data_dim
+        ("timegrad", "timegrad/config", 1, 2.0 ** 40, SIZES),  # hidden_dim
+        ("timegrad", "timegrad/sched", 0, 2.0 ** 40, SIZES)])  # step count
+    def test_out_of_range_size_forecast_exits_2(
+            self, initial, tmp_path, capsys, model, name, index, value, sizes):
+        """A size outside 1 .. the stored value count is refused before
+        anything is allocated for it."""
+        csv_path, out = initial
+        rec = checkpoint.load(out / f"{model}_all.gck")
+        rec[name][index] = value
+        checkpoint.save(tmp_path / f"{model}_all.gck", rec)
+        capsys.readouterr()
+        assert run("forecast", "--model", model, "--data", str(csv_path),
+                   "--out", str(tmp_path), *COMMON, *sizes) == 2
+        printed = capsys.readouterr()
+        assert f"record {name!r} entry {index}" in printed.out
+        assert "expected a size" in printed.out
+        assert "Traceback" not in printed.out + printed.err
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_sizes_that_overflow_the_checkpoint_together_exit_2(
+            self, initial, tmp_path, capsys):
+        """d_model within the bound on its own still squares past what the
+        checkpoint holds; the load stops before that allocation."""
+        csv_path, out = initial
+        rec = checkpoint.load(out / "informer_all.gck")
+        stored = sum(arr.size for arr in rec.values())
+        rec["informer/config"][1] = stored - stored % 4  # d_model, 4 heads
+        checkpoint.save(tmp_path / "informer_all.gck", rec)
+        capsys.readouterr()
+        assert run("forecast", "--model", "informer", "--data", str(csv_path),
+                   "--out", str(tmp_path), *COMMON, *ENC) == 2
+        printed = capsys.readouterr()
+        assert "more parameter values than the checkpoint holds" in printed.out
+        assert "Traceback" not in printed.out + printed.err
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_per_head_attention_checkpoint_exits_2(self, initial, tmp_path,
+                                                   capsys):
+        """A checkpoint from before the attention weights were fused (13
+        arrays per attention layer) fails the first shape check."""
+        csv_path, out = initial
+        rec = checkpoint.load(out / "informer_all.gck")
+        model = InformerModel.from_records(rec)
+        layers = [block.attn for blocks in model.stacks for block, _ in blocks]
+        layers += [attn for layer in model.decoder
+                   for attn in (layer.self_attn, layer.cross_attn)]
+        heads = model.cfg.n_heads
+        pieces = {}
+        for attn in layers:
+            pieces[id(attn.w_q)] = np.split(attn.w_q.data, heads, axis=1)
+            pieces[id(attn.w_kv)] = np.split(attn.w_kv.data, 2 * heads, axis=1)
+        arrays = [a for p in model.params() for a in pieces.get(id(p), [p.data])]
+        assert len(arrays) == 144
+        old = {"informer/config": rec["informer/config"]}
+        old.update({f"informer/p/{i}": a for i, a in enumerate(arrays)})
+        checkpoint.save(tmp_path / "informer_all.gck", old)
+        capsys.readouterr()
+        assert run("forecast", "--model", "informer", "--data", str(csv_path),
+                   "--out", str(tmp_path), *COMMON, *ENC) == 2
+        printed = capsys.readouterr()
+        assert "record 'informer/p/0' has shape (64, 16)" in printed.out
+        assert "Traceback" not in printed.out + printed.err
+        assert not (tmp_path / "informer_all_ensemble.gck").exists()
+
     @pytest.mark.parametrize("name,value", [("opt/step", -np.inf),
                                             ("meta/epochs_done", np.nan),
                                             ("meta/epochs_done", 1.5)])
@@ -560,6 +629,32 @@ class TestArtifactWrites:
         for name, blob in before.items():
             if name not in replaced:
                 assert (out / name).read_bytes() == blob, name
+
+    @pytest.mark.parametrize("target", ["_plot.csv", ".svg"])
+    def test_failed_plot_rename_keeps_previous_ensemble(
+            self, written, tmp_path, monkeypatch, target):
+        """forecast writes the ensemble after every plot, so a present
+        ensemble marks a complete set for its group."""
+        out = tmp_path / "out"
+        shutil.copytree(written[0], out)
+        ensemble = out / "vanilla_all_ensemble.gck"
+        before = ensemble.read_bytes()
+        argv = ["forecast", "--model", "vanilla", "--data",
+                str(out / "data.csv"), "--out", str(out), *COMMON, *ENC,
+                "--seed", "4"]
+        real_replace = os.replace
+
+        def replace_unless_target(src, dst):
+            if Path(dst).name.endswith(target):
+                raise OSError(f"rename onto {dst} refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_unless_target)
+        assert run(*argv) == 4
+        assert ensemble.read_bytes() == before
+        monkeypatch.undo()
+        assert run(*argv) == 0
+        assert ensemble.read_bytes() != before  # the failed run had a new one
 
 
     @pytest.mark.parametrize("target", ["_all.gck", "_loss.csv"])

@@ -116,7 +116,7 @@ class TestCheckpointRecords:
         width 12 and 3 data columns: encoder blocks (each followed by its
         distill kernel when distilling), both embeddings, decoder layers,
         then the Gaussian head."""
-        attn = [(8, 4)] * 6 + [(8, 8)]
+        attn = [(8, 8), (8, 16), (8, 8)]  # w_q, w_kv, w_out
         norm = [(8,), (8,)]
         feed = [(8, 12), (12,), (12, 8), (8,)]
         block = attn + norm + feed + norm + ([(8, 8, 3)] if distilling else [])
@@ -126,12 +126,12 @@ class TestCheckpointRecords:
 
     @pytest.mark.parametrize("cls,extra,config,n_params,counts", [
         (InformerModel, dict(c=3.0, n_stacks=1, main_blocks=2),
-         [3, 8, 2, 12, 0.25, 3.0, 10, 4, 5, 1, 2, 7.0], 86,
-         {(8, 4): 36, (8, 8): 6, (8,): 24, (8, 12): 4, (12,): 4, (12, 8): 4,
+         [3, 8, 2, 12, 0.25, 3.0, 10, 4, 5, 1, 2, 7.0], 62,
+         {(8, 8): 12, (8, 16): 6, (8,): 24, (8, 12): 4, (12,): 4, (12, 8): 4,
           (8, 8, 3): 2, (3, 8): 2, (8, 3): 2, (3,): 2}),
         (VanillaTransformer, {},
-         [3, 8, 2, 12, 0.25, 10, 4, 5, 7.0], 123,
-         {(8, 4): 54, (8, 8): 9, (8,): 36, (8, 12): 6, (12,): 6, (12, 8): 6,
+         [3, 8, 2, 12, 0.25, 10, 4, 5, 7.0], 87,
+         {(8, 8): 18, (8, 16): 9, (8,): 36, (8, 12): 6, (12,): 6, (12, 8): 6,
           (3, 8): 2, (8, 3): 2, (3,): 2})])
     def test_transformer_records(self, cls, extra, config, n_params, counts):
         model = cls(3, d_model=8, n_heads=2, ff_width=12, p_drop=0.25, l_x=10,
