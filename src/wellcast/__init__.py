@@ -18,8 +18,7 @@ from .evaluation import (ForecastEnsemble, MetricsReport, best_quantile,
 from .seqmodels import (InformerModel, VanillaTransformer, gaussian_nll,
                         sample_paths)
 from .tensor import Tensor, backward, no_grad
-from .timegrad import (GRUCell, TimeGradModel, fit, forecast, gru_step,
-                       normalize_window)
+from .timegrad import GRUCell, TimeGradModel, fit, forecast, normalize_window
 
 __all__ = [
     "SeriesPanel", "SyntheticFieldConfig", "generate_synthetic", "load_csv",
@@ -30,6 +29,5 @@ __all__ = [
     "mase", "mse", "quantile_path",
     "InformerModel", "VanillaTransformer", "gaussian_nll", "sample_paths",
     "Tensor", "backward", "no_grad",
-    "GRUCell", "TimeGradModel", "fit", "forecast", "gru_step",
-    "normalize_window",
+    "GRUCell", "TimeGradModel", "fit", "forecast", "normalize_window",
 ]

@@ -73,8 +73,9 @@ class AttentionConfig:
         if self.d_model % self.n_heads != 0:
             raise ParameterError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if self.c <= 0:
-            raise ParameterError("sampling constant c must be positive")
+        if not 0 < self.c < np.inf:  # also rejects nan
+            raise ParameterError(
+                f"sampling constant c must be positive and finite, got {self.c}")
 
     @property
     def d(self) -> int:
@@ -342,9 +343,8 @@ def multi_head(x_q: Tensor, x_kv: Tensor, weights: MultiHeadWeights,
 
 
 class DistillWeights:
-    def __init__(self, d_model: int, rng: np.random.Generator, width: int = 3):
-        self.kernels = parameter(rng, (d_model, d_model, width),
-                                 fan_in=d_model * width)
+    def __init__(self, d_model: int, rng: np.random.Generator):
+        self.kernels = parameter(rng, (d_model, d_model, 3), fan_in=d_model * 3)
 
     def params(self) -> list:
         return [self.kernels]

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint, data, evaluation, seqmodels, timegrad
-from .errors import ParameterError, TrainingError, ValidationError
+from .errors import FormatError, ParameterError, TrainingError, ValidationError
 from .evaluation import ForecastEnsemble, MetricsReport, SiteMetrics
 from .optim import AdamW
 
@@ -128,13 +128,6 @@ def _build_model(cfg: RunConfig, dim: int, stride: float):
         l_y=cfg.horizon, stride=stride, seed=cfg.seed)
 
 
-def _load_model(cfg: RunConfig, rec: dict):
-    if f"{cfg.model}/config" not in rec:
-        raise ParameterError(
-            f"checkpoint does not contain a {cfg.model} model")
-    return MODELS[cfg.model].from_records(rec)
-
-
 def _check_resume(cfg: RunConfig, ckpt: Path, fresh, rec: dict) -> None:
     """Refuse to resume a checkpoint under flags it was not trained with."""
     key = f"{cfg.model}/config"
@@ -182,7 +175,7 @@ def cmd_train(cfg: RunConfig) -> None:
         model = _build_model(cfg, gpanel.values.shape[1], float(gpanel.stride))
         if ckpt.exists():
             rec = checkpoint.load(ckpt)
-            fresh, model = model, _load_model(cfg, rec)
+            fresh, model = model, MODELS[cfg.model].from_records(rec)
             _check_resume(cfg, ckpt, fresh, rec)
             start_epoch = checkpoint.read_int(rec, "meta/epochs_done", 0, (1,))
             opt = AdamW(model.params(), lr=cfg.lr)
@@ -245,7 +238,7 @@ def cmd_forecast(cfg: RunConfig) -> None:
         ckpt = _ckpt_path(cfg, group)
         if not ckpt.exists():
             raise ParameterError(f"checkpoint {ckpt} not found; train first")
-        model = _load_model(cfg, checkpoint.load(ckpt))
+        model = MODELS[cfg.model].from_records(checkpoint.load(ckpt))
         context, context_ts, target_ts = _group_context(cfg, model, gpanel)
         ens = model.forecast(context, context_ts, target_ts, cfg.samples,
                              cfg.seed)
@@ -269,7 +262,6 @@ def cmd_forecast(cfg: RunConfig) -> None:
         checkpoint.save(_ensemble_path(cfg, group), {
             "ensemble/samples": ens.samples,
             "ensemble/timestamps": target_ts,
-            "ensemble/denormalized": np.array([1.0]),
         })
         log(command="forecast", model=cfg.model, group=group,
             samples=cfg.samples, horizon=cfg.horizon,
@@ -287,6 +279,9 @@ def cmd_evaluate(cfg: RunConfig) -> None:
             raise ParameterError(f"ensemble {ens_path} not found; forecast first")
         rec = checkpoint.load(ens_path)
         samples = checkpoint.read(rec, "ensemble/samples")
+        if not np.isfinite(samples).all():
+            raise FormatError(f"record 'ensemble/samples' of {ens_path} holds "
+                              f"non-finite values")
         ens = ForecastEnsemble(samples=samples, timestamps=checkpoint.read(
             rec, "ensemble/timestamps", samples.shape[1:2]))
         if ens.n_dims != len(gpanel.columns):

@@ -124,8 +124,7 @@ def split(panel: SeriesPanel, train_fraction: float = 0.8) -> tuple:
     return train, test
 
 
-def truncate_at_breakthrough(panel: SeriesPanel,
-                             water_channel: str = WATER) -> SeriesPanel:
+def truncate_at_breakthrough(panel: SeriesPanel) -> SeriesPanel:
     """Drop all timesteps before water production starts.
 
     Every column is cut identically at the latest first-nonzero index over
@@ -133,9 +132,9 @@ def truncate_at_breakthrough(panel: SeriesPanel,
     through at the new start.  The split is recomputed on the new length.
     """
     water_cols = [i for i, (_, ch) in enumerate(panel.columns)
-                  if ch == water_channel]
+                  if ch == WATER]
     if not water_cols:
-        raise ParameterError(f"panel has no {water_channel!r} channel")
+        raise ParameterError(f"panel has no {WATER!r} channel")
     start = 0
     for i in water_cols:
         nz = np.flatnonzero(panel.values[:, i] > 0.0)
@@ -315,10 +314,18 @@ class SyntheticFieldConfig:
             raise ParameterError("need at least one site and one well per site")
         if self.n_steps < 2:
             raise ParameterError("need at least two timesteps")
+        for f in fields(self):  # each range is drawn from by rng.uniform
+            ends = getattr(self, f.name)
+            if isinstance(ends, tuple) and not (np.isfinite(ends).all()
+                                                and ends[0] <= ends[1]):
+                raise ParameterError(f"{f.name} needs finite lo <= hi, got "
+                                     f"{ends[0]},{ends[1]}")
         if self.q_init_range[0] <= 0 or self.decline_range[0] <= 0:
             raise ParameterError("q_i and D_i must be positive")
-        if not (0.0 <= self.b_range[0] <= self.b_range[1] <= 1.0):
-            raise ParameterError("b range must sit inside [0, 1]")
+        for name in ("b_range", "water_cut_max_range"):
+            lo, hi = getattr(self, name)
+            if not 0.0 <= lo <= hi <= 1.0:
+                raise ParameterError(f"{name} must sit inside [0, 1]")
         if self.noise_scale < 0:
             raise ParameterError("noise_scale must be nonnegative")
         for name in ("surge_decay_steps", "water_ramp_steps"):  # each divides

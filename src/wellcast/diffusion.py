@@ -161,10 +161,8 @@ class EpsilonNet:
     """
 
     def __init__(self, data_dim: int, cond_dim: int, n_steps: int,
-                 hidden: int = 128, embed_dim: int = 64,
-                 rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+                 hidden: int = 128, embed_dim: int = 64, *,
+                 rng: np.random.Generator):
         self.data_dim = int(data_dim)
         self.cond_dim = int(cond_dim)
         self.n_steps = int(n_steps)

@@ -24,7 +24,6 @@ class ForecastEnsemble:
 
     samples: np.ndarray
     timestamps: np.ndarray | None = None
-    denormalized: bool = True
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -192,8 +191,7 @@ def write_plot_csv(path, timestamps, truth, prediction, q_low, q_high) -> None:
     checkpoint.atomic_write(path, "\n".join(lines) + "\n")
 
 
-def svg_line_chart(timestamps, series: dict, band=None, title: str = "",
-                   width: int = 800, height: int = 400) -> str:
+def svg_line_chart(timestamps, series: dict, band=None, title: str = "") -> str:
     """Self-contained SVG line chart.
 
     series maps label -> 1-D array; band is an optional (low, high) pair
@@ -209,7 +207,7 @@ def svg_line_chart(timestamps, series: dict, band=None, title: str = "",
         ymax = ymin + 1.0
     pad = 0.05 * (ymax - ymin)
     ymin, ymax = ymin - pad, ymax + pad
-    ml, mr, mt, mb = 60, 15, 30, 35
+    width, height, ml, mr, mt, mb = 800, 400, 60, 15, 30, 35
     pw, ph = width - ml - mr, height - mt - mb
 
     def sx(t):

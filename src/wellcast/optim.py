@@ -26,7 +26,7 @@ from itertools import groupby
 import numpy as np
 
 from .checkpoint import read, read_int
-from .errors import ParameterError, TrainingError
+from .errors import FormatError, ParameterError, TrainingError
 from .tensor import Tensor
 
 BLOCK_ELEMENTS = 15_000
@@ -36,20 +36,13 @@ class AdamW:
     def __init__(self, params: list[Tensor], lr: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999,
                  epsilon: float = 1e-8, weight_decay: float = 0.0):
-        if not lr >= 0:  # also rejects nan
-            raise ParameterError(f"learning rate must be nonnegative, got {lr}")
-        if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-            raise ParameterError("betas must lie in (0, 1)")
-        if epsilon <= 0:
-            raise ParameterError("epsilon must be positive")
-        if weight_decay < 0:
-            raise ParameterError("weight_decay must be nonnegative")
         self.params = list(params)
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.epsilon = float(epsilon)
         self.weight_decay = float(weight_decay)
+        self._check_hyper(ParameterError)
         self.step_count = 0
         self.m, self.v = [], []
         # (first parameter index, element offsets of its parameters, m, v)
@@ -70,6 +63,17 @@ class AdamW:
                 self.v.append(v[offsets[k]:offsets[k + 1]].reshape(p.shape))
             self._blocks.append((first, offsets, m, v))
             first += len(offsets) - 1
+
+    def _check_hyper(self, error) -> None:
+        # negated comparisons, so nan fails them too
+        if not self.lr >= 0:
+            raise error(f"learning rate must be nonnegative, got {self.lr}")
+        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
+            raise error("betas must lie in (0, 1)")
+        if not self.epsilon > 0:
+            raise error("epsilon must be positive")
+        if not self.weight_decay >= 0:
+            raise error("weight_decay must be nonnegative")
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -119,22 +123,26 @@ class AdamW:
                                       offsets[k + r + 1] - lo].reshape(p.shape)
                 k += len(run)
 
-    def state_records(self, prefix: str = "opt") -> dict:
+    def state_records(self) -> dict:
         """Moment arrays and counters as flat named records for checkpoints."""
         rec = {
-            f"{prefix}/step": np.array([float(self.step_count)]),
-            f"{prefix}/hyper": np.array([self.lr, self.beta1, self.beta2,
-                                         self.epsilon, self.weight_decay]),
+            "opt/step": np.array([float(self.step_count)]),
+            "opt/hyper": np.array([self.lr, self.beta1, self.beta2,
+                                   self.epsilon, self.weight_decay]),
         }
         for i in range(len(self.params)):
-            rec[f"{prefix}/m/{i}"] = self.m[i]
-            rec[f"{prefix}/v/{i}"] = self.v[i]
+            rec[f"opt/m/{i}"] = self.m[i]
+            rec[f"opt/v/{i}"] = self.v[i]
         return rec
 
-    def load_state_records(self, records: dict, prefix: str = "opt") -> None:
-        self.step_count = read_int(records, f"{prefix}/step", 0, (1,))
+    def load_state_records(self, records: dict) -> None:
+        self.step_count = read_int(records, "opt/step", 0, (1,))
+        if self.step_count < 0:
+            raise FormatError(f"record 'opt/step' is {self.step_count}, "
+                              f"expected a count >= 0")
         self.lr, self.beta1, self.beta2, self.epsilon, self.weight_decay = (
-            float(h) for h in read(records, f"{prefix}/hyper", (5,)))
+            float(h) for h in read(records, "opt/hyper", (5,)))
+        self._check_hyper(lambda msg: FormatError(f"record 'opt/hyper': {msg}"))
         for i, p in enumerate(self.params):
-            self.m[i][...] = read(records, f"{prefix}/m/{i}", p.shape)
-            self.v[i][...] = read(records, f"{prefix}/v/{i}", p.shape)
+            self.m[i][...] = read(records, f"opt/m/{i}", p.shape)
+            self.v[i][...] = read(records, f"opt/v/{i}", p.shape)

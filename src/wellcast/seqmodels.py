@@ -211,6 +211,9 @@ class _SeqForecaster:
             raise ParameterError(f"start token {l_token} longer than context {l_x}")
         if min(l_x, l_token, l_y) < 1:
             raise ParameterError("sequence lengths must be >= 1")
+        if not 0 < stride < np.inf:  # also rejects nan
+            raise ParameterError(
+                f"time stride must be positive and finite, got {stride}")
         self.cfg = AttentionConfig(d_model=d_model, n_heads=n_heads, c=c)
         self.data_dim = int(data_dim)
         self.d_model = int(d_model)
@@ -220,7 +223,6 @@ class _SeqForecaster:
         self.l_token = int(l_token)
         self.l_y = int(l_y)
         self.stride = float(stride)
-        self.seed = int(seed)
         self.decoder_forward_count = 0
         rng = init_rng or rng_mod.stream(seed, rng_mod.TRAIN, 7000)
         self.embed_enc = ValueEmbedding(data_dim, d_model, rng)
@@ -334,20 +336,19 @@ class _SeqForecaster:
         if training and drop_rng is None:
             raise ContractError("training mode needs a dropout stream")
         anchor = float(enc_ts[0])
-        drop = drop_rng if drop_rng is not None else np.random.default_rng(0)
 
         e = self.embed_enc.forward(x_enc, enc_ts, self.stride, anchor)
-        e = dropout(e, self.p_drop, training, drop)
-        memory = self._encode(e, training, drop)
+        e = dropout(e, self.p_drop, training, drop_rng)
+        memory = self._encode(e, training, drop_rng)
 
         l_tok = x_token.shape[0]
         dec_vals = np.concatenate([x_token, np.zeros((self.l_y, self.data_dim))])
         dec_ts = np.concatenate([enc_ts[-l_tok:], tgt_ts])
         d = self.embed_dec.forward(dec_vals, dec_ts, self.stride, anchor)
-        d = dropout(d, self.p_drop, training, drop)
+        d = dropout(d, self.p_drop, training, drop_rng)
         for layer in self.decoder:
             d = layer.forward(d, memory, self.cfg, self.attention_mode,
-                              self.p_drop, training, drop)
+                              self.p_drop, training, drop_rng)
         out = slice_rows(d, l_tok, l_tok + self.l_y)
         self.decoder_forward_count += 1
         return self.head.forward(out)
@@ -412,8 +413,7 @@ def sample_paths(mean, log_var, n_samples: int, rng: np.random.Generator,
     log_var = np.asarray(log_var.data if isinstance(log_var, Tensor) else log_var)
     z = rng.standard_normal((n_samples,) + mean.shape)
     samples = mean[None] + np.exp(0.5 * log_var)[None] * z
-    return ForecastEnsemble(samples=samples, timestamps=timestamps,
-                            denormalized=False)
+    return ForecastEnsemble(samples=samples, timestamps=timestamps)
 
 
 def forecast(model, context, context_timestamps, target_timestamps,
@@ -438,4 +438,4 @@ def forecast(model, context, context_timestamps, target_timestamps,
     if bad.size:
         raise TrainingError(f"non-finite forecast samples at horizon step t={bad[0]}")
     return ForecastEnsemble(samples=stats.denormalize(ens.samples),
-                            timestamps=ens.timestamps, denormalized=True)
+                            timestamps=ens.timestamps)

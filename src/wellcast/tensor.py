@@ -51,40 +51,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def backward(self) -> None:
-        backward(self)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -156,12 +122,14 @@ def reset_record() -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires-grad tensor reachable from ``loss``.
+    """Populate ``grad`` on every leaf reachable from ``loss``: each tensor
+    that requires grad and no recorded op produced.
 
     The loss must be a scalar produced under the active record.  Gradients
     accumulate additively across multiple uses of a tensor and across repeated
-    ``backward`` calls; optimizers reset them via ``zero_grad``.  The record is
-    consumed: it is cleared once traversal finishes.
+    ``backward`` calls; optimizers reset them via ``zero_grad``.  Gradients of
+    intermediate outputs flow through the walk and are not kept.  The record
+    is consumed: it is cleared once traversal finishes.
     """
     if not isinstance(loss, Tensor) or loss.size != 1:
         raise ContractError("backward expects a scalar loss tensor")
@@ -174,8 +142,6 @@ def backward(loss: Tensor) -> None:
             continue
         # the pop above completes accumulation for this output (topological
         # order guarantees all its consumers were already visited)
-        out = node.output
-        out.grad = np.array(g, copy=True) if out.grad is None else out.grad + g
         for t, gi in zip(node.inputs, node.backward_fn(g)):
             if gi is None or not t.requires_grad:
                 continue
@@ -321,14 +287,13 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _record((a,), out, bwd)
 
 
-def layer_norm_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                     eps: float = 1e-5):
+def layer_norm_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """``layer_norm`` on plain arrays: the output and a function mapping its
     gradient to (dx, dgain, dbias)."""
     mu = x.mean(axis=-1, keepdims=True)
     d = x - mu
     var = (d * d).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = d * inv
     out = gain * xhat + bias
     lead = tuple(range(x.ndim - 1))
@@ -345,11 +310,11 @@ def layer_norm_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     return out, bwd
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance, then apply
-    the affine (gain, bias).  The variance guard epsilon keeps constant rows
-    finite (they normalize to exact zeros)."""
-    out, bwd = layer_norm_array(x.data, gain.data, bias.data, eps)
+    the affine (gain, bias).  The variance guard epsilon 1e-5 keeps constant
+    rows finite (they normalize to exact zeros)."""
+    out, bwd = layer_norm_array(x.data, gain.data, bias.data)
     return _record((x, gain, bias), out, bwd)
 
 
@@ -459,25 +424,25 @@ def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     return _record((a,), out, bwd)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    out = a.data.sum(axis=axis)
     shape = a.shape
 
     def bwd(g):
         g = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape).copy(),)
 
     return _record((a,), out, bwd)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a: Tensor, axis=None) -> Tensor:
     if axis is None:
         n = a.size
     else:
         n = a.shape[axis]
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return scale(tsum(a, axis=axis), 1.0 / n)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -35,7 +35,7 @@ from .checkpoint import Undrawn, load_params, read, read_int
 # diffusion.sample: bench/tracing.py wraps timegrad.reverse_step by name
 from .diffusion import (EpsilonNet, NoiseSchedule, build_schedule, ddpm_loss,
                         reverse_step, sample)
-from .errors import ContractError, ParameterError, TrainingError
+from .errors import ContractError, FormatError, ParameterError, TrainingError
 from .evaluation import ForecastEnsemble
 from .optim import AdamW
 from .tensor import (Tensor, _record, add, backward, constant, matmul, mul,
@@ -140,13 +140,6 @@ class GRUCell:
         return _record((xs, h0, *self.params()), out, bwd)
 
 
-def gru_step(x, h, cell: GRUCell) -> Tensor:
-    """Functional form; accepts 1-D or [B, ...] arrays as well as tensors."""
-    x_t = x if isinstance(x, Tensor) else constant(np.atleast_2d(x))
-    h_t = h if isinstance(h, Tensor) else constant(np.atleast_2d(h))
-    return cell.step(x_t, h_t)
-
-
 @dataclass
 class WindowStats:
     """Per-dimension affine statistics of one context window."""
@@ -211,9 +204,9 @@ class TimeGradModel:
         out.extend(self.eps_net.params())
         return out
 
-    def initial_state(self, batch: int = 1) -> list:
+    def initial_state(self) -> list:
         # h_0 = 0 for every layer
-        return [constant(np.zeros((batch, self.hidden_dim))) for _ in self.layers]
+        return [constant(np.zeros((1, self.hidden_dim))) for _ in self.layers]
 
     def step_state(self, x, states: list) -> list:
         """Advance all layers one step; layer i feeds layer i+1."""
@@ -225,25 +218,24 @@ class TimeGradModel:
             inp = h_new
         return new_states
 
-    def sequences(self, values: np.ndarray, states: list | None = None) -> list:
+    def sequences(self, values: np.ndarray) -> list:
         """Teacher-forced pass over known inputs values [T, D], T >= 1.
 
         Returns each layer's [T, H] hidden states, one tape node per layer.
         Layer i's output is layer i+1's input, which gives the same states
         as stepping all layers time-major.
         """
-        states = states if states is not None else self.initial_state()
         inp = constant(np.asarray(values, dtype=np.float64))
         out = []
-        for cell, h in zip(self.layers, states):
+        for cell, h in zip(self.layers, self.initial_state()):
             inp = cell.sequence(inp, h)
             out.append(inp)
         return out
 
-    def unroll(self, values: np.ndarray, states: list | None = None) -> list:
+    def unroll(self, values: np.ndarray) -> list:
         """Each layer's state after consuming values [T, D]."""
         steps = values.shape[0]
-        return [slice_rows(s, steps - 1, steps) for s in self.sequences(values, states)]
+        return [slice_rows(s, steps - 1, steps) for s in self.sequences(values)]
 
     # -- the model protocol of ``fit`` and the CLI ----------------------
 
@@ -270,7 +262,6 @@ class TimeGradModel:
         return dict(zip(names, self.params()))
 
     def state_records(self) -> dict:
-        net = self.eps_net
         rec = {
             "timegrad/config": np.array([
                 self.data_dim, self.hidden_dim, len(self.layers),
@@ -283,17 +274,17 @@ class TimeGradModel:
                 self.sched.n_steps, self.sched.beta_start, self.sched.beta_end]),
         }
         for name, p in self.named_params().items():
-            if name == "timegrad/eps/w1":
-                # kept for compatibility; loading sizes the net from the config
-                rec["timegrad/eps/dims"] = np.array(
-                    [net.data_dim, net.cond_dim, net.n_steps, net.hidden,
-                     net.embed_dim], dtype=np.float64)
             rec[name] = p.data
         return rec
 
     @classmethod
     def from_records(cls, rec: dict) -> "TimeGradModel":
         cfg = read(rec, "timegrad/config", (8,))
+        # entry 5 codes the loss norm, entries 6 and 7 are flags
+        for i, codes in ((5, (1.0, 2.0)), (6, (0.0, 1.0)), (7, (0.0, 1.0))):
+            if cfg[i] not in codes:
+                raise FormatError(f"record 'timegrad/config' entry {i} is "
+                                  f"{cfg[i]!r}, expected {codes[0]} or {codes[1]}")
         sc = read(rec, "timegrad/sched", (3,))
         sizes = ("data_dim", "hidden_dim", "n_layers", "context_length",
                  "prediction_length")
@@ -370,8 +361,7 @@ def forecast(model: TimeGradModel, context: np.ndarray, horizon: int,
                 raise TrainingError(f"non-finite forecast draws at horizon step t={t}")
             out[:, t, :] = x
             states = model.step_state(x, states)
-    return ForecastEnsemble(samples=stats.denormalize(out),
-                            timestamps=timestamps, denormalized=True)
+    return ForecastEnsemble(samples=stats.denormalize(out), timestamps=timestamps)
 
 
 @dataclass
@@ -387,8 +377,7 @@ class TrainHistory:
 
 def fit(model, panel_or_values, epochs: int, seed: int, lr: float = 1e-4,
         windows_per_epoch: int = 64, opt: AdamW | None = None,
-        val_fraction: float = 0.1, start_epoch: int = 0,
-        on_epoch=None) -> tuple:
+        start_epoch: int = 0, on_epoch=None) -> tuple:
     """Train a forecaster on random windows; return (history, optimizer).
 
     Protocol: ``context_rows`` and ``horizon`` (window rows), ``params()``,
@@ -396,7 +385,7 @@ def fit(model, panel_or_values, epochs: int, seed: int, lr: float = 1e-4,
     of the window at row ``start``; timestamps are None for a raw array and
     ``drop_rng=None`` means evaluation.  A 1-D raw array is one column.  A
     panel is cut at its split index.
-    The last val_fraction of that span holds up to 5 validation windows,
+    The last tenth of that span holds up to 5 validation windows,
     disjoint from the training windows.  Epoch e draws window starts and
     diffusion noise from the (seed, TRAIN, e) stream and dropout masks from
     (seed, DROPOUT, e); validation runs under no_grad on a fresh
@@ -417,7 +406,7 @@ def fit(model, panel_or_values, epochs: int, seed: int, lr: float = 1e-4,
             f"training span {n} shorter than context+horizon {total}")
     if opt is None:
         opt = AdamW(model.params(), lr=lr)
-    val_span = int(val_fraction * n)
+    val_span = int(0.1 * n)
     val_starts, train_hi = [], n
     if val_span >= total and n - val_span >= total:
         train_hi = n - val_span

@@ -213,6 +213,22 @@ class TestForecastEvaluate:
         txt = (out / "informer_report.txt").read_text()
         assert "MASE" in txt and "informer" in txt
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_ensemble_exits_2_without_report(self, trained,
+                                                        tmp_path, capsys, value):
+        csv_path, out = trained
+        assert run("forecast", "--model", "informer", "--data", str(csv_path),
+                   "--out", str(out), *COMMON, *ENC) == 0
+        rec = checkpoint.load(out / "informer_all_ensemble.gck")
+        rec["ensemble/samples"][3, 2, 1] = value
+        checkpoint.save(tmp_path / "informer_all_ensemble.gck", rec)
+        capsys.readouterr()
+        assert run("evaluate", "--model", "informer", "--data", str(csv_path),
+                   "--out", str(tmp_path), *COMMON, *ENC) == 2
+        printed = capsys.readouterr().out
+        assert "error=validation" in printed and "'ensemble/samples'" in printed
+        assert [p.name for p in tmp_path.iterdir()] == ["informer_all_ensemble.gck"]
+
     def test_column_count_mismatch_exits_2_without_report(self, tmp_path,
                                                           capsys):
         """Same timestamps, one more site in --data than in the ensemble."""
@@ -444,6 +460,33 @@ class TestMalformedInputs:
         printed = capsys.readouterr()
         assert f"record {name!r} entry {index}" in printed.out
         assert "Traceback" not in printed.out + printed.err
+
+    @pytest.mark.parametrize("model,index,value,detail", [
+        ("informer", 5, np.nan, "sampling constant c"),
+        ("informer", 5, np.inf, "sampling constant c"),
+        ("informer", 11, np.inf, "time stride"),
+        ("informer", 11, 0.0, "time stride"),
+        ("informer", 11, np.nan, "time stride"),
+        ("timegrad", 5, 3.0, "entry 5"),  # loss norm: 1 (L1) or 2 (L2)
+        ("timegrad", 6, np.nan, "entry 6"),  # variance scaling flag
+        ("timegrad", 7, 0.5, "entry 7")])  # literal sampler flag
+    def test_unusable_float_or_flag_config_entry_forecast_exits_2(
+            self, initial, tmp_path, capsys, model, index, value, detail):
+        csv_path, out = initial
+        rec = checkpoint.load(out / f"{model}_all.gck")
+        rec[f"{model}/config"][index] = value
+        checkpoint.save(tmp_path / f"{model}_all.gck", rec)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("forecast", "--model", model, "--data", str(csv_path),
+                       "--out", str(tmp_path), *COMMON,
+                       *(SIZES if model == "timegrad" else ENC)) == 2
+        printed = capsys.readouterr()
+        assert detail in printed.out
+        assert "Traceback" not in printed.out + printed.err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{model}_all.gck"]
 
     @pytest.mark.parametrize("model,name,index,value,sizes", [
         ("informer", "informer/config", 3, 2.0 ** 40, ENC),  # ff_width
@@ -685,6 +728,48 @@ class TestArtifactWrites:
         straight, rerun = ({f.name: f.read_bytes() for f in out.iterdir()}
                            for out in outs.values())
         assert rerun == straight
+
+
+class TestRetiredRecords:
+    """``timegrad/eps/dims`` and ``ensemble/denormalized`` are no longer
+    written or read.  Files that still carry them, as older versions wrote
+    them, load as before: forecast and evaluate write the same bytes with or
+    without those records."""
+
+    def test_older_layout_gives_same_outputs(self, small_field, tmp_path):
+        csv_path, _, _ = small_field
+        new, old = tmp_path / "new", tmp_path / "old"
+        args = ["--model", "timegrad", "--data", str(csv_path), *COMMON, *SIZES]
+        assert run("train", "--out", str(new), *args) == 0
+        rec = checkpoint.load(new / "timegrad_all.gck")
+        assert "timegrad/eps/dims" not in rec
+        cfg = rec["timegrad/config"]
+        older = {}
+        for name, arr in rec.items():
+            if name == "timegrad/eps/w1":  # where older versions wrote it
+                older["timegrad/eps/dims"] = np.array(
+                    [cfg[0], cfg[1], rec["timegrad/sched"][0], 128.0, 64.0])
+            older[name] = arr
+        checkpoint.save(old / "timegrad_all.gck", older)
+        shutil.copy(new / "timegrad_all_loss.csv", old)
+        for out in (new, old):
+            assert run("forecast", "--out", str(out), *args) == 0
+        ens = checkpoint.load(old / "timegrad_all_ensemble.gck")
+        assert list(ens) == ["ensemble/samples", "ensemble/timestamps"]
+        assert file_hash(old / "timegrad_all_ensemble.gck") == \
+            file_hash(new / "timegrad_all_ensemble.gck")
+        ens["ensemble/denormalized"] = np.array([1.0])
+        checkpoint.save(old / "timegrad_all_ensemble.gck", ens)
+        for out in (new, old):
+            assert run("evaluate", "--out", str(out), *args) == 0
+
+        def outputs(out):
+            return {f.name: f.read_bytes() for f in sorted(out.iterdir())
+                    if f.suffix != ".gck"}
+
+        assert sorted(outputs(new)) == sorted(outputs(old))
+        assert {".csv", ".svg", ".txt"} == {Path(n).suffix for n in outputs(new)}
+        assert outputs(new) == outputs(old)
 
 
 class TestGroupings:

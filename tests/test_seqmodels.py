@@ -330,7 +330,6 @@ class TestForecastInterface:
         b = forecast(model, ctx, ts, tts, n_samples=9, seed=1)
         assert a.samples.shape == (9, 5, 2)
         assert np.array_equal(a.samples, b.samples)
-        assert a.denormalized
 
     def test_non_finite_samples_raise_training_error(self):
         model = tiny_informer(data_dim=2, seed=28)

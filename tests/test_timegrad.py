@@ -11,7 +11,7 @@ from wellcast.optim import AdamW
 from wellcast.rng import PATH, TRAIN, stream
 from wellcast.seqmodels import VanillaTransformer
 from wellcast.timegrad import (GRUCell, TimeGradModel, fit, forecast,
-                               gru_step, normalize_window, window_loss)
+                               normalize_window, window_loss)
 
 
 @pytest.fixture(autouse=True)
@@ -33,12 +33,13 @@ class TestGRUCell:
         # all-zero weights: z = r = 0.5, cand = 0 -> h' = 0.5 h
         cell = zeroed_cell(3, 4)
         h = np.array([[1.0, -2.0, 0.5, 4.0]])
-        out = gru_step(np.ones((1, 3)), h, cell)
+        out = cell.step(T.constant(np.ones((1, 3))), T.constant(h))
         assert np.allclose(out.data, 0.5 * h, atol=1e-15)
 
     def test_zero_state_fixed_point(self):
         cell = zeroed_cell(3, 4)
-        out = gru_step(np.ones((1, 3)), np.zeros((1, 4)), cell)
+        out = cell.step(T.constant(np.ones((1, 3))),
+                        T.constant(np.zeros((1, 4))))
         assert np.array_equal(out.data, np.zeros((1, 4)))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -46,7 +47,7 @@ class TestGRUCell:
         rng = stream(seed, TRAIN)
         cell = GRUCell(2, 6, rng)
         h = rng.normal(scale=3.0, size=(1, 6))
-        out = gru_step(rng.normal(size=(1, 2)), h, cell)
+        out = cell.step(T.constant(rng.normal(size=(1, 2))), T.constant(h))
         bound = np.maximum(np.abs(h), 1.0)
         assert np.all(np.abs(out.data) <= bound + 1e-12)
 
