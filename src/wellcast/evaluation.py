@@ -17,6 +17,17 @@ from .errors import ContractError, MetricError, ParameterError
 # (0.20, 0.25, 0.30, 0.65, 0.70, 0.85, 0.90) are already on this grid.
 QUANTILE_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
+# an ensemble's noise is drawn as one float64 array: 2**27 values are 1 GiB
+MAX_DRAWS = 2 ** 27
+
+
+def check_draws(n_samples: int, per_path: int) -> None:
+    """Refuse n_samples paths of per_path draws each before drawing any."""
+    if n_samples * per_path > MAX_DRAWS:
+        raise ParameterError(
+            f"--samples {n_samples} asks for {per_path} draws per path, more "
+            f"than {MAX_DRAWS} in all; use at most {MAX_DRAWS // per_path}")
+
 
 @dataclass
 class ForecastEnsemble:

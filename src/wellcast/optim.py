@@ -65,15 +65,18 @@ class AdamW:
             first += len(offsets) - 1
 
     def _check_hyper(self, error) -> None:
-        # negated comparisons, so nan fails them too
-        if not self.lr >= 0:
-            raise error(f"learning rate must be nonnegative, got {self.lr}")
+        # negated comparisons, so nan fails them too; an infinite lr or
+        # decay makes every parameter non-finite at the first step
+        if not 0.0 <= self.lr < np.inf:
+            raise error(f"learning rate must be finite and nonnegative, "
+                        f"got {self.lr}")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise error("betas must lie in (0, 1)")
         if not self.epsilon > 0:
             raise error("epsilon must be positive")
-        if not self.weight_decay >= 0:
-            raise error("weight_decay must be nonnegative")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise error(f"weight_decay must be finite and nonnegative, "
+                        f"got {self.weight_decay}")
 
     def zero_grad(self) -> None:
         for p in self.params:

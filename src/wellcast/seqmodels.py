@@ -28,7 +28,7 @@ from .attention import (AttentionConfig, DistillWeights, MultiHeadWeights,
                         distill, multi_head)
 from .checkpoint import Undrawn, load_params, read, read_int
 from .errors import ContractError, ParameterError, TrainingError
-from .evaluation import ForecastEnsemble
+from .evaluation import ForecastEnsemble, check_draws
 # backward stays bound here although fit walks the tape from timegrad:
 # bench/tracing.py wraps seqmodels.backward by name
 from .tensor import (Tensor, _record, add, backward, clip, concat, constant,
@@ -411,6 +411,7 @@ def sample_paths(mean, log_var, n_samples: int, rng: np.random.Generator,
         raise ParameterError("n_samples must be >= 1")
     mean = np.asarray(mean.data if isinstance(mean, Tensor) else mean)
     log_var = np.asarray(log_var.data if isinstance(log_var, Tensor) else log_var)
+    check_draws(n_samples, mean.size)
     z = rng.standard_normal((n_samples,) + mean.shape)
     samples = mean[None] + np.exp(0.5 * log_var)[None] * z
     return ForecastEnsemble(samples=samples, timestamps=timestamps)

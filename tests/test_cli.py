@@ -147,6 +147,36 @@ class TestTrain:
         assert not (out / "vanilla_all.gck").exists()
 
 
+class TestRunawayTraining:
+    """A run that cannot give finite parameters exits nonzero and writes
+    neither the loss CSV nor the checkpoint."""
+
+    def test_infinite_learning_rate_exits_2(self, small_field, tmp_path,
+                                            capsys):
+        csv_path, _, _ = small_field
+        out = tmp_path / "run"
+        assert run("train", "--model", "vanilla", "--data", str(csv_path),
+                   "--out", str(out), *COMMON, *ENC, "--epochs", "1",
+                   "--windows-per-epoch", "1", "--lr", "inf") == 2
+        assert "learning rate must be finite" in capsys.readouterr().out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["timegrad", "vanilla"])
+    def test_diverged_run_exits_3(self, small_field, tmp_path, capsys, model):
+        # windows of 12 + 4 rows fit in the last tenth of the 208 training
+        # rows, so every epoch has validation windows
+        csv_path, _, _ = small_field
+        out = tmp_path / "run"
+        assert run("train", "--model", model, "--data", str(csv_path),
+                   "--out", str(out), *COMMON, "--horizon", "4",
+                   "--context-length", "12", "--enc-length", "12",
+                   "--token-length", "4", "--epochs", "1",
+                   "--windows-per-epoch", "1", "--lr", "1e300") == 3
+        assert ("non-finite validation loss at epoch=0"
+                in capsys.readouterr().out)
+        assert not out.exists()
+
+
 class TestNegativeSeed:
     """A negative seed exits 2 instead of ending in numpy's ValueError; the
     sidecar line ``seed=-1`` is a case of TestMalformedInputs."""
@@ -589,6 +619,29 @@ class TestMalformedInputs:
                    "--out", str(tmp_path), *COMMON, *ENC, "--epochs", "0") == 2
         assert repr(name) in capsys.readouterr().out
         assert ckpt.read_bytes() == before
+
+    @pytest.mark.parametrize("model,sizes", [("timegrad", SIZES),
+                                             ("informer", ENC)])
+    def test_samples_past_draw_bound_exit_2(self, initial, tmp_path, capsys,
+                                            monkeypatch, model, sizes):
+        csv_path, out = initial
+        samples = 2 ** 40
+        if model == "timegrad":
+            # one path more than the bound allows at 6 steps x 100 diffusion
+            # steps x 2 dims; drawing its noise would fail the test
+            samples = 2 ** 27 // (6 * 100 * 2) + 1
+
+            def no_draws(*args):
+                raise AssertionError("path noise drawn before the bound check")
+
+            monkeypatch.setattr(wellcast.rng, "stream", no_draws)
+        capsys.readouterr()
+        assert run("forecast", "--model", model, "--data", str(csv_path),
+                   "--out", str(tmp_path / "o"), "--checkpoint",
+                   str(out / f"{model}_all.gck"), *COMMON, *sizes,
+                   "--samples", str(samples)) == 2
+        assert f"--samples {samples}" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_ensemble_without_samples_exits_2(self, small_field, tmp_path,
                                               capsys):

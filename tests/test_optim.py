@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wellcast.errors import TrainingError
+from wellcast.errors import FormatError, ParameterError, TrainingError
 from wellcast.optim import BLOCK_ELEMENTS, AdamW
 from wellcast.rng import TRAIN, stream
 from wellcast.tensor import Tensor
@@ -134,3 +134,23 @@ class TestNonFiniteGradient:
                            match=f"non-finite gradient at parameter {bad[0]} "
                                  f"on step 1$"):
             opt.step()
+
+
+class TestHyperparameters:
+    """lr and weight_decay must be finite and >= 0: an infinite one makes
+    every parameter non-finite at the first step."""
+
+    def test_constructor_refuses_infinite_lr(self):
+        with pytest.raises(ParameterError, match="learning rate"):
+            AdamW(make_params(), lr=np.inf)
+
+    def test_constructor_refuses_infinite_weight_decay(self):
+        with pytest.raises(ParameterError, match="weight_decay"):
+            AdamW(make_params(), weight_decay=np.inf)
+
+    @pytest.mark.parametrize("entry", [0, 4])
+    def test_resume_refuses_infinite_record(self, entry):
+        rec = AdamW(make_params(), lr=1e-3).state_records()
+        rec["opt/hyper"][entry] = np.inf
+        with pytest.raises(FormatError, match="record 'opt/hyper'"):
+            AdamW(make_params(), lr=1e-3).load_state_records(rec)

@@ -76,8 +76,102 @@ def weighted_grads(layers, make_out, leaves, weights):
     return out.data, [p.grad.copy() for p in params]
 
 
+def reference_sequence(cell, xs, h0):
+    """``GRUCell.sequence`` as it was before its loops wrote into preallocated
+    rows with fewer numpy calls, kept as its bitwise oracle."""
+    n_h, steps = cell.hidden_dim, xs.shape[0]
+    w = np.concatenate([cell.w_z.data, cell.w_r.data, cell.w_h.data], axis=1)
+    b = np.concatenate([cell.b_z.data, cell.b_r.data, cell.b_h.data])
+    u_zr = np.concatenate([cell.u_z.data, cell.u_r.data], axis=1)
+    u_h = cell.u_h.data
+    ax = xs.data @ w + b
+    ax_zr, ax_h = ax[:, :2 * n_h], ax[:, 2 * n_h:]
+    zr_all = np.empty((steps, 2 * n_h))
+    cand_all, rh_all, out = (np.empty((steps, n_h)) for _ in range(3))
+    h = h0.data[0]
+    for t in range(steps):
+        zr = zr_all[t] = T.sigmoid_array(ax_zr[t] + h @ u_zr)
+        z, r = zr[:n_h], zr[n_h:]
+        rh = rh_all[t] = r * h
+        cand = cand_all[t] = np.tanh(ax_h[t] + rh @ u_h)
+        h = out[t] = (1.0 - z) * h + z * cand
+
+    def bwd(g):
+        z, r = zr_all[:, :n_h], zr_all[:, n_h:]
+        h_prev = np.concatenate([h0.data, out[:-1]])
+        keep = 1.0 - z
+        dz_pre = (cand_all - h_prev) * z * keep
+        dr_pre = h_prev * r * (1.0 - r)
+        dcand_pre = z * (1.0 - cand_all * cand_all)
+        u_zr_t, u_h_t = u_zr.T, u_h.T
+        d_a = np.empty((steps, 3 * n_h))
+        dh = np.zeros(n_h)
+        for t in range(steps - 1, -1, -1):
+            dh = dh + g[t]
+            d_cand = d_a[t, 2 * n_h:] = dh * dcand_pre[t]
+            d_rh = d_cand @ u_h_t
+            d_a[t, :n_h] = dh * dz_pre[t]
+            d_a[t, n_h:2 * n_h] = d_rh * dr_pre[t]
+            dh = dh * keep[t] + d_rh * r[t] + d_a[t, :2 * n_h] @ u_zr_t
+        d_xs = d_a @ w.T if xs.requires_grad else None
+        d_w = np.split(xs.data.T @ d_a, 3, axis=1)
+        d_b = np.split(d_a.sum(axis=0), 3)
+        d_u_z, d_u_r = np.split(h_prev.T @ d_a[:, :2 * n_h], 2, axis=1)
+        d_u_h = rh_all.T @ d_a[:, 2 * n_h:]
+        return (d_xs, dh[None, :], d_w[0], d_u_z, d_b[0], d_w[1], d_u_r,
+                d_b[1], d_w[2], d_u_h, d_b[2])
+
+    return T._record((xs, h0, *cell.params()), out, bwd)
+
+
 class TestGRUSequence:
     """GRUCell.sequence (one fused node) against a loop of GRUCell.step."""
+
+    # weight scales from 0.1 to 3000 put gate pre-activations far past the
+    # +-500 clamp and the +-710 limit of a finite exp
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.integers(1, 140), dim=st.integers(1, 4),
+           n_h=st.integers(1, 64),
+           scale=st.sampled_from([0.1, 1.0, 30.0, 300.0, 3000.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_equal_to_reference(self, steps, dim, n_h, scale, seed):
+        rng = np.random.default_rng(seed)
+        cell = GRUCell(dim, n_h, stream(seed, TRAIN))
+        for p in cell.params():
+            p.data[...] = rng.normal(scale=scale, size=p.shape)
+        xs = T.Tensor(rng.normal(size=(steps, dim)), requires_grad=True)
+        h0 = T.Tensor(rng.uniform(-1.0, 1.0, size=(1, n_h)),
+                      requires_grad=True)
+        weights = rng.normal(size=(steps, n_h))
+        runs = []
+        for seq in (reference_sequence, GRUCell.sequence):
+            T.reset_record()
+            # large scales overflow the backward in both versions alike
+            with np.errstate(all="ignore"):
+                runs.append(weighted_grads([cell], lambda: seq(cell, xs, h0),
+                                           [xs, h0], weights))
+        (ref, ref_g), (got, got_g) = runs
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert len(got_g) == 11
+        for g, r in zip(got_g, ref_g):
+            assert np.array_equal(g.view(np.uint64), r.view(np.uint64))
+
+    def test_fit_at_benchmark_shapes_matches_reference(self, monkeypatch):
+        # tg_train's shapes: 4 dims, 90 + 45 rows, H = 64; 1500 rows leave
+        # room for 4 validation windows
+        values = stream(60, TRAIN).normal(size=(1500, 4)).cumsum(axis=0)
+
+        def run():
+            model = TimeGradModel(4, hidden_dim=64, context_length=90,
+                                  prediction_length=45, seed=61)
+            history, opt = fit(model, values, epochs=1, seed=62,
+                               windows_per_epoch=4)
+            arrays = [p.data for p in model.params()] + opt.m + opt.v
+            return repr(history), [a.tobytes() for a in arrays]
+
+        got = run()
+        monkeypatch.setattr(GRUCell, "sequence", reference_sequence)
+        assert run() == got
 
     @pytest.mark.parametrize("steps", [1, 7])
     def test_matches_step_loop(self, steps):
@@ -306,6 +400,24 @@ class TestTraining:
         with pytest.raises(TrainingError, match="window=0 start="):
             fit(model, values, epochs=1, seed=18, opt=opt,
                 windows_per_epoch=2)
+
+    def test_diverged_validation_aborts_naming_epoch(self):
+        # lr 1e300 sends every parameter to about +-1e300 at the first step;
+        # 200 rows leave room for validation windows of 6 + 3 rows
+        model = tiny_model(seed=19)
+        values = stream(20, TRAIN).normal(size=(200, 2))
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingError, match="non-finite validation loss at epoch=0"):
+            fit(model, values, epochs=2, seed=21, lr=1e300,
+                windows_per_epoch=1)
+
+    def test_no_validation_windows_is_nan_not_divergence(self):
+        model = tiny_model(seed=19)
+        values = stream(20, TRAIN).normal(size=(40, 2))
+        with np.errstate(all="ignore"):
+            history, _ = fit(model, values, epochs=1, seed=21, lr=1e300,
+                             windows_per_epoch=1)
+        assert np.isnan(history.val_loss).all()
 
     def test_fit_needs_only_the_protocol(self):
         # a one-weight model with just context_rows, horizon, params and
