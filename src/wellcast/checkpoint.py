@@ -13,6 +13,7 @@ save -> load -> save reproduces identical bytes.  Every artifact, checkpoint
 or not, reaches disk through ``atomic_write``.
 """
 
+import io
 import math
 import os
 import struct
@@ -41,25 +42,32 @@ def pack_records(records: dict[str, np.ndarray]) -> bytes:
 
 
 def unpack_records(blob: bytes) -> dict[str, np.ndarray]:
-    if blob[:4] != MAGIC:
+    return _read_records(io.BytesIO(blob), len(blob))
+
+
+def _read_records(fh, size: int) -> dict[str, np.ndarray]:
+    """The records in the ``size`` bytes that ``fh`` reads.  Each payload is
+    read straight into an array that the record owns, so a loader's ``read``
+    makes the one copy; every length is checked against ``size`` before
+    anything is read or allocated."""
+    if fh.read(4) != MAGIC:
         raise FormatError("not a GCK1 checkpoint (bad magic bytes)")
     pos = 4
 
     def take(fmt):
         nonlocal pos
-        size = struct.calcsize(fmt)
-        if pos + size > len(blob):
+        n = struct.calcsize(fmt)
+        if pos + n > size:
             raise FormatError("truncated checkpoint")
-        vals = struct.unpack_from(fmt, blob, pos)
-        pos += size
-        return vals
+        pos += n
+        return struct.unpack(fmt, fh.read(n))
 
     (count,) = take("<I")
     records: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = take("<I")
         try:
-            name = blob[pos:pos + name_len].decode("utf-8")
+            name = fh.read(min(name_len, size - pos)).decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"record name at byte {pos} is not utf-8") from None
         if name in records:
@@ -68,16 +76,17 @@ def unpack_records(blob: bytes) -> dict[str, np.ndarray]:
         (ndim,) = take("<I")
         dims = take(f"<{ndim}I") if ndim else ()
         (nbytes,) = take("<Q")
-        if pos + nbytes > len(blob):
+        if pos + nbytes > size:
             raise FormatError("truncated checkpoint payload")
         if nbytes != 8 * math.prod(dims):
             raise FormatError(
                 f"record {name!r}: payload of {nbytes} bytes does not hold "
                 f"float64 dims {dims}")
-        records[name] = np.frombuffer(blob, "<f8", nbytes // 8,
-                                      pos).reshape(dims).copy()
+        records[name] = np.empty(dims, "<f8")
+        if fh.readinto(records[name]) != nbytes:  # cut short after fstat
+            raise FormatError("truncated checkpoint payload")
         pos += nbytes
-    if pos != len(blob):
+    if pos != size:
         raise FormatError("trailing bytes after final record")
     return records
 
@@ -104,7 +113,8 @@ def save(path, records: dict[str, np.ndarray]) -> None:
 
 
 def load(path) -> dict[str, np.ndarray]:
-    return unpack_records(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        return _read_records(fh, os.fstat(fh.fileno()).st_size)
 
 
 def read(records: dict, name: str, shape: tuple | None = None) -> np.ndarray:

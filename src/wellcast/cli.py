@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 I/O error.
 """
 
 import argparse
+import contextlib
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -384,12 +385,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         globals()[f"cmd_{args.command}"](config_from_args(args))
+        sys.stdout.flush()  # a block-buffered stdout's closed pipe shows here
     except ValidationError as exc:
         log(error="validation", detail=str(exc))
         return 2
     except TrainingError as exc:
         log(error="numeric", detail=str(exc))
         return 3
+    except BrokenPipeError:
+        # stdout's reader has gone, so there is no one to log to; closing
+        # stdout drops its undeliverable lines, and the interpreter's exit
+        # flush skips a closed stream instead of raising again
+        with contextlib.suppress(BrokenPipeError):
+            sys.stdout.close()
+        return 4
     except OSError as exc:
         log(error="io", detail=str(exc))
         return 4

@@ -25,9 +25,19 @@ and embedding row blocks and hoists what the loop cannot change: h @ W1h
 once per rollout and the [N, hidden] table embed @ W1e + b1 once.  Each
 reverse step is then x_n @ W1x plus those two rows, two ELUs and two small
 matmuls on plain arrays.  Splitting the first matmul changes its rounding
-only (relative drift of order 1e-15 against ``forward``).  ``reverse_step``
-keeps the tape-path ``forward`` as the single-step reference; it and
-``sample`` share one posterior-mean update.
+only (relative drift of order 1e-15 against ``forward``).
+
+The rollout runs on buffers.  ``predict`` keeps its two [B, hidden]
+activations and one ELU scratch array across calls and writes each layer
+into them: ``np.dot(..., out=)``, the bias rows added in place in the order
+(x_n @ W1x + h @ W1h) + table[n - 1], and the ELU in place as
+max(a, 0) + expm1(min(a, 0)).  Only the [B, D] output is a fresh array.
+The update's coefficients 1/sqrt(alpha_n), beta_n/sqrt(1 - abar_n) and
+sqrt(btilde_n) are computed as arrays once per rollout; elementwise sqrt
+and division round as their scalar forms do.  Every float operation is
+the allocating form's, in its order, so samples keep its bits.
+``reverse_step`` keeps the tape-path ``forward`` as the single-step
+reference; it and ``sample`` share one posterior-mean update.
 """
 
 from dataclasses import dataclass
@@ -35,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .tensor import (Tensor, absolute, add, concat, constant, elu, elu_array,
+from .tensor import (Tensor, absolute, add, concat, constant, elu, elu_inplace,
                      matmul, mul, no_grad, parameter, sub, take_rows, tsum,
                      zeros_parameter)
 
@@ -209,7 +219,8 @@ class EpsilonNet:
         h is a [B, cond] array or Tensor, or one row shared by the batch.
         ``predict`` takes a [B, D] array and a scalar step n and returns
         ``forward(x_n, h, n).data`` up to the rounding of the split first
-        layer, without touching the tape.
+        layer, without touching the tape, as a fresh array; its hidden
+        activations reuse buffers kept between calls.
         """
         h = np.atleast_2d(np.asarray(h.data if isinstance(h, Tensor) else h,
                                      dtype=np.float64))
@@ -223,12 +234,24 @@ class EpsilonNet:
         table = self.embed_table @ w1[d + c:] + self.b1.data
         w2, b2 = self.w2.data, self.b2.data
         w3, b3 = self.w3.data, self.b3.data
+        bufs = ()
 
         def predict(x_n: np.ndarray, n: int) -> np.ndarray:
+            nonlocal bufs
             if not 1 <= n <= self.n_steps:
                 raise ParameterError(f"diffusion step {n} outside 1..{self.n_steps}")
-            z1 = elu_array(x_n @ w1x + base + table[n - 1])
-            z2 = elu_array(z1 @ w2 + b2)
+            if not bufs or len(bufs[0]) != len(x_n):
+                # the two [B, hidden] activations and the ELU scratch
+                bufs = tuple(np.empty((len(x_n), self.hidden)) for _ in range(3))
+            z1, z2, scratch = bufs
+            # (x_n @ W1x + base) + row: the allocating form's order, same bits
+            np.dot(x_n, w1x, out=z1)
+            z1 += base
+            z1 += table[n - 1]
+            elu_inplace(z1, scratch)
+            np.dot(z1, w2, out=z2)
+            z2 += b2
+            elu_inplace(z2, scratch)
             return z2 @ w3 + b3
 
         return predict
@@ -263,13 +286,20 @@ def ddpm_loss(x0, h_prev, net: EpsilonNet, sched: NoiseSchedule,
     return tsum(absolute(resid))
 
 
-def _posterior_update(xn: np.ndarray, eps_hat: np.ndarray, n: int,
-                      sched: NoiseSchedule, z, paper_literal: bool) -> np.ndarray:
+def _update_coefs(sched: NoiseSchedule, paper_literal: bool) -> list:
+    """Per-step (1/sqrt(alpha_n), beta_n/sqrt(1 - abar_n), sqrt(btilde_n)),
+    position i for step n = i + 1; paper_literal puts abar_n in the first.
+    Elementwise sqrt and division round as their scalar forms do."""
+    pref = 1.0 / np.sqrt(sched.alpha_bar if paper_literal else sched.alpha)
+    return list(zip(pref, sched.beta / np.sqrt(1.0 - sched.alpha_bar),
+                    np.sqrt(sched.beta_tilde)))
+
+
+def _posterior_update(xn: np.ndarray, eps_hat: np.ndarray, z,
+                      coefs: tuple) -> np.ndarray:
     """x_{n-1} from x_n and the predicted noise; the one copy of the update."""
-    i = n - 1
-    pref = 1.0 / np.sqrt(sched.alpha_bar[i] if paper_literal else sched.alpha[i])
-    mean = pref * (xn - sched.beta[i] / np.sqrt(1.0 - sched.alpha_bar[i]) * eps_hat)
-    return mean + np.sqrt(sched.beta_tilde[i]) * z
+    pref, eps_coef, sd = coefs
+    return pref * (xn - eps_coef * eps_hat) + sd * z
 
 
 def reverse_step(xn, h_prev, n: int, net: EpsilonNet, sched: NoiseSchedule,
@@ -285,8 +315,8 @@ def reverse_step(xn, h_prev, n: int, net: EpsilonNet, sched: NoiseSchedule,
     z = np.asarray(z, dtype=np.float64)
     with no_grad():
         eps_hat = net.forward(np.atleast_2d(xn), h_prev, n).data
-    return _posterior_update(xn, eps_hat.reshape(xn.shape), n, sched, z,
-                             paper_literal)
+    return _posterior_update(xn, eps_hat.reshape(xn.shape), z,
+                             _update_coefs(sched, paper_literal)[n - 1])
 
 
 def sample(x_init, h_prev, net: EpsilonNet, sched: NoiseSchedule,
@@ -304,6 +334,7 @@ def sample(x_init, h_prev, net: EpsilonNet, sched: NoiseSchedule,
     if noise is None and rng is None and big_n > 1:
         raise ParameterError("either rng or injected noise is required for N > 1")
     predict = net.conditioned(h_prev)
+    coefs = _update_coefs(sched, paper_literal)
     for i, n in enumerate(range(big_n, 0, -1)):
         if n == 1:
             z = np.zeros_like(x)
@@ -312,5 +343,5 @@ def sample(x_init, h_prev, net: EpsilonNet, sched: NoiseSchedule,
         else:
             z = rng.standard_normal(x.shape)
         eps_hat = predict(np.atleast_2d(x), n).reshape(x.shape)
-        x = _posterior_update(x, eps_hat, n, sched, z, paper_literal)
+        x = _posterior_update(x, eps_hat, z, coefs[n - 1])
     return x

@@ -265,6 +265,15 @@ def elu_array(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.expm1(np.minimum(x, 0.0))
 
 
+def elu_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
+    """``elu_array(x)`` written over x, with scratch (x's shape) as the
+    expm1 half: the same ufuncs on the same values, so the same bits."""
+    np.minimum(x, 0.0, out=scratch)
+    np.expm1(scratch, out=scratch)
+    np.maximum(x, 0.0, out=x)
+    x += scratch
+
+
 def elu(a: Tensor) -> Tensor:
     """x for x >= 0, exp(x) - 1 below."""
     out = elu_array(a.data)

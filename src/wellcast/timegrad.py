@@ -366,9 +366,9 @@ def forecast(model: TimeGradModel, context: np.ndarray, horizon: int,
     dim = model.data_dim
     # noise[p, t, 0] seeds x_N for step t; noise[p, t, i] is z at reverse
     # step n = N - i + 1 (the n = 1 step is forced to z = 0)
-    noise = np.stack([
-        rng_mod.stream(seed, rng_mod.PATH, key).standard_normal((horizon, big_n, dim))
-        for key in path_keys])
+    noise = np.empty((n_samples, horizon, big_n, dim))
+    for p, key in enumerate(path_keys):
+        rng_mod.stream(seed, rng_mod.PATH, key).standard_normal(out=noise[p])
 
     with no_grad():
         states = model.unroll(ctx_n)

@@ -782,6 +782,34 @@ class TestArtifactWrites:
                            for out in outs.values())
         assert rerun == straight
 
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_stdout_exits_io_without_traceback(self, small_field,
+                                                      tmp_path, unbuffered):
+        # the reader has closed the pipe before the first log line, the
+        # earliest `wellcast train ... | head -1` can; every write to stdout
+        # then fails with EPIPE, at the first log line when stdout is
+        # unbuffered and at the first flush when it is block-buffered
+        src = str(Path(wellcast.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered)
+        out = tmp_path / "run"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wellcast", "train", "--model", "vanilla",
+                 "--data", str(small_field[0]), "--out", str(out), *COMMON,
+                 *ENC],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "BrokenPipeError" not in proc.stderr
+        assert list(out.glob("*.tmp")) == []
+
 
 class TestRetiredRecords:
     """``timegrad/eps/dims`` and ``ensemble/denormalized`` are no longer

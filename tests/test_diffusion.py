@@ -278,6 +278,79 @@ class TestConditionedPredictor:
                 predict(np.zeros((1, 2)), n)
 
 
+def reference_sample(x_init, h, net, sched, rng=None, noise=None,
+                     paper_literal=False):
+    """The sampler before it ran on preallocated buffers: a predictor that
+    allocates every activation and an update that works out its schedule
+    scalars at every step.  ``sample`` must give these bits exactly."""
+    h = np.atleast_2d(np.asarray(h, dtype=np.float64))
+    d, c = net.data_dim, net.cond_dim
+    w1 = net.w1.data
+    w1x = w1[:d]
+    base = h @ w1[d:d + c]
+    table = net.embed_table @ w1[d + c:] + net.b1.data
+
+    def predict(x_n, n):
+        z1 = T.elu_array(x_n @ w1x + base + table[n - 1])
+        z2 = T.elu_array(z1 @ net.w2.data + net.b2.data)
+        return z2 @ net.w3.data + net.b3.data
+
+    x = np.asarray(x_init, dtype=np.float64)
+    for i, n in enumerate(range(sched.n_steps, 0, -1)):
+        if n == 1:
+            z = np.zeros_like(x)
+        elif noise is not None:
+            z = np.asarray(noise[i], dtype=np.float64).reshape(x.shape)
+        else:
+            z = rng.standard_normal(x.shape)
+        eps_hat = predict(np.atleast_2d(x), n).reshape(x.shape)
+        j = n - 1
+        pref = 1.0 / np.sqrt(sched.alpha_bar[j] if paper_literal
+                             else sched.alpha[j])
+        mean = pref * (x - sched.beta[j] / np.sqrt(1.0 - sched.alpha_bar[j])
+                       * eps_hat)
+        x = mean + np.sqrt(sched.beta_tilde[j]) * z
+    return x
+
+
+class TestSamplerBitwise:
+    """``sample`` on buffers against ``reference_sample``, bit for bit."""
+
+    @staticmethod
+    def net_with_biases(seed, cond_dim):
+        rng = stream(seed, TRAIN)
+        net = EpsilonNet(3, cond_dim, 30, hidden=32, embed_dim=8, rng=rng)
+        for p in net.params()[1::2]:
+            p.data[...] = rng.normal(scale=0.5, size=p.shape)
+        return net
+
+    @pytest.mark.parametrize("batch,h_rows", [(1, 1), (100, 100), (100, 1)])
+    @pytest.mark.parametrize("paper_literal", [False, True])
+    @pytest.mark.parametrize("injected", [False, True])
+    def test_sample_equals_reference(self, batch, h_rows, paper_literal,
+                                     injected):
+        sched = build_schedule(30, 1e-4, 0.2)
+        net = self.net_with_biases(60 + batch + h_rows, cond_dim=4)
+        rng = stream(61, TRAIN)
+        x = rng.standard_normal((batch, 3))
+        h = rng.standard_normal((h_rows, 4))
+        noise = rng.standard_normal((30, batch, 3)) if injected else None
+        kw = dict(noise=noise, paper_literal=paper_literal)
+        got = sample(x, h, net, sched, rng=stream(62, TRAIN), **kw)
+        ref = reference_sample(x, h, net, sched, rng=stream(62, TRAIN), **kw)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_predict_returns_arrays_it_does_not_reuse(self):
+        net = self.net_with_biases(63, cond_dim=4)
+        rng = stream(64, TRAIN)
+        predict = net.conditioned(rng.standard_normal((1, 4)))
+        first = predict(rng.standard_normal((5, 3)), 7)
+        kept = first.copy()
+        predict(rng.standard_normal((5, 3)), 8)
+        predict(rng.standard_normal((2, 3)), 9)  # a new batch size
+        assert np.array_equal(first, kept)
+
+
 class TestSampler:
     def test_single_step_schedule_uses_zero_noise(self):
         sched = build_schedule(1, 0.02, 0.5)

@@ -90,6 +90,11 @@ class TestElementwise:
         reference = np.where(x < 0, np.expm1(np.minimum(x, 0.0)), x)
         assert np.array_equal(T.elu_array(x), reference, equal_nan=True)
         assert np.array_equal(T.elu(Tensor(x)).data, reference, equal_nan=True)
+        # the in-place form gives elu_array's bits, signed zeros included
+        inplace = x.copy()
+        T.elu_inplace(inplace, np.empty_like(x))
+        assert np.array_equal(inplace.view(np.uint64),
+                              T.elu_array(x).view(np.uint64))
 
     @settings(max_examples=200, deadline=None)
     @given(arrays(np.float64, array_shapes(max_dims=2, max_side=16),

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import wellcast
 from wellcast import tensor as T
+from wellcast import timegrad
 from wellcast.diffusion import ddpm_loss, reverse_step
 from wellcast.errors import ContractError, ParameterError, TrainingError
 from wellcast.optim import AdamW
@@ -527,6 +534,58 @@ class TestForecast:
                 states = model.step_state(x, states)
         ref = stats.denormalize(ref)
         assert np.abs(got.samples - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_noise_drawn_in_place_equals_stacked_streams(self, monkeypatch):
+        # forecast fills one buffer path by path; each path's values must be
+        # its stream's, in its stream's order, as np.stack of the draws gives
+        model = tiny_model(seed=37)
+        ctx = stream(38, TRAIN).normal(size=(6, 2))
+        horizon, seed, keys = 3, 13, [5, 0, 9, 2]
+        seen = []
+        real = timegrad.sample
+
+        def spy(x_init, *args, **kw):
+            seen.append((x_init.copy(), kw["noise"].copy()))
+            return real(x_init, *args, **kw)
+
+        monkeypatch.setattr(timegrad, "sample", spy)
+        forecast(model, ctx, horizon=horizon, n_samples=len(keys), seed=seed,
+                 path_keys=keys)
+        stacked = np.stack([stream(seed, PATH, key).standard_normal(
+            (horizon, model.sched.n_steps, 2)) for key in keys])
+        assert len(seen) == horizon
+        for t, (x_init, z) in enumerate(seen):
+            assert np.array_equal(x_init.view(np.uint64),
+                                  stacked[:, t, 0].view(np.uint64))
+            assert np.array_equal(
+                z.view(np.uint64),
+                stacked[:, t, 1:].swapaxes(0, 1).copy().view(np.uint64))
+
+    def test_ensemble_independent_of_blas_threads(self):
+        # 100 paths through the 128-wide epsilon net are large enough for
+        # OpenBLAS to split the gemms; OPENBLAS_NUM_THREADS is read when
+        # numpy loads, so each count runs in a child process
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from wellcast.diffusion import build_schedule\n"
+            "from wellcast.timegrad import TimeGradModel, forecast\n"
+            "model = TimeGradModel(3, hidden_dim=16, context_length=12,\n"
+            "                      sched=build_schedule(10, 1e-4, 0.2), seed=41)\n"
+            "ctx = np.random.default_rng(42).normal(size=(12, 3))\n"
+            "ens = forecast(model, ctx, 4, 100, 43)\n"
+            "print(hashlib.sha256(ens.samples.tobytes()).hexdigest())\n")
+        src = str(Path(wellcast.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64  # a sha256 hex digest
+        assert digests[0] == digests[1]
 
     def test_non_finite_draws_raise_training_error(self):
         model = tiny_model(seed=35)
