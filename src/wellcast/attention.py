@@ -17,8 +17,14 @@ top-u heuristic is built around, and the one query selection uses);
 matching one printed formulation, and is available through
 ``sparsity_measure``.
 
-Masked positions contribute -inf scores.  Under a causal mask the top-u set
-is ranked per prefix: query i is active iff its measure, centered by the
+A mask hides keys from a query.  The row max runs over its visible scores,
+and the hidden entries are zeroed before exp (so exp never sees -inf, which
+sends numpy's vector exp down a slow path) and again after it, which gives
+them the exact zero probability a -inf score would.  The causal mask's
+constants (its 0/1 weights, visible counts and their logs, the lazy rows'
+weights) are built once per shape and shared read-only, as are the unmasked
+lazy weights and the prefix rule's triangle.  Under a causal mask the top-u
+set is ranked per prefix: query i is active iff its measure, centered by the
 uniform-scores baseline for its visible-key count, is in the top u over rows
 0..i.  A global top-u would let a perturbation at a later position evict an
 earlier query from the active set, breaking bit-exact causality; the prefix
@@ -40,9 +46,10 @@ the reduction and causality checks (and the benchmark's tracer) call them.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, ParameterError
 from .tensor import Tensor, _record, elu_array, parameter
@@ -101,6 +108,55 @@ def causal_mask(l_q: int, l_k: int) -> np.ndarray:
     return np.arange(l_k)[None, :] <= (np.arange(l_q)[:, None] + offset)
 
 
+class _Mask(NamedTuple):
+    """An allow-mask [L_q, L_k] and the constants derived from it."""
+
+    allow: np.ndarray      # bool
+    weight: np.ndarray     # allow as 1.0 / 0.0
+    count: np.ndarray      # visible keys per query
+    log_count: np.ndarray
+    lazy: np.ndarray       # weight / count: a lazy row's value weights
+
+
+def _mask_constants(mask, l_q: int, l_k: int) -> _Mask:
+    """Check an allow-mask against the score shape and derive its constants."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (l_q, l_k):
+        raise DimensionError(f"mask shape {mask.shape} != scores {(l_q, l_k)}")
+    count = mask.sum(axis=1)
+    if not count.all():
+        raise ParameterError("mask leaves a query with no visible key")
+    return _Mask(mask, mask.astype(np.float64), count, np.log(count),
+                 mask / count[:, None])
+
+
+# the constants below depend only on their shape, and a model uses a few
+# shapes; each is built once and shared, so it is made read-only
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=32)
+def _causal_constants(l_q: int, l_k: int) -> _Mask:
+    return _Mask(*map(_read_only, _mask_constants(causal_mask(l_q, l_k),
+                                                  l_q, l_k)))
+
+
+@lru_cache(maxsize=32)
+def _uniform_weights(l_q: int, l_k: int) -> np.ndarray:
+    """An unmasked lazy row's value weights, 1 / L_k."""
+    return _read_only(np.full((l_q, l_k), 1.0 / l_k))
+
+
+@lru_cache(maxsize=32)
+def _earlier(l_q: int) -> np.ndarray:
+    """[L_q, L_q] bool, true where j < i."""
+    return _read_only(np.tri(l_q, k=-1, dtype=bool))
+
+
 def _scaled_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Q K^T / sqrt(d) over the last two axes."""
     scores = q @ np.swapaxes(k, -1, -2)
@@ -108,27 +164,33 @@ def _scaled_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _visible(mask: np.ndarray | None, l_k: int):
-    return l_k if mask is None else mask.sum(axis=-1)
-
-
-def _mean_term(scores, mask, variant="lse_minus_mean"):
+def _mean_term(scores, mask: _Mask | None, variant="lse_minus_mean"):
     """Mean of each row's visible scores (or of their exponentials)."""
     kept = scores if variant == "lse_minus_mean" else np.exp(scores)
-    if mask is not None:
-        kept = np.where(mask, kept, 0.0)
-    return kept.sum(axis=-1) / _visible(mask, scores.shape[-1])
+    if mask is None:
+        return kept.sum(axis=-1) / scores.shape[-1]
+    return (kept * mask.weight).sum(axis=-1) / mask.count
 
 
-def _softmax_rows(scores: np.ndarray, mask: np.ndarray | None):
+def _softmax_rows(scores: np.ndarray, mask: _Mask | None):
     """Softmax over the last axis, written over ``scores`` (masked entries
     become exact zeros), and the log-sum-exp of each row's visible scores.
     One max/exp pass serves both, in one [..., L_q, L_k] buffer."""
-    if mask is not None:
-        scores += np.where(mask, 0.0, -np.inf)
-    row_max = scores.max(axis=-1, keepdims=True)
-    scores -= row_max
-    np.exp(scores, out=scores)
+    if mask is None:
+        row_max = scores.max(axis=-1, keepdims=True)
+        scores -= row_max
+        np.exp(scores, out=scores)
+    else:
+        # the max runs over visible scores only, and zeroing the masked
+        # entries before exp keeps -inf (and numpy's slow path for lanes
+        # that underflow) out of it; zeroing them after makes them exact
+        # zeros, as exp(-inf) would
+        row_max = np.max(scores, axis=-1, keepdims=True, where=mask.allow,
+                         initial=-np.inf)
+        scores -= row_max
+        scores *= mask.weight
+        np.exp(scores, out=scores)
+        scores *= mask.weight
     total = scores.sum(axis=-1, keepdims=True)
     scores /= total
     return scores, (row_max + np.log(total))[..., 0]
@@ -175,7 +237,7 @@ def _top_u_rows(measures: np.ndarray, u: int, prefix: bool) -> np.ndarray:
         # ahead[..., i, j] = m[j] >= m[i] for j < i; >= implements the
         # lower-index tie-break of the global rule
         ahead = measures[..., None, :] >= measures[..., :, None]
-        ahead &= np.tri(measures.shape[-1], k=-1, dtype=bool)
+        ahead &= _earlier(measures.shape[-1])
         return np.count_nonzero(ahead, axis=-1) < u
     order = np.argsort(-measures, axis=-1, kind="stable")[..., :u]
     active = np.zeros(measures.shape, dtype=bool)
@@ -201,7 +263,8 @@ def select_top_queries(q_data: np.ndarray, k_data: np.ndarray,
 
 
 def _attend(q, k, v, mask=None, u=None, prefix=False):
-    """Attention over head batches q [H, L_q, d] and k, v [H, L_k, d].
+    """Attention over head batches q [H, L_q, d] and k, v [H, L_k, d], under
+    the checked ``_Mask`` ``mask`` (None: every key visible).
 
     Full attention when ``u`` is None; otherwise sparse attention with u
     active queries per head, ranked per prefix when ``prefix``.  Returns the
@@ -211,12 +274,6 @@ def _attend(q, k, v, mask=None, u=None, prefix=False):
     l_k = k.shape[1]
     if l_k == 0:
         raise DimensionError("attention needs at least one key")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (l_q, l_k):
-            raise DimensionError(f"mask shape {mask.shape} != scores {(l_q, l_k)}")
-        if not mask.any(axis=1).all():
-            raise ParameterError("mask leaves a query with no visible key")
     inv_sqrt_d = 1.0 / np.sqrt(q.shape[2])
     scores = _scaled_scores(q, k)
     if u is None:
@@ -231,15 +288,14 @@ def _attend(q, k, v, mask=None, u=None, prefix=False):
         if prefix:
             # center by the uniform-scores baseline log(visible keys): a
             # flat score row then nets exactly zero whatever its count
-            measures -= np.log(_visible(mask, l_k))
+            measures -= np.log(l_k) if mask is None else mask.log_count
         active = _top_u_rows(measures, u, prefix)[..., None]
         COUNTER.attention_dot_products += int(active.sum()) * l_k
         # a lazy row's weights are the constants mask / count (the mean of
         # the visible values), shared by every head, and carry no softmax
         # gradient; zeroing those rows of probs leaves the active ones
         lazy_rows = ~active
-        lazy = (np.full((l_q, l_k), 1.0 / l_k) if mask is None
-                else mask / mask.sum(axis=1, keepdims=True))
+        lazy = _uniform_weights(l_q, l_k) if mask is None else mask.lazy
         np.multiply(probs, active, out=probs)
         out = probs @ v + lazy_rows * (lazy @ v)
 
@@ -268,7 +324,10 @@ def _one_head(qkv: QKV, mask, u=None, prefix=False) -> Tensor:
 
 
 def full_attention(qkv: QKV, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax(Q K^T / sqrt(d)) V with optional -inf masking."""
+    """Softmax(Q K^T / sqrt(d)) V; a boolean allow-mask [L_q, L_k] hides
+    the keys it marks false."""
+    if mask is not None:
+        mask = _mask_constants(mask, qkv.q.shape[0], qkv.k.shape[0])
     return _one_head(qkv, mask)
 
 
@@ -277,7 +336,7 @@ def probsparse_attention(qkv: QKV, cfg: AttentionConfig,
     """Sparse attention: exact rows for active queries, mean-of-values rows
     (running mean under causality) for the rest."""
     l_q, l_k = qkv.q.shape[0], qkv.k.shape[0]
-    mask = causal_mask(l_q, l_k) if causal else None
+    mask = _causal_constants(l_q, l_k) if causal else None
     return _one_head(qkv, mask, top_u_count(cfg.c, l_q), causal)
 
 
@@ -327,7 +386,7 @@ def multi_head(x_q: Tensor, x_kv: Tensor, weights: MultiHeadWeights,
     out, attend_bwd = _attend(
         split_heads(x_q.data @ w_q), split_heads(kv[:, :width]),
         split_heads(kv[:, width:]),
-        causal_mask(l_q, l_k) if causal else None,
+        _causal_constants(l_q, l_k) if causal else None,
         top_u_count(cfg.c, l_q) if mode == "prob" else None, causal)
     joined = join_heads(out)
 
@@ -357,8 +416,15 @@ def distill(x: Tensor, weights: DistillWeights) -> Tensor:
     Recorded as one tape node.  It works row-major on x [L, d_model], so the
     transposes of the channels-first ops (``conv1d``, ``max_pool1d``, which
     stay as its op-by-op reference) drop out: every time step's window of
-    rows is one row of ``cols``, the convolution is one ``cols @ kmat.T``,
-    and pooling takes the max over windows of rows, ties to the earliest.
+    rows is one row of ``cols``, filled by one slice copy per tap, and the
+    convolution is one ``cols @ kmat.T``.  Pooling is two ``np.maximum``
+    calls over row-strided views, and the backward sends each output's
+    gradient to the first row of its window that holds the maximum, as
+    argmax would pick it.  The float operations and their order are those
+    of the padded, argmax and ``np.add.at`` form, so the bits are too.  (A
+    window holding a NaN matches no row: its gradient goes to its right row,
+    if it has one, not to the first NaN.  Training stops at the non-finite
+    loss before any backward.)
     """
     length = x.shape[0]
     if length < 2:
@@ -369,21 +435,41 @@ def distill(x: Tensor, weights: DistillWeights) -> Tensor:
         raise DimensionError(f"kernel channel count {c_in} != input channels "
                              f"{x.shape[1]}")
     pad_l = (w - 1) // 2
-    xp = np.pad(x.data, ((pad_l, w // 2), (0, 0)))
-    cols = sliding_window_view(xp, w, axis=0).reshape(length, c_in * w)
+    xp = np.zeros((length + w - 1, c_in))
+    xp[pad_l:pad_l + length] = x.data
+    # cols[i, c, j] = xp[i + j, c]; this column order fixes the summation
+    # order of the matmul, and so its bits
+    cols = np.empty((length, c_in, w))
+    for j in range(w):
+        cols[:, :, j] = xp[j:j + length]
+    cols = cols.reshape(length, c_in * w)
     kmat = kernels.reshape(c_out, c_in * w)
     conv = cols @ kmat.T
     act = elu_array(conv)
-    pooled_in = np.pad(act, ((1, 1), (0, 0)), constant_values=-np.inf)
-    windows = sliding_window_view(pooled_in, 3, axis=0)[::2]
-    # absolute row (in pooled_in) of each output's maximum
-    rows = windows.argmax(axis=-1) + 2 * np.arange(len(windows))[:, None]
+    # output i pools rows 2i - 1 (left), 2i (centre) and 2i + 1 (right) of
+    # act; the first output has no left row, an odd length's last no right
+    n_out, n_odd = (length + 1) // 2, length // 2
+    centre, odd = act[0::2], act[1::2]
+    out = centre.copy()
+    np.maximum(odd[:n_out - 1], out[1:], out=out[1:])
+    np.maximum(out[:n_odd], odd, out=out[:n_odd])
+    # the first maximum in window order wins, as argmax picks it
+    left = odd[:n_out - 1] == out[1:]       # outputs 1 .. n_out - 1
+    mid = centre == out
+    mid[1:] &= ~left
+    right = ~mid[:n_odd]
+    right[1:] &= ~left[:n_odd - 1]
 
     def bwd(g):
-        # windows overlap by one row, so a row takes at most two terms
-        d_in = np.zeros(pooled_in.shape)
-        np.add.at(d_in, (rows, np.arange(c_out)), g)
-        d_conv = d_in[1:1 + length] * np.where(conv < 0, act + 1.0, 1.0)
+        # windows overlap by one row, so a row takes at most two terms,
+        # added to zeros in the order np.add.at would add them (adding
+        # 0.0 to a sum that started from zeros leaves its bits)
+        d_act = np.zeros(act.shape)
+        d_act[0::2] += np.where(mid, g, 0.0)
+        d_odd = d_act[1::2]
+        d_odd += np.where(right, g[:n_odd], 0.0)
+        d_odd[:n_out - 1] += np.where(left, g[1:], 0.0)
+        d_conv = d_act * np.where(conv < 0, act + 1.0, 1.0)
         d_cols = (d_conv @ kmat).reshape(length, c_in, w)
         # channels-first memory, as the op-by-op reference leaves it: the
         # layer norm before distill sums this gradient over rows, and
@@ -394,4 +480,4 @@ def distill(x: Tensor, weights: DistillWeights) -> Tensor:
         return (d_xp[pad_l:pad_l + length],
                 (d_conv.T @ cols).reshape(c_out, c_in, w))
 
-    return _record((x, weights.kernels), windows.max(axis=-1), bwd)
+    return _record((x, weights.kernels), out, bwd)

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 I/O error.
 import argparse
 import contextlib
 import sys
+import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -184,11 +185,17 @@ def cmd_train(cfg: RunConfig) -> None:
             log(command="train", group=group, resumed_from=ckpt,
                 epochs_done=start_epoch)
         epochs = cfg.effective_epochs
+        epoch_start = time.perf_counter()
 
         def on_epoch(e, tr, vl, _group=group):
+            # wall time of the epoch, validation included; logs only
+            nonlocal epoch_start
+            now = time.perf_counter()
+            elapsed, epoch_start = now - epoch_start, now
             log(command="train", model=cfg.model, group=_group, epoch=e,
                 train_loss=f"{tr:.6f}", val_loss=f"{vl:.6f}",
-                gap=f"{vl - tr:.6f}")
+                gap=f"{vl - tr:.6f}", elapsed_s=f"{elapsed:.3f}",
+                windows_per_s=f"{cfg.windows_per_epoch / elapsed:.1f}")
 
         history, opt = timegrad.fit(
             model, gpanel, epochs=epochs, seed=cfg.seed, lr=cfg.lr,

@@ -400,6 +400,26 @@ def _well_series(cfg: SyntheticFieldConfig, rng: np.random.Generator,
     return oil, water
 
 
+@np.errstate(all="ignore")  # an overflowing product takes the string route
+def _snap_6_decimals(values: np.ndarray) -> np.ndarray:
+    """``float(f"{v:.6f}")`` of every finite value: the CSV's 6-decimal grid.
+
+    rint(v * 1e6) / 1e6 gives the same bits: the integer is exact, and
+    dividing it by the exact 1e6 rounds k / 10^6 correctly, as parsing the
+    string does.  Rounding the product first can only move the integer
+    where the product lies within an ulp of a half-integer; those, and
+    products too large for exact integers, take the string route.
+    """
+    product = values * 1e6
+    out = np.rint(product) / 1e6
+    size = np.abs(product)
+    slow = ~(size < 2.0 ** 52)
+    slow |= np.abs(product - np.floor(product) - 0.5) <= np.spacing(size)
+    for i in zip(*np.nonzero(slow)):
+        out[i] = float(f"{values[i]:.6f}")
+    return out
+
+
 @np.errstate(all="ignore")  # overflow ends in the finiteness check, unwarned
 def generate_synthetic(cfg: SyntheticFieldConfig, return_wells: bool = False):
     """Build the panel; deterministic per seed.
@@ -434,8 +454,7 @@ def generate_synthetic(cfg: SyntheticFieldConfig, return_wells: bool = False):
     if not np.isfinite(values).all():
         raise ValidationError("production values must be finite; lower "
                               "q_init_range or noise_scale")
-    # snap to the CSV's 6-decimal grid for exact round-trips
-    values = np.array([[float(f"{v:.6f}") for v in row] for row in values])
+    values = _snap_6_decimals(values)
     timestamps = cfg.start_day + np.arange(cfg.n_steps, dtype=np.int64) * cfg.stride_days
     panel = SeriesPanel(columns=columns, timestamps=timestamps, values=values)
     if return_wells:

@@ -6,9 +6,10 @@ Nodes are appended in execution order, so the record is topologically sorted
 by construction; ``backward`` walks it once in reverse and then discards it.
 The record is rebuilt on every forward pass.
 
-Only NaN is treated as a hard error state.  The single sanctioned use of
-``-inf`` is attention masking, where masked scores are defined to be minus
-infinity before a softmax.
+Only NaN is treated as a hard error state.  ``-inf`` is allowed only as a
+masked attention score before ``softmax`` (which maps it to an exact zero)
+and as ``max_pool1d``'s padding, in these op-by-op forms; the fused kernels
+in ``attention`` mask with 0/1 weights instead, so their exp never sees it.
 """
 
 from __future__ import annotations

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gradcheck import check_gradients
 from wellcast import tensor as T
 from wellcast.attention import (COUNTER, AttentionConfig, DistillWeights,
-                                MultiHeadWeights, QKV, _top_u_rows,
+                                MultiHeadWeights, QKV, _attend,
+                                _causal_constants, _earlier, _mean_term,
+                                _softmax_rows, _top_u_rows, _uniform_weights,
                                 causal_mask, distill, full_attention,
                                 multi_head, probsparse_attention,
                                 select_top_queries, sparsity_measure,
                                 top_u_count)
-from wellcast.errors import DimensionError
+from wellcast.errors import DimensionError, ParameterError
 from wellcast.rng import TRAIN, stream
 from wellcast.tensor import Tensor
 
@@ -515,3 +518,187 @@ class TestDistill:
         weights = DistillWeights(2, stream(26, TRAIN))
         with pytest.raises(DimensionError):
             distill(Tensor(np.zeros((1, 2))), weights)
+
+
+# -- bitwise oracles: the numpy calls that distill and the masked attention
+# path were first written with, kept here as references ---------------------
+
+def reference_distill(x, kernels):
+    """distill through np.pad, a strided argmax and np.add.at; returns the
+    output and its backward."""
+    length = x.shape[0]
+    c_out, c_in, w = kernels.shape
+    pad_l = (w - 1) // 2
+    xp = np.pad(x, ((pad_l, w // 2), (0, 0)))
+    cols = sliding_window_view(xp, w, axis=0).reshape(length, c_in * w)
+    kmat = kernels.reshape(c_out, c_in * w)
+    conv = cols @ kmat.T
+    act = T.elu_array(conv)
+    pooled_in = np.pad(act, ((1, 1), (0, 0)), constant_values=-np.inf)
+    windows = sliding_window_view(pooled_in, 3, axis=0)[::2]
+    rows = windows.argmax(axis=-1) + 2 * np.arange(len(windows))[:, None]
+
+    def bwd(g):
+        d_in = np.zeros(pooled_in.shape)
+        np.add.at(d_in, (rows, np.arange(c_out)), g)
+        d_conv = d_in[1:1 + length] * np.where(conv < 0, act + 1.0, 1.0)
+        d_cols = (d_conv @ kmat).reshape(length, c_in, w)
+        d_xp = np.zeros(xp.shape, order="F")
+        for j in range(w):
+            d_xp[j:j + length] += d_cols[:, :, j]
+        return (d_xp[pad_l:pad_l + length],
+                (d_conv.T @ cols).reshape(c_out, c_in, w))
+
+    return windows.max(axis=-1), bwd
+
+
+def reference_mean_term(scores, mask):
+    return np.where(mask, scores, 0.0).sum(axis=-1) / mask.sum(axis=-1)
+
+
+def reference_softmax_rows(scores, mask):
+    scores += np.where(mask, 0.0, -np.inf)
+    row_max = scores.max(axis=-1, keepdims=True)
+    scores -= row_max
+    np.exp(scores, out=scores)
+    total = scores.sum(axis=-1, keepdims=True)
+    scores /= total
+    return scores, (row_max + np.log(total))[..., 0]
+
+
+def reference_attend(q, k, v, mask, u, prefix):
+    """_attend under an allow-mask, with -inf scores and the mask
+    constants built on every call; returns the output and its backward."""
+    l_q, l_k = mask.shape
+    inv_sqrt_d = 1.0 / np.sqrt(q.shape[2])
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores *= inv_sqrt_d
+    if u is None:
+        probs = reference_softmax_rows(scores, mask)[0]
+        out, lazy = probs @ v, None
+    else:
+        mean = reference_mean_term(scores, mask)
+        probs, lse = reference_softmax_rows(scores, mask)
+        measures = lse - mean
+        if prefix:
+            measures -= np.log(mask.sum(axis=-1))
+        active = _top_u_rows(measures, u, prefix)[..., None]
+        lazy_rows = ~active
+        lazy = mask / mask.sum(axis=1, keepdims=True)
+        np.multiply(probs, active, out=probs)
+        out = probs @ v + lazy_rows * (lazy @ v)
+
+    def bwd(g):
+        d_scores = g @ np.swapaxes(v, 1, 2)
+        d_scores -= (g * out).sum(axis=-1, keepdims=True)
+        d_scores *= probs
+        d_v = np.swapaxes(probs, 1, 2) @ g
+        if lazy is not None:
+            d_v += lazy.T @ (lazy_rows * g)
+        return ((d_scores @ k) * inv_sqrt_d,
+                (np.swapaxes(d_scores, 1, 2) @ q) * inv_sqrt_d, d_v)
+
+    return out, bwd
+
+
+def assert_same_bits(got, want):
+    assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape,
+                                                    want.strides)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestDistillBitwise:
+    """distill gives the reference's bits, forward and backward, ties and
+    signed zeros included."""
+
+    @pytest.mark.parametrize("ties", ["none", "repeated_rows", "zero_taps"])
+    @pytest.mark.parametrize("length", list(range(2, 101)))
+    def test_matches_reference(self, length, ties):
+        rng = stream(900 + length, TRAIN)
+        d_model = 4
+        weights = DistillWeights(d_model, rng)
+        x = rng.normal(size=(length, d_model))
+        if ties == "repeated_rows":  # rows 2i and 2i + 1 equal
+            x[1::2] = x[0::2][:length // 2]
+        elif ties == "zero_taps":  # whole windows of exact zeros
+            weights.kernels.data[:, :, [0, 2]] = 0.0
+            weights.kernels.data[::2] = 0.0
+        want_out, want_bwd = reference_distill(x, weights.kernels.data)
+        out = distill(Tensor(x, requires_grad=True), weights)
+        assert_same_bits(out.data, want_out)
+        g = rng.normal(size=out.shape)
+        g[::3, ::2] = -0.0
+        for got, want in zip(T._RECORD[-1].backward_fn(g), want_bwd(g)):
+            assert_same_bits(got, want)
+
+
+def causal_shapes():
+    return [(l_q, l_k) for l_q in (1, 2, 5, 9, 24) for l_k in (l_q, l_q + 3)]
+
+
+class TestMaskedAttentionBitwise:
+    """The causal path, with its constants cached per shape and exp kept
+    away from -inf, gives the reference's bits."""
+
+    @pytest.mark.parametrize("mode", ["full", "prob"])
+    @pytest.mark.parametrize("l_q,l_k", causal_shapes())
+    def test_attend_matches_reference(self, mode, l_q, l_k):
+        rng = stream(950 + l_q + 31 * l_k, TRAIN)
+        n_heads, d = 3, 4
+        q, k, v = (rng.normal(size=(n_heads, n, d)) for n in (l_q, l_k, l_k))
+        k[:, -1] = k[:, 0]  # tied scores
+        q[:, 0] *= 40.0  # rows whose masked scores would underflow exp
+        u = top_u_count(1.0, l_q) if mode == "prob" else None
+        got_out, got_bwd = _attend(q, k, v, _causal_constants(l_q, l_k), u,
+                                   u is not None)
+        want_out, want_bwd = reference_attend(q, k, v, causal_mask(l_q, l_k),
+                                              u, u is not None)
+        assert_same_bits(got_out, want_out)
+        g = rng.normal(size=got_out.shape)
+        for got, want in zip(got_bwd(g), want_bwd(g)):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("l_q,l_k", causal_shapes())
+    def test_softmax_and_measure_match_reference(self, l_q, l_k):
+        rng = stream(990 + l_q + 31 * l_k, TRAIN)
+        scores = rng.normal(size=(2, l_q, l_k)) * 30.0
+        scores[1] = -0.0  # all-zero rows, and signed zeros in the sums
+        scores[0, :, ::2] = -0.0
+        mask = _causal_constants(l_q, l_k)
+        got_probs, got_lse = _softmax_rows(scores.copy(), mask)
+        want_probs, want_lse = reference_softmax_rows(scores.copy(), mask.allow)
+        assert_same_bits(got_probs, want_probs)
+        assert_same_bits(got_lse, want_lse)
+        # a masked score times 0.0 keeps its sign, where the reference
+        # has 0.0; numpy's sum of zeros is 0.0 either way
+        assert_same_bits(_mean_term(scores, mask),
+                         reference_mean_term(scores, mask.allow))
+
+    def test_constants_are_shared_and_read_only(self):
+        mask = _causal_constants(7, 9)
+        assert _causal_constants(7, 9) is mask
+        allow = causal_mask(7, 9)
+        count = allow.sum(axis=1)
+        for got, want in zip(mask, (allow, allow * 1.0, count, np.log(count),
+                                    allow / count[:, None])):
+            assert_same_bits(got, want)
+        constants = [*mask, _uniform_weights(7, 9), _earlier(7)]
+        assert _uniform_weights(7, 9) is constants[-2]
+        assert _earlier(7) is constants[-1]
+        for a in constants:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    def test_bad_masks_still_rejected(self):
+        qkv = make_qkv(stream(27, TRAIN), 3, 4, 2)
+        with pytest.raises(DimensionError):
+            full_attention(qkv, np.ones((3, 3), dtype=bool))
+        no_key = np.ones((3, 4), dtype=bool)
+        no_key[1] = False
+        with pytest.raises(ParameterError):
+            full_attention(qkv, no_key)
+        cfg = AttentionConfig(d_model=2, n_heads=1, c=1.0)
+        with pytest.raises(ParameterError):  # causal with L_k < L_q
+            probsparse_attention(make_qkv(stream(28, TRAIN), 4, 2, 2), cfg,
+                                 causal=True)

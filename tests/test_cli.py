@@ -121,6 +121,31 @@ class TestTrain:
             outs.append(file_hash(out / "timegrad_all.gck"))
         assert outs[0] == outs[1]
 
+    def test_epoch_lines_carry_timing(self, small_field, tmp_path, capsys):
+        csv_path, _, _ = small_field
+        capsys.readouterr()
+        assert run("train", "--model", "informer", "--data", str(csv_path),
+                   "--out", str(tmp_path / "run"), *COMMON, *ENC) == 0
+        lines = [dict(field.split("=", 1) for field in line.split())
+                 for line in capsys.readouterr().out.splitlines()
+                 if " epoch=" in line]
+        assert [line["epoch"] for line in lines] == ["0", "1"]
+        for line in lines:
+            assert float(line["elapsed_s"]) > 0
+            assert float(line["windows_per_s"]) > 0
+
+    def test_same_seed_runs_write_the_same_bytes(self, small_field, tmp_path):
+        # the epoch timing goes to the logs, never to the files
+        csv_path, _, _ = small_field
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert run("train", "--model", "informer", "--data", str(csv_path),
+                       "--out", str(out), *COMMON, *ENC) == 0
+            runs.append([(out / f).read_bytes() for f in
+                         ("informer_all.gck", "informer_all_loss.csv")])
+        assert runs[0] == runs[1]
+
     @pytest.mark.parametrize("model,sizes", [("vanilla", ENC),
                                              ("timegrad", SIZES)])
     def test_resumed_run_gives_straight_run_bytes(self, small_field, tmp_path,

@@ -1,4 +1,5 @@
 import datetime
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wellcast.data import (CSV_HEADER, EPOCH, SeriesPanel,
-                           SyntheticFieldConfig, arps_rate, config_from_text,
+                           SyntheticFieldConfig, _snap_6_decimals, arps_rate,
+                           config_from_text,
                            config_to_text, epoch_days_to_date,
                            generate_synthetic, load_csv, save_csv, split,
                            truncate_at_breakthrough)
@@ -491,6 +493,49 @@ class TestGenerator:
         assert back == cfg
         with pytest.raises(FormatError):
             config_from_text("bogus_key=1\n")
+
+
+def string_snap(values):
+    """The 6-decimal grid through the string, as the CSV writes it."""
+    return np.array([float(f"{v:.6f}") for v in values])
+
+
+def near_ties():
+    """(k + 0.5) / 1e6 at several scales, and its neighbours one ulp away."""
+    k = st.integers(-10 ** 12, 10 ** 12).map(lambda k: (k + 0.5) / 1e6)
+    return st.tuples(k, st.sampled_from([-1, 0, 1])).map(
+        lambda t: t[0] if t[1] == 0 else np.nextafter(t[0], t[1] * np.inf))
+
+
+class TestSnap:
+    """Snapping the panel to 6 decimals with array ops gives the bits of
+    float(f"{v:.6f}") for every finite value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1e-5, 1e-5), near_ties(),
+        st.floats(2.0 ** 52 / 1e6, 1e12),
+        st.sampled_from([0.0, -0.0, -1e-300, -4e-7, -5e-7, 5e-7, 1 / 128,
+                         2.0 ** 52 / 1e6])), min_size=1, max_size=40))
+    def test_matches_string_round_trip(self, values):
+        values = np.array(values)
+        got, want = _snap_6_decimals(values), string_snap(values)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_exact_ties_round_half_even(self):
+        # 1/128 * 1e6 = 7812.5 exactly: both routes round it to even
+        values = np.array([1 / 128, 3 / 128, -1 / 128])
+        assert _snap_6_decimals(values).tolist() == [0.007812, 0.023438,
+                                                     -0.007812]
+
+    @pytest.mark.parametrize("seed,digest", [
+        (1, "ccc90ba2597aa1d66b2e000182e088142f81ae290fc6161b6ce8e5f706877d37"),
+        (7, "88d77c4c927af7fc7e89ac054d2a8964d6018f4997f1f809ab07e273d9ca305e"),
+        (42, "997fd86277434a139a9adeee26a52c058ffe0d98c5836c336d3d0f3e0a774d67")])
+    def test_default_panel_bytes(self, seed, digest):
+        values = generate_synthetic(SyntheticFieldConfig(seed=seed)).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
 def replace_seed(cfg, seed):
