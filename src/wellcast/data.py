@@ -27,6 +27,7 @@ from . import checkpoint
 from . import rng as rng_mod
 from .errors import (FormatError, NoBreakthroughError, ParameterError,
                      ValidationError)
+from .evaluation import MAX_DRAWS
 
 EPOCH = datetime.date(1970, 1, 1)
 OIL = "oil"
@@ -314,6 +315,11 @@ class SyntheticFieldConfig:
             raise ParameterError("need at least one site and one well per site")
         if self.n_steps < 2:
             raise ParameterError("need at least two timesteps")
+        values = self.n_sites * self.wells_per_site * self.n_steps
+        if values > MAX_DRAWS:  # refused before any well series is allocated
+            raise ParameterError(
+                f"n_sites x wells_per_site x n_steps = {values} well values, "
+                f"more than {MAX_DRAWS}; lower n_sites, wells_per_site or n_steps")
         for f in fields(self):  # each range is drawn from by rng.uniform
             ends = getattr(self, f.name)
             if isinstance(ends, tuple) and not (np.isfinite(ends).all()

@@ -28,16 +28,19 @@ matmuls on plain arrays.  Splitting the first matmul changes its rounding
 only (relative drift of order 1e-15 against ``forward``).
 
 The rollout runs on buffers.  ``predict`` keeps its two [B, hidden]
-activations and one ELU scratch array across calls and writes each layer
-into them: ``np.dot(..., out=)``, the bias rows added in place in the order
-(x_n @ W1x + h @ W1h) + table[n - 1], and the ELU in place as
-max(a, 0) + expm1(min(a, 0)).  Only the [B, D] output is a fresh array.
-The update's coefficients 1/sqrt(alpha_n), beta_n/sqrt(1 - abar_n) and
-sqrt(btilde_n) are computed as arrays once per rollout; elementwise sqrt
-and division round as their scalar forms do.  Every float operation is
-the allocating form's, in its order, so samples keep its bits.
-``reverse_step`` keeps the tape-path ``forward`` as the single-step
-reference; it and ``sample`` share one posterior-mean update.
+activations, one ELU scratch array and b2 tiled to [B, hidden] across
+calls, and writes each layer into them: ``np.dot(..., out=)``, the first
+layer's bias rows added in place in the order
+(x_n @ W1x + h @ W1h) + table[n - 1], b2 as a same-shape add (half the
+cost of a broadcast row add), and the three-ufunc ELU of
+``tensor.elu_inplace``.  Only the [B, D] output is a fresh array, and
+``sample`` writes each posterior update over it.  The update's
+coefficients 1/sqrt(alpha_n), beta_n/sqrt(1 - abar_n) and sqrt(btilde_n)
+are computed as arrays once per rollout; elementwise sqrt and division
+round as their scalar forms do.  Every float operation is the allocating
+form's, in its order, so samples keep its bits.  ``reverse_step`` keeps
+the tape-path ``forward`` as the single-step reference; it and ``sample``
+share one posterior-mean update.
 """
 
 from dataclasses import dataclass
@@ -241,16 +244,18 @@ class EpsilonNet:
             if not 1 <= n <= self.n_steps:
                 raise ParameterError(f"diffusion step {n} outside 1..{self.n_steps}")
             if not bufs or len(bufs[0]) != len(x_n):
-                # the two [B, hidden] activations and the ELU scratch
-                bufs = tuple(np.empty((len(x_n), self.hidden)) for _ in range(3))
-            z1, z2, scratch = bufs
+                # the two [B, hidden] activations, the ELU scratch and b2's block
+                shape = (len(x_n), self.hidden)
+                bufs = (np.empty(shape), np.empty(shape), np.empty(shape),
+                        np.broadcast_to(b2, shape).copy())
+            z1, z2, scratch, b2_block = bufs
             # (x_n @ W1x + base) + row: the allocating form's order, same bits
             np.dot(x_n, w1x, out=z1)
             z1 += base
             z1 += table[n - 1]
             elu_inplace(z1, scratch)
             np.dot(z1, w2, out=z2)
-            z2 += b2
+            z2 += b2_block
             elu_inplace(z2, scratch)
             return z2 @ w3 + b3
 
@@ -295,11 +300,16 @@ def _update_coefs(sched: NoiseSchedule, paper_literal: bool) -> list:
                     np.sqrt(sched.beta_tilde)))
 
 
-def _posterior_update(xn: np.ndarray, eps_hat: np.ndarray, z,
-                      coefs: tuple) -> np.ndarray:
-    """x_{n-1} from x_n and the predicted noise; the one copy of the update."""
+def _posterior_update(xn: np.ndarray, eps_hat: np.ndarray, z, coefs: tuple,
+                      scratch: np.ndarray) -> np.ndarray:
+    """x_{n-1} = pref * (x_n - eps_coef * eps_hat) + sd * z, written over
+    eps_hat with sd * z in scratch; the one copy of the update."""
     pref, eps_coef, sd = coefs
-    return pref * (xn - eps_coef * eps_hat) + sd * z
+    eps_hat *= eps_coef
+    np.subtract(xn, eps_hat, out=eps_hat)
+    eps_hat *= pref
+    eps_hat += np.multiply(z, sd, out=scratch)
+    return eps_hat
 
 
 def reverse_step(xn, h_prev, n: int, net: EpsilonNet, sched: NoiseSchedule,
@@ -315,8 +325,9 @@ def reverse_step(xn, h_prev, n: int, net: EpsilonNet, sched: NoiseSchedule,
     z = np.asarray(z, dtype=np.float64)
     with no_grad():
         eps_hat = net.forward(np.atleast_2d(xn), h_prev, n).data
-    return _posterior_update(xn, eps_hat.reshape(xn.shape), z,
-                             _update_coefs(sched, paper_literal)[n - 1])
+    eps_hat = eps_hat.reshape(xn.shape)
+    coefs = _update_coefs(sched, paper_literal)[n - 1]
+    return _posterior_update(xn, eps_hat, z, coefs, np.empty_like(eps_hat))
 
 
 def sample(x_init, h_prev, net: EpsilonNet, sched: NoiseSchedule,
@@ -328,20 +339,26 @@ def sample(x_init, h_prev, net: EpsilonNet, sched: NoiseSchedule,
     is used at the i-th reverse step (n = N - i); the n = 1 step always uses
     z = 0.  Without it, z is drawn from ``rng``.  The network is evaluated
     through ``net.conditioned(h_prev)``, built once for the whole rollout.
+    Each step writes its update over the fresh array ``predict`` returns.
     """
     x = np.asarray(x_init, dtype=np.float64)
+    shape = x.shape
+    x = np.atleast_2d(x)
     big_n = sched.n_steps
     if noise is None and rng is None and big_n > 1:
         raise ParameterError("either rng or injected noise is required for N > 1")
+    if noise is not None:
+        noise = np.asarray(noise, dtype=np.float64).reshape(len(noise), *x.shape)
     predict = net.conditioned(h_prev)
     coefs = _update_coefs(sched, paper_literal)
+    zeros = np.zeros(x.shape)  # z at n = 1
+    scratch = np.empty(x.shape)
     for i, n in enumerate(range(big_n, 0, -1)):
         if n == 1:
-            z = np.zeros_like(x)
+            z = zeros
         elif noise is not None:
-            z = np.asarray(noise[i], dtype=np.float64).reshape(x.shape)
+            z = noise[i]
         else:
-            z = rng.standard_normal(x.shape)
-        eps_hat = predict(np.atleast_2d(x), n).reshape(x.shape)
-        x = _posterior_update(x, eps_hat, z, coefs[n - 1])
-    return x
+            z = rng.standard_normal(out=scratch)
+        x = _posterior_update(x, predict(x, n), z, coefs[n - 1], scratch)
+    return x.reshape(shape)

@@ -17,7 +17,8 @@ from .errors import ContractError, MetricError, ParameterError
 # (0.20, 0.25, 0.30, 0.65, 0.70, 0.85, 0.90) are already on this grid.
 QUANTILE_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
-# an ensemble's noise is drawn as one float64 array: 2**27 values are 1 GiB
+# the most values one request may make: an ensemble's noise draws, or a
+# synthetic field's well values; 2**27 float64 values are 1 GiB
 MAX_DRAWS = 2 ** 27
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ContractError, DimensionError, ParameterError
 
 _GRAD_ENABLED = True
-_DEBUG_NAN_CHECKS = False
 
 
 class Tensor:
@@ -78,8 +77,6 @@ def _as_tensor(x) -> Tensor:
 def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn: Callable) -> Tensor:
     """Create the output tensor and, when grad mode is active and any input
     needs a gradient, append a node to the record."""
-    if _DEBUG_NAN_CHECKS and np.isnan(out_data).any():
-        raise FloatingPointError("NaN produced by a forward op")
     track = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
@@ -102,11 +99,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-def set_debug_nan_checks(flag: bool) -> None:
-    global _DEBUG_NAN_CHECKS
-    _DEBUG_NAN_CHECKS = bool(flag)
 
 
 def record_length() -> int:
@@ -260,10 +252,21 @@ def sigmoid(a: Tensor) -> Tensor:
 def elu_array(x: np.ndarray) -> np.ndarray:
     """x for x >= 0, exp(x) - 1 below, on a plain array.
 
-    Each half sees only its own side of zero, so expm1 cannot overflow and
-    no sign mask is needed; -0.0 maps to +0.0.
+    Computed as max(x, expm1(min(x, 0))): expm1 sees only x's negative
+    side, so it cannot overflow and no sign mask is needed.  This gives the
+    bits of the sum max(x, 0) + expm1(min(x, 0)) in one ufunc fewer.  Above
+    zero both pick x.  Below zero the sum is +0.0 + expm1(x) = expm1(x), and
+    the max picks expm1(x) too, because expm1(x) >= x: e^x - 1 > x for every
+    x != 0, and a faithfully rounded expm1 cannot round below the float x
+    itself.  Zeros of either sign map to +0.0, and a quiet NaN keeps its
+    payload.  A signaling NaN, which no arithmetic produces, comes out
+    unquieted where the sum quieted it.
     """
-    return np.maximum(x, 0.0) + np.expm1(np.minimum(x, 0.0))
+    out = np.minimum(x, 0.0)
+    if out.ndim == 0:  # a numpy scalar, which takes no out=
+        return np.maximum(x, np.expm1(out))
+    np.expm1(out, out=out)
+    return np.maximum(x, out, out=out)
 
 
 def elu_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
@@ -271,8 +274,7 @@ def elu_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
     expm1 half: the same ufuncs on the same values, so the same bits."""
     np.minimum(x, 0.0, out=scratch)
     np.expm1(scratch, out=scratch)
-    np.maximum(x, 0.0, out=x)
-    x += scratch
+    np.maximum(x, scratch, out=x)
 
 
 def elu(a: Tensor) -> Tensor:
@@ -381,15 +383,6 @@ def transpose(a: Tensor) -> Tensor:
         return (g.T,)
 
     return _record((a,), a.data.T.copy(), bwd)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    orig = a.shape
-
-    def bwd(g):
-        return (g.reshape(orig),)
-
-    return _record((a,), a.data.reshape(shape), bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -364,19 +364,22 @@ def forecast(model: TimeGradModel, context: np.ndarray, horizon: int,
     ctx_n, stats = normalize_window(context, model.scale_by_variance)
     big_n = model.sched.n_steps
     dim = model.data_dim
-    # noise[p, t, 0] seeds x_N for step t; noise[p, t, i] is z at reverse
-    # step n = N - i + 1 (the n = 1 step is forced to z = 0)
-    noise = np.empty((n_samples, horizon, big_n, dim))
-    for p, key in enumerate(path_keys):
-        rng_mod.stream(seed, rng_mod.PATH, key).standard_normal(out=noise[p])
+    # horizon step t reads the next [N, D] values of each path's stream:
+    # noise[p, 0] seeds x_N and noise[p, i] is z at reverse step
+    # n = N - i + 1 (the n = 1 step is forced to z = 0).  Drawn step by
+    # step, a stream gives the values one whole draw would, in its order.
+    gens = [rng_mod.stream(seed, rng_mod.PATH, key) for key in path_keys]
+    noise = np.empty((n_samples, big_n, dim))
 
     with no_grad():
         states = model.unroll(ctx_n)
         states = [constant(np.repeat(h.data, n_samples, axis=0)) for h in states]
         out = np.empty((n_samples, horizon, dim))
         for t in range(horizon):
-            x = sample(noise[:, t, 0], states[-1].data, model.eps_net,
-                       model.sched, noise=noise[:, t, 1:].swapaxes(0, 1),
+            for gen, block in zip(gens, noise):
+                gen.standard_normal(out=block)
+            x = sample(noise[:, 0], states[-1].data, model.eps_net,
+                       model.sched, noise=noise[:, 1:].swapaxes(0, 1),
                        paper_literal=model.paper_literal_sampler)
             if not np.isfinite(x).all():
                 raise TrainingError(f"non-finite forecast draws at horizon step t={t}")

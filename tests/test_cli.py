@@ -467,6 +467,34 @@ class TestMalformedInputs:
         assert line.partition("=")[0] in out.out
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("line", ["n_steps=1000000000000",
+                                      "wells_per_site=1000000000"])
+    def test_huge_field_exits_2_before_allocating(self, tmp_path, capsys,
+                                                  line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"{line}\n")
+        assert run("generate", "--synthetic-config", str(bad),
+                   "--out", str(tmp_path / "x")) == 2
+        out = capsys.readouterr()
+        assert "error=validation" in out.out
+        assert "lower n_sites, wells_per_site or n_steps" in out.out
+        assert "Traceback" not in out.out + out.err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["train", "forecast"])
+    def test_checkpoint_that_is_a_directory_exits_4(self, small_field,
+                                                    tmp_path, capsys, command):
+        csv_path, _, _ = small_field
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        assert run(command, "--model", "timegrad", "--data", str(csv_path),
+                   "--out", str(tmp_path / "out"), "--checkpoint", str(ckpt),
+                   *COMMON, *SIZES, "--epochs", "0") == 4
+        out = capsys.readouterr()
+        assert "error=io" in out.out and "Is a directory" in out.out
+        assert "Traceback" not in out.out + out.err
+        assert list(ckpt.iterdir()) == []
+
     @pytest.fixture(scope="class")
     def initial(self, small_field, tmp_path_factory):
         """Untrained timegrad and informer checkpoints, with optimizer state."""

@@ -15,6 +15,7 @@ from wellcast.data import (CSV_HEADER, EPOCH, SeriesPanel,
                            truncate_at_breakthrough)
 from wellcast.errors import (FormatError, NoBreakthroughError, ParameterError,
                              ValidationError)
+from wellcast.evaluation import MAX_DRAWS
 
 
 def panel_from(values, columns=None, stride=2, start=0):
@@ -484,6 +485,20 @@ class TestGenerator:
     def test_invalid_config_rejected(self):
         with pytest.raises(ParameterError):
             generate_synthetic(SyntheticFieldConfig(wells_per_site=0))
+
+    @pytest.mark.parametrize("key,value", [("n_steps", 10 ** 12),
+                                           ("wells_per_site", 10 ** 9)])
+    def test_huge_field_refused_before_allocating(self, key, value):
+        with pytest.raises(ParameterError,
+                           match="lower n_sites, wells_per_site or n_steps"):
+            generate_synthetic(SyntheticFieldConfig(**{key: value}))
+
+    def test_field_size_bound_is_the_draw_budget(self):
+        SyntheticFieldConfig(n_sites=1, wells_per_site=1,
+                             n_steps=MAX_DRAWS).validate()
+        with pytest.raises(ParameterError):
+            SyntheticFieldConfig(n_sites=2, wells_per_site=1,
+                                 n_steps=MAX_DRAWS // 2 + 1).validate()
 
     def test_config_text_round_trip(self):
         cfg = SyntheticFieldConfig(n_sites=3, seed=99, noise_scale=0.05,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcheck import check_gradients
+from oracles import elu_sum
 from toys import train_toy_net
 from wellcast import tensor as T
 from wellcast.diffusion import (EpsilonNet, build_schedule, ddpm_loss,
@@ -281,8 +282,9 @@ class TestConditionedPredictor:
 def reference_sample(x_init, h, net, sched, rng=None, noise=None,
                      paper_literal=False):
     """The sampler before it ran on preallocated buffers: a predictor that
-    allocates every activation and an update that works out its schedule
-    scalars at every step.  ``sample`` must give these bits exactly."""
+    allocates every activation and takes the four-ufunc ELU, and an update
+    that works out its schedule scalars at every step.  ``sample`` must give
+    these bits exactly."""
     h = np.atleast_2d(np.asarray(h, dtype=np.float64))
     d, c = net.data_dim, net.cond_dim
     w1 = net.w1.data
@@ -291,8 +293,8 @@ def reference_sample(x_init, h, net, sched, rng=None, noise=None,
     table = net.embed_table @ w1[d + c:] + net.b1.data
 
     def predict(x_n, n):
-        z1 = T.elu_array(x_n @ w1x + base + table[n - 1])
-        z2 = T.elu_array(z1 @ net.w2.data + net.b2.data)
+        z1 = elu_sum(x_n @ w1x + base + table[n - 1])
+        z2 = elu_sum(z1 @ net.w2.data + net.b2.data)
         return z2 @ net.w3.data + net.b3.data
 
     x = np.asarray(x_init, dtype=np.float64)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from gradcheck import check_gradients
+from oracles import elu_sum
 from wellcast import checkpoint
 from wellcast import tensor as T
 from wellcast.errors import (ContractError, DimensionError, FormatError,
@@ -14,6 +15,20 @@ from wellcast.errors import (ContractError, DimensionError, FormatError,
 from wellcast.optim import AdamW
 from wellcast.rng import TRAIN, stream
 from wellcast.tensor import Tensor
+
+
+# signed zeros, NaNs, infinities, subnormals, the smallest normal, the
+# 2**-52 neighbourhood where expm1(x) rounds to x, and expm1's -1 plateau
+ELU_EDGES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+             -1e-310, 2.2250738585072014e-308, -2.2250738585072014e-308,
+             -2.0 ** -52, -2.0 ** -53, -3e-16, -1.0, -37.0, -745.2, -1e308]
+
+
+def quiet_nans(x):
+    """x with every NaN made quiet, its sign and payload kept."""
+    bits = x.view(np.uint64).copy()
+    bits[np.isnan(x)] |= np.uint64(1 << 51)
+    return bits.view(np.float64)
 
 
 @pytest.fixture(autouse=True)
@@ -95,6 +110,43 @@ class TestElementwise:
         T.elu_inplace(inplace, np.empty_like(x))
         assert np.array_equal(inplace.view(np.uint64),
                               T.elu_array(x).view(np.uint64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, array_shapes(max_dims=2, max_side=40),
+                  elements=st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True)
+                  | st.sampled_from(ELU_EDGES)))
+    def test_elu_equals_four_ufunc_oracle_bitwise(self, x):
+        # shapes up to 40 wide put every value in vector lanes and in tails
+        x = quiet_nans(x)
+        want = elu_sum(x).view(np.uint64)
+        assert np.array_equal(T.elu_array(x).view(np.uint64), want)
+        inplace = x.copy()
+        T.elu_inplace(inplace, np.empty_like(x))
+        assert np.array_equal(inplace.view(np.uint64), want)
+
+    def test_elu_equals_four_ufunc_oracle_on_every_negative_exponent(self):
+        # negative floats over all exponents, and the values near zero where
+        # a rounded expm1(x) meets x itself
+        rng = stream(90, TRAIN)
+        size = 200_000
+        bits = (np.uint64(1) << np.uint64(63)
+                | rng.integers(0, 2047, size).astype(np.uint64) << np.uint64(52)
+                | rng.integers(0, 2 ** 52, size, dtype=np.uint64))
+        x = np.concatenate([bits.view(np.float64),
+                            -rng.uniform(0.0, 2.0 ** -40, size)])
+        want = elu_sum(x).view(np.uint64)
+        assert np.array_equal(T.elu_array(x).view(np.uint64), want)
+        T.elu_inplace(x, np.empty_like(x))
+        assert np.array_equal(x.view(np.uint64), want)
+
+    def test_elu_passes_a_signaling_nan_through(self):
+        # no arithmetic makes one; the four-ufunc sum quieted it, the max
+        # returns it as it came
+        snan = np.array([0x7FF0000000000001, 0xFFF0000000000001],
+                        dtype=np.uint64).view(np.float64)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(T.elu_array(snan)).all()
 
     @settings(max_examples=200, deadline=None)
     @given(arrays(np.float64, array_shapes(max_dims=2, max_side=16),

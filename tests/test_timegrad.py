@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -560,6 +561,22 @@ class TestForecast:
             assert np.array_equal(
                 z.view(np.uint64),
                 stacked[:, t, 1:].swapaxes(0, 1).copy().view(np.uint64))
+
+    def test_noise_is_drawn_per_horizon_step(self):
+        # one [paths, N, D] block a step, never the [paths, horizon, N, D]
+        # array that drawing every step's noise up front would take
+        from wellcast.diffusion import build_schedule
+        model = tiny_model(seed=39, sched=build_schedule(40, 1e-4, 0.2))
+        ctx = stream(40, TRAIN).normal(size=(6, 2))
+        paths, horizon = 50, 100
+        up_front = paths * horizon * model.sched.n_steps * model.data_dim * 8
+        tracemalloc.start()
+        try:
+            forecast(model, ctx, horizon=horizon, n_samples=paths, seed=14)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < up_front / 4
 
     def test_ensemble_independent_of_blas_threads(self):
         # 100 paths through the 128-wide epsilon net are large enough for
