@@ -10,12 +10,8 @@ attention rows only to the top-u queries, u = min(L_Q, max(1, ceil(c ln L_Q))).
 The remaining ("lazy") queries emit the mean of the value rows they are
 allowed to see, which keeps every output row a convex combination of values.
 
-Two measure variants are provided.  ``lse_minus_mean`` contrasts the
-log-sum-exp of the scaled scores with their arithmetic mean (the form the
-top-u heuristic is built around, and the one query selection uses);
-``paper_literal`` subtracts the mean of the exponentiated scores instead,
-matching one printed formulation, and is available through
-``sparsity_measure``.
+The measure is the log-sum-exp of a query's scaled scores minus their
+arithmetic mean, the form the top-u heuristic is built around.
 
 A mask hides keys from a query.  The row max runs over its visible scores,
 and the hidden entries are zeroed before exp (so exp never sees -inf, which
@@ -83,10 +79,6 @@ class AttentionConfig:
         if not 0 < self.c < np.inf:  # also rejects nan
             raise ParameterError(
                 f"sampling constant c must be positive and finite, got {self.c}")
-
-    @property
-    def d(self) -> int:
-        return self.d_model // self.n_heads
 
 
 @dataclass
@@ -164,12 +156,11 @@ def _scaled_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _mean_term(scores, mask: _Mask | None, variant="lse_minus_mean"):
-    """Mean of each row's visible scores (or of their exponentials)."""
-    kept = scores if variant == "lse_minus_mean" else np.exp(scores)
+def _mean_term(scores, mask: _Mask | None):
+    """Mean of each row's visible scores."""
     if mask is None:
-        return kept.sum(axis=-1) / scores.shape[-1]
-    return (kept * mask.weight).sum(axis=-1) / mask.count
+        return scores.sum(axis=-1) / scores.shape[-1]
+    return (scores * mask.weight).sum(axis=-1) / mask.count
 
 
 def _softmax_rows(scores: np.ndarray, mask: _Mask | None):
@@ -194,26 +185,6 @@ def _softmax_rows(scores: np.ndarray, mask: _Mask | None):
     total = scores.sum(axis=-1, keepdims=True)
     scores /= total
     return scores, (row_max + np.log(total))[..., 0]
-
-
-def _measures_from_scores(scores: np.ndarray, variant: str) -> np.ndarray:
-    """Per-query sparsity measure from an unmasked [L_q, L_k] score matrix,
-    which it overwrites: log-sum-exp minus the mean term of ``variant``."""
-    if variant not in ("lse_minus_mean", "paper_literal"):
-        raise ParameterError(f"unknown measure variant {variant!r}")
-    mean = _mean_term(scores, None, variant)
-    return _softmax_rows(scores, None)[1] - mean
-
-
-def sparsity_measure(q_i: np.ndarray, keys: np.ndarray,
-                     variant: str = "lse_minus_mean") -> float:
-    """Measure for a single query against all keys (stable log-sum-exp)."""
-    q_i = np.asarray(q_i, dtype=np.float64).reshape(1, -1)
-    keys = np.asarray(keys, dtype=np.float64)
-    if keys.shape[0] < 1:
-        raise ParameterError("need at least one key")
-    scores = _scaled_scores(q_i, keys)
-    return float(_measures_from_scores(scores, variant)[0])
 
 
 def top_u_count(c: float, l_q: int) -> int:
@@ -243,23 +214,6 @@ def _top_u_rows(measures: np.ndarray, u: int, prefix: bool) -> np.ndarray:
     active = np.zeros(measures.shape, dtype=bool)
     np.put_along_axis(active, order, True, axis=-1)
     return active
-
-
-def select_top_queries(q_data: np.ndarray, k_data: np.ndarray,
-                       cfg: AttentionConfig) -> np.ndarray:
-    """Ascending indices of the u queries with the largest measures.
-
-    Ties resolve to the lower index (stable sort on descending measure).
-    """
-    q_data = np.asarray(q_data, dtype=np.float64)
-    k_data = np.asarray(k_data, dtype=np.float64)
-    l_q, l_k = q_data.shape[0], k_data.shape[0]
-    if l_q < 1:
-        raise ParameterError("need at least one query")
-    scores = _scaled_scores(q_data, k_data)
-    COUNTER.measure_dot_products += l_q * l_k
-    measures = _measures_from_scores(scores, "lse_minus_mean")
-    return np.flatnonzero(_top_u_rows(measures, top_u_count(cfg.c, l_q), False))
 
 
 def _attend(q, k, v, mask=None, u=None, prefix=False):

@@ -13,7 +13,6 @@ save -> load -> save reproduces identical bytes.  Every artifact, checkpoint
 or not, reaches disk through ``atomic_write``.
 """
 
-import io
 import math
 import os
 import struct
@@ -39,10 +38,6 @@ def pack_records(records: dict[str, np.ndarray]) -> bytes:
         parts.append(struct.pack("<Q", len(payload)))
         parts.append(payload)
     return b"".join(parts)
-
-
-def unpack_records(blob: bytes) -> dict[str, np.ndarray]:
-    return _read_records(io.BytesIO(blob), len(blob))
 
 
 def _read_records(fh, size: int) -> dict[str, np.ndarray]:

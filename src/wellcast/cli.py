@@ -66,6 +66,9 @@ class RunConfig:
             raise ParameterError("quantile must lie in [0, 1]")
         if self.windows_per_epoch < 1:
             raise ParameterError("windows_per_epoch must be >= 1")
+        if self.epochs < -1:
+            raise ParameterError(f"epochs must be >= 0, or -1 for the "
+                                 f"per-model default, got {self.epochs}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
 

@@ -73,19 +73,14 @@ class NoiseSchedule:
         return len(self.beta)
 
 
-def schedule_from_betas(beta, beta_start=None, beta_end=None,
-                        strict: bool = True) -> NoiseSchedule:
-    """Derive every schedule array from a beta sequence.
-
-    strict=True enforces the strictly-increasing requirement; the relaxed
-    form exists only for analysis of hypothetical schedules in tests.
-    """
+def schedule_from_betas(beta, beta_start=None, beta_end=None) -> NoiseSchedule:
+    """Derive every schedule array from a strictly increasing beta sequence."""
     beta = np.asarray(beta, dtype=np.float64)
     if beta.ndim != 1 or beta.size < 1:
         raise ParameterError("beta must be a non-empty 1-D sequence")
     if np.any(beta <= 0.0) or np.any(beta >= 1.0):
         raise ParameterError("every beta must lie strictly inside (0, 1)")
-    if strict and beta.size > 1 and np.any(np.diff(beta) <= 0.0):
+    if np.any(np.diff(beta) <= 0.0):
         raise ParameterError("beta must be strictly increasing")
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)

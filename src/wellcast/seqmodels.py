@@ -300,11 +300,9 @@ class _SeqForecaster:
 
     def window_loss(self, values, timestamps, start, rng, drop_rng) -> Tensor:
         """Gaussian NLL of the window at ``start``, dropout on when drop_rng
-        is given; ``rng`` is unused.  Rows of a raw array (timestamps None)
-        are stamped ``row * stride``."""
+        is given; ``rng`` is unused."""
         mid, end = start + self.l_x, start + self.l_x + self.l_y
-        ts = (np.arange(start, end, dtype=np.float64) * self.stride
-              if timestamps is None else timestamps[start:end])
+        ts = timestamps[start:end]
         ctx_n, stats = normalize_window(values[start:mid])
         mean, log_var = self.forward(
             ctx_n, ctx_n[-self.l_token:], ts[:self.l_x], ts[self.l_x:],

@@ -85,10 +85,6 @@ def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn: Callabl
     return out
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 @contextmanager
 def no_grad():
     """Disable recording inside the block (inference mode)."""
@@ -99,10 +95,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-def record_length() -> int:
-    return len(_RECORD)
 
 
 def current_record() -> list:
@@ -375,16 +367,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record((a, b), out, bwd)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise DimensionError("transpose expects a 2-D tensor")
-
-    def bwd(g):
-        return (g.T,)
-
-    return _record((a,), a.data.T.copy(), bwd)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
@@ -438,14 +420,6 @@ def tsum(a: Tensor, axis=None) -> Tensor:
         return (np.broadcast_to(g, shape).copy(),)
 
     return _record((a,), out, bwd)
-
-
-def tmean(a: Tensor, axis=None) -> Tensor:
-    if axis is None:
-        n = a.size
-    else:
-        n = a.shape[axis]
-    return scale(tsum(a, axis=axis), 1.0 / n)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -399,17 +399,17 @@ class TrainHistory:
         return [v - t for t, v in zip(self.train_loss, self.val_loss)]
 
 
-def fit(model, panel_or_values, epochs: int, seed: int, lr: float = 1e-4,
+def fit(model, panel, epochs: int, seed: int, lr: float = 1e-4,
         windows_per_epoch: int = 64, opt: AdamW | None = None,
         start_epoch: int = 0, on_epoch=None) -> tuple:
-    """Train a forecaster on random windows; return (history, optimizer).
+    """Train a forecaster on random windows of ``panel`` (``values``,
+    ``timestamps`` and ``split_index``: the rows before the split are the
+    training span); return (history, optimizer).
 
     Protocol: ``context_rows`` and ``horizon`` (window rows), ``params()``,
     and ``window_loss(values, timestamps, start, rng, drop_rng)``, the loss
-    of the window at row ``start``; timestamps are None for a raw array and
-    ``drop_rng=None`` means evaluation.  A 1-D raw array is one column.  A
-    panel is cut at its split index.
-    The last tenth of that span holds up to 5 validation windows,
+    of the window at row ``start``; ``drop_rng=None`` means evaluation.
+    The last tenth of the training span holds up to 5 validation windows,
     disjoint from the training windows.  Epoch e draws window starts and
     diffusion noise from the (seed, TRAIN, e) stream and dropout masks from
     (seed, DROPOUT, e); validation runs under no_grad on a fresh
@@ -417,15 +417,9 @@ def fit(model, panel_or_values, epochs: int, seed: int, lr: float = 1e-4,
     non-finite training loss, or mean validation loss, raises TrainingError
     naming its epoch; with no validation windows the validation loss is nan.
     """
-    if hasattr(panel_or_values, "split_index"):
-        k = panel_or_values.split_index
-        values = np.asarray(panel_or_values.values[:k], dtype=np.float64)
-        timestamps = np.asarray(panel_or_values.timestamps[:k], dtype=np.float64)
-    else:
-        values = np.asarray(panel_or_values, dtype=np.float64)
-        if values.ndim < 2:  # a 1-D series is one column
-            values = values.reshape(-1, 1)
-        timestamps = None
+    k = panel.split_index
+    values = np.asarray(panel.values[:k], dtype=np.float64)
+    timestamps = np.asarray(panel.timestamps[:k], dtype=np.float64)
     n, total = values.shape[0], model.context_rows + model.horizon
     if n < total:
         raise ParameterError(

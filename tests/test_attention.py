@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gradcheck import check_gradients
+from oracles import transpose
 from wellcast import tensor as T
 from wellcast.attention import (COUNTER, AttentionConfig, DistillWeights,
                                 MultiHeadWeights, QKV, _attend,
                                 _causal_constants, _earlier, _mean_term,
-                                _softmax_rows, _top_u_rows, _uniform_weights,
-                                causal_mask, distill, full_attention,
-                                multi_head, probsparse_attention,
-                                select_top_queries, sparsity_measure,
-                                top_u_count)
+                                _scaled_scores, _softmax_rows, _top_u_rows,
+                                _uniform_weights, causal_mask, distill,
+                                full_attention, multi_head,
+                                probsparse_attention, top_u_count)
 from wellcast.errors import DimensionError, ParameterError
 from wellcast.rng import TRAIN, stream
 from wellcast.tensor import Tensor
@@ -103,18 +103,33 @@ class TestFullAttention:
         check_gradients(make_loss, [qkv.q, qkv.k, qkv.v])
 
 
+def measures(q, keys):
+    """The sparsity measure of each query row of q, through the functions
+    that ``_attend`` ranks queries with: the log-sum-exp of the scaled
+    scores minus their mean."""
+    scores = _scaled_scores(np.atleast_2d(q), keys)
+    mean = _mean_term(scores, None)
+    return _softmax_rows(scores, None)[1] - mean
+
+
+def measure(q_i, keys):
+    return float(measures(q_i, keys)[0])
+
+
+def top_queries(q, keys, cfg):
+    """Ascending indices of the u queries that unmasked sparse attention
+    grants exact rows."""
+    u = top_u_count(cfg.c, len(q))
+    return np.flatnonzero(_top_u_rows(measures(q, keys), u, False))
+
+
 class TestSparsityMeasure:
     def test_uniform_scores_lse_minus_mean(self):
         # all scores zero over 4 keys: M = log 4 - 0
         q = np.zeros(3)
         keys = np.zeros((4, 3))
-        m = sparsity_measure(q, keys, "lse_minus_mean")
+        m = measure(q, keys)
         assert np.isclose(m, math.log(4.0), atol=1e-12)
-
-    def test_uniform_scores_paper_literal(self):
-        # M = log 4 - mean(exp(0)) = log 4 - 1
-        m = sparsity_measure(np.zeros(3), np.zeros((4, 3)), "paper_literal")
-        assert np.isclose(m, math.log(4.0) - 1.0, atol=1e-12)
 
     def test_uniform_is_minimal_for_fixed_mean(self):
         # Jensen: among score vectors with the same mean, equal scores give
@@ -124,7 +139,7 @@ class TestSparsityMeasure:
         keys = rng.normal(size=(6, d))
         q = rng.normal(size=d)
         scores = keys @ q / np.sqrt(d)
-        m_actual = sparsity_measure(q, keys, "lse_minus_mean")
+        m_actual = measure(q, keys)
         m_uniform = math.log(len(scores))  # measure of a constant score row
         del scores
         assert m_actual >= m_uniform - 1e-12
@@ -135,14 +150,14 @@ class TestSparsityMeasure:
         q = np.array([1.0, 0.0])
         keys = stream(8, TRAIN).normal(size=(5, 2))
         shift = np.array([0.0, 2.5])  # q . shift = 0
-        a = sparsity_measure(q, keys)
-        b = sparsity_measure(q, keys + shift)
+        a = measure(q, keys)
+        b = measure(q, keys + shift)
         assert np.isclose(a, b, atol=1e-12)
 
     def test_stability_under_large_scores(self):
         q = np.array([60.0])
         keys = np.array([[10.0], [-10.0], [5.0]])
-        m = sparsity_measure(q, keys, "lse_minus_mean")
+        m = measure(q, keys)
         assert np.isfinite(m)
 
 
@@ -152,7 +167,7 @@ class TestSelectTopQueries:
         cfg = AttentionConfig(d_model=4, n_heads=1, c=50.0)
         q = rng.normal(size=(5, 4))
         k = rng.normal(size=(6, 4))
-        sel = select_top_queries(q, k, cfg)
+        sel = top_queries(q, k, cfg)
         assert np.array_equal(sel, np.arange(5))
 
     def test_dominant_query_selected_first(self):
@@ -164,11 +179,11 @@ class TestSelectTopQueries:
                        np.ones(4) * 0.2,
                        np.array([8.0, 0.0, 0.0, 0.0]),
                        np.ones(4) * 0.2])
-        sel = select_top_queries(q, keys, cfg)
+        sel = top_queries(q, keys, cfg)
         assert top_u_count(0.1, 4) == 1
         assert np.array_equal(sel, [2])
         # brute-force M ranking oracle
-        ms = [sparsity_measure(q[i], keys) for i in range(4)]
+        ms = [measure(q[i], keys) for i in range(4)]
         assert np.argmax(ms) == 2
 
     def test_tie_break_lower_indices(self):
@@ -176,7 +191,7 @@ class TestSelectTopQueries:
         q = np.tile(np.ones(4), (6, 1))
         k = stream(10, TRAIN).normal(size=(5, 4))
         u = top_u_count(1.0, 6)
-        sel = select_top_queries(q, k, cfg)
+        sel = top_queries(q, k, cfg)
         assert np.array_equal(sel, np.arange(u))
 
     def test_u_formula(self):
@@ -242,7 +257,7 @@ class TestProbSparse:
         cfg = AttentionConfig(d_model=3, n_heads=1, c=0.1)  # u = 1
         qkv = make_qkv(rng, 4, 4, 3)
         out = probsparse_attention(qkv, cfg, causal=False)
-        sel = select_top_queries(qkv.q.data, qkv.k.data, cfg)
+        sel = top_queries(qkv.q.data, qkv.k.data, cfg)
         dense = full_attention(qkv)
         mean_v = qkv.v.data.mean(axis=0)
         for i in range(4):
@@ -380,16 +395,16 @@ def reference_multi_head(x_q, x_kv, weights, cfg, mode, causal):
     mask = causal_mask(l_q, l_k) if causal else np.ones((l_q, l_k), bool)
     counts = mask.sum(axis=1)
     heads, measure_dots, attention_dots = [], 0, 0
-    d, width = cfg.d, cfg.d_model
+    d, width = cfg.d_model // cfg.n_heads, cfg.d_model
 
     def columns(w, lo):  # w[:, lo:lo + d], on the tape
-        return T.transpose(T.slice_rows(T.transpose(w), lo, lo + d))
+        return transpose(T.slice_rows(transpose(w), lo, lo + d))
 
     for lo in range(0, width, d):
         q = T.matmul(x_q, columns(weights.w_q, lo))
         k = T.matmul(x_kv, columns(weights.w_kv, lo))
         v = T.matmul(x_kv, columns(weights.w_kv, width + lo))
-        scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(d))
+        scores = T.scale(T.matmul(q, transpose(k)), 1.0 / np.sqrt(d))
         probs = T.softmax(T.add(scores, T.constant(np.where(mask, 0.0, -np.inf))),
                           axis=1)
         active = np.ones(l_q, dtype=bool)
@@ -475,16 +490,15 @@ class TestFusedMultiHead:
     def test_one_tape_node_per_call(self, mode, causal):
         weights, x_q, _, _ = fused_inputs(2, False, d_model=8, l_q=12)
         cfg = AttentionConfig(d_model=8, n_heads=2, c=1.0)
-        before = T.record_length()
         multi_head(x_q, x_q, weights, cfg, mode=mode, causal=causal)
-        assert T.record_length() == before + 1
+        assert len(T.current_record()) == 1
 
     def test_no_grad_records_nothing(self):
         weights, x_q, _, _ = fused_inputs(3, False)
         cfg = AttentionConfig(d_model=4, n_heads=2, c=1.0)
         with T.no_grad():
             out = multi_head(x_q, x_q, weights, cfg, mode="prob", causal=True)
-        assert T.record_length() == 0 and not out.requires_grad
+        assert T.current_record() == [] and not out.requires_grad
 
 
 class TestDistill:
@@ -513,6 +527,37 @@ class TestDistill:
         expect = np.stack([padded[s:s + 3].max(axis=0)
                            for s in range(0, 9, 2)])
         assert np.allclose(out.data, expect, atol=1e-12)
+
+    @pytest.mark.parametrize("length,nan_row,routed", [
+        # act rows 3, 4 and 5 are NaN: windows 1, 2 and 3 hold one, and
+        # each sends its gradient to its right row, 2i + 1
+        (8, 4, {1: 3, 2: 5, 3: 7}),
+        # act rows 5 and 6 are NaN: window 2's right row takes its
+        # gradient, and the last window of an odd length has no right row
+        (7, 6, {2: 5, 3: None}),
+    ])
+    def test_nan_window_sends_gradient_to_its_right_row(self, length, nan_row,
+                                                        routed):
+        # center-tap identity kernels: conv row r is x row r, and NaN
+        # reaches rows r - 1 and r + 1 through the zero taps (0 * NaN); the
+        # backward then gives d_x = d_act, so d_x shows where each
+        # window's gradient went
+        d_model = 2
+        weights = DistillWeights(d_model, stream(27, TRAIN))
+        weights.kernels.data = np.zeros((d_model, d_model, 3))
+        weights.kernels.data[:, :, 1] = np.eye(d_model)
+        x = stream(28, TRAIN).uniform(0.5, 2.0, size=(length, d_model))
+        x[nan_row] = np.nan
+        out = distill(Tensor(x, requires_grad=True), weights)
+        g = np.zeros(out.shape)
+        want = np.zeros(x.shape)
+        for window, row in routed.items():
+            assert np.isnan(out.data[window]).all()
+            g[window] = window + 1.0
+            if row is not None:
+                want[row] = window + 1.0
+        d_x, _ = T._RECORD[-1].backward_fn(g)
+        assert np.array_equal(d_x, want)
 
     def test_too_short_rejected(self):
         weights = DistillWeights(2, stream(26, TRAIN))

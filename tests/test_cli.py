@@ -12,7 +12,8 @@ import pytest
 
 import wellcast
 from wellcast import checkpoint, data
-from wellcast.cli import main
+from wellcast.cli import DEFAULT_EPOCHS, RunConfig, main
+from wellcast.errors import ParameterError
 from wellcast.evaluation import MetricsReport
 from wellcast.seqmodels import InformerModel
 
@@ -170,6 +171,27 @@ class TestTrain:
                    "--windows-per-epoch", windows) == 2
         assert "windows_per_epoch must be >= 1" in capsys.readouterr().out
         assert not (out / "vanilla_all.gck").exists()
+
+    @pytest.mark.parametrize("command", ["train", "pipeline"])
+    def test_epochs_below_minus_one_exits_2(self, small_field, tmp_path,
+                                            capsys, command):
+        # -1 means the per-model default; -3 once trained that default too
+        csv_path, _, _ = small_field
+        out = tmp_path / "run"
+        assert run(command, "--model", "vanilla", "--data", str(csv_path),
+                   "--out", str(out), *COMMON, *ENC, "--epochs", "-3") == 2
+        printed = capsys.readouterr().out
+        assert "error=validation" in printed
+        assert "epochs must be >= 0, or -1" in printed
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["timegrad", "informer", "vanilla"])
+    def test_epochs_minus_one_is_the_model_default(self, model):
+        cfg = RunConfig(model=model, epochs=-1)
+        cfg.validate()
+        assert cfg.effective_epochs == DEFAULT_EPOCHS[model]
+        with pytest.raises(ParameterError, match="epochs"):
+            replace(cfg, epochs=-2).validate()
 
 
 class TestRunawayTraining:
@@ -945,6 +967,29 @@ class TestPipeline:
                 assert (out / f"{model}_all_ensemble.gck").exists()
                 assert (out / f"{model}_report.csv").exists()
         assert hashes[0] == hashes[1]
+
+    def test_malformed_sidecar_exits_2_writing_nothing(self, tmp_path,
+                                                      capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("n_sites=abc\n")
+        out = tmp_path / "run"
+        assert run("pipeline", "--synthetic-config", str(bad),
+                   "--out", str(out)) == 2
+        printed = capsys.readouterr()
+        assert "error=validation" in printed.out
+        assert "n_sites expects" in printed.out
+        assert "Traceback" not in printed.out + printed.err
+        assert not out.exists()
+
+    def test_two_data_sources_exit_2(self, small_field, tmp_path, capsys):
+        csv_path, cfg_path, _ = small_field
+        out = tmp_path / "run"
+        assert run("pipeline", "--data", str(csv_path),
+                   "--synthetic-config", str(cfg_path), "--out", str(out)) == 2
+        printed = capsys.readouterr().out
+        assert "error=validation" in printed
+        assert "exactly one data source" in printed
+        assert not out.exists()
 
     def test_artifacts_independent_of_blas_threads(self, tmp_path):
         # OPENBLAS_NUM_THREADS is set on the child processes only

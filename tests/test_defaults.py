@@ -1,13 +1,23 @@
-"""Every defaulted parameter of a function in wellcast is passed by some call
+"""Two guards against code that only tests reach.
+
+Every defaulted parameter of a function in wellcast is passed by some call
 site in ``src/``, ``tests/`` or ``bench/``; a default that no call overrides
-is a constant in disguise.  This guard fails on such a parameter.
+is a constant in disguise.  The first guard fails on such a parameter.
 
 Calls are matched to definitions by name, so a call of any ``forward``
 counts for every ``forward``; a class name calls its ``__init__``, ``cls``
 the enclosing class and its subclasses, ``super().__init__`` the base
 classes'.  A ``*args`` splat passes every positional parameter and a
 ``**kwargs`` splat every parameter.  Defaults whose names start with ``_``
-bind a loop variable into a closure and are not options."""
+bind a loop variable into a closure and are not options.
+
+Every function and method in wellcast is used by code in ``src/`` itself,
+or is part of the package's interface: ``wellcast.__all__`` exports it, or
+it is a public method of an exported class or of a class one extends.  The
+second guard fails on any other function that nothing in ``src/`` uses,
+matched by name as above: a function counts as used where its name is read
+(called or passed), a method where an attribute of its name is read (a
+property is read, not called).  Python calls the dunder methods."""
 
 import ast
 from dataclasses import dataclass
@@ -27,6 +37,29 @@ KEPT = {
                              "persisted in opt/hyper and read back on resume",
     "AdamW.__init__(epsilon)": "the AdamW paper's denominator guard; "
                                "persisted in opt/hyper and read back on resume",
+}
+
+
+# "module.function" or "module.Class.method" -> why it stays although no
+# code in src/ uses it
+UNUSED_KEPT = {
+    "attention.OpCounter.reset": "tests zero the dot-product counts before "
+                                 "the runs they count",
+    "attention.full_attention": "criteria 4 and 5 state full attention on one "
+                                "head; bench/tracing.py wraps it",
+    "attention.probsparse_attention": "criteria 4 and 5 state sparse attention "
+                                      "on one head; bench/tracing.py wraps it",
+    "cli.cmd_pipeline": "cli.main finds cmd_<command> through globals()",
+    "tensor.current_record": "tape introspection: bench/tracing.py and the "
+                             "tape-size tests read the record",
+    "tensor.reset_record": "tape introspection: tests start each case from "
+                           "an empty record",
+    "tensor.softmax": "criterion 1's op; the op-by-op attention reference",
+    "tensor.layer_norm": "criterion 1's op; the op-by-op sublayer reference",
+    "tensor.conv1d": "criterion 1's op; the op-by-op distill reference",
+    "tensor.max_pool1d": "criterion 1's op; the op-by-op distill reference",
+    "timegrad.TrainHistory.gap": "criterion 10 reads fit's overfitting "
+                                 "indicator",
 }
 
 
@@ -141,6 +174,43 @@ def unpassed(defined: list[str], calling: list[str]) -> list[str]:
             if not p.startswith("_") and (d.qualname, p) not in passed]
 
 
+def unused(defined: dict[str, str], exported: set) -> list[str]:
+    """``module.function`` or ``module.Class.method`` for each function of
+    the ``defined`` sources ({module name: source}) that no code in them
+    uses and that is not part of the interface that ``exported`` names."""
+    trees = {mod: ast.parse(src) for mod, src in defined.items()}
+    aliases = _aliases(trees.values())
+    bases = _bases(trees.values())
+    names, attrs = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(aliases.get(node.id, node.id))
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                attrs.add(node.attr)
+    public = {c for c in bases if c in exported}
+    while extended := {b for c in public for b in bases[c]
+                       if b in bases} - public:
+        public |= extended
+    found = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                if node.name not in names | attrs | exported:
+                    found.append(f"{mod}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                for f in node.body:
+                    if not isinstance(f, ast.FunctionDef) or f.name in attrs:
+                        continue
+                    dunder = f.name.startswith("__") and f.name.endswith("__")
+                    interface = (node.name in public
+                                 and not f.name.startswith("_"))
+                    if not (dunder or interface):
+                        found.append(f"{mod}.{node.name}.{f.name}")
+    return found
+
+
 def _sources(*dirs) -> list[str]:
     return [p.read_text(encoding="utf-8")
             for d in dirs for p in sorted(d.glob("*.py"))]
@@ -192,3 +262,54 @@ def test_detector_sees_each_way_of_passing():
     assert unpassed([defined], [defined, calls]) == [
         "f(c)", "Base.m(b)", "Child.__init__(x)", "Lone.__init__(a)",
         "Lone.build(b)"]
+
+
+def _src_modules() -> dict[str, str]:
+    return {p.stem: p.read_text(encoding="utf-8")
+            for p in sorted(SRC.glob("*.py"))}
+
+
+def test_every_function_is_used_in_src_or_exported():
+    found = unused(_src_modules(), set(wellcast.__all__))
+    assert sorted(set(found) - set(UNUSED_KEPT)) == []
+
+
+def test_kept_unused_functions_are_still_unused():
+    found = unused(_src_modules(), set(wellcast.__all__))
+    assert sorted(set(UNUSED_KEPT) - set(found)) == []
+
+
+def test_detector_sees_each_way_of_using():
+    lib = "\n".join([
+        "def called(): pass",
+        "def passed(): pass",
+        "def via_module(): pass",
+        "def aliased(): pass",
+        "def exported(): pass",
+        "def idle(): pass",
+        "class Base:",
+        "    def __init__(self): pass",
+        "    def run(self): pass",
+        "    def _helper(self): pass",
+        "    @property",
+        "    def size(self): return 1",
+        "class Open(Base):",
+        "    def extra(self): pass",
+        "class Closed:",
+        "    def run(self): pass",
+        "    def idle(self): pass",
+        "    def size(self): pass",
+    ])
+    user = "\n".join([
+        "from lib import aliased as other",
+        "called()",
+        "map(passed, [])",
+        "lib.via_module()",
+        "other()",
+        "obj.run()",
+        "n = obj.size",
+        "idle = 0",          # a name stored, not read
+        "obj.idle = 0",      # an attribute stored, not read
+    ])
+    assert unused({"lib": lib, "user": user}, {"exported", "Open"}) == [
+        "lib.idle", "lib.Base._helper", "lib.Closed.idle"]

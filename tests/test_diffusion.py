@@ -72,7 +72,7 @@ class TestForwardSample:
 
     def test_pure_signal_when_eps_zero(self):
         # abar = 0.25 -> coefficient on x0 is 0.5
-        sched = schedule_from_betas([0.75], strict=False)
+        sched = schedule_from_betas([0.75])
         x0 = np.array([[2.0, -4.0]])
         out = forward_sample(x0, 1, np.zeros((1, 2)), sched)
         assert np.allclose(out, 0.5 * x0)
@@ -104,11 +104,11 @@ class TestPosterior:
         _, var = posterior_params(np.ones(2), np.ones(2), 1, sched)
         assert var == 0.0
 
-    def test_hypothetical_constant_betas(self):
-        # beta = [0.5, 0.5]: btilde_2 = (1 - 0.5)/(1 - 0.25) * 0.5 = 1/3
-        sched = schedule_from_betas([0.5, 0.5], strict=False)
+    def test_two_step_hand_example(self):
+        # beta = [0.5, 0.6]: btilde_2 = (1 - 0.5)/(1 - 0.2) * 0.6 = 0.375
+        sched = schedule_from_betas([0.5, 0.6])
         _, var = posterior_params(np.zeros(1), np.zeros(1), 2, sched)
-        assert np.isclose(var, 1.0 / 3.0, atol=1e-15)
+        assert np.isclose(var, 0.375, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_mean_stays_within_convex_hull(self, seed):

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import wellcast
+from toys import as_panel
 from wellcast import tensor as T
 from wellcast import timegrad
 from wellcast.diffusion import ddpm_loss, reverse_step
 from wellcast.errors import ContractError, ParameterError, TrainingError
 from wellcast.optim import AdamW
 from wellcast.rng import PATH, TRAIN, stream
-from wellcast.seqmodels import VanillaTransformer
 from wellcast.timegrad import (GRUCell, TimeGradModel, fit, forecast,
                                normalize_window, window_loss)
 
@@ -172,7 +172,7 @@ class TestGRUSequence:
         def run():
             model = TimeGradModel(4, hidden_dim=64, context_length=90,
                                   prediction_length=45, seed=61)
-            history, opt = fit(model, values, epochs=1, seed=62,
+            history, opt = fit(model, as_panel(values), epochs=1, seed=62,
                                windows_per_epoch=4)
             arrays = [p.data for p in model.params()] + opt.m + opt.v
             return repr(history), [a.tobytes() for a in arrays]
@@ -232,7 +232,7 @@ class TestGRUSequence:
     def test_one_node_per_layer(self):
         model = tiny_model(n_layers=2, seed=43)
         model.sequences(np.ones((12, 2)))
-        assert T.record_length() == 2
+        assert len(T.current_record()) == 2
 
     def test_shape_contract(self):
         cell = GRUCell(3, 4, stream(0, TRAIN))
@@ -293,7 +293,7 @@ class TestTraining:
         before = [p.data.copy() for p in model.params()]
         opt = AdamW(model.params(), lr=1e-2)
         values = stream(4, TRAIN).normal(size=(30, 2))
-        history, _ = fit(model, values, epochs=1, seed=5, opt=opt,
+        history, _ = fit(model, as_panel(values), epochs=1, seed=5, opt=opt,
                          windows_per_epoch=0)
         assert history.train_loss == [0.0]
         for p, b in zip(model.params(), before):
@@ -338,27 +338,14 @@ class TestTraining:
             values = stream(48, TRAIN).normal(size=(context + 3, 2))
             window_loss(model, values[:context], values[context:],
                         stream(49, TRAIN))
-            lengths.append(T.record_length())
+            lengths.append(len(T.current_record()))
             T.reset_record()
         assert lengths[0] == lengths[1]
-
-    @pytest.mark.parametrize("kind", ["timegrad", "vanilla"])
-    def test_one_dimensional_series_is_one_column(self, kind):
-        def run(values):
-            model = (tiny_model(data_dim=1, seed=12) if kind == "timegrad" else
-                     VanillaTransformer(1, d_model=8, n_heads=2, ff_width=8,
-                                        l_x=6, l_token=3, l_y=3, seed=12))
-            history, _ = fit(model, values, epochs=2, seed=13,
-                             windows_per_epoch=3)
-            return repr(history), [p.data.tobytes() for p in model.params()]
-
-        series = stream(14, TRAIN).normal(size=100)
-        assert run(series) == run(series[:, None])
 
     def test_window_too_long_raises(self):
         model = tiny_model()
         with pytest.raises(ParameterError):
-            fit(model, np.zeros((5, 2)), epochs=1, seed=5,
+            fit(model, as_panel(np.zeros((5, 2))), epochs=1, seed=5,
                 opt=AdamW(model.params()))
 
     def test_deterministic_under_fixed_seed(self):
@@ -366,7 +353,7 @@ class TestTraining:
             model = tiny_model(seed=11)
             opt = AdamW(model.params(), lr=1e-3)
             values = stream(6, TRAIN).normal(size=(40, 2))
-            losses = fit(model, values, epochs=3, seed=7, opt=opt,
+            losses = fit(model, as_panel(values), epochs=3, seed=7, opt=opt,
                          windows_per_epoch=4)[0].train_loss
             return np.array(losses).tobytes(), model.params()[0].data.tobytes()
 
@@ -378,7 +365,7 @@ class TestTraining:
         model = tiny_model(data_dim=1, seed=12)
         values = np.full((60, 1), 5.0)
         opt = AdamW(model.params(), lr=5e-3)
-        losses = fit(model, values, epochs=5, seed=8, opt=opt,
+        losses = fit(model, as_panel(values), epochs=5, seed=8, opt=opt,
                      windows_per_epoch=16)[0].train_loss
         assert losses[-1] < losses[0]
 
@@ -406,7 +393,7 @@ class TestTraining:
         opt = AdamW(model.params(), lr=1e-3)
         values = stream(17, TRAIN).normal(size=(40, 2))
         with pytest.raises(TrainingError, match="window=0 start="):
-            fit(model, values, epochs=1, seed=18, opt=opt,
+            fit(model, as_panel(values), epochs=1, seed=18, opt=opt,
                 windows_per_epoch=2)
 
     def test_diverged_validation_aborts_naming_epoch(self):
@@ -416,15 +403,15 @@ class TestTraining:
         values = stream(20, TRAIN).normal(size=(200, 2))
         with np.errstate(all="ignore"), pytest.raises(
                 TrainingError, match="non-finite validation loss at epoch=0"):
-            fit(model, values, epochs=2, seed=21, lr=1e300,
+            fit(model, as_panel(values), epochs=2, seed=21, lr=1e300,
                 windows_per_epoch=1)
 
     def test_no_validation_windows_is_nan_not_divergence(self):
         model = tiny_model(seed=19)
         values = stream(20, TRAIN).normal(size=(40, 2))
         with np.errstate(all="ignore"):
-            history, _ = fit(model, values, epochs=1, seed=21, lr=1e300,
-                             windows_per_epoch=1)
+            history, _ = fit(model, as_panel(values), epochs=1, seed=21,
+                             lr=1e300, windows_per_epoch=1)
         assert np.isnan(history.val_loss).all()
 
     def test_fit_needs_only_the_protocol(self):
@@ -441,15 +428,17 @@ class TestTraining:
                 return [self.w]
 
             def window_loss(self, values, timestamps, start, rng, drop_rng):
-                self.calls.append((start, drop_rng is None, T.grad_enabled(),
-                                   timestamps is None))
                 target = values[start + 3:start + 5]
                 d = T.sub(T.constant(target), self.w)
-                return T.tsum(T.mul(d, d))
+                loss = T.tsum(T.mul(d, d))
+                # the loss is recorded only while gradients are enabled
+                self.calls.append((start, drop_rng is None, loss.requires_grad,
+                                   timestamps[start]))
+                return loss
 
         toy = Toy()
         values = np.full((100, 1), 3.0)
-        history, _ = fit(toy, values, epochs=2, seed=4, lr=0.1,
+        history, _ = fit(toy, as_panel(values), epochs=2, seed=4, lr=0.1,
                          windows_per_epoch=6)
         assert len(history.train_loss) == 2
         assert history.val_loss[1] < history.val_loss[0]
@@ -460,12 +449,12 @@ class TestTraining:
         assert all(c[0] + 5 <= 90 for c in train)
         assert [c[0] for c in val] == [90, 92, 94] * 2
         assert not any(c[2] for c in val)  # under no_grad
-        assert all(c[3] for c in toy.calls)
+        assert all(c[3] == 2.0 * c[0] for c in toy.calls)
 
     def test_fit_reports_train_and_val(self):
         model = tiny_model(seed=14)
         values = stream(11, TRAIN).normal(size=(120, 2))
-        history, opt = fit(model, values, epochs=2, seed=15,
+        history, opt = fit(model, as_panel(values), epochs=2, seed=15,
                            lr=1e-3, windows_per_epoch=4)
         assert len(history.train_loss) == 2
         assert len(history.val_loss) == 2
@@ -639,7 +628,8 @@ class TestTrainedToy:
                               loss_norm="l2", seed=30)
         values = np.full((80, 1), c)
         opt = AdamW(model.params(), lr=5e-3)
-        fit(model, values, epochs=12, seed=31, opt=opt, windows_per_epoch=16)
+        fit(model, as_panel(values), epochs=12, seed=31, opt=opt,
+            windows_per_epoch=16)
         ens = forecast(model, values[:8], horizon=4, n_samples=64, seed=32)
         means = ens.samples.mean(axis=0)[:, 0]
         assert np.all(np.abs(means - c) < 0.05 * c)

@@ -1,5 +1,7 @@
 """Small trained-model fixtures shared between unit and acceptance tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from wellcast import tensor as T
@@ -24,3 +26,11 @@ def train_toy_net(x0_draws, sched, steps=1500, lr=2e-3, seed=11, norm="l2",
         T.backward(loss)
         opt.step()
     return net
+
+
+def as_panel(values, stride=2.0):
+    """The [T, D] array ``values`` as the panel ``fit`` takes: row i stamped
+    ``i * stride``, every row in the training span."""
+    values = np.asarray(values, dtype=np.float64)
+    return SimpleNamespace(values=values, split_index=len(values),
+                           timestamps=np.arange(len(values)) * stride)
