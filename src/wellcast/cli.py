@@ -157,7 +157,7 @@ def _check_resume(cfg: RunConfig, ckpt: Path, fresh, rec: dict) -> None:
 def cmd_generate(cfg: RunConfig) -> None:
     gen_cfg = data.SyntheticFieldConfig(seed=cfg.seed)
     if cfg.synthetic_config:
-        gen_cfg = data.config_from_text(Path(cfg.synthetic_config).read_text())
+        gen_cfg = data.config_from_text(data.read_text(cfg.synthetic_config))
     out = Path(cfg.out)
     panel = data.generate_synthetic(gen_cfg)
     csv_path = out / "data.csv"
@@ -214,7 +214,7 @@ def cmd_train(cfg: RunConfig) -> None:
         # next run keeps only the header and the checkpoint's epochs
         text = "epoch,train_loss,val_loss\n"
         if start_epoch > 0 and loss_csv.exists():
-            text = "".join(loss_csv.read_text(encoding="utf-8")
+            text = "".join(data.read_text(loss_csv)
                            .splitlines(keepends=True)[:1 + start_epoch])
         for i, (tr, vl) in enumerate(zip(history.train_loss, history.val_loss)):
             text += f"{start_epoch + i},{tr!r},{vl!r}\n"
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> RunConfig:
     """The --config file's fields, overridden by the flags given."""
-    text = Path(args.config).read_text() if args.config else ""
+    text = data.read_text(args.config) if args.config else ""
     cfg = RunConfig(**data.parse_config(text, RunConfig))
     for f in fields(RunConfig):  # command included: the parser sets it
         flag = getattr(args, f.name, None)

@@ -19,7 +19,7 @@ are the sum of their wells.
 import datetime
 import math
 from dataclasses import dataclass, fields
-from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 
@@ -166,90 +166,221 @@ def save_csv(panel: SeriesPanel, path) -> None:
     checkpoint.atomic_write(path, "\n".join(lines) + "\n")
 
 
+def read_text(path) -> str:
+    """The file's text, read as UTF-8; invalid bytes raise FormatError."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path} is not UTF-8 text: invalid byte 0x{raw[exc.start]:02x} "
+            f"at offset {exc.start}") from None
+
+
 def _first(mask: np.ndarray) -> int | None:
     hits = np.flatnonzero(mask)
     return int(hits[0]) if len(hits) else None
 
 
-def _codes(column: list) -> tuple:
-    """(distinct entries in first-seen order, each entry's index among them)."""
-    code = {v: i for i, v in enumerate(dict.fromkeys(column))}
-    return list(code), np.fromiter(map(code.__getitem__, column), np.int64,
-                                   len(column))
+# every line break of str.splitlines but "\n"
+_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# the bytes outside the value spellings that numpy's cast parses as float()
+# does (digits, ".", "e", "E", "+" and "-")
+_ODD = np.ones(256, dtype=bool)
+_ODD[list(b"0123456789.eE+-")] = False
+_DASHES = np.array([c == ord("-") for c in b"YYYY-MM-DD"])
+_DAY_ONE = date_to_epoch_days("0001-01-01")  # fromisoformat's first day
+
+
+def _spans(raw: bytes, starts: np.ndarray, lengths: np.ndarray):
+    """For each span length: the rows whose span has that length, and the
+    spans' bytes as an ``S<length>`` array (``b""`` in ``S1`` for length 0).
+    """
+    if not len(lengths):
+        return
+    low = lengths.min()
+    for length in np.flatnonzero(np.bincount(lengths - low)) + low:
+        rows = np.flatnonzero(lengths == length)
+        if not length:
+            yield rows, np.zeros(len(rows), dtype="S1")
+            continue
+        windows = np.ndarray(len(raw) - length + 1, dtype=f"S{length}",
+                             buffer=raw, strides=(1,))
+        yield rows, windows[starts[rows]]
+
+
+def _texts(raw: bytes, starts: np.ndarray, ends: np.ndarray) -> list:
+    return [raw[s:e].decode() for s, e in zip(starts.tolist(), ends.tolist())]
+
+
+def _codes(raw: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple:
+    """Number the spans' distinct byte strings in first-seen order: (the
+    first row of each, each row's number).
+
+    Spans are compared within one length, so spans that differ only in
+    trailing NULs stay apart.  The period is the distance from the first
+    span to its next repeat; a span equal to the one a period before it
+    takes that one's number, so only the others are sorted.  In a file
+    that ``save_csv`` wrote, dates repeat with period 1 and ``site,channel``
+    pairs with period the number of columns.
+    """
+    firsts = [np.empty(0, dtype=np.int64)]
+    code, count = np.empty(len(starts), dtype=np.int64), 0
+    for rows, spans in _spans(raw, starts, ends - starts):
+        m = len(rows)
+        p = _first(spans[1:] == spans[0])
+        p = m if p is None else p + 1
+        head = np.ones(m, dtype=bool)
+        head[p:] = spans[p:] != spans[:-p]
+        heads = np.flatnonzero(head)
+        _, at, inverse = np.unique(spans[heads], return_index=True,
+                                   return_inverse=True)
+        # each row's head: the last one at or before it, a whole number of
+        # periods back
+        back = np.zeros(-(-m // p) * p, dtype=np.int64)
+        back[heads] = heads
+        back = np.maximum.accumulate(back.reshape(-1, p), axis=0).ravel()
+        number = np.empty(m, dtype=np.int64)
+        number[heads] = count + inverse
+        code[rows] = number[back[:m]]
+        firsts.append(rows[heads[at]])
+        count += len(at)
+    first = np.concatenate(firsts)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[code]
+
+
+def _iso_days(raw: bytes, starts: np.ndarray, ends: np.ndarray):
+    """Epoch days of the date spans, as ``date_to_epoch_days`` gives them,
+    when every span is a valid ``YYYY-MM-DD``; else None.
+
+    numpy's datetime64 cast reads that form as ``fromisoformat`` does, but
+    for year 0, which it takes and ``fromisoformat`` refuses.
+    """
+    if not np.all(ends - starts == 10):
+        return None
+    spans = np.ndarray(len(raw) - 9, dtype="S10", buffer=raw,
+                       strides=(1,))[starts]
+    byte = spans.view(np.uint8).reshape(-1, 10)
+    digit = byte - np.uint8(ord("0")) < 10  # bytes below "0" wrap past 10
+    if not np.where(_DASHES, byte == ord("-"), digit).all():
+        return None
+    try:
+        days = spans.astype("datetime64[D]").astype(np.int64)
+    except ValueError:  # a month or a day out of range
+        return None
+    return days if np.all(days >= _DAY_ONE) else None
 
 
 def load_csv(path) -> SeriesPanel:
     """Parse a panel; every (date, site, channel) cell must be present
     exactly once.  Out-of-order dates are sorted; duplicates are errors.
 
-    The rows are parsed column-wise.  Each row check runs over the lines
-    before the first failure found so far, in the order fields, date,
-    number, range, duplicate, so the error names the first faulty row in
-    file order and that row's first failing check.  The whole-file checks
-    (no data rows, ragged stride, missing cell) come after every row passes.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise FormatError(f"expected header {CSV_HEADER!r}")
-    # file row number of each nonblank line after the header
-    rows = np.flatnonzero(np.fromiter(map(len, lines), np.int64,
-                                      len(lines)))[1:] + 1
-    lines = list(filter(None, lines))[1:]
-    # lines[:n] pass every check so far; bad is (class, message) for line n
-    n, bad = len(lines), None
+    The file is parsed from its UTF-8 bytes with numpy, with no Python
+    string per row.  A file holding any other line break of
+    ``str.splitlines`` is first rewritten with ``\\n`` breaks.  One scan
+    each finds the newlines and the commas, and ``searchsorted`` counts
+    each line's commas.  The date and ``site,channel`` spans are numbered
+    in first-seen order by numpy's unique.  The distinct dates go through
+    numpy's datetime64 cast when all are ``YYYY-MM-DD``, and through
+    ``date_to_epoch_days`` otherwise.  The value spans made of digits,
+    ``.``, ``e``, ``E``, ``+`` and ``-`` are converted by one ``S`` to
+    float64 cast per span length, which gives ``float``'s bits; any other
+    value goes through ``float``.
 
-    commas = np.fromiter(map(str.count, lines, repeat(",")), np.int64, n)
-    k = _first(commas != 3)
+    Each row check runs over the lines before the first failure found so
+    far, in the order fields, date, number, range, duplicate, so the error
+    names the first faulty row in file order and that row's first failing
+    check.  The whole-file checks (no data rows, ragged stride, missing
+    cell) come after every row passes.
+    """
+    text = read_text(path)
+    if any(c in text for c in _BREAKS):
+        text = "\n".join(text.splitlines()) + "\n"
+    raw = text.encode("utf-8")
+    del text
+    byte = np.frombuffer(raw, dtype=np.uint8)
+    # line i is raw[starts[i]:ends[i]]; a final line break ends no line
+    ends = np.flatnonzero(byte == ord("\n"))
+    if not raw.endswith(b"\n"):
+        ends = np.append(ends, len(raw))
+    if raw[:ends[0]] != CSV_HEADER.encode():
+        raise FormatError(f"expected header {CSV_HEADER!r}")
+    starts = np.r_[0, ends[:-1] + 1]
+    commas = np.flatnonzero(byte == ord(","))
+    # commas before each line; no comma lies between a line and the next
+    before = np.searchsorted(commas, np.r_[starts, ends[-1]])
+    lines = np.flatnonzero(ends > starts)[1:]  # nonblank, after the header
+    rows = lines + 1  # file row numbers
+    starts, ends = starts[lines], ends[lines]
+    # rows[:n] pass every check so far; bad is (class, message) for row n
+    n, bad = len(rows), None
+
+    k = _first(before[lines + 1] - before[lines] != 3)
     if k is not None:
         n, bad = k, (FormatError, "expected 4 fields")
-    # every line of lines[:n] has 3 commas, so the fields stay in row order
-    joined = ",".join(lines[:n])
-    del lines
-    parts = joined.split(",") if n else []
-    del joined
-    date_s, sites, channels, value_s = (parts[i::4] for i in range(4))
-    del parts
+    starts, ends = starts[:n], ends[:n]
+    date_end = commas[before[lines[:n]]]
+    pair_end = commas[before[lines[:n]] + 2]  # the site,channel span's end
+    del commas, before
 
-    strings, date_code = _codes(date_s)
-    days = []
-    for iso in strings:  # first-seen order: a bad one is in the first bad row
-        try:
-            days.append(date_to_epoch_days(iso))
-        except FormatError as exc:
-            n, bad = date_s.index(iso), (FormatError, str(exc))
-            break
-
-    try:
-        values = np.fromiter(map(float, value_s[:n]), np.float64, n)
-    except ValueError:
-        for k, value in enumerate(value_s):
+    first, date_code = _codes(raw, starts, date_end)
+    days = _iso_days(raw, starts[first], date_end[first])
+    if days is None:  # first-seen order: a bad date is in the first bad row
+        days = []
+        isos = _texts(raw, starts[first], date_end[first])
+        for k, iso in zip(first, isos):
             try:
-                float(value)
-            except ValueError:
+                days.append(date_to_epoch_days(iso))
+            except FormatError as exc:
+                n, bad = k, (FormatError, str(exc))
                 break
-        n, bad = k, (FormatError, f"non-numeric value {value!r}")
-        values = np.fromiter(map(float, value_s[:n]), np.float64, n)
+
+    def value_text(k):
+        return raw[pair_end[k] + 1:ends[k]].decode()
+
+    values = np.empty(n)
+    slow = [np.empty(0, dtype=np.int64)]  # rows the cast does not parse
+    for at, spans in _spans(raw, pair_end[:n] + 1,
+                            ends[:n] - pair_end[:n] - 1):
+        odd = np.flatnonzero(_ODD.take(spans.view(np.uint8)))
+        plain = np.ones(len(at), dtype=bool)
+        plain[odd // spans.itemsize] = False
+        try:
+            with np.errstate(over="ignore"):  # 1e999 reads inf, as in float
+                values[at[plain]] = spans[plain].astype(np.float64)
+        except ValueError:  # a plain spelling float refuses: find it below
+            plain[:] = False
+        slow.append(at[~plain])
+    for k in np.sort(np.concatenate(slow)):
+        try:
+            values[k] = float(value_text(k))
+        except ValueError:
+            n, bad = k, (FormatError, f"non-numeric value {value_text(k)!r}")
+            break
+    values = values[:n]
     k = _first(~((values >= 0.0) & (values < math.inf)))  # nan fails both
     if k is not None:
         n, bad = k, ((ValidationError, "negative value")
                      if math.isfinite(values[k]) else
-                     (FormatError, f"non-finite value {value_s[k]!r}"))
+                     (FormatError, f"non-finite value {value_text(k)!r}"))
         values = values[:n]
-    del date_s, value_s
 
     timestamps, t_of_string = np.unique(np.array(days, np.int64),
                                         return_inverse=True)
     t = t_of_string[date_code[:n]]
-    pairs, col = _codes(list(map(",".join, zip(sites[:n], channels[:n]))))
-    columns = [tuple(pair.split(",")) for pair in pairs]
+    first, col = _codes(raw, date_end[:n] + 1, pair_end[:n])
+    columns = [tuple(pair.split(","))
+               for pair in _texts(raw, date_end[first] + 1, pair_end[first])]
     cell = t * len(columns) + col
     count = np.bincount(cell, minlength=len(timestamps) * len(columns))
     if n and count.max() > 1:
         repeated = np.ones(n, dtype=bool)
         repeated[np.unique(cell, return_index=True)[1]] = False
         k = _first(repeated)
-        key = (int(timestamps[t[k]]), sites[k], channels[k])
+        key = (int(timestamps[t[k]]), *columns[col[k]])
         n, bad = k, (FormatError, f"duplicate cell {key}")
     if bad is not None:
         cls, message = bad

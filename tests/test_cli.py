@@ -503,6 +503,41 @@ class TestMalformedInputs:
         assert "Traceback" not in out.out + out.err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("source", ["data", "config", "synthetic_config",
+                                        "loss_csv"])
+    def test_invalid_utf8_input_exits_2(self, small_field, tmp_path, capsys,
+                                        source):
+        csv_path, cfg_path, _ = small_field
+        out = tmp_path / "out"
+        train = ["train", "--model", "vanilla", "--data", str(csv_path),
+                 "--out", str(out), *COMMON, *ENC, "--epochs", "1"]
+        if source == "loss_csv":  # read back when the run resumes
+            assert run(*train) == 0
+            bad = out / "vanilla_all_loss.csv"
+        else:
+            bad = tmp_path / "input"
+        text = {"data": csv_path, "config": None, "synthetic_config": cfg_path,
+                "loss_csv": bad}[source]
+        text = text.read_bytes() if text else b"seed=1\n"
+        offset = len(text) // 2
+        bad.write_bytes(text[:offset] + b"\xff" + text[offset:])
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.rglob("*")
+                        if p.is_file())
+        argv = {"data": ["evaluate", "--data", str(bad), "--out", str(out)],
+                "config": ["train", "--config", str(bad)],
+                "synthetic_config": ["generate", "--synthetic-config",
+                                     str(bad), "--out", str(out)],
+                "loss_csv": train}[source]
+        capsys.readouterr()
+        assert run(*argv) == 2
+        printed = capsys.readouterr()
+        assert "error=validation" in printed.out
+        assert (f"{bad} is not UTF-8 text: invalid byte 0xff at offset "
+                f"{offset}") in printed.out
+        assert "Traceback" not in printed.out + printed.err
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.rglob("*")
+                      if p.is_file()) == before
+
     @pytest.mark.parametrize("command", ["train", "forecast"])
     def test_checkpoint_that_is_a_directory_exits_4(self, small_field,
                                                     tmp_path, capsys, command):

@@ -4,15 +4,20 @@
 Each example starts from the files of a small valid run (a generated field,
 an informer and a timegrad checkpoint trained one short epoch, and their
 ensembles) and changes one input: a ``--config`` line, a line of the
-generator sidecar, a single flag, or a few records or bytes of a checkpoint
-or of an ensemble.  Values stay small (sizes up to 8), so each run is short;
-running out of memory on a huge but well-formed size is not what this test
-is about.  The path fields (``data``, ``out``, ``checkpoint``,
-``synthetic_config``) are not mutated, so no run writes outside its own
-directory.  The targeted cases of ``test_cli.py::TestMalformedInputs`` are
-its seed examples.
+generator sidecar, a single flag, a few records or bytes of a checkpoint or
+of an ensemble, or a path.  A bad path is a ``--data`` that is a directory,
+is missing or holds a byte that is not UTF-8, or an ``--out`` under a
+regular file; such a run must exit 2 or 4 and print one ``error=`` line.
+Values stay small (sizes up to 8), so each run is short; running out of
+memory on a huge but well-formed size is not what this test is about.  The
+``checkpoint`` and ``synthetic_config`` paths are not mutated, and every
+path stays inside the run's own directory, so no run writes outside it.
+The targeted cases of ``test_cli.py::TestMalformedInputs`` are its seed
+examples.
 """
 
+import contextlib
+import io
 import shutil
 import tempfile
 from dataclasses import fields
@@ -61,6 +66,8 @@ EDIT = st.one_of(
     st.tuples(st.just("byte"), POSITION, st.integers(0, 255)),
     st.tuples(st.just("truncate"), POSITION))
 EDITS = st.lists(EDIT, min_size=1, max_size=3)
+# a bad --data (read by every command but generate) or a bad --out
+PATH_FAULTS = ["data_dir", "data_missing", "data_not_utf8", "out_under_file"]
 
 CASES = st.one_of(
     st.tuples(st.just("config"), st.sampled_from(COMMANDS),
@@ -74,7 +81,13 @@ CASES = st.one_of(
               st.sampled_from(MODELS), st.sampled_from(RUN_KEYS), VALUES),
     st.tuples(st.just("checkpoint"), st.sampled_from(["forecast", "train"]),
               st.sampled_from(MODELS), EDITS),
-    st.tuples(st.just("ensemble"), st.sampled_from(MODELS), EDITS))
+    st.tuples(st.just("ensemble"), st.sampled_from(MODELS), EDITS),
+    st.tuples(st.just("path"), st.sampled_from(COMMANDS[1:]),
+              st.sampled_from(MODELS), st.sampled_from(PATH_FAULTS[:3]),
+              POSITION, st.integers(0x80, 0xFF)),
+    st.tuples(st.just("path"), st.sampled_from(COMMANDS),
+              st.sampled_from(MODELS), st.just("out_under_file"), st.just(0),
+              st.just(0)))
 
 
 def base_argv(command, model, base):
@@ -162,6 +175,19 @@ def _argv(case, run: Path, base: Path):
         _, command, model, key, value = case
         return base_argv(command, model, run) + ["--" + key.replace("_", "-"),
                                                  value]
+    if kind == "path":
+        _, command, model, fault, position, byte = case
+        argv = base_argv(command, model, run)  # a repeated flag's last wins
+        if fault == "out_under_file":
+            return argv + ["--out", str(run / "data.csv" / "out")]
+        bad = run / "bad.csv"
+        if fault == "data_dir":
+            bad.mkdir()
+        elif fault == "data_not_utf8":  # the field CSV is ASCII
+            blob = bytearray((run / "data.csv").read_bytes())
+            blob[position % len(blob)] = byte
+            bad.write_bytes(bytes(blob))
+        return argv + ["--data", str(bad)]
     if kind == "checkpoint":
         _, command, model, edits = case
         _mutate(run / f"{model}_all.gck", edits)
@@ -176,12 +202,19 @@ def run_case(case, base: Path) -> int:
         run = Path(tmp) / "run"
         shutil.copytree(base, run)
         argv = _argv(case, run, base)
+        printed = io.StringIO()
         try:
-            code = main(argv)
+            with contextlib.redirect_stdout(printed):
+                code = main(argv)
         except SystemExit as exc:  # argparse refusing a flag or value
             code = exc.code
         assert code in (0, 2, 3, 4), (argv, code)
         assert not list(Path(tmp).rglob("*.tmp")), argv
+        if case[0] == "path":
+            assert code in (2, 4), (argv, code)
+            errors = [line for line in printed.getvalue().splitlines()
+                      if line.startswith("error=")]
+            assert len(errors) == 1, (argv, printed.getvalue())
         return code
 
 
@@ -196,6 +229,8 @@ SEEDS = [  # the targeted cases in test_cli.py::TestMalformedInputs
     ("checkpoint", "train", "informer", [("drop", "opt/hyper")]),
     ("checkpoint", "train", "informer", [("drop", "meta/epochs_done")]),
     ("ensemble", "informer", [("drop", "ensemble/samples")]),
+    *[("path", "evaluate", "informer", fault, 5, 0xFF)
+      for fault in PATH_FAULTS],
 ]
 
 
@@ -206,7 +241,7 @@ def _seeded(test):
 
 
 @_seeded
-@settings(max_examples=300, deadline=None, derandomize=True,
+@settings(max_examples=360, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
 @given(case=CASES)

@@ -313,6 +313,9 @@ def parse_outcome(parse, path):
             p.values.shape, p.values.tobytes(), p.split_index)
 
 
+# every line break of str.splitlines
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029"]
 FAULTS = ("fields", "date", "date_alias", "number", "non_finite", "negative",
           "duplicate", "ragged", "missing", "empty")
 
@@ -320,15 +323,20 @@ FAULTS = ("fields", "date", "date_alias", "number", "non_finite", "negative",
 @st.composite
 def csv_texts(draw):
     """A small panel as CSV text: shuffled rows, value spellings that
-    ``float`` accepts, and zero or more faults, blank lines and CRLFs."""
-    sites = draw(st.lists(st.sampled_from(["A", "B", "SITE02"]), min_size=1,
-                          max_size=3, unique=True))
+    ``float`` accepts, and zero or more faults and blank lines.  Site names
+    may be non-ASCII, hold NULs or run past 16 bytes; each line ends in one
+    of ``str.splitlines``' line breaks, and the last may end in none."""
+    sites = draw(st.lists(st.sampled_from(
+        ["A", "B", "SITE02", "Ölfeld", "井", "A\x00", "A\x00B",
+         "a site name past sixteen bytes"]), min_size=1, max_size=3,
+        unique=True))
     channels = draw(st.lists(st.sampled_from(["oil", "water"]), min_size=1,
                              max_size=2, unique=True))
     start, stride = draw(st.integers(0, 800)), draw(st.integers(1, 3))
     n_dates = draw(st.integers(1, 5))
     spelling = st.sampled_from(["0.000000", "1.5", "12.345678", " 3 ",
-                                "1_000", "2e-3", "7"])
+                                "1_000", "2e-3", "7", "+1", ".5", "5.", "1E3",
+                                "\t2\t", "\u0661", "12345.678901234567890"])
     rows = [[epoch_days_to_date(start + t * stride), site, channel,
              draw(spelling)]
             for t in range(n_dates) for site in sites for channel in channels]
@@ -342,11 +350,13 @@ def csv_texts(draw):
         elif fault == "fields":
             row.pop()
         elif fault == "date":
-            row[0] = draw(st.sampled_from(["1970-13-01", "x", "", "2021-02-29"]))
+            row[0] = draw(st.sampled_from(["1970-13-01", "x", "", "2021-02-29",
+                                           "0000-01-01", row[0] + "\x00"]))
         elif fault == "date_alias":  # another spelling of the same day
             row[0] = row[0].replace("-", "")
         elif fault == "number":
-            row[-1] = draw(st.sampled_from(["abc", "", "1.2.3", "--1"]))
+            row[-1] = draw(st.sampled_from(["abc", "", "1.2.3", "--1", "1e",
+                                            ".", "1\x00", "\u0661\u0662x"]))
         elif fault == "non_finite":
             row[-1] = draw(st.sampled_from(["nan", "inf", "-inf", "Infinity"]))
         elif fault == "negative":
@@ -362,11 +372,14 @@ def csv_texts(draw):
             rows.remove(row)
         else:
             rows.clear()
-    lines = [",".join(row) for row in rows]
+    lines = [CSV_HEADER] + [",".join(row) for row in rows]
     for _ in range(draw(st.integers(0, 2))):
-        lines.insert(draw(st.integers(0, len(lines))), "")
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join([CSV_HEADER] + lines) + newline
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    # mostly "\n", as in a saved panel; any break in a few lines
+    breaks = st.one_of(st.just("\n"), st.sampled_from(LINE_BREAKS))
+    ends = [draw(breaks) for _ in lines[:-1]]
+    ends.append(draw(st.sampled_from(["", *LINE_BREAKS])))
+    return "".join(line + end for line, end in zip(lines, ends))
 
 
 class TestCsvParserMatchesReference:
