@@ -9,8 +9,11 @@ Layout (all integers little-endian):
              uint64 payload bytes, payload (little-endian float64)
 
 Record order is preserved and the float payload is written bit-exactly, so
-save -> load -> save reproduces identical bytes.  Every artifact, checkpoint
-or not, reaches disk through ``atomic_write``.
+save -> load -> save reproduces identical bytes.  ``load`` checks every
+record header of a file, but may read only the payloads whose names start
+with a prefix (``forecast`` reads only ``<kind>/``, not the optimizer
+moments); the size bounds still count every value the file stores.  Every
+artifact, checkpoint or not, reaches disk through ``atomic_write``.
 """
 
 import math
@@ -40,11 +43,20 @@ def pack_records(records: dict[str, np.ndarray]) -> bytes:
     return b"".join(parts)
 
 
-def _read_records(fh, size: int) -> dict[str, np.ndarray]:
-    """The records in the ``size`` bytes that ``fh`` reads.  Each payload is
-    read straight into an array that the record owns, so a loader's ``read``
-    makes the one copy; every length is checked against ``size`` before
-    anything is read or allocated."""
+class Records(dict):
+    """A loaded file's records by name, in file order, and ``stored_values``:
+    the float64 values the file declares, skipped records included."""
+
+    stored_values = 0
+
+
+def _read_records(fh, size: int, prefix: str = "") -> Records:
+    """The records in the ``size`` bytes that ``fh`` reads whose names start
+    with ``prefix``.  Every record's header is checked (its lengths against
+    ``size``, its name against every earlier name, its byte count against
+    its dims) before its payload is read or allocated.  A matching payload
+    is read straight into an array that the record owns, so a loader's
+    ``read`` makes the one copy; every other payload is seeked past."""
     if fh.read(4) != MAGIC:
         raise FormatError("not a GCK1 checkpoint (bad magic bytes)")
     pos = 4
@@ -54,35 +66,47 @@ def _read_records(fh, size: int) -> dict[str, np.ndarray]:
         n = struct.calcsize(fmt)
         if pos + n > size:
             raise FormatError("truncated checkpoint")
+        raw = fh.read(n)
+        if len(raw) != n:  # cut short after fstat
+            raise FormatError("truncated checkpoint")
         pos += n
-        return struct.unpack(fmt, fh.read(n))
+        return struct.unpack(fmt, raw)
 
     (count,) = take("<I")
-    records: dict[str, np.ndarray] = {}
+    records = Records()
+    names = set()
     for _ in range(count):
         (name_len,) = take("<I")
         try:
             name = fh.read(min(name_len, size - pos)).decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"record name at byte {pos} is not utf-8") from None
-        if name in records:
+        if name in names:
             raise FormatError(f"duplicate record name {name!r}")
+        names.add(name)
         pos += name_len
         (ndim,) = take("<I")
         dims = take(f"<{ndim}I") if ndim else ()
         (nbytes,) = take("<Q")
         if pos + nbytes > size:
             raise FormatError("truncated checkpoint payload")
-        if nbytes != 8 * math.prod(dims):
+        values = math.prod(dims)
+        if nbytes != 8 * values:
             raise FormatError(
                 f"record {name!r}: payload of {nbytes} bytes does not hold "
                 f"float64 dims {dims}")
-        records[name] = np.empty(dims, "<f8")
-        if fh.readinto(records[name]) != nbytes:  # cut short after fstat
-            raise FormatError("truncated checkpoint payload")
+        records.stored_values += values
+        if name.startswith(prefix):
+            records[name] = np.empty(dims, "<f8")
+            if fh.readinto(records[name]) != nbytes:  # cut short after fstat
+                raise FormatError("truncated checkpoint payload")
+        else:
+            fh.seek(nbytes, os.SEEK_CUR)
         pos += nbytes
     if pos != size:
         raise FormatError("trailing bytes after final record")
+    if fh.seek(0, os.SEEK_END) < size:  # a skipped payload cut short
+        raise FormatError("truncated checkpoint payload")
     return records
 
 
@@ -107,9 +131,11 @@ def save(path, records: dict[str, np.ndarray]) -> None:
     atomic_write(path, pack_records(records))
 
 
-def load(path) -> dict[str, np.ndarray]:
+def load(path, prefix: str = "") -> Records:
+    """The records of the checkpoint at ``path`` whose names start with
+    ``prefix`` (all of them by default); every record is still checked."""
     with open(path, "rb") as fh:
-        return _read_records(fh, os.fstat(fh.fileno()).st_size)
+        return _read_records(fh, os.fstat(fh.fileno()).st_size, prefix)
 
 
 def read(records: dict, name: str, shape: tuple | None = None) -> np.ndarray:
@@ -125,6 +151,9 @@ def read(records: dict, name: str, shape: tuple | None = None) -> np.ndarray:
 
 
 def _stored_values(records: dict) -> int:
+    """The float64 values a loaded file declares, or a plain dict holds."""
+    if isinstance(records, Records):
+        return records.stored_values
     return sum(arr.size for arr in records.values())
 
 
@@ -133,7 +162,8 @@ def read_int(records: dict, name: str, index: int,
     """Entry ``index`` of record ``name`` (read as by ``read``) as an int;
     FormatError unless the entry exists and is finite and integral.  A
     ``size`` shapes an allocation, so it must also lie between 1 and the
-    number of float64 values the records hold."""
+    number of float64 values the records hold (for a loaded file, every
+    value it stores, loaded or not)."""
     flat = read(records, name, shape).reshape(-1)
     if index >= flat.size:
         raise FormatError(f"record {name!r} has no entry {index}")
@@ -150,8 +180,8 @@ def read_int(records: dict, name: str, index: int,
 class Undrawn:
     """Init stream for a model whose parameters are then set from
     ``records``: each ``uniform`` draw is left unset, and FormatError once
-    the draws ask for more values than the records hold, which a model that
-    the records can fill never does."""
+    the draws ask for more values than the records hold (as ``read_int``
+    counts them), which a model that the records can fill never does."""
 
     def __init__(self, records: dict):
         self.budget = _stored_values(records)

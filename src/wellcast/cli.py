@@ -13,6 +13,7 @@ import contextlib
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -249,7 +250,9 @@ def cmd_forecast(cfg: RunConfig) -> None:
         ckpt = _ckpt_path(cfg, group)
         if not ckpt.exists():
             raise ParameterError(f"checkpoint {ckpt} not found; train first")
-        model = MODELS[cfg.model].from_records(checkpoint.load(ckpt))
+        # the model's records only: forecast never reads the optimizer's
+        model = MODELS[cfg.model].from_records(
+            checkpoint.load(ckpt, f"{cfg.model}/"))
         context, context_ts, target_ts = _group_context(cfg, model, gpanel)
         ens = model.forecast(context, context_ts, target_ts, cfg.samples,
                              cfg.seed)
@@ -309,11 +312,9 @@ def cmd_evaluate(cfg: RunConfig) -> None:
         chosen = evaluation.quantile_path(ens, cfg.quantile)
         for j, (site, channel) in enumerate(gpanel.columns):
             truth = gpanel.values[k:k + horizon, j]
-            train_series = gpanel.values[:k, j]
             label = site if channel == data.OIL else f"{site}({channel})"
-
-            def mase_metric(pred, t, _train=train_series):
-                return evaluation.mase(pred, t, _train)
+            mase_metric = partial(evaluation.scaled_mae,
+                                  scale=evaluation.naive_mae(gpanel.values[:k, j]))
 
             def row(suffix, q, path, mase):  # called in this iteration only
                 return SiteMetrics(

@@ -7,6 +7,7 @@ standard deviations use the population convention.
 """
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -30,23 +31,34 @@ def check_draws(n_samples: int, per_path: int) -> None:
             f"than {MAX_DRAWS} in all; use at most {MAX_DRAWS // per_path}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForecastEnsemble:
-    """S sample paths over a horizon: samples[S, H, D]."""
+    """S sample paths over a horizon: samples[S, H, D], a read-only copy, so
+    the ascending sort that every quantile reads is made once and cannot go
+    stale."""
 
     samples: np.ndarray
     timestamps: np.ndarray | None = None
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 3:
+        samples = np.array(self.samples, dtype=np.float64)
+        if samples.ndim != 3:
             raise ParameterError("ensemble samples must be [S, H, D]")
-        if self.samples.shape[0] < 1:
+        if samples.shape[0] < 1:
             raise ParameterError("ensemble needs at least one sample path")
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
         if self.timestamps is not None:
-            self.timestamps = np.asarray(self.timestamps)
-            if len(self.timestamps) != self.samples.shape[1]:
+            object.__setattr__(self, "timestamps", np.asarray(self.timestamps))
+            if len(self.timestamps) != samples.shape[1]:
                 raise ParameterError("timestamps must match the horizon")
+
+    @cached_property
+    def sorted_samples(self) -> np.ndarray:
+        """The samples sorted ascending across paths, per (step, dim)."""
+        ordered = np.sort(self.samples, axis=0)
+        ordered.flags.writeable = False
+        return ordered
 
     @property
     def n_samples(self) -> int:
@@ -73,8 +85,7 @@ def nearest_rank_index(q: float, n_samples: int) -> int:
 
 def quantile_path(ens: ForecastEnsemble, q: float) -> np.ndarray:
     """Per-(step, dim) nearest-rank quantile across sample paths: [H, D]."""
-    idx = nearest_rank_index(q, ens.n_samples)
-    return np.sort(ens.samples, axis=0)[idx]
+    return ens.sorted_samples[nearest_rank_index(q, ens.n_samples)]
 
 
 def mse(pred, truth) -> float:
@@ -92,12 +103,23 @@ def mase(pred, truth, train) -> float:
     train = np.asarray(train, dtype=np.float64)
     if pred.shape != truth.shape:
         raise ContractError(f"length mismatch: {pred.shape} vs {truth.shape}")
+    return scaled_mae(pred, truth, naive_mae(train))
+
+
+def naive_mae(train) -> float:
+    """MASE's denominator: the one-step naive forecast's MAE on ``train``."""
+    train = np.asarray(train, dtype=np.float64)
     if train.size < 2:
         raise ParameterError("training span must have at least two points")
     denom = float(np.mean(np.abs(np.diff(train))))
     if denom == 0.0:
         raise MetricError("constant training series: naive MAE is zero")
-    return float(np.mean(np.abs(pred - truth)) / denom)
+    return denom
+
+
+def scaled_mae(pred, truth, scale: float) -> float:
+    """MASE given its denominator ``scale`` (``naive_mae``)."""
+    return float(np.mean(np.abs(pred - truth)) / scale)
 
 
 def best_quantile(ens: ForecastEnsemble, truth, metric, dim: int = 0) -> tuple:
@@ -107,7 +129,7 @@ def best_quantile(ens: ForecastEnsemble, truth, metric, dim: int = 0) -> tuple:
     truth = np.asarray(truth, dtype=np.float64)
     if truth.shape != (ens.horizon,):
         raise ContractError("truth must cover exactly the ensemble horizon")
-    sorted_samples = np.sort(ens.samples[:, :, dim], axis=0)
+    sorted_samples = ens.sorted_samples[:, :, dim]
     best_q, best_val = None, None
     for q in QUANTILE_GRID:
         path = sorted_samples[nearest_rank_index(q, ens.n_samples)]
@@ -195,11 +217,13 @@ class MetricsReport:
 
 
 def write_plot_csv(path, timestamps, truth, prediction, q_low, q_high) -> None:
+    values = [np.asarray(c, dtype=np.float64).tolist()
+              for c in (truth, prediction, q_low, q_high)]
+    if any(len(v) != len(timestamps) for v in values):
+        raise ContractError("plot columns must match the timestamps in length")
     lines = ["timestamp,truth,prediction,q_low,q_high"]
-    for i in range(len(timestamps)):
-        lines.append(f"{int(timestamps[i])},{repr(float(truth[i]))},"
-                     f"{repr(float(prediction[i]))},{repr(float(q_low[i]))},"
-                     f"{repr(float(q_high[i]))}")
+    lines += map("{},{!r},{!r},{!r},{!r}".format,
+                 map(int, np.asarray(timestamps).tolist()), *values)
     checkpoint.atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -222,12 +246,17 @@ def svg_line_chart(timestamps, series: dict, band=None, title: str = "") -> str:
     width, height, ml, mr, mt, mb = 800, 400, 60, 15, 30, 35
     pw, ph = width - ml - mr, height - mt - mb
 
-    def sx(t):
-        span = ts[-1] - ts[0] if ts[-1] != ts[0] else 1.0
-        return ml + pw * (t - ts[0]) / span
+    # each coordinate is computed over an array in the scalar form's order,
+    # so it rounds as the scalar form does
+    span = ts[-1] - ts[0] if ts[-1] != ts[0] else 1.0
+    xs = (ml + pw * (ts - ts[0]) / span).tolist()
 
     def sy(v):
         return mt + ph * (1.0 - (v - ymin) / (ymax - ymin))
+
+    def points(x, vals):
+        ys = sy(np.asarray(vals, dtype=np.float64)).tolist()
+        return " ".join(map("{:.2f},{:.2f}".format, x, ys))
 
     colors = ["#d95f02", "#1b9e77", "#7570b3", "#e7298a", "#66a61e"]
     parts = [
@@ -239,12 +268,11 @@ def svg_line_chart(timestamps, series: dict, band=None, title: str = "") -> str:
     ]
     if band is not None:
         low, high = band
-        pts = [f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(ts, high)]
-        pts += [f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(ts[::-1], np.asarray(low)[::-1])]
-        parts.append(f'<polygon points="{" ".join(pts)}" fill="#fdd49e" '
+        pts = f"{points(xs, high)} {points(xs[::-1], np.asarray(low)[::-1])}"
+        parts.append(f'<polygon points="{pts}" fill="#fdd49e" '
                      f'fill-opacity="0.6" stroke="none"/>')
     for i, (label, vals) in enumerate(series.items()):
-        pts = " ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(ts, vals))
+        pts = points(xs, vals)
         color = colors[i % len(colors)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,7 @@ import pytest
 import wellcast
 from wellcast import checkpoint, data
 from wellcast.cli import DEFAULT_EPOCHS, RunConfig, main
-from wellcast.errors import ParameterError
+from wellcast.errors import FormatError, ParameterError
 from wellcast.evaluation import MetricsReport
 from wellcast.seqmodels import InformerModel
 
@@ -667,6 +668,56 @@ class TestMalformedInputs:
         assert "more parameter values than the checkpoint holds" in printed.out
         assert "Traceback" not in printed.out + printed.err
         assert not list(tmp_path.glob("*.tmp"))
+
+    @staticmethod
+    def _damaged_optimizer_records(rec: dict, damage: str) -> tuple:
+        """The file bytes of ``rec`` damaged only in its ``opt/`` or
+        ``meta/`` records, which forecast does not read, and the message a
+        full load gives."""
+        blob = checkpoint.pack_records(rec)
+        if damage == "duplicate":
+            count = (len(rec) + 1).to_bytes(4, "little")
+            again = checkpoint.pack_records({"opt/m/0": rec["opt/m/0"]})[8:]
+            return (blob[:4] + count + blob[8:] + again,
+                    "duplicate record name 'opt/m/0'")
+        if damage == "dims":
+            parts = [checkpoint.pack_records({n: a})[8:] for n, a in rec.items()]
+            arr = rec["opt/v/3"]
+            dims = (arr.shape[0] + 1,) + arr.shape[1:]
+            i = list(rec).index("opt/v/3")
+            parts[i] = (struct.pack("<I", 7) + b"opt/v/3"
+                        + struct.pack(f"<I{arr.ndim}I", arr.ndim, *dims)
+                        + struct.pack("<Q", arr.nbytes) + arr.tobytes())
+            return (blob[:8] + b"".join(parts),
+                    f"record 'opt/v/3': payload of {arr.nbytes} bytes does "
+                    f"not hold float64 dims {dims}")
+        assert list(rec)[-1] == "meta/seed"
+        if damage == "cut":  # inside meta/seed's 8-byte payload
+            return blob[:-4], "truncated checkpoint payload"
+        return blob + bytes(8), "trailing bytes after final record"
+
+    @pytest.mark.parametrize("damage", ["duplicate", "dims", "cut", "trailing"])
+    @pytest.mark.parametrize("model,sizes", [("timegrad", SIZES),
+                                             ("informer", ENC)])
+    def test_damage_in_records_forecast_skips_exits_2(
+            self, initial, tmp_path, capsys, model, sizes, damage):
+        """forecast reads only the model's payloads, yet refuses a file that
+        is damaged elsewhere with the message a full load gives."""
+        csv_path, out = initial
+        rec = checkpoint.load(out / f"{model}_all.gck")
+        blob, message = self._damaged_optimizer_records(rec, damage)
+        path = tmp_path / f"{model}_all.gck"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError) as full:
+            checkpoint.load(path)
+        assert str(full.value) == message
+        capsys.readouterr()
+        assert run("forecast", "--model", model, "--data", str(csv_path),
+                   "--out", str(tmp_path), *COMMON, *sizes) == 2
+        printed = capsys.readouterr()
+        assert f"error=validation detail={message}\n" in printed.out
+        assert "Traceback" not in printed.out + printed.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
     def test_per_head_attention_checkpoint_exits_2(self, initial, tmp_path,
                                                    capsys):

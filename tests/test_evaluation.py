@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+import oracles
 
 from wellcast.errors import ContractError, MetricError, ParameterError
 from wellcast.evaluation import (QUANTILE_GRID,
@@ -269,6 +271,13 @@ class TestPlotOutputs:
         assert len(lines) == 5
         assert lines[1].split(",")[0] == "0"
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_plot_csv_column_of_another_length(self, tmp_path, n):
+        with pytest.raises(ContractError, match="match the timestamps"):
+            write_plot_csv(tmp_path / "plot.csv", np.arange(4), np.ones(4),
+                           np.ones(n), np.ones(4), np.ones(4))
+        assert not list(tmp_path.iterdir())
+
     def test_svg_self_contained(self):
         ts = np.arange(10)
         rng = stream(30, EVAL)
@@ -284,3 +293,40 @@ class TestPlotOutputs:
     def test_svg_constant_series(self):
         svg = svg_line_chart(np.arange(3), {"x": np.zeros(3)})
         assert "<svg" in svg
+
+
+@st.composite
+def chart_inputs(draw):
+    """Timestamps, series and an optional band for one chart: 1-60 points,
+    values from -1e6 to 1e6 at one of ten decades, some series constant,
+    and first and last timestamps sometimes equal."""
+    n = draw(st.integers(1, 60))
+    scale = 10.0 ** draw(st.integers(-3, 6))
+
+    def column():
+        if draw(st.booleans()):
+            return np.full(n, draw(st.floats(-1, 1)) * scale)
+        return np.array(draw(st.lists(st.floats(-1, 1), min_size=n,
+                                      max_size=n))) * scale
+
+    steps = draw(st.lists(st.integers(0, 400), min_size=n - 1, max_size=n - 1))
+    ts = draw(st.integers(-20000, 20000)) + np.cumsum([0] + steps)
+    if draw(st.booleans()):
+        ts[-1] = ts[0]
+    series = {f"s{i}": column() for i in range(draw(st.integers(1, 3)))}
+    band = (column(), column()) if draw(st.booleans()) else None
+    return ts.astype(np.float64), series, band
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(chart_inputs())
+def test_charts_match_the_per_point_forms(tmp_path, inputs):
+    ts, series, band = inputs
+    assert svg_line_chart(ts, series, band=band, title="t") == \
+        oracles.svg_line_chart(ts, series, band=band, title="t")
+    columns = list(series.values()) * 4
+    write_plot_csv(tmp_path / "new.csv", ts, *columns[:4])
+    oracles.write_plot_csv(tmp_path / "old.csv", ts, *columns[:4])
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "old.csv").read_bytes()

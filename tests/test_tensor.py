@@ -479,10 +479,19 @@ class TestAdamW:
         assert opt2.lr == 1e-3
 
 
-def unpack(blob: bytes) -> dict:
+def unpack(blob: bytes, prefix: str = "") -> dict:
     """The records of an in-memory checkpoint, read as ``checkpoint.load``
     reads a file."""
-    return checkpoint._read_records(io.BytesIO(blob), len(blob))
+    return checkpoint._read_records(io.BytesIO(blob), len(blob), prefix)
+
+
+def small_blob() -> bytes:
+    return checkpoint.pack_records({
+        "gru/0/w": np.arange(6.0).reshape(2, 3),
+        "b": np.array([0.5, -1.0]),
+        "s": np.array(2.0),
+        "": np.ones((0, 4)),
+    })
 
 
 class TestCheckpoint:
@@ -588,6 +597,58 @@ class TestCheckpoint:
         blob = one[:4] + (2).to_bytes(4, "little") + one[8:] * 2
         with pytest.raises(FormatError, match="duplicate"):
             unpack(blob)
+
+    @pytest.mark.parametrize("prefix", ["", "gru/", "b", "none"])
+    def test_file_cut_short_after_its_size_was_read_is_format_error(
+            self, prefix):
+        """A read that comes back short, in a header or in a payload that is
+        loaded or seeked past, raises FormatError, never struct.error."""
+        blob = small_blob()
+        for cut in range(4, len(blob)):
+            with pytest.raises(FormatError, match="^truncated checkpoint"):
+                checkpoint._read_records(io.BytesIO(blob[:cut]), len(blob),
+                                         prefix)
+
+    def test_prefix_load_reads_only_matching_payloads(self, tmp_path):
+        path = tmp_path / "model.gck"
+        path.write_bytes(small_blob())
+        full = checkpoint.load(path)
+        part = checkpoint.load(path, "gru/")
+        assert list(part) == ["gru/0/w"]
+        assert np.array_equal(part["gru/0/w"], full["gru/0/w"])
+        # the size bounds count every value the file stores
+        # the size bound counts every value the file stores, 9, not the 6
+        # loaded
+        assert part.stored_values == full.stored_values == 9
+        part["gru/0/w"][0, :2] = 9.0, 10.0
+        assert checkpoint.read_int(part, "gru/0/w", 0, size=True) == 9
+        with pytest.raises(FormatError, match="a size from 1 to 9$"):
+            checkpoint.read_int(part, "gru/0/w", 1, size=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(["gru/", "b", "s", "none"]))
+    def test_prefix_load_checks_what_a_full_load_checks(self, draw, prefix):
+        """A load that skips payloads refuses exactly the blobs a full load
+        refuses, with the same message, and otherwise gives the full load's
+        matching records."""
+        blob = small_blob()
+        pos = draw.draw(st.integers(0, len(blob) - 1), label="pos")
+        if draw.draw(st.booleans(), label="truncate"):
+            damaged = blob[:pos]
+        else:
+            byte = draw.draw(st.integers(0, 255), label="byte")
+            damaged = blob[:pos] + bytes([byte]) + blob[pos + 1:]
+        try:
+            full = unpack(damaged)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as caught:
+                unpack(damaged, prefix)
+            assert str(caught.value) == str(exc)
+            return
+        part = unpack(damaged, prefix)
+        assert list(part) == [n for n in full if n.startswith(prefix)]
+        assert all(part[n].tobytes() == full[n].tobytes() for n in part)
+        assert part.stored_values == full.stored_values
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
