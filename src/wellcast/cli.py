@@ -90,7 +90,14 @@ def build_groups(panel: data.SeriesPanel, grouping: str) -> list:
     site's water breakthrough.
     oil_only_pairs: consecutive site pairs' oil channels (odd site out gets
     a univariate panel).
+
+    Site and channel names become file names under --out, so a name
+    holding '/' or a NUL byte is refused before anything is written.
     """
+    for name in (n for column in panel.columns for n in column):
+        if "/" in name or "\0" in name:
+            raise ParameterError(f"site or channel name {name!r} holds '/' or "
+                                 f"a NUL byte; names become file names")
     sites = panel.site_names
     if grouping == "all_sites_oil":
         return [("all", panel.select([(s, data.OIL) for s in sites]))]

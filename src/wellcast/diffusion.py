@@ -9,8 +9,6 @@ Reverse chain (ancestral sampling, one step)
     x_{n-1} = (x_n - beta_n / sqrt(1 - abar_n) eps_hat) / sqrt(alpha_n)
               + sqrt(btilde_n) z
 where btilde_n = (1 - abar_{n-1}) / (1 - abar_n) beta_n and z = 0 at n = 1.
-A ``paper_literal_sampler`` flag swaps the per-step prefactor to
-1/sqrt(abar_n) for comparison against a variant printing of the update.
 
 The noise predictor is trained on
     || eps - eps_hat(sqrt(abar_n) x_0 + sqrt(1 - abar_n) eps, h, n) ||
@@ -286,12 +284,12 @@ def ddpm_loss(x0, h_prev, net: EpsilonNet, sched: NoiseSchedule,
     return tsum(absolute(resid))
 
 
-def _update_coefs(sched: NoiseSchedule, paper_literal: bool) -> list:
+def _update_coefs(sched: NoiseSchedule) -> list:
     """Per-step (1/sqrt(alpha_n), beta_n/sqrt(1 - abar_n), sqrt(btilde_n)),
-    position i for step n = i + 1; paper_literal puts abar_n in the first.
-    Elementwise sqrt and division round as their scalar forms do."""
-    pref = 1.0 / np.sqrt(sched.alpha_bar if paper_literal else sched.alpha)
-    return list(zip(pref, sched.beta / np.sqrt(1.0 - sched.alpha_bar),
+    position i for step n = i + 1.  Elementwise sqrt and division round as
+    their scalar forms do."""
+    return list(zip(1.0 / np.sqrt(sched.alpha),
+                    sched.beta / np.sqrt(1.0 - sched.alpha_bar),
                     np.sqrt(sched.beta_tilde)))
 
 
@@ -308,7 +306,7 @@ def _posterior_update(xn: np.ndarray, eps_hat: np.ndarray, z, coefs: tuple,
 
 
 def reverse_step(xn, h_prev, n: int, net: EpsilonNet, sched: NoiseSchedule,
-                 z, paper_literal: bool = False) -> np.ndarray:
+                 z) -> np.ndarray:
     """One reverse-chain update from x_n to x_{n-1}, through ``net.forward``.
 
     The caller supplies z ~ N(0, I) for n > 1 and z = 0 at n = 1; ``sample``
@@ -321,13 +319,12 @@ def reverse_step(xn, h_prev, n: int, net: EpsilonNet, sched: NoiseSchedule,
     with no_grad():
         eps_hat = net.forward(np.atleast_2d(xn), h_prev, n).data
     eps_hat = eps_hat.reshape(xn.shape)
-    coefs = _update_coefs(sched, paper_literal)[n - 1]
+    coefs = _update_coefs(sched)[n - 1]
     return _posterior_update(xn, eps_hat, z, coefs, np.empty_like(eps_hat))
 
 
 def sample(x_init, h_prev, net: EpsilonNet, sched: NoiseSchedule,
-           rng: np.random.Generator | None = None, noise=None,
-           paper_literal: bool = False) -> np.ndarray:
+           rng: np.random.Generator | None = None, noise=None) -> np.ndarray:
     """Full reverse rollout from x_N ~ N(0, I) down to a data-space draw.
 
     ``noise`` optionally injects the per-step z deterministically: noise[i]
@@ -345,7 +342,7 @@ def sample(x_init, h_prev, net: EpsilonNet, sched: NoiseSchedule,
     if noise is not None:
         noise = np.asarray(noise, dtype=np.float64).reshape(len(noise), *x.shape)
     predict = net.conditioned(h_prev)
-    coefs = _update_coefs(sched, paper_literal)
+    coefs = _update_coefs(sched)
     zeros = np.zeros(x.shape)  # z at n = 1
     scratch = np.empty(x.shape)
     for i, n in enumerate(range(big_n, 0, -1)):

@@ -141,10 +141,8 @@ def best_quantile(ens: ForecastEnsemble, truth, metric, dim: int = 0) -> tuple:
 
 @dataclass
 class EnsembleMoments:
-    step_mean: np.ndarray  # [H, D]
-    step_std: np.ndarray   # [H, D], population
     pooled_mean: np.ndarray  # [D], over all samples and steps
-    pooled_std: np.ndarray   # [D]
+    pooled_std: np.ndarray   # [D], population
 
 
 def ensemble_moments(ens: ForecastEnsemble) -> EnsembleMoments:
@@ -152,8 +150,6 @@ def ensemble_moments(ens: ForecastEnsemble) -> EnsembleMoments:
         raise MetricError("standard deviation undefined for a single sample")
     s = ens.samples
     return EnsembleMoments(
-        step_mean=s.mean(axis=0),
-        step_std=s.std(axis=0),
         pooled_mean=s.mean(axis=(0, 1)),
         pooled_std=s.std(axis=(0, 1)),
     )
@@ -227,16 +223,27 @@ def write_plot_csv(path, timestamps, truth, prediction, q_low, q_high) -> None:
     checkpoint.atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _xml_text(text: str) -> str:
+    """text escaped for an XML text node, as html.escape(text, quote=False)
+    gives it; importing html would load its entity tables (about 0.5 MB)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def svg_line_chart(timestamps, series: dict, band=None, title: str = "") -> str:
     """Self-contained SVG line chart.
 
     series maps label -> 1-D array; band is an optional (low, high) pair
-    drawn as a shaded region.  No external assets or scripts.
+    drawn as a shaded region.  Every array must match the timestamps in
+    length.  The title and labels are escaped as XML text.  No external
+    assets or scripts.
     """
     ts = np.asarray(timestamps, dtype=np.float64)
     all_vals = [np.asarray(v, dtype=np.float64) for v in series.values()]
     if band is not None:
         all_vals += [np.asarray(band[0], np.float64), np.asarray(band[1], np.float64)]
+    if any(v.shape != ts.shape for v in all_vals):
+        raise ContractError("chart series and band edges must match the "
+                            "timestamps in length")
     ymin = min(float(v.min()) for v in all_vals)
     ymax = max(float(v.max()) for v in all_vals)
     if ymax == ymin:
@@ -264,7 +271,7 @@ def svg_line_chart(timestamps, series: dict, band=None, title: str = "") -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width // 2}" y="18" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{title}</text>',
+        f'font-family="sans-serif" font-size="13">{_xml_text(title)}</text>',
     ]
     if band is not None:
         low, high = band
@@ -278,7 +285,7 @@ def svg_line_chart(timestamps, series: dict, band=None, title: str = "") -> str:
                      f'stroke-width="1.5"/>')
         parts.append(f'<text x="{ml + 8 + 130 * i}" y="{height - 8}" '
                      f'font-family="sans-serif" font-size="11" '
-                     f'fill="{color}">{label}</text>')
+                     f'fill="{color}">{_xml_text(label)}</text>')
     parts.append(f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" '
                  f'stroke="black" stroke-width="1"/>')
     parts.append(f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" '

@@ -440,11 +440,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 # convolution and pooling
 # ---------------------------------------------------------------------------
 
-def conv1d(x: Tensor, kernels: Tensor, padding: str = "same") -> Tensor:
+def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     """Dense 1-D convolution of x[C_in, L] with kernels[C_out, C_in, w].
 
-    'same' padding keeps the output length at L (pad (w-1)//2 left, w//2
-    right).  'valid' yields L - w + 1.
+    'Same' padding keeps the output length at L (pad (w-1)//2 left, w//2
+    right).
     """
     if x.ndim != 2 or kernels.ndim != 3:
         raise DimensionError("conv1d expects x[C_in, L] and kernels[C_out, C_in, w]")
@@ -452,29 +452,20 @@ def conv1d(x: Tensor, kernels: Tensor, padding: str = "same") -> Tensor:
     c_out, kc_in, w = kernels.shape
     if kc_in != c_in:
         raise DimensionError(f"kernel channel count {kc_in} != input channels {c_in}")
-    if padding == "same":
-        pad_l, pad_r = (w - 1) // 2, w // 2
-    elif padding == "valid":
-        pad_l = pad_r = 0
-        if w > length:
-            raise DimensionError("kernel wider than input under valid padding")
-    else:
-        raise ParameterError(f"unknown padding {padding!r}")
+    pad_l, pad_r = (w - 1) // 2, w // 2
     xp = np.pad(x.data, ((0, 0), (pad_l, pad_r)))
-    out_len = xp.shape[1] - w + 1
-    windows = np.lib.stride_tricks.sliding_window_view(xp, w, axis=1)  # [C_in, out_len, w]
-    cols = windows.transpose(1, 0, 2).reshape(out_len, c_in * w)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, w, axis=1)  # [C_in, L, w]
+    cols = windows.transpose(1, 0, 2).reshape(length, c_in * w)
     kmat = kernels.data.reshape(c_out, c_in * w)
-    out = (cols @ kmat.T).T  # [C_out, out_len]
+    out = (cols @ kmat.T).T  # [C_out, L]
 
     def bwd(g):
         dk = (g @ cols).reshape(c_out, c_in, w)
-        dcols = (g.T @ kmat).reshape(out_len, c_in, w)
+        dcols = (g.T @ kmat).reshape(length, c_in, w)
         dxp = np.zeros_like(xp)
         for j in range(w):
-            dxp[:, j:j + out_len] += dcols[:, :, j].T
-        dx = dxp[:, pad_l:pad_l + length] if (pad_l or pad_r) else dxp
-        return dx, dk
+            dxp[:, j:j + length] += dcols[:, :, j].T
+        return dxp[:, pad_l:pad_l + length], dk
 
     return _record((x, kernels), out, bwd)
 

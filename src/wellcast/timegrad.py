@@ -174,12 +174,11 @@ class WindowStats:
         return np.asarray(values, dtype=np.float64) * self.scale + self.mean
 
 
-def normalize_window(window: np.ndarray, scale_by_variance: bool = False):
+def normalize_window(window: np.ndarray):
     """Center and scale a [L, D] window per dimension.
 
     The scale is the population standard deviation plus a 1e-6 guard so
-    constant windows normalize to exact zeros.  scale_by_variance swaps in
-    the variance for the literal reading of the normalization description.
+    constant windows normalize to exact zeros.
     """
     window = np.asarray(window, dtype=np.float64)
     if window.ndim == 1:
@@ -187,8 +186,7 @@ def normalize_window(window: np.ndarray, scale_by_variance: bool = False):
     if window.shape[0] < 1:
         raise ParameterError("window must contain at least one step")
     mean = window.mean(axis=0)
-    spread = window.var(axis=0) if scale_by_variance else window.std(axis=0)
-    stats = WindowStats(mean=mean, scale=spread + 1e-6)
+    stats = WindowStats(mean=mean, scale=window.std(axis=0) + 1e-6)
     return stats.normalize(window), stats
 
 
@@ -198,7 +196,6 @@ class TimeGradModel:
     def __init__(self, data_dim: int, hidden_dim: int = 64, n_layers: int = 1,
                  context_length: int = 90, prediction_length: int = 45,
                  sched: NoiseSchedule | None = None, loss_norm: str = "l1",
-                 scale_by_variance: bool = False, paper_literal_sampler: bool = False,
                  seed: int = 0, init_rng=None):
         if context_length < 1 or prediction_length < 1:
             raise ParameterError("context and prediction lengths must be >= 1")
@@ -209,8 +206,6 @@ class TimeGradModel:
         self.context_length = int(context_length)
         self.prediction_length = int(prediction_length)
         self.loss_norm = loss_norm
-        self.scale_by_variance = bool(scale_by_variance)
-        self.paper_literal_sampler = bool(paper_literal_sampler)
         self.sched = sched if sched is not None else build_schedule()
         rng = init_rng or rng_mod.stream(seed, rng_mod.TRAIN, 9000)
         self.layers = [GRUCell(data_dim if i == 0 else hidden_dim, hidden_dim, rng)
@@ -287,8 +282,7 @@ class TimeGradModel:
                 self.data_dim, self.hidden_dim, len(self.layers),
                 self.context_length, self.prediction_length,
                 1.0 if self.loss_norm == "l1" else 2.0,
-                1.0 if self.scale_by_variance else 0.0,
-                1.0 if self.paper_literal_sampler else 0.0,
+                0.0, 0.0,  # entries 6 and 7 are retired
             ], dtype=np.float64),
             "timegrad/sched": np.array([
                 self.sched.n_steps, self.sched.beta_start, self.sched.beta_end]),
@@ -300,11 +294,13 @@ class TimeGradModel:
     @classmethod
     def from_records(cls, rec: dict) -> "TimeGradModel":
         cfg = read(rec, "timegrad/config", (8,))
-        # entry 5 codes the loss norm, entries 6 and 7 are flags
-        for i, codes in ((5, (1.0, 2.0)), (6, (0.0, 1.0)), (7, (0.0, 1.0))):
+        # entry 5 codes the loss norm; entries 6 and 7 held two retired
+        # flags, and only their default 0 still describes this model
+        for i, codes in ((5, (1.0, 2.0)), (6, (0.0,)), (7, (0.0,))):
             if cfg[i] not in codes:
                 raise FormatError(f"record 'timegrad/config' entry {i} is "
-                                  f"{cfg[i]!r}, expected {codes[0]} or {codes[1]}")
+                                  f"{cfg[i]!r}, expected "
+                                  f"{' or '.join(map(str, codes))}")
         sc = read(rec, "timegrad/sched", (3,))
         sizes = ("data_dim", "hidden_dim", "n_layers", "context_length",
                  "prediction_length")
@@ -314,7 +310,6 @@ class TimeGradModel:
             sched=build_schedule(read_int(rec, "timegrad/sched", 0, size=True),
                                  sc[1], sc[2]),
             loss_norm="l1" if cfg[5] == 1.0 else "l2",
-            scale_by_variance=bool(cfg[6]), paper_literal_sampler=bool(cfg[7]),
             init_rng=Undrawn(rec))
         load_params(rec, model.named_params())
         return model
@@ -323,7 +318,7 @@ class TimeGradModel:
 def window_loss(model: TimeGradModel, ctx: np.ndarray, target: np.ndarray,
                 rng: np.random.Generator) -> Tensor:
     """Diffusion loss summed over one prediction window (teacher forcing)."""
-    ctx_n, stats = normalize_window(ctx, model.scale_by_variance)
+    ctx_n, stats = normalize_window(ctx)
     target_n = stats.normalize(target)
     # prediction step t is conditioned on the state after input L - 1 + t
     inputs = np.concatenate([ctx_n, target_n[:-1]])
@@ -361,7 +356,7 @@ def forecast(model: TimeGradModel, context: np.ndarray, horizon: int,
     if len(path_keys) != n_samples:
         raise ParameterError("path_keys must provide one key per sample path")
 
-    ctx_n, stats = normalize_window(context, model.scale_by_variance)
+    ctx_n, stats = normalize_window(context)
     big_n = model.sched.n_steps
     dim = model.data_dim
     # horizon step t reads the next [N, D] values of each path's stream:
@@ -379,8 +374,7 @@ def forecast(model: TimeGradModel, context: np.ndarray, horizon: int,
             for gen, block in zip(gens, noise):
                 gen.standard_normal(out=block)
             x = sample(noise[:, 0], states[-1].data, model.eps_net,
-                       model.sched, noise=noise[:, 1:].swapaxes(0, 1),
-                       paper_literal=model.paper_literal_sampler)
+                       model.sched, noise=noise[:, 1:].swapaxes(0, 1))
             if not np.isfinite(x).all():
                 raise TrainingError(f"non-finite forecast draws at horizon step t={t}")
             out[:, t, :] = x

@@ -7,6 +7,7 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -609,8 +610,11 @@ class TestMalformedInputs:
         ("informer", 11, 0.0, "time stride"),
         ("informer", 11, np.nan, "time stride"),
         ("timegrad", 5, 3.0, "entry 5"),  # loss norm: 1 (L1) or 2 (L2)
-        ("timegrad", 6, np.nan, "entry 6"),  # variance scaling flag
-        ("timegrad", 7, 0.5, "entry 7")])  # literal sampler flag
+        # entries 6 and 7 held two retired flags; only 0 still loads
+        ("timegrad", 6, np.nan, "entry 6"),
+        ("timegrad", 6, 1.0, "entry 6"),
+        ("timegrad", 7, 0.5, "entry 7"),
+        ("timegrad", 7, 1.0, "entry 7")])
     def test_unusable_float_or_flag_config_entry_forecast_exits_2(
             self, initial, tmp_path, capsys, model, index, value, detail):
         csv_path, out = initial
@@ -1027,6 +1031,71 @@ class TestGroupings:
                    "--grouping", "oil_only_pairs", "--out", str(out),
                    *COMMON, *SIZES) == 0
         assert (out / "timegrad_SITE00+SITE01.gck").exists()
+
+
+class TestSiteNames:
+    """Site and channel names become file names under --out.  A name that
+    would leave --out or that no path can hold exits 2 before anything is
+    written; any other name keeps every artifact well-formed."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, small_field, tmp_path_factory):
+        """One site of the shared field, and a vanilla checkpoint trained on
+        it under a plain site name."""
+        csv_path, _, _ = small_field
+        site = data.load_csv(csv_path).select([("SITE00", data.OIL),
+                                               ("SITE00", data.WATER)])
+        out = tmp_path_factory.mktemp("named") / "out"
+        data.save_csv(site, out / "data.csv")
+        assert run("train", "--model", "vanilla", "--data",
+                   str(out / "data.csv"), "--out", str(out),
+                   *COMMON, *ENC, "--epochs", "1") == 0
+        return site, out / "vanilla_all.gck"
+
+    @staticmethod
+    def renamed(site, name, path):
+        data.save_csv(data.SeriesPanel(
+            columns=[(name, channel) for _, channel in site.columns],
+            timestamps=site.timestamps, values=site.values), path)
+
+    @staticmethod
+    def tree(root):
+        return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+    @pytest.mark.parametrize("name", ["x/../../../esc", "a\0b"])
+    @pytest.mark.parametrize("command,grouping", [
+        ("train", "oil_water_per_site"), ("forecast", "all_sites_oil")])
+    def test_name_that_is_no_file_name_exits_2(self, trained, tmp_path, capsys,
+                                               name, command, grouping):
+        site, ckpt = trained
+        csv_path, out = tmp_path / "data.csv", tmp_path / "a" / "b" / "out"
+        self.renamed(site, name, csv_path)
+        shutil.copy(ckpt, tmp_path / "vanilla_all.gck")
+        before = self.tree(tmp_path)
+        capsys.readouterr()
+        assert run(command, "--model", "vanilla", "--data", str(csv_path),
+                   "--grouping", grouping, "--out", str(out),
+                   "--checkpoint", str(tmp_path / "vanilla_{group}.gck"),
+                   *COMMON, *ENC) == 2
+        printed = capsys.readouterr()
+        lines = printed.out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error=validation")
+        assert repr(name) in lines[0]
+        assert "Traceback" not in printed.out + printed.err
+        assert self.tree(tmp_path) == before
+
+    def test_markup_in_a_site_name_keeps_the_svg_well_formed(
+            self, trained, tmp_path):
+        site, ckpt = trained
+        csv_path = tmp_path / "data.csv"
+        self.renamed(site, "R&D<1>", csv_path)
+        shutil.copy(ckpt, tmp_path)
+        assert run("forecast", "--model", "vanilla", "--data", str(csv_path),
+                   "--out", str(tmp_path), *COMMON, *ENC) == 0
+        svg = tmp_path / "vanilla_all_R&D<1>_oil.svg"
+        root = ElementTree.parse(svg).getroot()
+        title = next(root.iter("{http://www.w3.org/2000/svg}text")).text
+        assert title.startswith("vanilla R&D<1> oil ")
 
 
 class TestPipeline:

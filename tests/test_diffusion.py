@@ -220,14 +220,6 @@ class TestReverseStep:
         out = reverse_step(xn, np.zeros((1, 0)), 4, net, sched, np.zeros((1, 2)))
         assert np.allclose(out, xn / np.sqrt(sched.alpha[3]))
 
-    def test_paper_literal_prefactor(self):
-        sched = build_schedule(6)
-        net = _ZeroNet(2)
-        xn = np.array([[1.0, -2.0]])
-        out = reverse_step(xn, np.zeros((1, 0)), 4, net, sched,
-                           np.zeros((1, 2)), paper_literal=True)
-        assert np.allclose(out, xn / np.sqrt(sched.alpha_bar[3]))
-
     def test_step_below_one_rejected(self):
         sched = build_schedule(6)
         with pytest.raises(ParameterError):
@@ -279,8 +271,7 @@ class TestConditionedPredictor:
                 predict(np.zeros((1, 2)), n)
 
 
-def reference_sample(x_init, h, net, sched, rng=None, noise=None,
-                     paper_literal=False):
+def reference_sample(x_init, h, net, sched, rng=None, noise=None):
     """The sampler before it ran on preallocated buffers: a predictor that
     allocates every activation and takes the four-ufunc ELU, and an update
     that works out its schedule scalars at every step.  ``sample`` must give
@@ -307,8 +298,7 @@ def reference_sample(x_init, h, net, sched, rng=None, noise=None,
             z = rng.standard_normal(x.shape)
         eps_hat = predict(np.atleast_2d(x), n).reshape(x.shape)
         j = n - 1
-        pref = 1.0 / np.sqrt(sched.alpha_bar[j] if paper_literal
-                             else sched.alpha[j])
+        pref = 1.0 / np.sqrt(sched.alpha[j])
         mean = pref * (x - sched.beta[j] / np.sqrt(1.0 - sched.alpha_bar[j])
                        * eps_hat)
         x = mean + np.sqrt(sched.beta_tilde[j]) * z
@@ -327,19 +317,17 @@ class TestSamplerBitwise:
         return net
 
     @pytest.mark.parametrize("batch,h_rows", [(1, 1), (100, 100), (100, 1)])
-    @pytest.mark.parametrize("paper_literal", [False, True])
     @pytest.mark.parametrize("injected", [False, True])
-    def test_sample_equals_reference(self, batch, h_rows, paper_literal,
-                                     injected):
+    def test_sample_equals_reference(self, batch, h_rows, injected):
         sched = build_schedule(30, 1e-4, 0.2)
         net = self.net_with_biases(60 + batch + h_rows, cond_dim=4)
         rng = stream(61, TRAIN)
         x = rng.standard_normal((batch, 3))
         h = rng.standard_normal((h_rows, 4))
         noise = rng.standard_normal((30, batch, 3)) if injected else None
-        kw = dict(noise=noise, paper_literal=paper_literal)
-        got = sample(x, h, net, sched, rng=stream(62, TRAIN), **kw)
-        ref = reference_sample(x, h, net, sched, rng=stream(62, TRAIN), **kw)
+        got = sample(x, h, net, sched, rng=stream(62, TRAIN), noise=noise)
+        ref = reference_sample(x, h, net, sched, rng=stream(62, TRAIN),
+                               noise=noise)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     def test_predict_returns_arrays_it_does_not_reuse(self):

@@ -1,3 +1,5 @@
+from xml.etree import ElementTree
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -207,17 +209,16 @@ class TestMoments:
     def test_constant_ensemble(self):
         ens = make_ens(np.full((5, 3, 2), 4.0))
         m = ensemble_moments(ens)
-        assert np.array_equal(m.step_mean, np.full((3, 2), 4.0))
-        assert np.array_equal(m.step_std, np.zeros((3, 2)))
         assert np.array_equal(m.pooled_mean, [4.0, 4.0])
+        assert np.array_equal(m.pooled_std, [0.0, 0.0])
 
     def test_two_sample_population_convention(self):
         a, b = 1.0, 3.0
         ens = make_ens(np.array([[[a]], [[b]]]))
         m = ensemble_moments(ens)
-        assert m.step_mean[0, 0] == 2.0
+        assert m.pooled_mean[0] == 2.0
         # population std: |a-b|/2; sample std would be |a-b|/sqrt(2)
-        assert np.isclose(m.step_std[0, 0], abs(a - b) / 2.0)
+        assert np.isclose(m.pooled_std[0], abs(a - b) / 2.0)
 
     def test_single_sample_rejected(self):
         with pytest.raises(MetricError):
@@ -293,6 +294,22 @@ class TestPlotOutputs:
     def test_svg_constant_series(self):
         svg = svg_line_chart(np.arange(3), {"x": np.zeros(3)})
         assert "<svg" in svg
+
+    def test_svg_escapes_markup_in_names(self):
+        svg = svg_line_chart(np.arange(3), {"a<b": np.zeros(3)},
+                             title="vanilla R&D<1> oil")
+        root = ElementTree.fromstring(svg)
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "vanilla R&D<1> oil" in texts and "a<b" in texts
+
+    @pytest.mark.parametrize("band", [None, "low", "high"])
+    def test_svg_array_of_another_length(self, band):
+        ts, five, three = np.arange(5), np.ones(5), np.ones(3)
+        series = {"x": three if band is None else five}
+        edges = None if band is None else \
+            (three, five) if band == "low" else (five, three)
+        with pytest.raises(ContractError, match="match the timestamps"):
+            svg_line_chart(ts, series, band=edges)
 
 
 @st.composite

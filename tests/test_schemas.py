@@ -105,6 +105,7 @@ class TestCheckpointRecords:
                      ("timegrad/eps/b3", (2,))]
         rec = model.state_records()
         assert shapes(rec) == expected
+        # entries 6 and 7 are retired and always written as 0
         assert rec["timegrad/config"].tolist() == [2, 8, 2, 6, 3, 1, 0, 0]
         assert len(model.params()) == 24
 

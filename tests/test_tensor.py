@@ -198,13 +198,13 @@ class TestConvPool:
         k = np.zeros((2, 2, 1))
         k[0, 0, 0] = 1.0
         k[1, 1, 0] = 1.0
-        out = T.conv1d(x, Tensor(k), padding="same")
+        out = T.conv1d(x, Tensor(k))
         assert np.array_equal(out.data, x.data)
 
     def test_same_padding_length(self):
         x = Tensor(np.ones((3, 11)))
         k = Tensor(np.ones((5, 3, 3)))
-        assert T.conv1d(x, k, padding="same").shape == (5, 11)
+        assert T.conv1d(x, k).shape == (5, 11)
 
     def test_pool_windowed_max(self):
         # brute-force windowed max on [1,3,2,5], window 2, stride 2: [3,5]

@@ -263,13 +263,6 @@ class TestNormalizeWindow:
         norm, stats = normalize_window(w)
         assert np.abs(stats.denormalize(norm) - w).max() < 1e-12
 
-    def test_variance_scaling_flag(self):
-        w = np.array([[0.0], [4.0]])  # std 2, var 4
-        _, stats_std = normalize_window(w)
-        _, stats_var = normalize_window(w, scale_by_variance=True)
-        assert np.isclose(stats_std.scale[0], 2.0 + 1e-6)
-        assert np.isclose(stats_var.scale[0], 4.0 + 1e-6)
-
     @settings(max_examples=30, deadline=None)
     @given(arrays(np.float64, (8, 2), elements=st.floats(-1e4, 1e4)))
     def test_round_trip_property(self, w):
@@ -498,11 +491,10 @@ class TestForecast:
         # and leaves every sorted per-step sample set identical
         assert np.array_equal(np.sort(a.samples, axis=0), np.sort(b.samples, axis=0))
 
-    @pytest.mark.parametrize("paper_literal", [False, True])
-    def test_matches_reverse_step_rollout(self, paper_literal):
+    def test_matches_reverse_step_rollout(self):
         # reference: the per-step tape-path rollout over the same per-path
         # noise, z = noise[p, t, N - n + 1] at step n and x_N = noise[p, t, 0]
-        model = tiny_model(seed=33, paper_literal_sampler=paper_literal)
+        model = tiny_model(seed=33)
         ctx = stream(34, TRAIN).normal(size=(6, 2))
         horizon, paths, seed = 3, 5, 12
         got = forecast(model, ctx, horizon=horizon, n_samples=paths, seed=seed)
@@ -519,7 +511,7 @@ class TestForecast:
                 for n in range(big_n, 0, -1):
                     z = np.zeros_like(x) if n == 1 else noise[:, t, big_n - n + 1]
                     x = reverse_step(x, states[-1].data, n, model.eps_net,
-                                     model.sched, z, paper_literal=paper_literal)
+                                     model.sched, z)
                 ref[:, t] = x
                 states = model.step_state(x, states)
         ref = stats.denormalize(ref)
