@@ -169,10 +169,10 @@ def read_int(records: dict, name: str, index: int,
         raise FormatError(f"record {name!r} has no entry {index}")
     value = flat[index]
     if not (np.isfinite(value) and value == np.floor(value)):
-        raise FormatError(f"record {name!r} entry {index} is {value!r}, "
+        raise FormatError(f"record {name!r} entry {index} is {float(value)}, "
                           f"expected an integer")
     if size and not 1 <= value <= _stored_values(records):
-        raise FormatError(f"record {name!r} entry {index} is {value!r}, "
+        raise FormatError(f"record {name!r} entry {index} is {float(value)}, "
                           f"expected a size from 1 to {_stored_values(records)}")
     return int(value)
 

@@ -261,8 +261,10 @@ def cmd_forecast(cfg: RunConfig) -> None:
         model = MODELS[cfg.model].from_records(
             checkpoint.load(ckpt, f"{cfg.model}/"))
         context, context_ts, target_ts = _group_context(cfg, model, gpanel)
+        start = time.perf_counter()  # the ensemble's draw; logs only
         ens = model.forecast(context, context_ts, target_ts, cfg.samples,
                              cfg.seed)
+        elapsed = time.perf_counter() - start
         k = gpanel.split_index
         chosen = evaluation.quantile_path(ens, cfg.quantile)
         lo = evaluation.quantile_path(ens, 0.05)
@@ -286,7 +288,8 @@ def cmd_forecast(cfg: RunConfig) -> None:
         })
         log(command="forecast", model=cfg.model, group=group,
             samples=cfg.samples, horizon=cfg.horizon,
-            ensemble=_ensemble_path(cfg, group))
+            ensemble=_ensemble_path(cfg, group), elapsed_s=f"{elapsed:.3f}",
+            paths_per_s=f"{cfg.samples / elapsed:.1f}")
 
 
 def cmd_evaluate(cfg: RunConfig) -> None:

@@ -25,6 +25,10 @@ back to the original scale before they leave this module.
 docstring states.
 """
 
+import contextlib
+import mmap
+import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,7 +303,7 @@ class TimeGradModel:
         for i, codes in ((5, (1.0, 2.0)), (6, (0.0,)), (7, (0.0,))):
             if cfg[i] not in codes:
                 raise FormatError(f"record 'timegrad/config' entry {i} is "
-                                  f"{cfg[i]!r}, expected "
+                                  f"{float(cfg[i])}, expected "
                                   f"{' or '.join(map(str, codes))}")
         sc = read(rec, "timegrad/sched", (3,))
         sizes = ("data_dim", "hidden_dim", "n_layers", "context_length",
@@ -328,6 +332,86 @@ def window_loss(model: TimeGradModel, ctx: np.ndarray, target: np.ndarray,
                      norm=model.loss_norm)
 
 
+# a block of paths starts at a multiple of BLOCK rows: the gemms then tile
+# each block's rows as they tile the same rows of the whole batch, so every
+# row gets the same bytes (OpenBLAS's SkylakeX, Haswell, Sandybridge and Zen
+# kernels; a 1-row block takes numpy's gemv path and a 3-row one differs
+# under Haswell)
+BLOCK = 16
+
+
+def _worker_count() -> int:
+    """Processes a forecast may roll paths out in: the cores this process may
+    run on, shared out among OpenBLAS's threads per process (the first of
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that is set,
+    else one per core, as OpenBLAS reads them), or 1 where it cannot fork.
+    Processes that each run more BLAS threads than their share of the cores
+    spin against each other: under the Haswell kernel, two forked processes
+    with two BLAS threads each made a 2-core forecast 2 to 40 times slower."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").split(",")[0].strip()
+        if value.isdigit() and int(value) > 0:
+            return max(1, cores // int(value))
+    return 1
+
+
+def _block_cuts(n_samples: int, workers: int) -> list:
+    """Bounds [0, ..., n_samples] of up to ``workers`` contiguous blocks of
+    paths; every inner cut is a multiple of BLOCK and every block holds at
+    least BLOCK paths, so fewer than 2 * BLOCK paths stay one block.  The
+    first block is the smallest."""
+    k = max(1, min(workers, n_samples // BLOCK))
+    return ([0] + [BLOCK * (i * n_samples // (BLOCK * k)) for i in range(1, k)]
+            + [n_samples])
+
+
+def _rollout(model, states: list, keys: list, seed: int,
+             out: np.ndarray) -> int:
+    """Roll the paths of ``keys`` out from the context ``states`` into the
+    rows of ``out`` [paths, horizon, D]; return the first horizon step whose
+    draws are not finite, or the horizon when there is none."""
+    paths, horizon, dim = out.shape
+    # horizon step t reads the next [N, D] values of each path's stream:
+    # noise[p, 0] seeds x_N and noise[p, i] is z at reverse step
+    # n = N - i + 1 (the n = 1 step is forced to z = 0).  Drawn step by
+    # step, a stream gives the values one whole draw would, in its order.
+    gens = [rng_mod.stream(seed, rng_mod.PATH, key) for key in keys]
+    noise = np.empty((paths, model.sched.n_steps, dim))
+    states = [constant(np.repeat(h.data, paths, axis=0)) for h in states]
+    for t in range(horizon):
+        for gen, block in zip(gens, noise):
+            gen.standard_normal(out=block)
+        x = sample(noise[:, 0], states[-1].data, model.eps_net,
+                   model.sched, noise=noise[:, 1:].swapaxes(0, 1))
+        if not np.isfinite(x).all():
+            return t
+        out[:, t, :] = x
+        states = model.step_state(x, states)
+    return horizon
+
+
+def _fork_block(model, states, keys, seed, out, status, b) -> int:
+    """Fork a worker that rolls out block ``b`` into the shared ``out`` and
+    writes its ``_rollout`` result to ``status[b]``; return its pid.  The
+    worker ends with os._exit: status 0 once its slot is written, 1 on any
+    exception; it never flushes inherited stdio or runs exit handlers."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            status[b] = _rollout(model, states, keys, seed, out)
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
 def forecast(model: TimeGradModel, context: np.ndarray, horizon: int,
              n_samples: int, seed: int, path_keys=None,
              timestamps=None) -> ForecastEnsemble:
@@ -335,9 +419,14 @@ def forecast(model: TimeGradModel, context: np.ndarray, horizon: int,
 
     Every path owns a Philox noise stream keyed by (seed, PATH, key), so the
     set of paths depends only on the set of keys, not their order.  Paths
-    advance in lockstep as one batch for speed; the arithmetic per row is
-    path-independent.  Raises TrainingError naming the horizon step whose
-    draws are not finite.
+    advance in lockstep as batches for speed; the arithmetic per row is
+    path-independent.  The paths are cut into ``_block_cuts`` blocks, one per
+    usable core: this process rolls out the first and a forked worker each
+    other one, into a shared anonymous mapping, so the ensemble has the same
+    bytes for any worker count.  Raises TrainingError naming the first
+    horizon step, over all blocks, whose draws are not finite, and OSError
+    naming the paths of a worker that exits non-zero or dies by a signal.
+    On any exception every live worker is killed and reaped.
     """
     context = np.atleast_2d(np.asarray(context, dtype=np.float64))
     if context.shape[0] != model.context_length:
@@ -357,28 +446,43 @@ def forecast(model: TimeGradModel, context: np.ndarray, horizon: int,
         raise ParameterError("path_keys must provide one key per sample path")
 
     ctx_n, stats = normalize_window(context)
-    big_n = model.sched.n_steps
-    dim = model.data_dim
-    # horizon step t reads the next [N, D] values of each path's stream:
-    # noise[p, 0] seeds x_N and noise[p, i] is z at reverse step
-    # n = N - i + 1 (the n = 1 step is forced to z = 0).  Drawn step by
-    # step, a stream gives the values one whole draw would, in its order.
-    gens = [rng_mod.stream(seed, rng_mod.PATH, key) for key in path_keys]
-    noise = np.empty((n_samples, big_n, dim))
-
+    cuts = _block_cuts(n_samples, _worker_count())
+    blocks = list(zip(cuts[:-1], cuts[1:]))
+    # one status slot per block, then the ensemble's rows
+    shared = mmap.mmap(-1, 8 * (len(blocks) + n_samples * horizon * model.data_dim))
+    status = np.frombuffer(shared, np.int64, count=len(blocks))
+    out = np.frombuffer(shared, np.float64, offset=status.nbytes).reshape(
+        n_samples, horizon, model.data_dim)
+    workers = {}  # pid -> block index, while the worker is unreaped
     with no_grad():
         states = model.unroll(ctx_n)
-        states = [constant(np.repeat(h.data, n_samples, axis=0)) for h in states]
-        out = np.empty((n_samples, horizon, dim))
-        for t in range(horizon):
-            for gen, block in zip(gens, noise):
-                gen.standard_normal(out=block)
-            x = sample(noise[:, 0], states[-1].data, model.eps_net,
-                       model.sched, noise=noise[:, 1:].swapaxes(0, 1))
-            if not np.isfinite(x).all():
-                raise TrainingError(f"non-finite forecast draws at horizon step t={t}")
-            out[:, t, :] = x
-            states = model.step_state(x, states)
+        try:
+            for b, (lo, hi) in enumerate(blocks[1:], 1):
+                pid = _fork_block(model, states, path_keys[lo:hi], seed,
+                                  out[lo:hi], status, b)
+                workers[pid] = b
+            lo, hi = blocks[0]
+            status[0] = _rollout(model, states, path_keys[lo:hi], seed,
+                                 out[lo:hi])
+            codes = {}  # block index -> the worker's exit code
+            for pid, b in list(workers.items()):
+                codes[b] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del workers[pid]
+        except BaseException:
+            for pid in workers:
+                with contextlib.suppress(OSError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            raise
+    for b, code in codes.items():
+        if code:
+            how = (f"exited with status {code}" if code > 0
+                   else f"was killed by signal {-code}")
+            raise OSError(f"forecast worker for paths {blocks[b][0]} to "
+                          f"{blocks[b][1] - 1} {how}")
+    bad = int(status.min())
+    if bad < horizon:
+        raise TrainingError(f"non-finite forecast draws at horizon step t={bad}")
     return ForecastEnsemble(samples=stats.denormalize(out), timestamps=timestamps)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import wellcast
-from wellcast import checkpoint, data
+from wellcast import checkpoint, data, timegrad
 from wellcast.cli import DEFAULT_EPOCHS, RunConfig, main
 from wellcast.errors import FormatError, ParameterError
 from wellcast.evaluation import MetricsReport
@@ -369,6 +369,81 @@ class TestForecastEvaluate:
         assert code == 2
 
 
+@pytest.fixture(scope="module")
+def trained_timegrad(small_field, tmp_path_factory):
+    csv_path, _, _ = small_field
+    out = tmp_path_factory.mktemp("trained_timegrad")
+    assert run("train", "--model", "timegrad", "--data", str(csv_path),
+               "--out", str(out), *COMMON, *SIZES) == 0
+    return csv_path, out / "timegrad_all.gck"
+
+
+class TestForecastWorkers:
+    """`forecast --model timegrad` rolls blocks of 48 paths out in forked
+    workers (three blocks of 16 here) and keeps the exit-code contract."""
+
+    @staticmethod
+    def forecast(trained_timegrad, out, ckpt=None):
+        csv_path, trained_ckpt = trained_timegrad
+        return run("forecast", "--model", "timegrad", "--data", str(csv_path),
+                   "--out", str(out), "--checkpoint", str(ckpt or trained_ckpt),
+                   *COMMON, *SIZES, "--samples", "48")
+
+    def test_same_bytes_and_a_timed_log_line(self, trained_timegrad, tmp_path,
+                                             capsys, monkeypatch):
+        ensembles = []
+        for count in (1, 3):
+            monkeypatch.setattr(timegrad, "_worker_count", lambda: count)
+            capsys.readouterr()
+            out = tmp_path / str(count)
+            assert self.forecast(trained_timegrad, out) == 0
+            line, = [dict(field.split("=", 1) for field in line.split())
+                     for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("command=forecast")]
+            assert float(line["elapsed_s"]) > 0
+            assert float(line["paths_per_s"]) > 0
+            ensembles.append((out / "timegrad_all_ensemble.gck").read_bytes())
+        assert ensembles[0] == ensembles[1]
+
+    def test_non_finite_draws_exit_3(self, trained_timegrad, tmp_path, capfd,
+                                     monkeypatch):
+        rec = checkpoint.load(trained_timegrad[1])
+        rec["timegrad/eps/w3"][...] = np.nan
+        checkpoint.save(tmp_path / "poisoned.gck", rec)
+        monkeypatch.setattr(timegrad, "_worker_count", lambda: 3)
+        capfd.readouterr()
+        assert self.forecast(trained_timegrad, tmp_path / "out",
+                             tmp_path / "poisoned.gck") == 3
+        printed = capfd.readouterr()
+        assert printed.out.splitlines() == [
+            "error=numeric detail=non-finite forecast draws at horizon step t=0"]
+        assert printed.err == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("how", ["raise", "exit"])
+    def test_dead_worker_exits_4(self, trained_timegrad, tmp_path, capfd,
+                                 monkeypatch, how):
+        real = timegrad._rollout
+
+        def rollout(model, states, keys, seed, out):
+            if keys[0] == 0:  # the block the calling process rolls out
+                return real(model, states, keys, seed, out)
+            if how == "exit":
+                os._exit(1)
+            raise RuntimeError("worker fault")
+
+        monkeypatch.setattr(timegrad, "_worker_count", lambda: 3)
+        monkeypatch.setattr(timegrad, "_rollout", rollout)
+        capfd.readouterr()
+        assert self.forecast(trained_timegrad, tmp_path / "out") == 4
+        printed = capfd.readouterr()
+        assert printed.out.splitlines() == [
+            "error=io detail=forecast worker for paths 16 to 31 exited with "
+            "status 1"]
+        assert printed.err == ""
+        assert not (tmp_path / "out").exists()
+
+
 class TestPerfectForecastFixture:
     def test_perfect_ensemble_scores_zero(self, small_field, tmp_path):
         csv_path, _, _ = small_field
@@ -629,6 +704,8 @@ class TestMalformedInputs:
                        *(SIZES if model == "timegrad" else ENC)) == 2
         printed = capsys.readouterr()
         assert detail in printed.out
+        if model == "timegrad":  # the number, not np.float64(1.0)
+            assert f"entry {index} is {value}, expected" in printed.out
         assert "Traceback" not in printed.out + printed.err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert sorted(p.name for p in tmp_path.iterdir()) == [f"{model}_all.gck"]

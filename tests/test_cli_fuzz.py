@@ -6,8 +6,10 @@ an informer and a timegrad checkpoint trained one short epoch, and their
 ensembles) and changes one input: a ``--config`` line, a line of the
 generator sidecar, a single flag, a few records or bytes of a checkpoint or
 of an ensemble, or a path.  A bad path is a ``--data`` that is a directory,
-is missing or holds a byte that is not UTF-8, or an ``--out`` under a
-regular file; such a run must exit 2 or 4 and print one ``error=`` line.
+is missing or holds a byte that is not UTF-8, or an ``--out`` that is a
+regular file or lies under one (any command, ``pipeline`` too); such a run
+must exit 2 or 4 and print one ``error=`` line, and a regular file given as
+``--out`` keeps its bytes.
 Values stay small (sizes up to 8), so each run is short; running out of
 memory on a huge but well-formed size is not what this test is about.  The
 ``checkpoint`` and ``synthetic_config`` paths are not mutated, and every
@@ -67,7 +69,8 @@ EDIT = st.one_of(
     st.tuples(st.just("truncate"), POSITION))
 EDITS = st.lists(EDIT, min_size=1, max_size=3)
 # a bad --data (read by every command but generate) or a bad --out
-PATH_FAULTS = ["data_dir", "data_missing", "data_not_utf8", "out_under_file"]
+PATH_FAULTS = ["data_dir", "data_missing", "data_not_utf8", "out_under_file",
+               "out_is_file"]
 
 CASES = st.one_of(
     st.tuples(st.just("config"), st.sampled_from(COMMANDS),
@@ -85,9 +88,9 @@ CASES = st.one_of(
     st.tuples(st.just("path"), st.sampled_from(COMMANDS[1:]),
               st.sampled_from(MODELS), st.sampled_from(PATH_FAULTS[:3]),
               POSITION, st.integers(0x80, 0xFF)),
-    st.tuples(st.just("path"), st.sampled_from(COMMANDS),
-              st.sampled_from(MODELS), st.just("out_under_file"), st.just(0),
-              st.just(0)))
+    st.tuples(st.just("path"), st.sampled_from(COMMANDS + ["pipeline"]),
+              st.sampled_from(MODELS), st.sampled_from(PATH_FAULTS[3:]),
+              st.just(0), st.just(0)))
 
 
 def base_argv(command, model, base):
@@ -180,6 +183,8 @@ def _argv(case, run: Path, base: Path):
         argv = base_argv(command, model, run)  # a repeated flag's last wins
         if fault == "out_under_file":
             return argv + ["--out", str(run / "data.csv" / "out")]
+        if fault == "out_is_file":  # the field CSV, also the --data read
+            return argv + ["--out", str(run / "data.csv")]
         bad = run / "bad.csv"
         if fault == "data_dir":
             bad.mkdir()
@@ -215,6 +220,8 @@ def run_case(case, base: Path) -> int:
             errors = [line for line in printed.getvalue().splitlines()
                       if line.startswith("error=")]
             assert len(errors) == 1, (argv, printed.getvalue())
+            assert ((run / "data.csv").read_bytes()
+                    == (base / "data.csv").read_bytes()), argv
         return code
 
 
@@ -231,6 +238,8 @@ SEEDS = [  # the targeted cases in test_cli.py::TestMalformedInputs
     ("ensemble", "informer", [("drop", "ensemble/samples")]),
     *[("path", "evaluate", "informer", fault, 5, 0xFF)
       for fault in PATH_FAULTS],
+    *[("path", command, "timegrad", "out_is_file", 0, 0)
+      for command in ("generate", "pipeline")],
 ]
 
 

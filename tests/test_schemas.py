@@ -1,6 +1,7 @@
 """Each configuration and checkpoint schema is stated once; these tests pin
 what the readers and writers derived from it accept and produce."""
 
+import re
 from collections import Counter
 from dataclasses import fields
 
@@ -179,7 +180,9 @@ class TestReadInt:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 8.5, -0.25])
     def test_rejects_non_integral(self, value):
-        with pytest.raises(FormatError, match="'c' entry 1 is .*integer"):
+        # the value prints as a number (8.5, nan), not as np.float64(8.5)
+        with pytest.raises(FormatError, match=re.escape(
+                f"'c' entry 1 is {float(value)}, expected an integer")):
             checkpoint.read_int({"c": np.array([1.0, value])}, "c", 1)
 
     def test_missing_entry_and_shape(self):

@@ -1,6 +1,9 @@
+import itertools
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -543,10 +546,12 @@ class TestForecast:
                 z.view(np.uint64),
                 stacked[:, t, 1:].swapaxes(0, 1).copy().view(np.uint64))
 
-    def test_noise_is_drawn_per_horizon_step(self):
+    def test_noise_is_drawn_per_horizon_step(self, monkeypatch):
         # one [paths, N, D] block a step, never the [paths, horizon, N, D]
-        # array that drawing every step's noise up front would take
+        # array that drawing every step's noise up front would take; one
+        # worker, so tracemalloc sees the whole ensemble's allocations
         from wellcast.diffusion import build_schedule
+        monkeypatch.setattr(timegrad, "_worker_count", lambda: 1)
         model = tiny_model(seed=39, sched=build_schedule(40, 1e-4, 0.2))
         ctx = stream(40, TRAIN).normal(size=(6, 2))
         paths, horizon = 50, 100
@@ -606,6 +611,182 @@ class TestForecast:
         a = forecast(model, ctx, horizon=3, n_samples=2, seed=8)
         b = forecast(model, ctx + c, horizon=3, n_samples=2, seed=8)
         assert np.abs(b.samples - (a.samples + c)).max() < 1e-9
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def workers(monkeypatch, count):
+    monkeypatch.setattr(timegrad, "_worker_count", lambda: count)
+
+
+def outside_block_0(patch):
+    """A _rollout that runs ``patch`` for every block but the first (the
+    one the calling process rolls out) and the real one for the first."""
+    real = timegrad._rollout
+
+    def rollout(model, states, keys, seed, out):
+        if keys[0] == 0:
+            return real(model, states, keys, seed, out)
+        return patch(model, states, keys, seed, out)
+    return rollout
+
+
+class TestForecastWorkers:
+    """Blocks of paths roll out in forked workers, with the same bytes."""
+
+    SCRIPT = (
+        "import hashlib, sys\n"
+        "import numpy as np\n"
+        "from wellcast import timegrad\n"
+        "from wellcast.diffusion import build_schedule\n"
+        "model = timegrad.TimeGradModel(3, hidden_dim=16, context_length=12,\n"
+        "    sched=build_schedule(10, 1e-4, 0.2), seed=51)\n"
+        "ctx = np.random.default_rng(52).normal(size=(12, 3))\n"
+        "for paths in (48, 100):\n"
+        "    digests = set()\n"
+        "    for count in (1, 2, 3):\n"
+        "        timegrad._worker_count = lambda: count\n"
+        "        ens = timegrad.forecast(model, ctx, 3, paths, 53)\n"
+        "        digests.add(hashlib.sha256(ens.samples.tobytes()).digest())\n"
+        "    print(paths, len(digests))\n")
+
+    @staticmethod
+    def model_and_context():
+        # the epsilon net is 128 wide at any hidden size, as at full size
+        from wellcast.diffusion import build_schedule
+        model = TimeGradModel(3, hidden_dim=16, context_length=12,
+                              sched=build_schedule(10, 1e-4, 0.2), seed=51)
+        return model, stream(52, TRAIN).normal(size=(12, 3))
+
+    def test_block_cuts(self):
+        assert timegrad._block_cuts(100, 2) == [0, 48, 100]
+        for paths, count in itertools.product(range(1, 260), range(1, 9)):
+            cuts = timegrad._block_cuts(paths, count)
+            sizes = np.diff(cuts)
+            assert cuts[0] == 0 and cuts[-1] == paths
+            assert all(c % timegrad.BLOCK == 0 for c in cuts[1:-1])
+            assert len(sizes) == max(1, min(count, paths // timegrad.BLOCK))
+            if len(sizes) > 1:
+                assert sizes.min() >= timegrad.BLOCK
+                assert sizes[0] == sizes.min()
+
+    @pytest.mark.parametrize("paths", [48, 100])
+    def test_same_bytes_for_any_worker_count(self, monkeypatch, paths):
+        model, ctx = self.model_and_context()
+        got = []
+        for count in (1, 2, 3):
+            workers(monkeypatch, count)
+            got.append(forecast(model, ctx, horizon=3, n_samples=paths,
+                                seed=53).samples)
+            assert no_child_left()
+        assert got[0].view(np.uint64).tolist() == got[1].view(np.uint64).tolist()
+        assert got[0].view(np.uint64).tolist() == got[2].view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("env", [
+        {"OPENBLAS_NUM_THREADS": "1"},
+        {"OPENBLAS_NUM_THREADS": "2"},
+        {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Haswell"}])
+    def test_same_bytes_under_other_blas_settings(self, env):
+        # OpenBLAS reads these when numpy loads, so each runs in a child;
+        # Haswell's kernels tile rows unlike the AVX-512 ones picked here
+        src = str(Path(wellcast.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT],
+                              env=dict(os.environ, PYTHONPATH=path, **env),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:2] == ["48 1", "100 1"]
+
+    def test_worker_count(self, monkeypatch):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        assert timegrad._worker_count() == 1  # OpenBLAS: a thread per core
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert timegrad._worker_count() == 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert timegrad._worker_count() == 4
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
+        assert timegrad._worker_count() == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delattr(os, "fork")
+        assert timegrad._worker_count() == 1
+
+    @pytest.mark.parametrize("parent_step,worker_step,first", [
+        (None, 1, 1), (2, None, 2), (2, 0, 0)])
+    def test_first_non_finite_step_over_all_blocks(
+            self, monkeypatch, parent_step, worker_step, first):
+        model, ctx = self.model_and_context()
+        real = timegrad._rollout
+
+        def rollout(model, states, keys, seed, out):
+            step = parent_step if keys[0] == 0 else worker_step
+            done = real(model, states, keys, seed, out)
+            return done if step is None else step
+
+        workers(monkeypatch, 3)
+        monkeypatch.setattr(timegrad, "_rollout", rollout)
+        with pytest.raises(TrainingError,
+                           match=f"non-finite forecast draws at horizon step t={first}$"):
+            forecast(model, ctx, horizon=3, n_samples=48, seed=1)
+        assert no_child_left()
+
+    def test_non_finite_draws_in_every_block(self, monkeypatch):
+        model, ctx = self.model_and_context()
+        model.eps_net.w3.data[...] = np.nan
+        workers(monkeypatch, 2)
+        with pytest.raises(TrainingError, match="horizon step t=0"):
+            forecast(model, ctx, horizon=2, n_samples=100, seed=1)
+        assert no_child_left()
+
+    @pytest.mark.parametrize("how,status", [
+        ("raise", "exited with status 1"),
+        ("exit", "exited with status 1"),
+        ("kill", "was killed by signal 9")])
+    def test_dead_worker_is_an_os_error(self, monkeypatch, how, status):
+        model, ctx = self.model_and_context()
+
+        def die(*args):
+            if how == "raise":
+                raise RuntimeError("worker fault")
+            if how == "exit":
+                os._exit(1)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        workers(monkeypatch, 3)
+        monkeypatch.setattr(timegrad, "_rollout", outside_block_0(die))
+        with pytest.raises(OSError,
+                           match=f"forecast worker for paths 16 to 31 {status}"):
+            forecast(model, ctx, horizon=3, n_samples=48, seed=1)
+        assert no_child_left()
+
+    def test_interrupt_while_waiting_kills_workers(self, monkeypatch):
+        model, ctx = self.model_and_context()
+        real_waitpid = os.waitpid
+        waited = []
+
+        def waitpid(pid, options):
+            if not waited:  # the first wait for a worker is interrupted
+                waited.append(pid)
+                raise KeyboardInterrupt
+            return real_waitpid(pid, options)
+
+        workers(monkeypatch, 2)
+        monkeypatch.setattr(timegrad, "_rollout",
+                            outside_block_0(lambda *args: time.sleep(60)))
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            forecast(model, ctx, horizon=3, n_samples=48, seed=1)
+        assert time.monotonic() - start < 30
+        monkeypatch.undo()
+        assert no_child_left()
 
 
 class TestTrainedToy:
