@@ -110,20 +110,36 @@ def _read_records(fh, size: int, prefix: str = "") -> Records:
     return records
 
 
-def atomic_write(path, data: bytes | str) -> None:
-    """Write ``data`` (a str as utf-8) to ``<name>.tmp`` beside ``path``, making
-    the parent directory first, then rename it over ``path``, so a crash
-    leaves either the old file or the new one, never a torn one."""
+def staged(path) -> Path:
+    """The ``<name>.tmp`` beside ``path`` that ``atomic_write`` writes first."""
     path = Path(path)
+    return path.with_name(path.name + ".tmp")
+
+
+def atomic_write(path, data: bytes | str, rename: bool = True) -> None:
+    """Write ``data`` (a str as utf-8) to ``staged(path)``, making the parent
+    directory first, then rename it over ``path``, so a crash leaves either
+    the old file or the new one, never a torn one.  With ``rename`` false
+    the staged file stays for ``commit`` to rename.  A failed write leaves
+    no ``.tmp`` behind."""
     if isinstance(data, str):
         data = data.encode("utf-8")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        staged(path).write_bytes(data)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        staged(path).unlink(missing_ok=True)
+        raise
+    if rename:
+        commit(path)
+
+
+def commit(path) -> None:
+    """Rename ``staged(path)`` over ``path``; a failed rename removes it."""
+    try:
+        os.replace(staged(path), path)
+    except BaseException:
+        staged(path).unlink(missing_ok=True)
         raise
 
 

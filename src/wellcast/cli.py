@@ -10,6 +10,8 @@ Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 I/O error.
 
 import argparse
 import contextlib
+import io
+import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -18,10 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checkpoint, data, evaluation, seqmodels, timegrad
+from . import checkpoint, data, evaluation, rng, seqmodels, timegrad, workers
 from .errors import FormatError, ParameterError, TrainingError, ValidationError
 from .evaluation import ForecastEnsemble, MetricsReport, SiteMetrics
 from .optim import AdamW
+from .tensor import no_grad
 
 MODELS = {cls.kind: cls for cls in (timegrad.TimeGradModel, seqmodels.InformerModel,
                                     seqmodels.VanillaTransformer)}
@@ -127,6 +130,10 @@ def _ckpt_path(cfg: RunConfig, group: str) -> Path:
     return Path(cfg.out) / f"{cfg.model}_{group}.gck"
 
 
+def _loss_path(cfg: RunConfig, group: str) -> Path:
+    return Path(cfg.out) / f"{cfg.model}_{group}_loss.csv"
+
+
 def _ensemble_path(cfg: RunConfig, group: str) -> Path:
     return Path(cfg.out) / f"{cfg.model}_{group}_ensemble.gck"
 
@@ -176,61 +183,185 @@ def cmd_generate(cfg: RunConfig) -> None:
         sites=len(panel.site_names), seed=gen_cfg.seed)
 
 
+@dataclass
+class _Trained:
+    """A group's training outputs, not yet committed: the loss CSV text,
+    and the checkpoint's records or, once a worker has staged them at
+    ``<ckpt>.tmp``, None and the OSError that staging raised, if any."""
+    group: str
+    ckpt: Path
+    loss_csv: Path
+    loss_text: str
+    final_loss: str
+    records: dict | None
+    error: OSError | None = None
+
+
+def _check_unvalidated(cfg: RunConfig, group: str, model, gpanel) -> None:
+    """fit reports a nan validation loss for a group whose training span
+    holds no validation window, so diverged parameters would pass unseen:
+    score the final parameters once, on the span's last window under
+    no_grad on the (seed, EVAL) stream, and refuse a non-finite score."""
+    k = gpanel.split_index
+    start = k - model.context_rows - model.horizon
+    with no_grad():
+        loss = model.window_loss(
+            np.asarray(gpanel.values[:k], dtype=np.float64),
+            np.asarray(gpanel.timestamps[:k], dtype=np.float64), start,
+            rng.stream(cfg.seed, rng.EVAL), None).item()
+    if not np.isfinite(loss):
+        raise TrainingError(
+            f"group {group} has no validation window, and its trained "
+            f"parameters score a non-finite loss ({loss}) on the last "
+            f"training window")
+
+
+def _train_group(cfg: RunConfig, group: str, gpanel) -> _Trained:
+    """Train one group's model, resuming from its checkpoint if there is
+    one, and log as it goes; write nothing."""
+    ckpt = _ckpt_path(cfg, group)
+    loss_csv = _loss_path(cfg, group)
+    start_epoch = 0
+    opt = None
+    model = _build_model(cfg, gpanel.values.shape[1], float(gpanel.stride))
+    if ckpt.exists():
+        rec = checkpoint.load(ckpt)
+        fresh, model = model, MODELS[cfg.model].from_records(rec)
+        _check_resume(cfg, ckpt, fresh, rec)
+        start_epoch = checkpoint.read_int(rec, "meta/epochs_done", 0, (1,))
+        opt = AdamW(model.params(), lr=cfg.lr)
+        opt.load_state_records(rec)
+        log(command="train", group=group, resumed_from=ckpt,
+            epochs_done=start_epoch)
+    epochs = cfg.effective_epochs
+    epoch_start = time.perf_counter()
+
+    def on_epoch(e, tr, vl):
+        # wall time of the epoch, validation included; logs only
+        nonlocal epoch_start
+        now = time.perf_counter()
+        elapsed, epoch_start = now - epoch_start, now
+        log(command="train", model=cfg.model, group=group, epoch=e,
+            train_loss=f"{tr:.6f}", val_loss=f"{vl:.6f}",
+            gap=f"{vl - tr:.6f}", elapsed_s=f"{elapsed:.3f}",
+            windows_per_s=f"{cfg.windows_per_epoch / elapsed:.1f}")
+
+    history, opt = timegrad.fit(
+        model, gpanel, epochs=epochs, seed=cfg.seed, lr=cfg.lr,
+        windows_per_epoch=cfg.windows_per_epoch, opt=opt,
+        start_epoch=start_epoch, on_epoch=on_epoch)
+    if history.val_loss and np.isnan(history.val_loss[-1]):
+        _check_unvalidated(cfg, group, model, gpanel)
+
+    rec = model.state_records()
+    rec.update(opt.state_records())
+    rec["meta/epochs_done"] = np.array([float(start_epoch + epochs)])
+    rec["meta/seed"] = np.array([float(cfg.seed)])
+    text = "epoch,train_loss,val_loss\n"
+    if start_epoch > 0 and loss_csv.exists():
+        text = "".join(data.read_text(loss_csv)
+                       .splitlines(keepends=True)[:1 + start_epoch])
+    for i, (tr, vl) in enumerate(zip(history.train_loss, history.val_loss)):
+        text += f"{start_epoch + i},{tr!r},{vl!r}\n"
+    final_loss = (f"{history.train_loss[-1]:.6f}" if history.train_loss
+                  else "nan")
+    return _Trained(group, ckpt, loss_csv, text, final_loss, rec)
+
+
+def _disjoint(paths: list) -> bool:
+    """No two of ``paths`` name one file, and none lies under another."""
+    real = [Path(os.path.realpath(p)) for p in paths]
+    unique = set(real)
+    return (len(unique) == len(real)
+            and not any(d in unique for p in real for d in p.parents))
+
+
 def cmd_train(cfg: RunConfig) -> None:
+    """Train one model per group.
+
+    The groups are cut into contiguous blocks, one per ``workers.count()``
+    process, or one block when two groups' files could collide.  This
+    process trains the first block, logging live and committing each group
+    as it ends.  A forked worker trains each other block: it stages each
+    checkpoint at ``<ckpt>.tmp`` and captures its log lines.  This process
+    then commits those groups in group order: it relays the lines, writes
+    the loss CSV, renames the checkpoint into place and logs it.  So the
+    files, bytes and log lines are a one-process run's for any worker
+    count.  That holds when a group fails, too: the groups before it are
+    committed, none after it, and no ``.tmp`` is left.
+    """
     cfg.validate()
-    panel = load_panel(cfg)
-    out = Path(cfg.out)
-    for group, gpanel in build_groups(panel, cfg.grouping):
-        ckpt = _ckpt_path(cfg, group)
-        loss_csv = out / f"{cfg.model}_{group}_loss.csv"
-        start_epoch = 0
-        opt = None
-        model = _build_model(cfg, gpanel.values.shape[1], float(gpanel.stride))
-        if ckpt.exists():
-            rec = checkpoint.load(ckpt)
-            fresh, model = model, MODELS[cfg.model].from_records(rec)
-            _check_resume(cfg, ckpt, fresh, rec)
-            start_epoch = checkpoint.read_int(rec, "meta/epochs_done", 0, (1,))
-            opt = AdamW(model.params(), lr=cfg.lr)
-            opt.load_state_records(rec)
-            log(command="train", group=group, resumed_from=ckpt,
-                epochs_done=start_epoch)
-        epochs = cfg.effective_epochs
-        epoch_start = time.perf_counter()
+    groups = build_groups(load_panel(cfg), cfg.grouping)
+    names = [group for group, _ in groups]
+    paths = [p for group in names
+             for path in (_ckpt_path(cfg, group), _loss_path(cfg, group))
+             for p in (path, checkpoint.staged(path))]
+    k = min(len(groups), workers.count()) if _disjoint(paths) else 1
+    cuts = [i * len(groups) // k for i in range(k + 1)]
+    # directories a worker's staging may make before a one-process run
+    # would, and those that the commits write into, with their parents
+    fresh = {d for group in names[cuts[1]:]
+             for d in _ckpt_path(cfg, group).parents if not d.exists()}
+    written = set()
 
-        def on_epoch(e, tr, vl, _group=group):
-            # wall time of the epoch, validation included; logs only
-            nonlocal epoch_start
-            now = time.perf_counter()
-            elapsed, epoch_start = now - epoch_start, now
-            log(command="train", model=cfg.model, group=_group, epoch=e,
-                train_loss=f"{tr:.6f}", val_loss=f"{vl:.6f}",
-                gap=f"{vl - tr:.6f}", elapsed_s=f"{elapsed:.3f}",
-                windows_per_s=f"{cfg.windows_per_epoch / elapsed:.1f}")
-
-        history, opt = timegrad.fit(
-            model, gpanel, epochs=epochs, seed=cfg.seed, lr=cfg.lr,
-            windows_per_epoch=cfg.windows_per_epoch, opt=opt,
-            start_epoch=start_epoch, on_epoch=on_epoch)
-
-        rec = model.state_records()
-        rec.update(opt.state_records())
-        rec["meta/epochs_done"] = np.array([float(start_epoch + epochs)])
-        rec["meta/seed"] = np.array([float(cfg.seed)])
-
+    def commit(t: _Trained) -> None:
         # the loss CSV goes first: if the checkpoint write then fails, the
         # next run keeps only the header and the checkpoint's epochs
-        text = "epoch,train_loss,val_loss\n"
-        if start_epoch > 0 and loss_csv.exists():
-            text = "".join(data.read_text(loss_csv)
-                           .splitlines(keepends=True)[:1 + start_epoch])
-        for i, (tr, vl) in enumerate(zip(history.train_loss, history.val_loss)):
-            text += f"{start_epoch + i},{tr!r},{vl!r}\n"
-        checkpoint.atomic_write(loss_csv, text)
-        checkpoint.save(ckpt, rec)
-        log(command="train", group=group, checkpoint=ckpt,
-            final_loss=f"{history.train_loss[-1]:.6f}" if history.train_loss
-            else "nan")
+        written.update(t.loss_csv.parents)
+        checkpoint.atomic_write(t.loss_csv, t.loss_text)
+        written.update(t.ckpt.parents)
+        if t.error is not None:
+            raise t.error
+        if t.records is None:
+            checkpoint.commit(t.ckpt)
+        else:
+            checkpoint.save(t.ckpt, t.records)
+        log(command="train", group=t.group, checkpoint=t.ckpt,
+            final_loss=t.final_loss)
+
+    def train(lo: int, hi: int) -> list:
+        if lo == 0:  # this process
+            for group, gpanel in groups[lo:hi]:
+                commit(_train_group(cfg, group, gpanel))
+            return []
+        done = []  # (printed lines, _Trained or the error that stopped it)
+        for group, gpanel in groups[lo:hi]:
+            printed = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(printed):
+                    t = _train_group(cfg, group, gpanel)
+            except Exception as exc:  # raised again here, in group order
+                done.append((printed.getvalue(), exc))
+                break
+            try:
+                checkpoint.atomic_write(t.ckpt, checkpoint.pack_records(
+                    t.records), rename=False)
+            except OSError as exc:  # raised after the loss CSV is written
+                t.error = exc
+            t.records = None
+            done.append((printed.getvalue(), t))
+        return done
+
+    def take(done: list) -> None:
+        for printed, t in done:
+            sys.stdout.write(printed)
+            if isinstance(t, Exception):
+                raise t
+            commit(t)
+
+    try:
+        workers.run(train, cuts, lambda lo, hi: (
+            f"train worker for groups {', '.join(names[lo:hi])}"), take)
+    except BaseException:
+        for group in names:
+            with contextlib.suppress(OSError):
+                checkpoint.staged(_ckpt_path(cfg, group)).unlink(
+                    missing_ok=True)
+        for d in sorted(fresh - written, key=lambda d: len(d.parts),
+                        reverse=True):
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
 
 
 def _group_context(cfg: RunConfig, model, gpanel):

@@ -25,15 +25,13 @@ back to the original scale before they leave this module.
 docstring states.
 """
 
-import contextlib
 import mmap
-import os
-import signal
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as rng_mod
+from . import workers
 from .checkpoint import Undrawn, load_params, read, read_int
 # reverse_step stays bound here although forecast samples through
 # diffusion.sample: bench/tracing.py wraps timegrad.reverse_step by name
@@ -340,33 +338,12 @@ def window_loss(model: TimeGradModel, ctx: np.ndarray, target: np.ndarray,
 BLOCK = 16
 
 
-def _worker_count() -> int:
-    """Processes a forecast may roll paths out in: the cores this process may
-    run on, shared out among OpenBLAS's threads per process (the first of
-    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that is set,
-    else one per core, as OpenBLAS reads them), or 1 where it cannot fork.
-    Processes that each run more BLAS threads than their share of the cores
-    spin against each other: under the Haswell kernel, two forked processes
-    with two BLAS threads each made a 2-core forecast 2 to 40 times slower."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").split(",")[0].strip()
-        if value.isdigit() and int(value) > 0:
-            return max(1, cores // int(value))
-    return 1
-
-
-def _block_cuts(n_samples: int, workers: int) -> list:
-    """Bounds [0, ..., n_samples] of up to ``workers`` contiguous blocks of
+def _block_cuts(n_samples: int, count: int) -> list:
+    """Bounds [0, ..., n_samples] of up to ``count`` contiguous blocks of
     paths; every inner cut is a multiple of BLOCK and every block holds at
     least BLOCK paths, so fewer than 2 * BLOCK paths stay one block.  The
     first block is the smallest."""
-    k = max(1, min(workers, n_samples // BLOCK))
+    k = max(1, min(count, n_samples // BLOCK))
     return ([0] + [BLOCK * (i * n_samples // (BLOCK * k)) for i in range(1, k)]
             + [n_samples])
 
@@ -396,22 +373,6 @@ def _rollout(model, states: list, keys: list, seed: int,
     return horizon
 
 
-def _fork_block(model, states, keys, seed, out, status, b) -> int:
-    """Fork a worker that rolls out block ``b`` into the shared ``out`` and
-    writes its ``_rollout`` result to ``status[b]``; return its pid.  The
-    worker ends with os._exit: status 0 once its slot is written, 1 on any
-    exception; it never flushes inherited stdio or runs exit handlers."""
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            status[b] = _rollout(model, states, keys, seed, out)
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
-
-
 def forecast(model: TimeGradModel, context: np.ndarray, horizon: int,
              n_samples: int, seed: int, path_keys=None,
              timestamps=None) -> ForecastEnsemble:
@@ -421,12 +382,13 @@ def forecast(model: TimeGradModel, context: np.ndarray, horizon: int,
     set of paths depends only on the set of keys, not their order.  Paths
     advance in lockstep as batches for speed; the arithmetic per row is
     path-independent.  The paths are cut into ``_block_cuts`` blocks, one per
-    usable core: this process rolls out the first and a forked worker each
-    other one, into a shared anonymous mapping, so the ensemble has the same
-    bytes for any worker count.  Raises TrainingError naming the first
-    horizon step, over all blocks, whose draws are not finite, and OSError
-    naming the paths of a worker that exits non-zero or dies by a signal.
-    On any exception every live worker is killed and reaped.
+    ``workers.count()`` process: this process rolls out the first and a
+    forked worker each other one (``workers.run``), into a shared anonymous
+    mapping, so the ensemble has the same bytes for any worker count.
+    Raises TrainingError naming the first horizon step, over all blocks,
+    whose draws are not finite, and OSError naming the paths of a worker
+    that exits non-zero or dies by a signal.  On any exception every live
+    worker is killed and reaped.
     """
     context = np.atleast_2d(np.asarray(context, dtype=np.float64))
     if context.shape[0] != model.context_length:
@@ -446,43 +408,22 @@ def forecast(model: TimeGradModel, context: np.ndarray, horizon: int,
         raise ParameterError("path_keys must provide one key per sample path")
 
     ctx_n, stats = normalize_window(context)
-    cuts = _block_cuts(n_samples, _worker_count())
-    blocks = list(zip(cuts[:-1], cuts[1:]))
-    # one status slot per block, then the ensemble's rows
-    shared = mmap.mmap(-1, 8 * (len(blocks) + n_samples * horizon * model.data_dim))
-    status = np.frombuffer(shared, np.int64, count=len(blocks))
-    out = np.frombuffer(shared, np.float64, offset=status.nbytes).reshape(
+    # the ensemble's rows, shared with the workers
+    shared = mmap.mmap(-1, 8 * n_samples * horizon * model.data_dim)
+    out = np.frombuffer(shared, np.float64).reshape(
         n_samples, horizon, model.data_dim)
-    workers = {}  # pid -> block index, while the worker is unreaped
+    done = []  # each block's _rollout result, in block order
     with no_grad():
         states = model.unroll(ctx_n)
-        try:
-            for b, (lo, hi) in enumerate(blocks[1:], 1):
-                pid = _fork_block(model, states, path_keys[lo:hi], seed,
-                                  out[lo:hi], status, b)
-                workers[pid] = b
-            lo, hi = blocks[0]
-            status[0] = _rollout(model, states, path_keys[lo:hi], seed,
-                                 out[lo:hi])
-            codes = {}  # block index -> the worker's exit code
-            for pid, b in list(workers.items()):
-                codes[b] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del workers[pid]
-        except BaseException:
-            for pid in workers:
-                with contextlib.suppress(OSError):
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-            raise
-    for b, code in codes.items():
-        if code:
-            how = (f"exited with status {code}" if code > 0
-                   else f"was killed by signal {-code}")
-            raise OSError(f"forecast worker for paths {blocks[b][0]} to "
-                          f"{blocks[b][1] - 1} {how}")
-    bad = int(status.min())
-    if bad < horizon:
-        raise TrainingError(f"non-finite forecast draws at horizon step t={bad}")
+        workers.run(
+            lambda lo, hi: _rollout(model, states, path_keys[lo:hi], seed,
+                                    out[lo:hi]),
+            _block_cuts(n_samples, workers.count()),
+            lambda lo, hi: f"forecast worker for paths {lo} to {hi - 1}",
+            done.append)
+    if min(done) < horizon:
+        raise TrainingError(
+            f"non-finite forecast draws at horizon step t={min(done)}")
     return ForecastEnsemble(samples=stats.denormalize(out), timestamps=timestamps)
 
 

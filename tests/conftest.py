@@ -1,4 +1,6 @@
+import contextlib
 import os
+import signal
 
 import pytest
 
@@ -16,3 +18,23 @@ def no_leftover_child():
         pytest.fail(f"child process {pid} was left unreaped "
                     f"(wait status {status})")
     pytest.fail("a child process is still running")
+
+
+@pytest.fixture
+def interrupt_after():
+    """A context manager that raises KeyboardInterrupt in this process the
+    given seconds after it is entered, as a Ctrl-C would, in whatever the
+    process is doing then (waiting on a worker, say); a forked worker
+    inherits no timer."""
+    @contextlib.contextmanager
+    def interrupt(seconds):
+        def handler(signum, frame):
+            raise KeyboardInterrupt
+        previous = signal.signal(signal.SIGALRM, handler)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    return interrupt

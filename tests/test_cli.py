@@ -1,9 +1,12 @@
 import hashlib
 import os
+import re
 import shutil
+import signal
 import struct
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +16,7 @@ import numpy as np
 import pytest
 
 import wellcast
-from wellcast import checkpoint, data, timegrad
+from wellcast import checkpoint, cli, data, timegrad, workers
 from wellcast.cli import DEFAULT_EPOCHS, RunConfig, main
 from wellcast.errors import FormatError, ParameterError
 from wellcast.evaluation import MetricsReport
@@ -226,6 +229,26 @@ class TestRunawayTraining:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("model", ["timegrad", "vanilla"])
+    def test_diverged_run_without_validation_windows_exits_3(
+            self, small_field, tmp_path, capsys, model):
+        # windows of 24 + 6 rows do not fit in the last tenth of the 208
+        # training rows, so fit's validation loss is nan; train scores the
+        # final parameters once instead
+        csv_path, _, _ = small_field
+        out = tmp_path / "run"
+        assert run("train", "--model", model, "--data", str(csv_path),
+                   "--out", str(out), *COMMON, *SIZES, *ENC, "--epochs", "1",
+                   "--windows-per-epoch", "1", "--lr", "1e300") == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert "val_loss=nan" in lines[0]
+        assert lines[-1] == (
+            "error=numeric detail=group all has no validation window, and "
+            "its trained parameters score a non-finite loss (nan) on the "
+            "last training window")
+        assert not out.exists()
+
+
 class TestNegativeSeed:
     """A negative seed exits 2 instead of ending in numpy's ValueError; the
     sidecar line ``seed=-1`` is a case of TestMalformedInputs."""
@@ -393,7 +416,7 @@ class TestForecastWorkers:
                                              capsys, monkeypatch):
         ensembles = []
         for count in (1, 3):
-            monkeypatch.setattr(timegrad, "_worker_count", lambda: count)
+            monkeypatch.setattr(workers, "count", lambda: count)
             capsys.readouterr()
             out = tmp_path / str(count)
             assert self.forecast(trained_timegrad, out) == 0
@@ -410,7 +433,7 @@ class TestForecastWorkers:
         rec = checkpoint.load(trained_timegrad[1])
         rec["timegrad/eps/w3"][...] = np.nan
         checkpoint.save(tmp_path / "poisoned.gck", rec)
-        monkeypatch.setattr(timegrad, "_worker_count", lambda: 3)
+        monkeypatch.setattr(workers, "count", lambda: 3)
         capfd.readouterr()
         assert self.forecast(trained_timegrad, tmp_path / "out",
                              tmp_path / "poisoned.gck") == 3
@@ -432,7 +455,7 @@ class TestForecastWorkers:
                 os._exit(1)
             raise RuntimeError("worker fault")
 
-        monkeypatch.setattr(timegrad, "_worker_count", lambda: 3)
+        monkeypatch.setattr(workers, "count", lambda: 3)
         monkeypatch.setattr(timegrad, "_rollout", rollout)
         capfd.readouterr()
         assert self.forecast(trained_timegrad, tmp_path / "out") == 4
@@ -442,6 +465,208 @@ class TestForecastWorkers:
             "status 1"]
         assert printed.err == ""
         assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def wide_field(tmp_path_factory):
+    """A four-site field: four groups under oil_water_per_site, two under
+    oil_only_pairs."""
+    out = tmp_path_factory.mktemp("wide_field")
+    cfg = data.SyntheticFieldConfig(n_sites=4, wells_per_site=2, n_steps=260,
+                                    seed=11, breakthrough_delay_range=(5, 40),
+                                    well_start_frac=0.1)
+    (out / "field.cfg").write_text(data.config_to_text(cfg))
+    assert run("generate", "--synthetic-config", str(out / "field.cfg"),
+               "--out", str(out / "x")) == 0
+    return out / "x" / "data.csv"
+
+
+@pytest.fixture(scope="module")
+def wide_trained(wide_field, tmp_path_factory):
+    """The four-site field and its informer checkpoints and loss CSVs, one
+    per site, trained one epoch in one process."""
+    out = tmp_path_factory.mktemp("wide_trained")
+    shutil.copy(wide_field, out)
+    assert TestTrainWorkers.train(out / "data.csv", out) == 0
+    return out
+
+
+GROUPS = ["SITE00", "SITE01", "SITE02", "SITE03"]  # oil_water_per_site
+
+
+class TestTrainWorkers:
+    """`train` trains contiguous blocks of groups in forked workers.  The
+    files, their bytes, the log lines (timings aside) and the exit code are
+    a one-process run's for 1, 2 and 3 workers, fresh, resumed and failed,
+    and no ``*.tmp`` or child process is left."""
+
+    FLAGS = {"timegrad": SIZES, "informer": ENC, "vanilla": ENC}
+
+    @classmethod
+    def train(cls, csv_path, out, *extra, model="informer",
+              grouping="oil_water_per_site"):
+        return run("train", "--model", model, "--data", str(csv_path),
+                   "--grouping", grouping, "--out", str(out), *COMMON,
+                   "--epochs", "1", *cls.FLAGS[model], *extra)
+
+    @staticmethod
+    def outcomes(tmp_path, capsys, monkeypatch, start, act, counts=(1, 2, 3)):
+        """For each worker count: copy ``start`` (a directory, or None for
+        an empty one) to a root of its own, run ``act(root)``, and collect
+        its result, the log lines with timings masked and the root named
+        ROOT, and every path under the root with its bytes."""
+        got = []
+        for count in counts:
+            root = tmp_path / f"workers{count}"
+            if start is None:
+                root.mkdir()
+            else:
+                shutil.copytree(start, root)
+            monkeypatch.setattr(workers, "count", lambda: count)
+            capsys.readouterr()
+            result = act(root)
+            lines = [re.sub(r" (elapsed_s|windows_per_s)=\S+", "", line)
+                     .replace(str(root), "ROOT")
+                     for line in capsys.readouterr().out.splitlines()]
+            assert not list(root.rglob("*.tmp"))
+            files = {str(p.relative_to(root)):
+                     p.read_bytes() if p.is_file() else None
+                     for p in sorted(root.rglob("*"))}
+            got.append((result, lines, files))
+        return got
+
+    @pytest.mark.parametrize("model", ["timegrad", "informer", "vanilla"])
+    @pytest.mark.parametrize("grouping", [
+        "all_sites_oil", "oil_water_per_site", "oil_only_pairs"])
+    def test_same_files_and_lines_fresh_and_resumed(
+            self, wide_field, tmp_path, capsys, monkeypatch, model, grouping):
+        def act(root):
+            return [self.train(wide_field, root, model=model,
+                               grouping=grouping) for _ in range(2)]
+
+        got = self.outcomes(tmp_path, capsys, monkeypatch, None, act)
+        assert got[0][0] == [0, 0]
+        assert sum("resumed_from=" in line for line in got[0][1]) == {
+            "all_sites_oil": 1, "oil_water_per_site": 4,
+            "oil_only_pairs": 2}[grouping]
+        assert got[1] == got[0]
+        assert got[2] == got[0]
+
+    @pytest.mark.parametrize("index", [1, 2])
+    @pytest.mark.parametrize("how,code", [
+        ("validation", 2), ("numeric", 3), ("staging", 4), ("rename", 4)])
+    def test_a_failed_group_leaves_the_one_process_files(
+            self, wide_trained, tmp_path, capsys, monkeypatch, index, how,
+            code):
+        ckpt = f"informer_{GROUPS[index]}.gck"
+        real_replace, real_write = os.replace, Path.write_bytes
+
+        def act(root):
+            if how == "validation":
+                (root / ckpt).write_bytes(b"not a checkpoint")
+            elif how == "numeric":
+                rec = checkpoint.load(root / ckpt)
+                rec["informer/p/3"][...] = np.nan
+                checkpoint.save(root / ckpt, rec)
+            elif how == "staging":
+                def refuse(path, blob):
+                    if path == checkpoint.staged(root / ckpt):
+                        raise OSError(28, "No space left on device", str(path))
+                    return real_write(path, blob)
+                monkeypatch.setattr(Path, "write_bytes", refuse)
+            else:
+                def refuse(src, dst):
+                    if Path(dst) == root / ckpt:
+                        raise PermissionError(13, "Permission denied", str(dst))
+                    return real_replace(src, dst)
+                monkeypatch.setattr(os, "replace", refuse)
+            return self.train(root / "data.csv", root)
+
+        got = self.outcomes(tmp_path, capsys, monkeypatch, wide_trained, act)
+        assert got[0][0] == code
+        assert got[0][1][-1].startswith(
+            ("error=validation", "error=numeric", "error=io")[code - 2])
+        assert got[1] == got[0]
+        assert got[2] == got[0]
+
+    def test_a_failed_first_group_leaves_no_out(self, wide_field, tmp_path,
+                                                capsys, monkeypatch):
+        # the first group fails only once the workers have staged the last
+        # group's checkpoint, making the --out that it is staged in
+        real = cli._train_group
+
+        def train_group(cfg, group, gpanel):
+            if group == GROUPS[0]:
+                staged = checkpoint.staged(cli._ckpt_path(cfg, GROUPS[-1]))
+                deadline = time.monotonic() + 30
+                while workers.count() > 1 and not staged.exists():
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                raise ParameterError(f"group {group} refused")
+            return real(cfg, group, gpanel)
+
+        monkeypatch.setattr(cli, "_train_group", train_group)
+        got = self.outcomes(tmp_path, capsys, monkeypatch, None, lambda root: (
+            self.train(wide_field, root / "a" / "out",
+                       "--checkpoint", str(root / "a" / "ck" / "{group}.gck"))))
+        assert got[0] == (2, ["error=validation detail=group SITE00 refused"],
+                          {})
+        assert got[1] == got[0]
+        assert got[2] == got[0]
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("how,status", [
+        ("exit", "exited with status 1"), ("kill", "was killed by signal 9")])
+    def test_dead_worker_exits_4(self, wide_trained, tmp_path, capsys,
+                                 monkeypatch, count, how, status):
+        real = cli._train_group
+
+        def train_group(cfg, group, gpanel):
+            if group == GROUPS[2]:
+                if how == "exit":
+                    os._exit(1)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(cfg, group, gpanel)
+
+        monkeypatch.setattr(cli, "_train_group", train_group)
+        got, = self.outcomes(tmp_path, capsys, monkeypatch, None, lambda root: (
+            self.train(wide_trained / "data.csv", root)), counts=(count,))
+        code, lines, files = got
+        assert code == 4
+        assert [line for line in lines if line.startswith("error=")] == [
+            f"error=io detail=train worker for groups SITE02, SITE03 {status}"]
+        assert lines[-1].startswith("error=")
+        assert sorted(files) == [f"informer_{g}{suffix}" for g in GROUPS[:2]
+                                 for suffix in (".gck", "_loss.csv")]
+
+    def test_interrupt_while_a_worker_sleeps(self, wide_field, tmp_path,
+                                             monkeypatch, interrupt_after):
+        real = cli._train_group
+
+        def train_group(cfg, group, gpanel):
+            if group == GROUPS[3]:
+                time.sleep(60)
+            return real(cfg, group, gpanel)
+
+        monkeypatch.setattr(cli, "_train_group", train_group)
+        monkeypatch.setattr(workers, "count", lambda: 2)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt), interrupt_after(1.5):
+            self.train(wide_field, tmp_path)
+        assert time.monotonic() - start < 30
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert not list(tmp_path.rglob("*SITE02*"))
+
+    def test_shared_checkpoint_resumes_as_in_one_process(
+            self, wide_field, tmp_path, capsys, monkeypatch):
+        got = self.outcomes(tmp_path, capsys, monkeypatch, None, lambda root: (
+            self.train(wide_field, root, "--checkpoint",
+                       str(root / "shared.gck"))))
+        assert got[0][0] == 0
+        assert [line.split()[1] for line in got[0][1]
+                if "resumed_from=" in line] == [f"group={g}" for g in GROUPS[1:]]
+        assert got[1] == got[0]
+        assert got[2] == got[0]
 
 
 class TestPerfectForecastFixture:

@@ -9,11 +9,18 @@ of an ensemble, or a path.  A bad path is a ``--data`` that is a directory,
 is missing or holds a byte that is not UTF-8, or an ``--out`` that is a
 regular file or lies under one (any command, ``pipeline`` too); such a run
 must exit 2 or 4 and print one ``error=`` line, and a regular file given as
-``--out`` keeps its bytes.
+``--out`` keeps its bytes.  ``train`` and ``forecast`` also get a
+``--checkpoint`` under any grouping: a ``{group}`` template in a directory
+not yet made, one fixed path that every group shares, a path under a
+regular file (the field CSV, which keeps its bytes) or a directory; the
+last two must exit 2 or 4 and print one ``error=`` line.
+Every example runs with two workers, so a ``train`` of two groups trains
+the second in a forked worker, and the no-``*.tmp`` rule covers the
+checkpoints that workers stage.
 Values stay small (sizes up to 8), so each run is short; running out of
 memory on a huge but well-formed size is not what this test is about.  The
-``checkpoint`` and ``synthetic_config`` paths are not mutated, and every
-path stays inside the run's own directory, so no run writes outside it.
+``synthetic_config`` path is not mutated, and every path stays inside the
+run's own directory, so no run writes outside it.
 The targeted cases of ``test_cli.py::TestMalformedInputs`` are its seed
 examples.
 """
@@ -24,14 +31,15 @@ import shutil
 import tempfile
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from wellcast import checkpoint, data
-from wellcast.cli import RunConfig, main
+from wellcast import checkpoint, data, workers
+from wellcast.cli import GROUPINGS, RunConfig, main
 
 BASE = {"horizon": "6", "samples": "8", "epochs": "1",
         "windows_per_epoch": "2", "seed": "3", "lr": "0.001",
@@ -71,6 +79,8 @@ EDITS = st.lists(EDIT, min_size=1, max_size=3)
 # a bad --data (read by every command but generate) or a bad --out
 PATH_FAULTS = ["data_dir", "data_missing", "data_not_utf8", "out_under_file",
                "out_is_file"]
+# a --checkpoint; the last two are faults
+CHECKPOINTS = ["template", "fixed", "under_file", "directory"]
 
 CASES = st.one_of(
     st.tuples(st.just("config"), st.sampled_from(COMMANDS),
@@ -90,7 +100,10 @@ CASES = st.one_of(
               POSITION, st.integers(0x80, 0xFF)),
     st.tuples(st.just("path"), st.sampled_from(COMMANDS + ["pipeline"]),
               st.sampled_from(MODELS), st.sampled_from(PATH_FAULTS[3:]),
-              st.just(0), st.just(0)))
+              st.just(0), st.just(0)),
+    st.tuples(st.just("ckpt_path"), st.sampled_from(["train", "forecast"]),
+              st.sampled_from(MODELS), st.sampled_from(GROUPINGS),
+              st.sampled_from(CHECKPOINTS)))
 
 
 def base_argv(command, model, base):
@@ -193,6 +206,16 @@ def _argv(case, run: Path, base: Path):
             blob[position % len(blob)] = byte
             bad.write_bytes(bytes(blob))
         return argv + ["--data", str(bad)]
+    if kind == "ckpt_path":
+        _, command, model, grouping, form = case
+        ckpt = {"template": run / "ck" / "{group}.gck",
+                "fixed": run / "shared.gck",
+                "under_file": run / "data.csv" / "{group}.gck",
+                "directory": run / "ckdir"}[form]
+        if form == "directory":
+            ckpt.mkdir()
+        return base_argv(command, model, run) + [
+            "--grouping", grouping, "--checkpoint", str(ckpt)]
     if kind == "checkpoint":
         _, command, model, edits = case
         _mutate(run / f"{model}_all.gck", edits)
@@ -209,13 +232,15 @@ def run_case(case, base: Path) -> int:
         argv = _argv(case, run, base)
         printed = io.StringIO()
         try:
-            with contextlib.redirect_stdout(printed):
+            with (contextlib.redirect_stdout(printed),
+                  mock.patch.object(workers, "count", lambda: 2)):
                 code = main(argv)
         except SystemExit as exc:  # argparse refusing a flag or value
             code = exc.code
         assert code in (0, 2, 3, 4), (argv, code)
         assert not list(Path(tmp).rglob("*.tmp")), argv
-        if case[0] == "path":
+        if case[0] == "path" or (case[0] == "ckpt_path"
+                                 and case[-1] in CHECKPOINTS[2:]):
             assert code in (2, 4), (argv, code)
             errors = [line for line in printed.getvalue().splitlines()
                       if line.startswith("error=")]
@@ -240,6 +265,8 @@ SEEDS = [  # the targeted cases in test_cli.py::TestMalformedInputs
       for fault in PATH_FAULTS],
     *[("path", command, "timegrad", "out_is_file", 0, 0)
       for command in ("generate", "pipeline")],
+    *[("ckpt_path", "train", model, "oil_water_per_site", form)
+      for model in MODELS for form in CHECKPOINTS],
 ]
 
 

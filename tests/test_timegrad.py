@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 import wellcast
 from toys import as_panel
 from wellcast import tensor as T
-from wellcast import timegrad
+from wellcast import timegrad, workers
 from wellcast.diffusion import ddpm_loss, reverse_step
 from wellcast.errors import ContractError, ParameterError, TrainingError
 from wellcast.optim import AdamW
@@ -551,7 +551,7 @@ class TestForecast:
         # array that drawing every step's noise up front would take; one
         # worker, so tracemalloc sees the whole ensemble's allocations
         from wellcast.diffusion import build_schedule
-        monkeypatch.setattr(timegrad, "_worker_count", lambda: 1)
+        monkeypatch.setattr(workers, "count", lambda: 1)
         model = tiny_model(seed=39, sched=build_schedule(40, 1e-4, 0.2))
         ctx = stream(40, TRAIN).normal(size=(6, 2))
         paths, horizon = 50, 100
@@ -619,8 +619,8 @@ def no_child_left():
     return True
 
 
-def workers(monkeypatch, count):
-    monkeypatch.setattr(timegrad, "_worker_count", lambda: count)
+def use_workers(monkeypatch, count):
+    monkeypatch.setattr(workers, "count", lambda: count)
 
 
 def outside_block_0(patch):
@@ -641,7 +641,7 @@ class TestForecastWorkers:
     SCRIPT = (
         "import hashlib, sys\n"
         "import numpy as np\n"
-        "from wellcast import timegrad\n"
+        "from wellcast import timegrad, workers\n"
         "from wellcast.diffusion import build_schedule\n"
         "model = timegrad.TimeGradModel(3, hidden_dim=16, context_length=12,\n"
         "    sched=build_schedule(10, 1e-4, 0.2), seed=51)\n"
@@ -649,7 +649,7 @@ class TestForecastWorkers:
         "for paths in (48, 100):\n"
         "    digests = set()\n"
         "    for count in (1, 2, 3):\n"
-        "        timegrad._worker_count = lambda: count\n"
+        "        workers.count = lambda: count\n"
         "        ens = timegrad.forecast(model, ctx, 3, paths, 53)\n"
         "        digests.add(hashlib.sha256(ens.samples.tobytes()).digest())\n"
         "    print(paths, len(digests))\n")
@@ -679,7 +679,7 @@ class TestForecastWorkers:
         model, ctx = self.model_and_context()
         got = []
         for count in (1, 2, 3):
-            workers(monkeypatch, count)
+            use_workers(monkeypatch, count)
             got.append(forecast(model, ctx, horizon=3, n_samples=paths,
                                 seed=53).samples)
             assert no_child_left()
@@ -707,16 +707,16 @@ class TestForecastWorkers:
             monkeypatch.delenv(var, raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                             raising=False)
-        assert timegrad._worker_count() == 1  # OpenBLAS: a thread per core
+        assert workers.count() == 1  # OpenBLAS: a thread per core
         monkeypatch.setenv("OMP_NUM_THREADS", "2")
-        assert timegrad._worker_count() == 2
+        assert workers.count() == 2
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert timegrad._worker_count() == 4
+        assert workers.count() == 4
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
-        assert timegrad._worker_count() == 1
+        assert workers.count() == 1
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delattr(os, "fork")
-        assert timegrad._worker_count() == 1
+        assert workers.count() == 1
 
     @pytest.mark.parametrize("parent_step,worker_step,first", [
         (None, 1, 1), (2, None, 2), (2, 0, 0)])
@@ -730,7 +730,7 @@ class TestForecastWorkers:
             done = real(model, states, keys, seed, out)
             return done if step is None else step
 
-        workers(monkeypatch, 3)
+        use_workers(monkeypatch, 3)
         monkeypatch.setattr(timegrad, "_rollout", rollout)
         with pytest.raises(TrainingError,
                            match=f"non-finite forecast draws at horizon step t={first}$"):
@@ -740,7 +740,7 @@ class TestForecastWorkers:
     def test_non_finite_draws_in_every_block(self, monkeypatch):
         model, ctx = self.model_and_context()
         model.eps_net.w3.data[...] = np.nan
-        workers(monkeypatch, 2)
+        use_workers(monkeypatch, 2)
         with pytest.raises(TrainingError, match="horizon step t=0"):
             forecast(model, ctx, horizon=2, n_samples=100, seed=1)
         assert no_child_left()
@@ -759,33 +759,23 @@ class TestForecastWorkers:
                 os._exit(1)
             os.kill(os.getpid(), signal.SIGKILL)
 
-        workers(monkeypatch, 3)
+        use_workers(monkeypatch, 3)
         monkeypatch.setattr(timegrad, "_rollout", outside_block_0(die))
         with pytest.raises(OSError,
                            match=f"forecast worker for paths 16 to 31 {status}"):
             forecast(model, ctx, horizon=3, n_samples=48, seed=1)
         assert no_child_left()
 
-    def test_interrupt_while_waiting_kills_workers(self, monkeypatch):
+    def test_interrupt_while_waiting_kills_workers(self, monkeypatch,
+                                                  interrupt_after):
         model, ctx = self.model_and_context()
-        real_waitpid = os.waitpid
-        waited = []
-
-        def waitpid(pid, options):
-            if not waited:  # the first wait for a worker is interrupted
-                waited.append(pid)
-                raise KeyboardInterrupt
-            return real_waitpid(pid, options)
-
-        workers(monkeypatch, 2)
+        use_workers(monkeypatch, 2)
         monkeypatch.setattr(timegrad, "_rollout",
                             outside_block_0(lambda *args: time.sleep(60)))
-        monkeypatch.setattr(os, "waitpid", waitpid)
         start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt), interrupt_after(0.5):
             forecast(model, ctx, horizon=3, n_samples=48, seed=1)
         assert time.monotonic() - start < 30
-        monkeypatch.undo()
         assert no_child_left()
 
 
