@@ -19,6 +19,7 @@ artifact, checkpoint or not, reaches disk through ``atomic_write``.
 import math
 import os
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,11 @@ def _read_records(fh, size: int, prefix: str = "") -> Records:
         if pos + nbytes > size:
             raise FormatError("truncated checkpoint payload")
         values = math.prod(dims)
+        # numpy's limits (numpy 1 allows 32 dims), checked for every record
+        # so that a prefix load refuses what a full load refuses
+        if ndim > 32 or math.prod(d for d in dims if d) > sys.maxsize // 8:
+            raise FormatError(f"record {name!r}: dims {dims} exceed numpy's "
+                              f"array limits")
         if nbytes != 8 * values:
             raise FormatError(
                 f"record {name!r}: payload of {nbytes} bytes does not hold "

@@ -57,7 +57,15 @@ class RunConfig:
     enc_length: int = 96      # transformer encoder context
     token_length: int = 48
 
+    def check_paths(self) -> None:
+        """Refuse a path field that no file can be named by."""
+        for name in ("data", "out", "checkpoint", "synthetic_config"):
+            if "\0" in getattr(self, name):
+                raise ParameterError(f"{name} holds a NUL byte, which no "
+                                     f"file name may hold")
+
     def validate(self) -> None:
+        self.check_paths()
         if self.model not in MODEL_KINDS:
             raise ParameterError(f"model must be one of {MODEL_KINDS}")
         if self.grouping not in GROUPINGS:
@@ -170,6 +178,7 @@ def _check_resume(cfg: RunConfig, ckpt: Path, fresh, rec: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(cfg: RunConfig) -> None:
+    cfg.check_paths()
     gen_cfg = data.SyntheticFieldConfig(seed=cfg.seed)
     if cfg.synthetic_config:
         gen_cfg = data.config_from_text(data.read_text(cfg.synthetic_config))

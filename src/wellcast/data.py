@@ -558,19 +558,18 @@ def _snap_6_decimals(values: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(all="ignore")  # overflow ends in the finiteness check, unwarned
-def generate_synthetic(cfg: SyntheticFieldConfig, return_wells: bool = False):
+def generate_synthetic(cfg: SyntheticFieldConfig) -> SeriesPanel:
     """Build the panel; deterministic per seed.
 
-    Per-well series (and the unrounded site sums under ``*_raw`` keys) are
-    returned when return_wells is set, so well-to-site additivity can be
-    audited exactly.  Panel values are snapped to 6 decimals, matching the
-    CSV's %.6f representation so save -> load round-trips bit-exactly.
+    Each site's channels sum its wells' ``_well_series``, drawn in site and
+    well order from the (seed, DATA) stream.  Panel values are snapped to 6
+    decimals, matching the CSV's %.6f representation so save -> load
+    round-trips bit-exactly.
     """
     cfg.validate()
     rng = rng_mod.stream(cfg.seed, rng_mod.DATA)
     columns = []
     series = []
-    wells: dict = {}
     for s in range(cfg.n_sites):
         site = f"SITE{s:02d}"
         oil_sum = np.zeros(cfg.n_steps)
@@ -579,12 +578,6 @@ def generate_synthetic(cfg: SyntheticFieldConfig, return_wells: bool = False):
             oil, water = _well_series(cfg, rng, first_well=(w == 0))
             oil_sum += oil
             water_sum += water
-            if return_wells:
-                wells[f"{site}/well{w:02d}/oil"] = oil
-                wells[f"{site}/well{w:02d}/water"] = water
-        if return_wells:
-            wells[f"{site}/oil_raw"] = oil_sum.copy()
-            wells[f"{site}/water_raw"] = water_sum.copy()
         columns += [(site, OIL), (site, WATER)]
         series += [oil_sum, water_sum]
     values = np.stack(series, axis=1)
@@ -593,10 +586,7 @@ def generate_synthetic(cfg: SyntheticFieldConfig, return_wells: bool = False):
                               "q_init_range or noise_scale")
     values = _snap_6_decimals(values)
     timestamps = cfg.start_day + np.arange(cfg.n_steps, dtype=np.int64) * cfg.stride_days
-    panel = SeriesPanel(columns=columns, timestamps=timestamps, values=values)
-    if return_wells:
-        return panel, wells
-    return panel
+    return SeriesPanel(columns=columns, timestamps=timestamps, values=values)
 
 
 def parse_config(text: str, schema) -> dict:

@@ -256,14 +256,12 @@ class EpsilonNet:
 
 
 def ddpm_loss(x0, h_prev, net: EpsilonNet, sched: NoiseSchedule,
-              rng: np.random.Generator, norm: str = "l1",
-              n_override=None, eps_override=None) -> Tensor:
+              rng: np.random.Generator, norm: str = "l1") -> Tensor:
     """Noise-prediction loss for one or more timesteps.
 
-    Draws n ~ Uniform{1..N} and eps ~ N(0, I) per row, noises x0 in closed
-    form and scores the predictor against the injected noise:
-    squared L2 or element-sum L1, summed over rows.  The override arguments
-    let tests inject the randomness deterministically.
+    Draws n ~ Uniform{1..N} and eps ~ N(0, I) per row from ``rng``, noises
+    x0 in closed form and scores the predictor against the injected noise:
+    squared L2 or element-sum L1, summed over rows.
     """
     if norm not in ("l1", "l2"):
         raise ParameterError(f"norm must be 'l1' or 'l2', got {norm!r}")
@@ -272,10 +270,8 @@ def ddpm_loss(x0, h_prev, net: EpsilonNet, sched: NoiseSchedule,
     if dim != net.data_dim:
         raise ContractError(
             f"data dimension {dim} does not match network ({net.data_dim})")
-    n = (np.atleast_1d(np.asarray(n_override, dtype=np.intp)) if n_override is not None
-         else rng.integers(1, sched.n_steps + 1, size=batch))
-    eps = (np.atleast_2d(np.asarray(eps_override, dtype=np.float64))
-           if eps_override is not None else rng.standard_normal((batch, dim)))
+    n = rng.integers(1, sched.n_steps + 1, size=batch)
+    eps = rng.standard_normal((batch, dim))
     x_n = forward_sample(x0, n, eps, sched)
     pred = net.forward(x_n, h_prev, n)
     resid = sub(constant(eps), pred)
@@ -324,33 +320,29 @@ def reverse_step(xn, h_prev, n: int, net: EpsilonNet, sched: NoiseSchedule,
 
 
 def sample(x_init, h_prev, net: EpsilonNet, sched: NoiseSchedule,
-           rng: np.random.Generator | None = None, noise=None) -> np.ndarray:
-    """Full reverse rollout from x_N ~ N(0, I) down to a data-space draw.
+           noise) -> np.ndarray:
+    """Full reverse rollout from x_N = ``x_init`` down to a data-space draw.
 
-    ``noise`` optionally injects the per-step z deterministically: noise[i]
-    is used at the i-th reverse step (n = N - i); the n = 1 step always uses
-    z = 0.  Without it, z is drawn from ``rng``.  The network is evaluated
-    through ``net.conditioned(h_prev)``, built once for the whole rollout.
-    Each step writes its update over the fresh array ``predict`` returns.
+    ``noise`` holds at least N - 1 draws of x_init's shape: noise[i] is z at
+    the i-th reverse step (n = N - i), and the n = 1 step uses z = 0.  The
+    network is evaluated through ``net.conditioned(h_prev)``, built once for
+    the whole rollout.  Each step writes its update over the fresh array
+    ``predict`` returns.
     """
     x = np.asarray(x_init, dtype=np.float64)
     shape = x.shape
     x = np.atleast_2d(x)
     big_n = sched.n_steps
-    if noise is None and rng is None and big_n > 1:
-        raise ParameterError("either rng or injected noise is required for N > 1")
-    if noise is not None:
-        noise = np.asarray(noise, dtype=np.float64).reshape(len(noise), *x.shape)
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.ndim < 1 or noise.shape[1:] != shape or len(noise) < big_n - 1:
+        raise ParameterError(
+            f"noise must hold {big_n - 1} draws of shape {shape}, got an "
+            f"array of shape {noise.shape}")
+    noise = noise.reshape(len(noise), *x.shape)
     predict = net.conditioned(h_prev)
     coefs = _update_coefs(sched)
-    zeros = np.zeros(x.shape)  # z at n = 1
     scratch = np.empty(x.shape)
     for i, n in enumerate(range(big_n, 0, -1)):
-        if n == 1:
-            z = zeros
-        elif noise is not None:
-            z = noise[i]
-        else:
-            z = rng.standard_normal(out=scratch)
+        z = noise[i] if n > 1 else np.zeros(x.shape)
         x = _posterior_update(x, predict(x, n), z, coefs[n - 1], scratch)
     return x.reshape(shape)

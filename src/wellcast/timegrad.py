@@ -25,7 +25,6 @@ back to the original scale before they leave this module.
 docstring states.
 """
 
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -348,17 +347,18 @@ def _block_cuts(n_samples: int, count: int) -> list:
             + [n_samples])
 
 
-def _rollout(model, states: list, keys: list, seed: int,
-             out: np.ndarray) -> int:
-    """Roll the paths of ``keys`` out from the context ``states`` into the
-    rows of ``out`` [paths, horizon, D]; return the first horizon step whose
-    draws are not finite, or the horizon when there is none."""
-    paths, horizon, dim = out.shape
+def _rollout(model, states: list, lo: int, hi: int, seed: int,
+             horizon: int) -> tuple:
+    """Roll paths lo..hi - 1 out from the context ``states``; return the
+    first horizon step whose draws are not finite, or the horizon when there
+    is none, and the paths' [hi - lo, horizon, D] rows."""
+    paths, dim = hi - lo, model.data_dim
+    out = np.empty((paths, horizon, dim))
     # horizon step t reads the next [N, D] values of each path's stream:
     # noise[p, 0] seeds x_N and noise[p, i] is z at reverse step
     # n = N - i + 1 (the n = 1 step is forced to z = 0).  Drawn step by
     # step, a stream gives the values one whole draw would, in its order.
-    gens = [rng_mod.stream(seed, rng_mod.PATH, key) for key in keys]
+    gens = [rng_mod.stream(seed, rng_mod.PATH, p) for p in range(lo, hi)]
     noise = np.empty((paths, model.sched.n_steps, dim))
     states = [constant(np.repeat(h.data, paths, axis=0)) for h in states]
     for t in range(horizon):
@@ -367,28 +367,26 @@ def _rollout(model, states: list, keys: list, seed: int,
         x = sample(noise[:, 0], states[-1].data, model.eps_net,
                    model.sched, noise=noise[:, 1:].swapaxes(0, 1))
         if not np.isfinite(x).all():
-            return t
+            return t, out
         out[:, t, :] = x
         states = model.step_state(x, states)
-    return horizon
+    return horizon, out
 
 
 def forecast(model: TimeGradModel, context: np.ndarray, horizon: int,
-             n_samples: int, seed: int, path_keys=None,
-             timestamps=None) -> ForecastEnsemble:
+             n_samples: int, seed: int, timestamps=None) -> ForecastEnsemble:
     """Ensemble forecast: n_samples independent autoregressive rollouts.
 
-    Every path owns a Philox noise stream keyed by (seed, PATH, key), so the
-    set of paths depends only on the set of keys, not their order.  Paths
-    advance in lockstep as batches for speed; the arithmetic per row is
-    path-independent.  The paths are cut into ``_block_cuts`` blocks, one per
-    ``workers.count()`` process: this process rolls out the first and a
-    forked worker each other one (``workers.run``), into a shared anonymous
-    mapping, so the ensemble has the same bytes for any worker count.
-    Raises TrainingError naming the first horizon step, over all blocks,
-    whose draws are not finite, and OSError naming the paths of a worker
-    that exits non-zero or dies by a signal.  On any exception every live
-    worker is killed and reaped.
+    Path p owns the Philox noise stream (seed, PATH, p).  Paths advance in
+    lockstep as batches for speed; the arithmetic per row is
+    path-independent.  The paths are cut into ``_block_cuts`` blocks, one
+    per ``workers.count()`` process: this process rolls out the first and a
+    forked worker each other one (``workers.run``), whose rows come back
+    through its pipe, so the ensemble has the same bytes for any worker
+    count.  Raises TrainingError naming the first horizon step, over all
+    blocks, whose draws are not finite, and OSError naming the paths of a
+    worker that exits non-zero or dies by a signal.  On any exception every
+    live worker is killed and reaped.
     """
     context = np.atleast_2d(np.asarray(context, dtype=np.float64))
     if context.shape[0] != model.context_length:
@@ -402,29 +400,22 @@ def forecast(model: TimeGradModel, context: np.ndarray, horizon: int,
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")
     check_draws(n_samples, horizon * model.sched.n_steps * model.data_dim)
-    if path_keys is None:
-        path_keys = list(range(n_samples))
-    if len(path_keys) != n_samples:
-        raise ParameterError("path_keys must provide one key per sample path")
 
     ctx_n, stats = normalize_window(context)
-    # the ensemble's rows, shared with the workers
-    shared = mmap.mmap(-1, 8 * n_samples * horizon * model.data_dim)
-    out = np.frombuffer(shared, np.float64).reshape(
-        n_samples, horizon, model.data_dim)
     done = []  # each block's _rollout result, in block order
     with no_grad():
         states = model.unroll(ctx_n)
         workers.run(
-            lambda lo, hi: _rollout(model, states, path_keys[lo:hi], seed,
-                                    out[lo:hi]),
+            lambda lo, hi: _rollout(model, states, lo, hi, seed, horizon),
             _block_cuts(n_samples, workers.count()),
             lambda lo, hi: f"forecast worker for paths {lo} to {hi - 1}",
             done.append)
-    if min(done) < horizon:
+    steps, rows = zip(*done)
+    if min(steps) < horizon:
         raise TrainingError(
-            f"non-finite forecast draws at horizon step t={min(done)}")
-    return ForecastEnsemble(samples=stats.denormalize(out), timestamps=timestamps)
+            f"non-finite forecast draws at horizon step t={min(steps)}")
+    return ForecastEnsemble(samples=stats.denormalize(np.concatenate(rows)),
+                            timestamps=timestamps)
 
 
 @dataclass

@@ -448,9 +448,9 @@ class TestForecastWorkers:
                                  monkeypatch, how):
         real = timegrad._rollout
 
-        def rollout(model, states, keys, seed, out):
-            if keys[0] == 0:  # the block the calling process rolls out
-                return real(model, states, keys, seed, out)
+        def rollout(model, states, lo, *args):
+            if lo == 0:  # the block the calling process rolls out
+                return real(model, states, lo, *args)
             if how == "exit":
                 os._exit(1)
             raise RuntimeError("worker fault")
@@ -839,6 +839,27 @@ class TestMalformedInputs:
         assert "Traceback" not in printed.out + printed.err
         assert sorted((p.name, p.read_bytes()) for p in tmp_path.rglob("*")
                       if p.is_file()) == before
+
+    @pytest.mark.parametrize("field", ["data", "out", "checkpoint",
+                                       "synthetic_config"])
+    def test_nul_in_a_path_field_exits_2_writing_nothing(
+            self, small_field, tmp_path, capsys, field):
+        # only a --config file can carry a NUL: an argv string cannot
+        csv_path, _, _ = small_field
+        paths = {"data": csv_path, "out": tmp_path / "out"}
+        paths[field] = tmp_path / "a\0b"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in paths.items()))
+        before = sorted(tmp_path.rglob("*"))
+        for command in cli.COMMANDS:
+            capsys.readouterr()
+            assert run(command, "--config", str(cfg)) == 2, command
+            printed = capsys.readouterr()
+            assert printed.out.splitlines() == [
+                f"error=validation detail={field} holds a NUL byte, which no "
+                f"file name may hold"], command
+            assert printed.err == ""
+            assert sorted(tmp_path.rglob("*")) == before, command
 
     @pytest.mark.parametrize("command", ["train", "forecast"])
     def test_checkpoint_that_is_a_directory_exits_4(self, small_field,

@@ -5,11 +5,12 @@ Each example starts from the files of a small valid run (a generated field,
 an informer and a timegrad checkpoint trained one short epoch, and their
 ensembles) and changes one input: a ``--config`` line, a line of the
 generator sidecar, a single flag, a few records or bytes of a checkpoint or
-of an ensemble, or a path.  A bad path is a ``--data`` that is a directory,
-is missing or holds a byte that is not UTF-8, or an ``--out`` that is a
-regular file or lies under one (any command, ``pipeline`` too); such a run
-must exit 2 or 4 and print one ``error=`` line, and a regular file given as
-``--out`` keeps its bytes.  ``train`` and ``forecast`` also get a
+of an ensemble, a path, or a huge size.  A bad path is a ``--data`` or a
+``--synthetic-config`` that is a directory, is missing or holds a byte that
+is not UTF-8, an ``--out`` that is a regular file or lies under one, or a
+NUL byte in any path field of a ``--config`` file (any command, ``pipeline``
+too); such a run must exit 2 or 4 and print one ``error=`` line, and a
+regular file given as ``--out`` keeps its bytes.  ``train`` and ``forecast`` also get a
 ``--checkpoint`` under any grouping: a ``{group}`` template in a directory
 not yet made, one fixed path that every group shares, a path under a
 regular file (the field CSV, which keeps its bytes) or a directory; the
@@ -17,9 +18,11 @@ last two must exit 2 or 4 and print one ``error=`` line.
 Every example runs with two workers, so a ``train`` of two groups trains
 the second in a forked worker, and the no-``*.tmp`` rule covers the
 checkpoints that workers stage.
-Values stay small (sizes up to 8), so each run is short; running out of
-memory on a huge but well-formed size is not what this test is about.  The
-``synthetic_config`` path is not mutated, and every path stays inside the
+Other values stay small (sizes up to 8), so each run is short.  The huge
+sizes (10^10 and up) go where a draw bound must refuse them before anything
+is allocated: a field's site, well or step count given to ``generate``, and
+``--samples`` given to ``forecast``.  Such a run must exit 2, and its
+Python-side allocations must peak below 64 MB.  Every path stays inside the
 run's own directory, so no run writes outside it.
 The targeted cases of ``test_cli.py::TestMalformedInputs`` are its seed
 examples.
@@ -29,6 +32,7 @@ import contextlib
 import io
 import shutil
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -79,6 +83,13 @@ EDITS = st.lists(EDIT, min_size=1, max_size=3)
 # a bad --data (read by every command but generate) or a bad --out
 PATH_FAULTS = ["data_dir", "data_missing", "data_not_utf8", "out_under_file",
                "out_is_file"]
+# a bad --synthetic-config, read by generate
+SYNTHETIC_FAULTS = ["synthetic_dir", "synthetic_missing", "synthetic_not_utf8"]
+# a NUL byte in one path field, which only a --config file can carry
+NUL_FAULTS = [f"nul_{name}" for name in sorted(PATHS)]
+# sizes that a draw bound must refuse before allocating
+HUGE = st.integers(10 ** 10, 10 ** 15)
+FIELD_SIZES = ["n_sites", "wells_per_site", "n_steps"]
 # a --checkpoint; the last two are faults
 CHECKPOINTS = ["template", "fixed", "under_file", "directory"]
 
@@ -101,6 +112,16 @@ CASES = st.one_of(
     st.tuples(st.just("path"), st.sampled_from(COMMANDS + ["pipeline"]),
               st.sampled_from(MODELS), st.sampled_from(PATH_FAULTS[3:]),
               st.just(0), st.just(0)),
+    st.tuples(st.just("path"), st.just("generate"), st.sampled_from(MODELS),
+              st.sampled_from(SYNTHETIC_FAULTS), POSITION,
+              st.integers(0x80, 0xFF)),
+    st.tuples(st.just("path"), st.sampled_from(COMMANDS + ["pipeline"]),
+              st.sampled_from(MODELS), st.sampled_from(NUL_FAULTS),
+              st.just(0), st.just(0)),
+    st.tuples(st.just("huge"), st.just("generate"),
+              st.sampled_from(FIELD_SIZES), HUGE),
+    st.tuples(st.just("huge"), st.just("forecast"), st.sampled_from(MODELS),
+              HUGE),
     st.tuples(st.just("ckpt_path"), st.sampled_from(["train", "forecast"]),
               st.sampled_from(MODELS), st.sampled_from(GROUPINGS),
               st.sampled_from(CHECKPOINTS)))
@@ -193,19 +214,40 @@ def _argv(case, run: Path, base: Path):
                                                  value]
     if kind == "path":
         _, command, model, fault, position, byte = case
+        if fault in NUL_FAULTS:
+            paths = {"data": run / "data.csv", "out": run,
+                     fault[4:]: run / "a\0b"}
+            lines = [f"model={model}"] + [
+                f"{k}={v}" for k, v in {**BASE, **paths}.items()]
+            (run / "run.cfg").write_text("\n".join(lines) + "\n")
+            return [command, "--config", str(run / "run.cfg")]
         argv = base_argv(command, model, run)  # a repeated flag's last wins
         if fault == "out_under_file":
             return argv + ["--out", str(run / "data.csv" / "out")]
         if fault == "out_is_file":  # the field CSV, also the --data read
             return argv + ["--out", str(run / "data.csv")]
-        bad = run / "bad.csv"
-        if fault == "data_dir":
+        source, _, form = fault.partition("_")
+        bad = run / "bad.txt"
+        if form == "dir":
             bad.mkdir()
-        elif fault == "data_not_utf8":  # the field CSV is ASCII
-            blob = bytearray((run / "data.csv").read_bytes())
+        elif form == "not_utf8":  # the field CSV and the sidecar are ASCII
+            text = run / ("data.csv" if source == "data" else "data.sidecar")
+            blob = bytearray(text.read_bytes())
             blob[position % len(blob)] = byte
             bad.write_bytes(bytes(blob))
+        if source == "synthetic":
+            return ["generate", "--synthetic-config", str(bad), "--out",
+                    str(run)]
         return argv + ["--data", str(bad)]
+    if kind == "huge":
+        if case[1] == "generate":
+            _, _, key, size = case
+            text = (base / "data.sidecar").read_text() + f"{key}={size}\n"
+            (run / "field.cfg").write_text(text)
+            return ["generate", "--synthetic-config", str(run / "field.cfg"),
+                    "--out", str(run)]
+        _, _, model, size = case
+        return base_argv("forecast", model, run) + ["--samples", str(size)]
     if kind == "ckpt_path":
         _, command, model, grouping, form = case
         ckpt = {"template": run / "ck" / "{group}.gck",
@@ -231,16 +273,25 @@ def run_case(case, base: Path) -> int:
         shutil.copytree(base, run)
         argv = _argv(case, run, base)
         printed = io.StringIO()
+        if case[0] == "huge":
+            tracemalloc.start()
         try:
             with (contextlib.redirect_stdout(printed),
                   mock.patch.object(workers, "count", lambda: 2)):
                 code = main(argv)
         except SystemExit as exc:  # argparse refusing a flag or value
             code = exc.code
+        finally:
+            if case[0] == "huge":
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
         assert code in (0, 2, 3, 4), (argv, code)
+        if case[0] == "huge":
+            assert code == 2, (argv, printed.getvalue())
+            assert peak < 64 << 20, (argv, peak)
         assert not list(Path(tmp).rglob("*.tmp")), argv
-        if case[0] == "path" or (case[0] == "ckpt_path"
-                                 and case[-1] in CHECKPOINTS[2:]):
+        if case[0] in ("path", "huge") or (case[0] == "ckpt_path"
+                                           and case[-1] in CHECKPOINTS[2:]):
             assert code in (2, 4), (argv, code)
             errors = [line for line in printed.getvalue().splitlines()
                       if line.startswith("error=")]
@@ -265,6 +316,13 @@ SEEDS = [  # the targeted cases in test_cli.py::TestMalformedInputs
       for fault in PATH_FAULTS],
     *[("path", command, "timegrad", "out_is_file", 0, 0)
       for command in ("generate", "pipeline")],
+    *[("path", "generate", "timegrad", fault, 5, 0xFF)
+      for fault in SYNTHETIC_FAULTS],
+    *[("path", command, "informer", fault, 0, 0)
+      for command, fault in zip(["generate", "train", "forecast", "pipeline"],
+                                NUL_FAULTS)],
+    ("huge", "generate", "n_steps", 10 ** 12),
+    *[("huge", "forecast", model, 10 ** 10) for model in MODELS],
     *[("ckpt_path", "train", model, "oil_water_per_site", form)
       for model in MODELS for form in CHECKPOINTS],
 ]

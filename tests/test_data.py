@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wellcast.data import (CSV_HEADER, EPOCH, SeriesPanel,
-                           SyntheticFieldConfig, _snap_6_decimals, arps_rate,
-                           config_from_text,
+                           SyntheticFieldConfig, _snap_6_decimals,
+                           _well_series, arps_rate, config_from_text,
                            config_to_text, epoch_days_to_date,
                            generate_synthetic, load_csv, save_csv, split,
                            truncate_at_breakthrough)
 from wellcast.errors import (FormatError, NoBreakthroughError, ParameterError,
                              ValidationError)
 from wellcast.evaluation import MAX_DRAWS
+from wellcast.rng import DATA, stream
 
 
 def panel_from(values, columns=None, stride=2, start=0):
@@ -444,6 +445,14 @@ class TestArps:
         assert np.allclose(out, 66.0, atol=1e-6)
 
 
+def replay_wells(cfg):
+    """Each site's list of (oil, water) well series, drawn as
+    ``generate_synthetic`` draws them from the (seed, DATA) stream."""
+    rng = stream(cfg.seed, DATA)
+    return [[_well_series(cfg, rng, first_well=(w == 0))
+             for w in range(cfg.wells_per_site)] for _ in range(cfg.n_sites)]
+
+
 class TestGenerator:
     def test_deterministic_per_seed(self):
         cfg = SyntheticFieldConfig(n_sites=2, wells_per_site=2, n_steps=60)
@@ -456,31 +465,35 @@ class TestGenerator:
     def test_values_nonnegative_and_water_zero_before_breakthrough(self):
         cfg = SyntheticFieldConfig(n_sites=3, wells_per_site=4, n_steps=300,
                                    seed=5)
-        panel, wells = generate_synthetic(cfg, return_wells=True)
+        panel = generate_synthetic(cfg)
         assert np.all(panel.values >= 0.0)
-        for name, series in wells.items():
-            if name.endswith("/water") and "well" in name:
-                nz = np.flatnonzero(series > 0)
+        for site in replay_wells(cfg):
+            for _, water in site:
+                nz = np.flatnonzero(water > 0)
                 if len(nz):
-                    assert np.all(series[:nz[0]] == 0.0)
+                    assert np.all(water[:nz[0]] == 0.0)
 
     def test_site_is_sum_of_wells(self):
         cfg = SyntheticFieldConfig(n_sites=2, wells_per_site=5, n_steps=120,
                                    seed=9)
-        panel, wells = generate_synthetic(cfg, return_wells=True)
-        for site in panel.site_names:
-            oil_sum = sum(wells[k] for k in sorted(wells)
-                          if k.startswith(f"{site}/well") and k.endswith("/oil"))
-            assert np.abs(oil_sum - wells[f"{site}/oil_raw"]).max() < 1e-9
-            col = panel.column_index(site, "oil")
-            # panel values are the raw sums snapped to the 6-decimal grid
-            assert np.abs(panel.values[:, col] - wells[f"{site}/oil_raw"]).max() < 5e-7
+        panel = generate_synthetic(cfg)
+        for site, wells in zip(panel.site_names, replay_wells(cfg)):
+            for j, channel in enumerate(("oil", "water")):
+                raw = np.zeros(cfg.n_steps)
+                for well in wells:
+                    raw += well[j]
+                col = panel.column_index(site, channel)
+                # panel values are the well sums snapped to the 6-decimal grid
+                assert np.array_equal(panel.values[:, col],
+                                      _snap_6_decimals(raw))
+                assert np.abs(panel.values[:, col] - raw).max() < 5e-7
 
     def test_shutin_produces_exact_zeros(self):
         cfg = SyntheticFieldConfig(n_sites=1, wells_per_site=1, n_steps=400,
                                    shutin_rate=0.05, noise_scale=0.2, seed=11)
-        panel, wells = generate_synthetic(cfg, return_wells=True)
-        oil = wells["SITE00/well00/oil"]
+        panel = generate_synthetic(cfg)
+        oil = panel.values[:, panel.column_index("SITE00", "oil")]
+        assert np.array_equal(oil, _snap_6_decimals(replay_wells(cfg)[0][0][0]))
         assert np.any(oil[50:] == 0.0)  # events do occur at this rate
 
     def test_constant_degenerate_well(self):

@@ -150,15 +150,29 @@ class _ZeroNet:
         return lambda x_n, n: np.zeros_like(x_n)
 
 
+class _FixedDraws:
+    """Generator stand-in whose draws are the given steps and noise."""
+
+    def __init__(self, n, eps):
+        self.n, self.eps = np.asarray(n), np.asarray(eps)
+
+    def integers(self, low, high, size):
+        return self.n
+
+    def standard_normal(self, size):
+        return self.eps
+
+
 class TestDdpmLoss:
     def test_perfect_predictor_gives_exact_zero(self):
+        # a twin of the loss's stream: the step, then the noise it draws
         sched = build_schedule(10)
-        rng = stream(0, TRAIN)
-        eps = rng.standard_normal((1, 3))
-        net = _OracleNet(eps)
+        twin = stream(0, TRAIN)
+        twin.integers(1, sched.n_steps + 1, size=1)
+        net = _OracleNet(twin.standard_normal((1, 3)))
         for norm in ("l1", "l2"):
             loss = ddpm_loss(np.ones((1, 3)), np.zeros((1, 0)), net, sched,
-                             rng, norm=norm, eps_override=eps, n_override=[4])
+                             stream(0, TRAIN), norm=norm)
             assert loss.item() == 0.0
 
     def test_zero_net_expected_l2_is_dimension(self):
@@ -206,8 +220,8 @@ class TestDdpmLoss:
         eps_fix = rng.normal(size=(3, 2))
 
         def make_loss():
-            return ddpm_loss(x0, h, net, sched, stream(5, TRAIN), norm="l2",
-                             n_override=n_fix, eps_override=eps_fix)
+            return ddpm_loss(x0, h, net, sched, _FixedDraws(n_fix, eps_fix),
+                             norm="l2")
 
         check_gradients(make_loss, net.params(), rtol=1e-4)
 
@@ -271,7 +285,7 @@ class TestConditionedPredictor:
                 predict(np.zeros((1, 2)), n)
 
 
-def reference_sample(x_init, h, net, sched, rng=None, noise=None):
+def reference_sample(x_init, h, net, sched, noise):
     """The sampler before it ran on preallocated buffers: a predictor that
     allocates every activation and takes the four-ufunc ELU, and an update
     that works out its schedule scalars at every step.  ``sample`` must give
@@ -292,10 +306,8 @@ def reference_sample(x_init, h, net, sched, rng=None, noise=None):
     for i, n in enumerate(range(sched.n_steps, 0, -1)):
         if n == 1:
             z = np.zeros_like(x)
-        elif noise is not None:
-            z = np.asarray(noise[i], dtype=np.float64).reshape(x.shape)
         else:
-            z = rng.standard_normal(x.shape)
+            z = np.asarray(noise[i], dtype=np.float64).reshape(x.shape)
         eps_hat = predict(np.atleast_2d(x), n).reshape(x.shape)
         j = n - 1
         pref = 1.0 / np.sqrt(sched.alpha[j])
@@ -317,17 +329,17 @@ class TestSamplerBitwise:
         return net
 
     @pytest.mark.parametrize("batch,h_rows", [(1, 1), (100, 100), (100, 1)])
-    @pytest.mark.parametrize("injected", [False, True])
-    def test_sample_equals_reference(self, batch, h_rows, injected):
+    @pytest.mark.parametrize("spare_draw", [False, True])
+    def test_sample_equals_reference(self, batch, h_rows, spare_draw):
+        # N - 1 = 29 draws, or one more than the rollout reads
         sched = build_schedule(30, 1e-4, 0.2)
         net = self.net_with_biases(60 + batch + h_rows, cond_dim=4)
         rng = stream(61, TRAIN)
         x = rng.standard_normal((batch, 3))
         h = rng.standard_normal((h_rows, 4))
-        noise = rng.standard_normal((30, batch, 3)) if injected else None
-        got = sample(x, h, net, sched, rng=stream(62, TRAIN), noise=noise)
-        ref = reference_sample(x, h, net, sched, rng=stream(62, TRAIN),
-                               noise=noise)
+        noise = rng.standard_normal((29 + spare_draw, batch, 3))
+        got = sample(x, h, net, sched, noise)
+        ref = reference_sample(x, h, net, sched, noise)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     def test_predict_returns_arrays_it_does_not_reuse(self):
@@ -346,19 +358,31 @@ class TestSampler:
         sched = build_schedule(1, 0.02, 0.5)
         net = _ZeroNet(2)
         x = np.array([[3.0, -1.0]])
-        out = sample(x, np.zeros((1, 0)), net, sched)  # no rng needed at N=1
+        out = sample(x, np.zeros((1, 0)), net, sched, np.empty((0, 1, 2)))
         assert np.allclose(out, x / np.sqrt(sched.alpha[0]))
 
     def test_fixed_seed_reproducible(self):
+        # a stream's draws taken in one call or one reverse step at a time
+        # are the same values in the same order, so the same rollout
         sched = build_schedule(12)
         rng = stream(7, TRAIN)
         net = EpsilonNet(2, 0, sched.n_steps, hidden=8, embed_dim=8, rng=rng)
         x = stream(8, TRAIN).standard_normal((1, 2))
-        a = sample(x, np.zeros((1, 0)), net, sched, rng=stream(9, TRAIN))
-        b = sample(x, np.zeros((1, 0)), net, sched, rng=stream(9, TRAIN))
-        assert np.array_equal(a, b)
+        step = stream(9, TRAIN)
+        per_step = np.stack([step.standard_normal((1, 2)) for _ in range(11)])
+        a = sample(x, np.zeros((1, 0)), net, sched,
+                   stream(9, TRAIN).standard_normal((11, 1, 2)))
+        b = sample(x, np.zeros((1, 0)), net, sched, per_step)
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
-    def test_noise_injection_overrides_rng(self):
+    @pytest.mark.parametrize("shape", [(2, 1, 2), (3, 2, 2), (3, 2), ()])
+    def test_noise_short_of_draws_rejected(self, shape):
+        # N - 1 = 3 draws of shape (1, 2) are needed
+        with pytest.raises(ParameterError, match="noise must hold 3 draws"):
+            sample(np.zeros((1, 2)), np.zeros((1, 0)), _ZeroNet(2),
+                   build_schedule(4), np.zeros(shape))
+
+    def test_zero_noise_gives_the_contraction_chain(self):
         sched = build_schedule(4)
         net = _ZeroNet(1)
         x = np.array([[1.0]])
@@ -384,7 +408,8 @@ class TestGenerativeSanity:
         rng = stream(22, TRAIN)
         draws = 2000
         x = rng.standard_normal((draws, 1))
-        out = sample(x, np.zeros((draws, 0)), net, sched, rng=rng)
+        out = sample(x, np.zeros((draws, 0)), net, sched,
+                     rng.standard_normal((sched.n_steps - 1, draws, 1)))
         frac_neg = float(np.mean(out < 0.0))
         assert abs(frac_neg - 0.5) < 0.1
         # samples concentrate near the two modes
@@ -397,7 +422,8 @@ class TestGenerativeSanity:
         rng = stream(24, TRAIN)
         draws = 10_000
         out = sample(rng.standard_normal((draws, 1)), np.zeros((draws, 0)),
-                     net, sched, rng=rng)
+                     net, sched,
+                     rng.standard_normal((sched.n_steps - 1, draws, 1)))
         assert abs(out.mean() - c) < 0.05 * abs(c)
 
 

@@ -1,5 +1,6 @@
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -649,6 +650,18 @@ class TestCheckpoint:
         assert list(part) == [n for n in full if n.startswith(prefix)]
         assert all(part[n].tobytes() == full[n].tobytes() for n in part)
         assert part.stored_values == full.stored_values
+
+    @pytest.mark.parametrize("prefix", ["", "zz"])
+    def test_dims_beyond_numpy_limits_raise_format_error(self, prefix):
+        # a zero dim beside dims whose product overflows, then 33 dims;
+        # refused whether or not the record's payload is loaded
+        for dims in ((0, 2 ** 32 - 1, 2 ** 32 - 1), (1,) * 33):
+            nbytes = 8 * math.prod(dims)
+            blob = (checkpoint.MAGIC + struct.pack("<II", 1, 1) + b"w"
+                    + struct.pack(f"<I{len(dims)}IQ", len(dims), *dims, nbytes)
+                    + bytes(nbytes))
+            with pytest.raises(FormatError, match="exceed numpy's array limits"):
+                unpack(blob, prefix)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

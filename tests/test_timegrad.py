@@ -482,18 +482,6 @@ class TestForecast:
         with pytest.raises(ParameterError):
             forecast(model, np.zeros((4, 2)), horizon=1, n_samples=1, seed=0)
 
-    def test_paths_exchangeable_under_key_permutation(self):
-        model = tiny_model(seed=25)
-        ctx = stream(26, TRAIN).normal(size=(6, 2))
-        keys = [0, 1, 2, 3]
-        perm = [2, 0, 3, 1]
-        a = forecast(model, ctx, horizon=3, n_samples=4, seed=7, path_keys=keys)
-        b = forecast(model, ctx, horizon=3, n_samples=4, seed=7, path_keys=perm)
-        # permuting the per-path streams permutes the paths themselves
-        assert np.array_equal(a.samples[perm], b.samples)
-        # and leaves every sorted per-step sample set identical
-        assert np.array_equal(np.sort(a.samples, axis=0), np.sort(b.samples, axis=0))
-
     def test_matches_reverse_step_rollout(self):
         # reference: the per-step tape-path rollout over the same per-path
         # noise, z = noise[p, t, N - n + 1] at step n and x_N = noise[p, t, 0]
@@ -521,11 +509,11 @@ class TestForecast:
         assert np.abs(got.samples - ref).max() <= 1e-9 * np.abs(ref).max()
 
     def test_noise_drawn_in_place_equals_stacked_streams(self, monkeypatch):
-        # forecast fills one buffer path by path; each path's values must be
+        # forecast fills one buffer path by path; path p's values must be
         # its stream's, in its stream's order, as np.stack of the draws gives
         model = tiny_model(seed=37)
         ctx = stream(38, TRAIN).normal(size=(6, 2))
-        horizon, seed, keys = 3, 13, [5, 0, 9, 2]
+        horizon, seed, paths = 3, 13, 4
         seen = []
         real = timegrad.sample
 
@@ -534,10 +522,9 @@ class TestForecast:
             return real(x_init, *args, **kw)
 
         monkeypatch.setattr(timegrad, "sample", spy)
-        forecast(model, ctx, horizon=horizon, n_samples=len(keys), seed=seed,
-                 path_keys=keys)
-        stacked = np.stack([stream(seed, PATH, key).standard_normal(
-            (horizon, model.sched.n_steps, 2)) for key in keys])
+        forecast(model, ctx, horizon=horizon, n_samples=paths, seed=seed)
+        stacked = np.stack([stream(seed, PATH, p).standard_normal(
+            (horizon, model.sched.n_steps, 2)) for p in range(paths)])
         assert len(seen) == horizon
         for t, (x_init, z) in enumerate(seen):
             assert np.array_equal(x_init.view(np.uint64),
@@ -628,10 +615,8 @@ def outside_block_0(patch):
     one the calling process rolls out) and the real one for the first."""
     real = timegrad._rollout
 
-    def rollout(model, states, keys, seed, out):
-        if keys[0] == 0:
-            return real(model, states, keys, seed, out)
-        return patch(model, states, keys, seed, out)
+    def rollout(model, states, lo, *args):
+        return (real if lo == 0 else patch)(model, states, lo, *args)
     return rollout
 
 
@@ -725,10 +710,10 @@ class TestForecastWorkers:
         model, ctx = self.model_and_context()
         real = timegrad._rollout
 
-        def rollout(model, states, keys, seed, out):
-            step = parent_step if keys[0] == 0 else worker_step
-            done = real(model, states, keys, seed, out)
-            return done if step is None else step
+        def rollout(model, states, lo, *args):
+            step = parent_step if lo == 0 else worker_step
+            done, rows = real(model, states, lo, *args)
+            return done if step is None else step, rows
 
         use_workers(monkeypatch, 3)
         monkeypatch.setattr(timegrad, "_rollout", rollout)
