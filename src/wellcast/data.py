@@ -158,12 +158,15 @@ CSV_HEADER = "date,site,channel,value"
 
 
 def save_csv(panel: SeriesPanel, path) -> None:
-    lines = [CSV_HEADER]
-    for t in range(panel.n_steps):
-        date = epoch_days_to_date(panel.timestamps[t])
-        for j, (site, channel) in enumerate(panel.columns):
-            lines.append(f"{date},{site},{channel},{panel.values[t, j]:.6f}")
-    checkpoint.atomic_write(path, "\n".join(lines) + "\n")
+    """One ``date,site,channel,value`` row per cell, time-major.  A step's
+    rows are one ``%`` template: the step's date joined between the columns'
+    ``,site,channel,%.6f`` parts, names ``%``-escaped."""
+    parts = [""] + [f",{site},{channel},".replace("%", "%%") + "%.6f\n"
+                    for site, channel in panel.columns]
+    rows = [CSV_HEADER + "\n"]
+    for day, values in zip(panel.timestamps.tolist(), panel.values.tolist()):
+        rows.append(epoch_days_to_date(day).join(parts) % tuple(values))
+    checkpoint.atomic_write(path, "".join(rows))
 
 
 def read_text(path) -> str:
@@ -190,6 +193,7 @@ _ODD = np.ones(256, dtype=bool)
 _ODD[list(b"0123456789.eE+-")] = False
 _DASHES = np.array([c == ord("-") for c in b"YYYY-MM-DD"])
 _DAY_ONE = date_to_epoch_days("0001-01-01")  # fromisoformat's first day
+_DAY_LAST = date_to_epoch_days("9999-12-31")  # and its last
 
 
 def _spans(raw: bytes, starts: np.ndarray, lengths: np.ndarray):
@@ -479,6 +483,20 @@ class SyntheticFieldConfig:
             lo, hi = getattr(self, name)
             if not lo < hi:
                 raise ParameterError(f"{name} needs lo < hi, got {lo},{hi}")
+        if self.shutin_duration_range[0] < 0:  # a shut-in must not step back
+            raise ParameterError(f"shutin_duration_range needs lo >= 0, got "
+                                 f"{self.shutin_duration_range[0]}")
+        if self.stride_days < 1:  # timestamps must increase
+            raise ParameterError(f"stride_days must be >= 1, got "
+                                 f"{self.stride_days}")
+        first = self.start_day
+        last = first + (self.n_steps - 1) * self.stride_days
+        if not (_DAY_ONE <= first and last <= _DAY_LAST):  # first < last
+            raise ParameterError(
+                f"start_day={first}, stride_days={self.stride_days}, "
+                f"n_steps={self.n_steps}: the dates run from epoch day {first} "
+                f"to {last}, outside 0001-01-01..9999-12-31 (epoch days "
+                f"{_DAY_ONE}..{_DAY_LAST})")
 
 
 def arps_rate(q_init: float, decline: float, b: float, dt: np.ndarray) -> np.ndarray:
@@ -489,13 +507,18 @@ def arps_rate(q_init: float, decline: float, b: float, dt: np.ndarray) -> np.nda
 
 
 def _well_series(cfg: SyntheticFieldConfig, rng: np.random.Generator,
-                 first_well: bool = False):
+                 t: np.ndarray, profile: np.ndarray, first_well: bool = False):
     """One well's (oil, water) series on the shared timeline.
+
+    ``t`` is the field's time axis, ``arange(n_steps)``, and ``profile`` the
+    post-shut-in oil surge ``1 + surge_amplitude e^{-t / surge_decay_steps}``
+    on it: a shut-in that ends at step e takes ``profile[:n_steps - e]`` from
+    e on.  Decline is evaluated from the spud step and the water cut from
+    breakthrough, each into zeros.
 
     The first well of a site spuds at t = 0 so sites produce from the start
     of the record; later wells stagger in over the leading fraction.
     """
-    t = np.arange(cfg.n_steps, dtype=np.float64)
     t_start = 0 if first_well else int(
         rng.integers(0, max(1, int(cfg.well_start_frac * cfg.n_steps))))
     q_init = rng.uniform(*cfg.q_init_range)
@@ -505,11 +528,12 @@ def _well_series(cfg: SyntheticFieldConfig, rng: np.random.Generator,
     w_max = rng.uniform(*cfg.water_cut_max_range)
     t_bt = t_start + delay
 
-    dt = np.maximum(t - t_start, 0.0)
-    liquid = np.where(t >= t_start, arps_rate(q_init, decline, b, dt), 0.0)
+    liquid = np.zeros(cfg.n_steps)
+    liquid[t_start:] = arps_rate(q_init, decline, b, t[t_start:] - t_start)
     ramp = cfg.water_ramp_steps
-    cut = w_max / (1.0 + np.exp(-(t - t_bt - ramp) / (ramp / 4.0)))
-    cut = np.where(t >= t_bt, cut, 0.0)
+    cut = np.zeros(cfg.n_steps)
+    bt = max(t_bt, 0)  # a negative delay breaks through before the record
+    cut[bt:] = w_max / (1.0 + np.exp(-(t[bt:] - t_bt - ramp) / (ramp / 4.0)))
     oil = liquid * (1.0 - cut)
     water = liquid * cut
 
@@ -525,8 +549,7 @@ def _well_series(cfg: SyntheticFieldConfig, rng: np.random.Generator,
         dur = int(rng.integers(*cfg.shutin_duration_range))
         end = min(start + dur, cfg.n_steps)
         mask[start:end] = False
-        after = np.arange(end, cfg.n_steps, dtype=np.float64) - end
-        surge[end:] = 1.0 + cfg.surge_amplitude * np.exp(-after / cfg.surge_decay_steps)
+        surge[end:] = profile[:cfg.n_steps - end]
         pos = end
     oil = oil * mask * surge
     water = water * mask
@@ -568,6 +591,8 @@ def generate_synthetic(cfg: SyntheticFieldConfig) -> SeriesPanel:
     """
     cfg.validate()
     rng = rng_mod.stream(cfg.seed, rng_mod.DATA)
+    t = np.arange(cfg.n_steps, dtype=np.float64)
+    profile = 1.0 + cfg.surge_amplitude * np.exp(-t / cfg.surge_decay_steps)
     columns = []
     series = []
     for s in range(cfg.n_sites):
@@ -575,7 +600,8 @@ def generate_synthetic(cfg: SyntheticFieldConfig) -> SeriesPanel:
         oil_sum = np.zeros(cfg.n_steps)
         water_sum = np.zeros(cfg.n_steps)
         for w in range(cfg.wells_per_site):
-            oil, water = _well_series(cfg, rng, first_well=(w == 0))
+            oil, water = _well_series(cfg, rng, t, profile,
+                                      first_well=(w == 0))
             oil_sum += oil
             water_sum += water
         columns += [(site, OIL), (site, WATER)]

@@ -5,7 +5,11 @@ references use."""
 import numpy as np
 
 from wellcast import checkpoint
-from wellcast.errors import DimensionError
+from wellcast import rng as rng_mod
+from wellcast.data import (CSV_HEADER, OIL, WATER, SeriesPanel,
+                           SyntheticFieldConfig, _snap_6_decimals, arps_rate,
+                           epoch_days_to_date)
+from wellcast.errors import DimensionError, ValidationError
 from wellcast.tensor import Tensor, _record
 
 
@@ -100,3 +104,98 @@ def svg_line_chart(timestamps, series: dict, band=None, title: str = "") -> str:
                  f'font-family="sans-serif" font-size="10">{int(ts[-1])}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
+
+
+def save_csv(panel: SeriesPanel, path) -> None:
+    """The panel CSV one f-string per row: the form that ``data.save_csv``
+    replaced."""
+    lines = [CSV_HEADER]
+    for t in range(panel.n_steps):
+        date = epoch_days_to_date(panel.timestamps[t])
+        for j, (site, channel) in enumerate(panel.columns):
+            lines.append(f"{date},{site},{channel},{panel.values[t, j]:.6f}")
+    checkpoint.atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _well_series(cfg: SyntheticFieldConfig, rng: np.random.Generator,
+                 first_well: bool = False):
+    """One well's (oil, water) series on the shared timeline, with the time
+    axis, the masks and each shut-in's surge computed over the whole
+    record: the form that ``data._well_series`` replaced.
+
+    The first well of a site spuds at t = 0 so sites produce from the start
+    of the record; later wells stagger in over the leading fraction.
+    """
+    t = np.arange(cfg.n_steps, dtype=np.float64)
+    t_start = 0 if first_well else int(
+        rng.integers(0, max(1, int(cfg.well_start_frac * cfg.n_steps))))
+    q_init = rng.uniform(*cfg.q_init_range)
+    decline = rng.uniform(*cfg.decline_range)
+    b = rng.uniform(*cfg.b_range)
+    delay = int(rng.integers(*cfg.breakthrough_delay_range))
+    w_max = rng.uniform(*cfg.water_cut_max_range)
+    t_bt = t_start + delay
+
+    dt = np.maximum(t - t_start, 0.0)
+    liquid = np.where(t >= t_start, arps_rate(q_init, decline, b, dt), 0.0)
+    ramp = cfg.water_ramp_steps
+    cut = w_max / (1.0 + np.exp(-(t - t_bt - ramp) / (ramp / 4.0)))
+    cut = np.where(t >= t_bt, cut, 0.0)
+    oil = liquid * (1.0 - cut)
+    water = liquid * cut
+
+    # shut-ins: zero spans followed by a bounded decaying surge on oil
+    surge = np.ones(cfg.n_steps)
+    mask = np.ones(cfg.n_steps, dtype=bool)
+    pos = t_start
+    while pos < cfg.n_steps:
+        gap = int(rng.geometric(cfg.shutin_rate)) if cfg.shutin_rate > 0 else cfg.n_steps
+        start = pos + gap
+        if start >= cfg.n_steps:
+            break
+        dur = int(rng.integers(*cfg.shutin_duration_range))
+        end = min(start + dur, cfg.n_steps)
+        mask[start:end] = False
+        after = np.arange(end, cfg.n_steps, dtype=np.float64) - end
+        surge[end:] = 1.0 + cfg.surge_amplitude * np.exp(-after / cfg.surge_decay_steps)
+        pos = end
+    oil = oil * mask * surge
+    water = water * mask
+
+    if cfg.noise_scale > 0:
+        oil = oil * np.exp(cfg.noise_scale * rng.standard_normal(cfg.n_steps))
+        water = water * np.exp(cfg.noise_scale * rng.standard_normal(cfg.n_steps))
+    return oil, water
+
+
+@np.errstate(all="ignore")  # overflow ends in the finiteness check, unwarned
+def generate_synthetic(cfg: SyntheticFieldConfig) -> SeriesPanel:
+    """Build the panel from the ``_well_series`` above: the form that
+    ``data.generate_synthetic`` replaced; deterministic per seed.
+
+    Each site's channels sum its wells' ``_well_series``, drawn in site and
+    well order from the (seed, DATA) stream.  Panel values are snapped to 6
+    decimals, matching the CSV's %.6f representation so save -> load
+    round-trips bit-exactly.
+    """
+    cfg.validate()
+    rng = rng_mod.stream(cfg.seed, rng_mod.DATA)
+    columns = []
+    series = []
+    for s in range(cfg.n_sites):
+        site = f"SITE{s:02d}"
+        oil_sum = np.zeros(cfg.n_steps)
+        water_sum = np.zeros(cfg.n_steps)
+        for w in range(cfg.wells_per_site):
+            oil, water = _well_series(cfg, rng, first_well=(w == 0))
+            oil_sum += oil
+            water_sum += water
+        columns += [(site, OIL), (site, WATER)]
+        series += [oil_sum, water_sum]
+    values = np.stack(series, axis=1)
+    if not np.isfinite(values).all():
+        raise ValidationError("production values must be finite; lower "
+                              "q_init_range or noise_scale")
+    values = _snap_6_decimals(values)
+    timestamps = cfg.start_day + np.arange(cfg.n_steps, dtype=np.int64) * cfg.stride_days
+    return SeriesPanel(columns=columns, timestamps=timestamps, values=values)

@@ -791,6 +791,24 @@ class TestMalformedInputs:
         assert line.partition("=")[0] in out.out
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["generate", "pipeline"])
+    @pytest.mark.parametrize("line", ["start_day=2932890", "start_day=-719200",
+                                      "stride_days=2000000"])
+    def test_dates_outside_years_1_to_9999_exit_2(self, tmp_path, capsys,
+                                                  command, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"n_steps=10\nn_sites=1\nwells_per_site=1\n{line}\n")
+        assert run(command, "--synthetic-config", str(bad),
+                   "--out", str(tmp_path / "x")) == 2
+        out = capsys.readouterr()
+        errors = [row for row in out.out.splitlines()
+                  if row.startswith("error=")]
+        assert len(errors) == 1 and errors[0].startswith("error=validation")
+        assert line.partition("=")[0] in errors[0]
+        assert "outside 0001-01-01..9999-12-31" in errors[0]
+        assert "Traceback" not in out.out + out.err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("line", ["n_steps=1000000000000",
                                       "wells_per_site=1000000000"])
     def test_huge_field_exits_2_before_allocating(self, tmp_path, capsys,

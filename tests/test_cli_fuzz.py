@@ -5,7 +5,9 @@ Each example starts from the files of a small valid run (a generated field,
 an informer and a timegrad checkpoint trained one short epoch, and their
 ensembles) and changes one input: a ``--config`` line, a line of the
 generator sidecar, a single flag, a few records or bytes of a checkpoint or
-of an ensemble, a path, or a huge size.  A bad path is a ``--data`` or a
+of an ensemble, a path, or a huge size.  A sidecar line may also set
+``start_day`` or ``stride_days`` to 10^6, -10^6, 3*10^6 or 10^18, which
+puts the field's dates inside or outside years 1 to 9999.  A bad path is a ``--data`` or a
 ``--synthetic-config`` that is a directory, is missing or holds a byte that
 is not UTF-8, an ``--out`` that is a regular file or lies under one, or a
 NUL byte in any path field of a ``--config`` file (any command, ``pipeline``
@@ -64,6 +66,9 @@ FLOATS = st.one_of(
     st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -1.0, 0.5, 1.5, 2.0 ** 40,
                      1e308, 3.0]),
     st.floats(allow_nan=True, allow_infinity=True))
+# a first day or a stride whose dates may leave years 1..9999
+DAYS = st.sampled_from([str(10 ** 6), str(-10 ** 6), str(3 * 10 ** 6),
+                        str(10 ** 18)])
 # a record: a name ("config" is the model's config record), or (few-valued
 # records only, index into the sorted names)
 RECORD = st.one_of(
@@ -101,6 +106,8 @@ CASES = st.one_of(
                         st.sampled_from(["garbage", "=", "horizon", "=3"]))),
     st.tuples(st.just("sidecar"), st.sampled_from(FIELD_KEYS + ["bogus"]),
               VALUES),
+    st.tuples(st.just("sidecar"), st.sampled_from(["start_day", "stride_days"]),
+              DAYS),
     st.tuples(st.just("flag"), st.sampled_from(COMMANDS),
               st.sampled_from(MODELS), st.sampled_from(RUN_KEYS), VALUES),
     st.tuples(st.just("checkpoint"), st.sampled_from(["forecast", "train"]),
@@ -304,6 +311,8 @@ def run_case(case, base: Path) -> int:
 SEEDS = [  # the targeted cases in test_cli.py::TestMalformedInputs
     ("sidecar", "n_sites", "abc"), ("sidecar", "seed", "1.5"),
     ("sidecar", "q_init_range", "1,x"), ("sidecar", "wells_per_site", ""),
+    ("sidecar", "start_day", "2932890"), ("sidecar", "start_day", "-719200"),
+    ("sidecar", "stride_days", "2000000"),
     *[("checkpoint", "forecast", model, [(damage, name)])
       for model, param in (("timegrad", "timegrad/gru/0/u_h"),
                            ("informer", "informer/p/3"))

@@ -1,10 +1,13 @@
 import datetime
 import hashlib
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wellcast.data import (CSV_HEADER, EPOCH, SeriesPanel,
@@ -17,6 +20,12 @@ from wellcast.errors import (FormatError, NoBreakthroughError, ParameterError,
                              ValidationError)
 from wellcast.evaluation import MAX_DRAWS
 from wellcast.rng import DATA, stream
+
+import oracles
+
+# the first and last epoch days of years 1 to 9999
+DAY_ONE = (datetime.date(1, 1, 1) - EPOCH).days
+DAY_LAST = (datetime.date(9999, 12, 31) - EPOCH).days
 
 
 def panel_from(values, columns=None, stride=2, start=0):
@@ -445,11 +454,19 @@ class TestArps:
         assert np.allclose(out, 66.0, atol=1e-6)
 
 
-def replay_wells(cfg):
+@np.errstate(all="ignore")
+def replay_wells(cfg, series=None):
     """Each site's list of (oil, water) well series, drawn as
-    ``generate_synthetic`` draws them from the (seed, DATA) stream."""
+    ``generate_synthetic`` draws them from the (seed, DATA) stream, on the
+    field's time axis and surge profile; ``series`` replaces
+    ``_well_series`` by a function of (cfg, rng, first_well)."""
     rng = stream(cfg.seed, DATA)
-    return [[_well_series(cfg, rng, first_well=(w == 0))
+    t = np.arange(cfg.n_steps, dtype=np.float64)
+    surge = 1.0 + cfg.surge_amplitude * np.exp(-t / cfg.surge_decay_steps)
+    if series is None:
+        def series(cfg, rng, first_well):
+            return _well_series(cfg, rng, t, surge, first_well=first_well)
+    return [[series(cfg, rng, first_well=(w == 0))
              for w in range(cfg.wells_per_site)] for _ in range(cfg.n_sites)]
 
 
@@ -520,11 +537,52 @@ class TestGenerator:
             generate_synthetic(SyntheticFieldConfig(**{key: value}))
 
     def test_field_size_bound_is_the_draw_budget(self):
-        SyntheticFieldConfig(n_sites=1, wells_per_site=1,
-                             n_steps=MAX_DRAWS).validate()
-        with pytest.raises(ParameterError):
+        # 2^20 two-day steps end in year 7711; MAX_DRAWS one-well steps
+        # would pass year 9999
+        SyntheticFieldConfig(n_sites=1, wells_per_site=MAX_DRAWS >> 20,
+                             n_steps=1 << 20).validate()
+        with pytest.raises(ParameterError, match="lower n_sites"):
             SyntheticFieldConfig(n_sites=2, wells_per_site=1,
                                  n_steps=MAX_DRAWS // 2 + 1).validate()
+
+    @pytest.mark.parametrize("changes", [
+        {"start_day": 2932890}, {"start_day": -719200},
+        {"stride_days": 2000000}, {"start_day": 10 ** 18},
+        {"stride_days": 10 ** 18}, {"start_day": -10 ** 18}])
+    def test_dates_outside_years_1_to_9999_refused(self, changes):
+        cfg = SyntheticFieldConfig(n_steps=10, n_sites=1, wells_per_site=1,
+                                   **changes)
+        with pytest.raises(ParameterError, match="outside 0001-01-01"
+                                                 "..9999-12-31") as caught:
+            generate_synthetic(cfg)
+        first = cfg.start_day
+        assert f"from epoch day {first} to {first + 9 * cfg.stride_days}" \
+            in str(caught.value)
+
+    def test_dates_at_years_1_and_9999_accepted(self):
+        for start_day, stride_days in ((DAY_ONE, 1), (DAY_LAST - 9, 1),
+                                       (DAY_ONE, (DAY_LAST - DAY_ONE) // 9)):
+            panel = generate_synthetic(SyntheticFieldConfig(
+                n_steps=10, n_sites=1, wells_per_site=1, start_day=start_day,
+                stride_days=stride_days))
+            assert epoch_days_to_date(panel.timestamps[0]) >= "0001-01-01"
+            assert epoch_days_to_date(panel.timestamps[-1]) <= "9999-12-31"
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_day_refused(self, stride):
+        with pytest.raises(ParameterError, match="stride_days must be >= 1"):
+            generate_synthetic(SyntheticFieldConfig(n_steps=10, n_sites=1,
+                                                    stride_days=stride))
+
+    @pytest.mark.parametrize("lo,hi", [(-5, -3), (-1, 0)])
+    def test_negative_shutin_duration_refused(self, lo, hi):
+        # at the parent, (-5, -3) ended in a broadcast ValueError and
+        # (-1, 0) at shutin_rate 1 looped forever
+        cfg = SyntheticFieldConfig(n_steps=50, n_sites=1, wells_per_site=1,
+                                   shutin_rate=1.0,
+                                   shutin_duration_range=(lo, hi))
+        with pytest.raises(ParameterError, match="shutin_duration_range"):
+            generate_synthetic(cfg)
 
     def test_config_text_round_trip(self):
         cfg = SyntheticFieldConfig(n_sites=3, seed=99, noise_scale=0.05,
@@ -534,6 +592,143 @@ class TestGenerator:
         assert back == cfg
         with pytest.raises(FormatError):
             config_from_text("bogus_key=1\n")
+
+
+@st.composite
+def field_configs(draw):
+    """Valid generator configs with small n_steps, each range ordered."""
+    def ordered(elements):
+        return st.lists(elements, min_size=2, max_size=2).map(sorted).map(tuple)
+
+    def steps(lo, hi):  # integer ranges need lo < hi
+        return ordered(st.integers(lo, hi)).filter(lambda r: r[0] < r[1])
+
+    n_steps = draw(st.integers(2, 60))
+    stride = draw(st.integers(1, 9))
+    return SyntheticFieldConfig(
+        n_sites=draw(st.integers(1, 3)), wells_per_site=draw(st.integers(1, 4)),
+        n_steps=n_steps, stride_days=stride,
+        start_day=draw(st.integers(DAY_ONE, DAY_LAST - (n_steps - 1) * stride)),
+        q_init_range=draw(ordered(st.floats(1e-3, 1e4))),
+        decline_range=draw(ordered(st.floats(1e-6, 0.5))),
+        b_range=draw(ordered(st.floats(0.0, 1.0))),
+        well_start_frac=draw(st.floats(0.0, 1.0)),
+        breakthrough_delay_range=draw(steps(-20, 80)),
+        water_cut_max_range=draw(ordered(st.floats(0.0, 1.0))),
+        water_ramp_steps=draw(st.floats(1e-3, 500.0)),
+        shutin_rate=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+        shutin_duration_range=draw(steps(0, 20)),
+        surge_amplitude=draw(st.floats(0.0, 5.0)),
+        surge_decay_steps=draw(st.one_of(st.just(1e-300),
+                                         st.floats(1e-3, 50.0))),
+        noise_scale=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+        seed=draw(st.integers(0, 2 ** 32)))
+
+
+def assert_same_bytes(got: SeriesPanel, want: SeriesPanel, tmp):
+    assert got.columns == want.columns
+    assert got.split_index == want.split_index
+    assert got.timestamps.tobytes() == want.timestamps.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+    oracles.save_csv(want, tmp / "want.csv")
+    save_csv(got, tmp / "got.csv")
+    assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+
+def assert_matches_oracle(cfg):
+    """Every well series, the panel and its CSV have the bits of the
+    whole-record generator and the per-row writer in ``oracles``."""
+    wells = replay_wells(cfg)
+    for site, want_site in zip(wells, replay_wells(cfg, oracles._well_series)):
+        for (oil, water), (want_oil, want_water) in zip(site, want_site):
+            assert oil.tobytes() == want_oil.tobytes()
+            assert water.tobytes() == want_water.tobytes()
+    try:
+        want = oracles.generate_synthetic(cfg)
+    except ValidationError as exc:  # an overflowing field, refused by both
+        with pytest.raises(ValidationError, match=re.escape(str(exc))):
+            generate_synthetic(cfg)
+        return wells
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_same_bytes(generate_synthetic(cfg), want, Path(tmp))
+    return wells
+
+
+# the generator's edges
+EDGES = {
+    # every well breaks through at or after the last step
+    "breakthrough_at_end": dict(n_steps=12, well_start_frac=0.0,
+                                breakthrough_delay_range=(11, 15)),
+    # wells may spud at step 1, the last that well_start_frac 1 allows
+    "spud_at_last_step": dict(n_steps=2, n_sites=2, wells_per_site=6,
+                              well_start_frac=1.0, shutin_rate=0.0,
+                              breakthrough_delay_range=(0, 1)),
+    "no_shutins": dict(n_steps=60, shutin_rate=0.0),
+    "frequent_shutins": dict(n_steps=400, shutin_rate=0.05),
+    "exponential_decline": dict(n_steps=80, b_range=(0.0, 0.0)),
+    "noiseless": dict(n_steps=80, noise_scale=0.0, shutin_rate=0.05),
+    # the surge profile is 1 + amplitude at k = 0, then underflows to 1.0
+    "tiny_surge_decay": dict(n_steps=200, shutin_rate=0.05,
+                             surge_decay_steps=1e-300),
+    "two_steps": dict(n_steps=2),
+    "breakthrough_before_spud": dict(n_steps=50,
+                                     breakthrough_delay_range=(-30, -10)),
+    "default": dict(),
+}
+
+
+class TestGeneratorMatchesOracle:
+    """The generator evaluates decline from spud, the water cut from
+    breakthrough and each surge as a slice of one field-wide profile; the
+    writer formats a step's rows with one template.  Both keep the bits of
+    the whole-record forms in ``oracles``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(field_configs())
+    def test_any_valid_field(self, cfg):
+        assert_matches_oracle(cfg)
+
+    @pytest.mark.parametrize("name", EDGES)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_edges(self, name, seed):
+        cfg = SyntheticFieldConfig(seed=seed, **EDGES[name])
+        wells = [w for site in assert_matches_oracle(cfg) for w in site]
+        if name == "breakthrough_at_end":
+            assert all(not water[:-1].any() for _, water in wells)
+        if name == "spud_at_last_step":
+            assert any(oil[0] == 0.0 < oil[1] for oil, _ in wells)
+        if name == "tiny_surge_decay":
+            assert any((oil == 0.0).any() for oil, _ in wells)
+
+
+@st.composite
+def csv_panels(draw):
+    names = st.text(max_size=6)
+    columns = draw(st.lists(st.tuples(names, names), min_size=1, max_size=4,
+                            unique=True))
+    n = draw(st.integers(1, 12))
+    stride = draw(st.integers(1, 400))
+    values = st.one_of(st.floats(0.0, 1e12), st.floats(0.0, 1.7e308),
+                       st.sampled_from([-0.0, 0.0, 5e-7, 1e9, 999999999.9999995,
+                                        2.0 ** 53 + 2.0]))
+    return SeriesPanel(
+        columns=columns,
+        timestamps=draw(st.integers(DAY_ONE, DAY_LAST - (n - 1) * stride))
+        + stride * np.arange(n),
+        values=np.array(draw(st.lists(values, min_size=n * len(columns),
+                                      max_size=n * len(columns))))
+        .reshape(n, len(columns)))
+
+
+class TestSaveCsvMatchesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(csv_panels())
+    @example(SeriesPanel(columns=[("S%s", "oil%d"), ("%%", "%")],
+                         timestamps=[DAY_ONE, DAY_LAST],
+                         values=[[-0.0, 1e9], [123456789012.345678, 0.0]]))
+    def test_any_panel(self, panel):
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_same_bytes(panel, panel, Path(tmp))
 
 
 def string_snap(values):

@@ -6,18 +6,21 @@ is a constant in disguise, and a test alone does not make it an option.
 The first guard fails on such a parameter, unless ``KEPT`` gives the reason
 it stays.
 
-Calls are matched to definitions by name, so a call of any ``forward``
-counts for every ``forward``; a class name calls its ``__init__``, ``cls``
-the enclosing class and its subclasses, ``super().__init__`` the base
-classes'.  A ``*args`` splat passes every positional parameter and a
-``**kwargs`` splat every parameter.  Defaults whose names start with ``_``
-bind a loop variable into a closure and are not options.
+A bare-name call ``f(...)`` is matched to the ``f`` that its own module
+defines, or to the definition it imports as ``f`` (through re-exports too),
+so one module's ``forecast`` never passes another's defaults.  An attribute
+call is matched by name, so a call of any ``.forward`` counts for every
+``forward``.  A class name calls its ``__init__``, ``cls`` the enclosing
+class and its subclasses, ``super().__init__`` the base classes'.  A
+``*args`` splat passes every positional parameter and a ``**kwargs`` splat
+every parameter.  Defaults whose names start with ``_`` bind a loop
+variable into a closure and are not options.
 
 Every function and method in wellcast is used by code in ``src/`` itself,
 or is part of the package's interface: ``wellcast.__all__`` exports it, or
 it is a public method of an exported class or of a class one extends.  The
 second guard fails on any other function that nothing in ``src/`` uses,
-matched by name as above: a function counts as used where its name is read
+matched by name alone: a function counts as used where its name is read
 (called or passed), a method where an attribute of its name is read (a
 property is read, not called).  Python calls the dunder methods."""
 
@@ -84,6 +87,7 @@ UNUSED_KEPT = {
 
 @dataclass
 class Definition:
+    module: str         # dotted module name
     qualname: str       # "Class.method" or "function"
     cls: str | None     # enclosing class of a method
     offset: int         # 1 when a bound call omits the first parameter
@@ -91,7 +95,7 @@ class Definition:
     defaulted: list     # names of defaulted parameters
 
 
-def _definitions(tree: ast.Module) -> list:
+def _definitions(module: str, tree: ast.Module) -> list:
     out = []
 
     def visit(node, cls, prefix):
@@ -106,7 +110,7 @@ def _definitions(tree: ast.Module) -> list:
                               if d is not None]
                 static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                              for d in child.decorator_list)
-                out.append(Definition(prefix + child.name, cls,
+                out.append(Definition(module, prefix + child.name, cls,
                                       int(cls is not None and not static),
                                       positional, defaulted))
                 visit(child, None, prefix + child.name + ".")
@@ -144,33 +148,62 @@ def _aliases(trees) -> dict:
             for a in node.names if a.asname}
 
 
-def unpassed(defined: list[str], calling: list[str]) -> list[str]:
+def _imports(trees: dict) -> dict:
+    """(module, name) -> (module, name) it imports, for each ``from m import
+    x as y`` in ``trees`` ({dotted module name: tree}); a package's module
+    is ``<package>.__init__``."""
+    out = {}
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = node.module or ""
+            if node.level:
+                base = mod.rsplit(".", node.level)[0]
+                source = f"{base}.{source}" if source else base
+            if f"{source}.__init__" in trees:
+                source = f"{source}.__init__"
+            for a in node.names:
+                out[mod, a.asname or a.name] = (source, a.name)
+    return out
+
+
+def unpassed(defined: dict[str, str], calling: dict[str, str]) -> list[str]:
     """``Class.method(param)`` for each defaulted parameter of a function in
-    the ``defined`` sources that no call in the ``calling`` sources passes."""
-    def_trees = [ast.parse(s) for s in defined]
-    call_trees = [ast.parse(s) for s in calling]
-    defs = [d for tree in def_trees for d in _definitions(tree)]
+    the ``defined`` sources that no call in the ``calling`` sources passes;
+    each maps a dotted module name to its source."""
+    def_trees = {m: ast.parse(s) for m, s in defined.items()}
+    call_trees = {m: ast.parse(s) for m, s in calling.items()}
+    defs = [d for m, tree in def_trees.items() for d in _definitions(m, tree)]
     by_name: dict = {}
     for d in defs:
         by_name.setdefault(d.qualname.rsplit(".", 1)[-1], []).append(d)
-    bases = _bases(def_trees + call_trees)
-    aliases = _aliases(def_trees + call_trees)
+    bases = _bases(list(def_trees.values()) + list(call_trees.values()))
+    imports = _imports({**def_trees, **call_trees})
 
-    def inits(classes):
+    def inits(classes, module=None):
         return [d for d in defs if d.cls in classes
-                and d.qualname.endswith("__init__")]
+                and d.qualname.endswith("__init__")
+                and module in (None, d.module)]
+
+    def resolve(module, name):
+        """What a bare ``name`` calls in ``module``."""
+        own = [d for d in by_name.get(name, [])
+               if d.module == module and d.cls is None] + inits({name}, module)
+        if own or (module, name) not in imports:
+            return own
+        return resolve(*imports[module, name])
 
     passed = set()
-    for tree in call_trees:
+    for module, tree in call_trees.items():
         for call, cls in _calls(tree):
             func = call.func
             if isinstance(func, ast.Name):
-                name = aliases.get(func.id, func.id)
-                if name == "cls" and cls:
+                if func.id == "cls" and cls:
                     targets = inits({cls} | {c for c, b in bases.items()
                                              if cls in b})
                 else:
-                    targets = by_name.get(name, []) + inits({name})
+                    targets = resolve(module, func.id)
             elif isinstance(func, ast.Attribute):
                 receiver = func.value
                 if (func.attr == "__init__" and isinstance(receiver, ast.Call)
@@ -230,19 +263,23 @@ def unused(defined: dict[str, str], exported: set) -> list[str]:
     return found
 
 
-def _sources(*dirs) -> list[str]:
-    return [p.read_text(encoding="utf-8")
-            for d in dirs for p in sorted(d.glob("*.py"))]
+def _sources(directory, package="") -> dict[str, str]:
+    """{dotted module name: source} of the directory's modules."""
+    return {f"{package}{p.stem}": p.read_text(encoding="utf-8")
+            for p in sorted(directory.glob("*.py"))}
+
+
+def _unpassed_in_program() -> list[str]:
+    src = _sources(SRC, "wellcast.")
+    return unpassed(src, {**src, **_sources(BENCH)})
 
 
 def test_every_default_is_passed_somewhere():
-    found = unpassed(_sources(SRC), _sources(SRC, BENCH))
-    assert sorted(set(found) - set(KEPT)) == []
+    assert sorted(set(_unpassed_in_program()) - set(KEPT)) == []
 
 
 def test_kept_defaults_are_still_defaults_nobody_passes():
-    found = unpassed(_sources(SRC), _sources(SRC, BENCH))
-    assert sorted(set(KEPT) - set(found)) == []
+    assert sorted(set(KEPT) - set(_unpassed_in_program())) == []
 
 
 def test_detector_sees_each_way_of_passing():
@@ -267,20 +304,50 @@ def test_detector_sees_each_way_of_passing():
         "    def build(self, b=2): pass",
     ])
     calls = "\n".join([
+        "from lib import f, g, h, Base, Child",
         "f(0, 1)",           # b by position
         "mod.f(0, d=4)",     # d by keyword, through an attribute
         "g(0, 5)",
         "h(*args)",          # a and b through a splat
-        "from m import k as kk",
+        "from lib import k as kk",
         "kk(**opts)",        # every parameter, through an alias
         "obj.m(0)",          # bound: a, not b
         "obj.make(2)",
         "Base.s(0, 1)",      # static: a and b
         "Child(y=0)",
     ])
-    assert unpassed([defined], [defined, calls]) == [
+    assert unpassed({"lib": defined}, {"lib": defined, "user": calls}) == [
         "f(c)", "Base.m(b)", "Child.__init__(x)", "Lone.__init__(a)",
         "Lone.build(b)"]
+
+
+def test_detector_resolves_a_bare_name_in_its_own_module():
+    modules = {
+        "pkg.__init__": "from .c import run",  # a re-export
+        "pkg.a": "def forecast(model, x, horizon=1, keys=None): pass",
+        # b's bare forecast is its own, so its four arguments pass none of
+        # a.forecast's defaults
+        "pkg.b": "\n".join([
+            "from .c import run as go",
+            "def forecast(model, x, y, z): pass",
+            "class M:",
+            "    def forecast(self, x, y):",
+            "        return forecast(self, x, y, 0)",
+            "go(0, 1)",             # run's b, through a relative alias
+        ]),
+        "pkg.c": "def run(a, b=1, c=2): pass\ndef stray(a, b=1): pass",
+    }
+    user = "\n".join([
+        "from pkg import run",
+        "run(0, c=5)",              # run's c, through the package
+        "stray(0, 1)",              # neither defined nor imported here
+    ])
+    assert unpassed(modules, {**modules, "user": user}) == [
+        "forecast(horizon)", "forecast(keys)", "stray(b)"]
+    # an attribute call still matches every function of its name
+    user += "\nobj.forecast(0, 1, 2)"
+    assert unpassed(modules, {**modules, "user": user}) == [
+        "forecast(keys)", "stray(b)"]
 
 
 def _src_modules() -> dict[str, str]:
