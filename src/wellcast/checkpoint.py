@@ -122,27 +122,17 @@ def staged(path) -> Path:
     return path.with_name(path.name + ".tmp")
 
 
-def atomic_write(path, data: bytes | str, rename: bool = True) -> None:
+def atomic_write(path, data: bytes | str) -> None:
     """Write ``data`` (a str as utf-8) to ``staged(path)``, making the parent
     directory first, then rename it over ``path``, so a crash leaves either
-    the old file or the new one, never a torn one.  With ``rename`` false
-    the staged file stays for ``commit`` to rename.  A failed write leaves
-    no ``.tmp`` behind."""
+    the old file or the new one, never a torn one.  A failed write or rename
+    leaves no ``.tmp`` behind.  Only a calling process writes: forked
+    workers (``workers.run``) send their results back through a pipe."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     try:
         staged(path).write_bytes(data)
-    except BaseException:
-        staged(path).unlink(missing_ok=True)
-        raise
-    if rename:
-        commit(path)
-
-
-def commit(path) -> None:
-    """Rename ``staged(path)`` over ``path``; a failed rename removes it."""
-    try:
         os.replace(staged(path), path)
     except BaseException:
         staged(path).unlink(missing_ok=True)

@@ -194,16 +194,12 @@ def cmd_generate(cfg: RunConfig) -> None:
 
 @dataclass
 class _Trained:
-    """A group's training outputs, not yet committed: the loss CSV text,
-    and the checkpoint's records or, once a worker has staged them at
-    ``<ckpt>.tmp``, None and the OSError that staging raised, if any."""
+    """A group's training outputs, not yet written: the loss CSV text and
+    the checkpoint's bytes."""
     group: str
-    ckpt: Path
-    loss_csv: Path
     loss_text: str
     final_loss: str
-    records: dict | None
-    error: OSError | None = None
+    ckpt_bytes: bytes
 
 
 def _check_unvalidated(cfg: RunConfig, group: str, model, gpanel) -> None:
@@ -274,7 +270,7 @@ def _train_group(cfg: RunConfig, group: str, gpanel) -> _Trained:
         text += f"{start_epoch + i},{tr!r},{vl!r}\n"
     final_loss = (f"{history.train_loss[-1]:.6f}" if history.train_loss
                   else "nan")
-    return _Trained(group, ckpt, loss_csv, text, final_loss, rec)
+    return _Trained(group, text, final_loss, checkpoint.pack_records(rec))
 
 
 def _disjoint(paths: list) -> bool:
@@ -289,15 +285,16 @@ def cmd_train(cfg: RunConfig) -> None:
     """Train one model per group.
 
     The groups are cut into contiguous blocks, one per ``workers.count()``
-    process, or one block when two groups' files could collide.  This
-    process trains the first block, logging live and committing each group
-    as it ends.  A forked worker trains each other block: it stages each
-    checkpoint at ``<ckpt>.tmp`` and captures its log lines.  This process
-    then commits those groups in group order: it relays the lines, writes
-    the loss CSV, renames the checkpoint into place and logs it.  So the
+    process, or one block when two groups' files or their ``.tmp`` files
+    could collide.  This process trains the first block, logging live and
+    committing each group as it ends.  A forked worker trains each other
+    block and writes nothing: it returns each group's log lines, loss CSV
+    text and checkpoint bytes through its pipe, and this process commits
+    them in group order: it relays the lines, writes the loss CSV, then the
+    checkpoint, through ``checkpoint.atomic_write``, and logs it.  So the
     files, bytes and log lines are a one-process run's for any worker
     count.  That holds when a group fails, too: the groups before it are
-    committed, none after it, and no ``.tmp`` is left.
+    committed, none after it.
     """
     cfg.validate()
     groups = build_groups(load_panel(cfg), cfg.grouping)
@@ -307,31 +304,20 @@ def cmd_train(cfg: RunConfig) -> None:
              for p in (path, checkpoint.staged(path))]
     k = min(len(groups), workers.count()) if _disjoint(paths) else 1
     cuts = [i * len(groups) // k for i in range(k + 1)]
-    # directories a worker's staging may make before a one-process run
-    # would, and those that the commits write into, with their parents
-    fresh = {d for group in names[cuts[1]:]
-             for d in _ckpt_path(cfg, group).parents if not d.exists()}
-    written = set()
 
-    def commit(t: _Trained) -> None:
+    def write(t: _Trained) -> None:
         # the loss CSV goes first: if the checkpoint write then fails, the
         # next run keeps only the header and the checkpoint's epochs
-        written.update(t.loss_csv.parents)
-        checkpoint.atomic_write(t.loss_csv, t.loss_text)
-        written.update(t.ckpt.parents)
-        if t.error is not None:
-            raise t.error
-        if t.records is None:
-            checkpoint.commit(t.ckpt)
-        else:
-            checkpoint.save(t.ckpt, t.records)
-        log(command="train", group=t.group, checkpoint=t.ckpt,
+        ckpt = _ckpt_path(cfg, t.group)
+        checkpoint.atomic_write(_loss_path(cfg, t.group), t.loss_text)
+        checkpoint.atomic_write(ckpt, t.ckpt_bytes)
+        log(command="train", group=t.group, checkpoint=ckpt,
             final_loss=t.final_loss)
 
     def train(lo: int, hi: int) -> list:
         if lo == 0:  # this process
             for group, gpanel in groups[lo:hi]:
-                commit(_train_group(cfg, group, gpanel))
+                write(_train_group(cfg, group, gpanel))
             return []
         done = []  # (printed lines, _Trained or the error that stopped it)
         for group, gpanel in groups[lo:hi]:
@@ -342,12 +328,6 @@ def cmd_train(cfg: RunConfig) -> None:
             except Exception as exc:  # raised again here, in group order
                 done.append((printed.getvalue(), exc))
                 break
-            try:
-                checkpoint.atomic_write(t.ckpt, checkpoint.pack_records(
-                    t.records), rename=False)
-            except OSError as exc:  # raised after the loss CSV is written
-                t.error = exc
-            t.records = None
             done.append((printed.getvalue(), t))
         return done
 
@@ -356,21 +336,10 @@ def cmd_train(cfg: RunConfig) -> None:
             sys.stdout.write(printed)
             if isinstance(t, Exception):
                 raise t
-            commit(t)
+            write(t)
 
-    try:
-        workers.run(train, cuts, lambda lo, hi: (
-            f"train worker for groups {', '.join(names[lo:hi])}"), take)
-    except BaseException:
-        for group in names:
-            with contextlib.suppress(OSError):
-                checkpoint.staged(_ckpt_path(cfg, group)).unlink(
-                    missing_ok=True)
-        for d in sorted(fresh - written, key=lambda d: len(d.parts),
-                        reverse=True):
-            with contextlib.suppress(OSError):
-                d.rmdir()
-        raise
+    workers.run(train, cuts, lambda lo, hi: (
+        f"train worker for groups {', '.join(names[lo:hi])}"), take)
 
 
 def _group_context(cfg: RunConfig, model, gpanel):

@@ -160,13 +160,19 @@ CSV_HEADER = "date,site,channel,value"
 def save_csv(panel: SeriesPanel, path) -> None:
     """One ``date,site,channel,value`` row per cell, time-major.  A step's
     rows are one ``%`` template: the step's date joined between the columns'
-    ``,site,channel,%.6f`` parts, names ``%``-escaped."""
+    ``,site,channel,%.6f`` parts, names ``%``-escaped.  A timestamp outside
+    0001-01-01..9999-12-31 raises ParameterError before anything is written."""
+    days = panel.timestamps
+    odd = days[(days < _DAY_ONE) | (days > _DAY_LAST)]
+    if odd.size:
+        raise ParameterError(f"timestamp {odd[0]} (epoch days) lies outside "
+                             f"0001-01-01..9999-12-31")
     parts = [""] + [f",{site},{channel},".replace("%", "%%") + "%.6f\n"
                     for site, channel in panel.columns]
-    rows = [CSV_HEADER + "\n"]
-    for day, values in zip(panel.timestamps.tolist(), panel.values.tolist()):
-        rows.append(epoch_days_to_date(day).join(parts) % tuple(values))
-    checkpoint.atomic_write(path, "".join(rows))
+    dates = np.datetime_as_string(days.astype("datetime64[D]")).tolist()
+    rows = [date.join(parts) % tuple(values)
+            for date, values in zip(dates, panel.values.tolist())]
+    checkpoint.atomic_write(path, "".join([CSV_HEADER + "\n"] + rows))
 
 
 def read_text(path) -> str:

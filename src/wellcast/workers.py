@@ -1,10 +1,10 @@
 """Contiguous blocks of independent work, run in forked worker processes.
 
 ``run`` runs the first block in the calling process and each other block in
-a forked worker, whose result comes back pickled through a pipe; the caller
-takes the results in block order.  ``timegrad.forecast`` rolls blocks of
-paths out this way and ``cli.cmd_train`` trains blocks of groups.  This is
-the package's one ``os.fork`` and ``os._exit``.
+a forked worker, which writes nothing but its result, pickled, to a pipe;
+the caller takes the results in block order.  ``timegrad.forecast`` rolls
+blocks of paths out this way and ``cli.cmd_train`` trains blocks of groups.
+This is the package's one ``os.fork`` and ``os._exit``.
 """
 
 import contextlib
@@ -59,9 +59,9 @@ def _pin(cores) -> None:
 
 def _fork(work, lo: int, hi: int, cores) -> tuple:
     """Fork a worker, pinned to ``cores``, that writes ``work(lo, hi)``,
-    pickled, to a pipe; return (its pid, the pipe's read end).  The worker
-    ends with os._exit: status 0 once its result is written, 1 on any
-    exception; it never flushes inherited stdio or runs exit handlers."""
+    pickled, to a pipe; return (its pid, the pipe's read end, opened).  The
+    worker ends with os._exit: status 0 once its result is written, 1 on
+    any exception; it never flushes inherited stdio or runs exit handlers."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -83,14 +83,7 @@ def _fork(work, lo: int, hi: int, cores) -> tuple:
         finally:
             os._exit(code)
     os.close(write_end)
-    return pid, read_end
-
-
-def _read_all(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
+    return pid, open(read_end, "rb")
 
 
 def run(work, cuts: list, label, take) -> None:
@@ -100,36 +93,42 @@ def run(work, cuts: list, label, take) -> None:
     itself.  Each process is pinned to its own share of the cores while
     the blocks run: left to the scheduler on a 2-vCPU VM, a worker and this
     process often shared one vCPU, and training four groups took longer
-    than in one process.  A worker that exits non-zero or dies by a signal
-    raises OSError naming its block by ``label(lo, hi)``, after the blocks
-    before it are taken.  On any exception every live worker is killed and
-    reaped.
+    than in one process.  A result is unpickled as it streams from the pipe
+    (read whole first, it raised the reforecast benchmark's peak RSS by a
+    fifth).  A worker that exits non-zero or dies by a signal, mid-result
+    or not, raises OSError naming its block by ``label(lo, hi)``, after the
+    blocks before it are taken; one that exits 0 raises any unpickling
+    error.  On any exception every live worker is killed and reaped.
     """
     blocks = list(zip(cuts[:-1], cuts[1:]))
     shares = _shares(len(blocks))
     mine = shares[0] and os.sched_getaffinity(0)
-    live = {}  # block index -> (pid, read end), while the worker is unreaped
+    live = {}  # block index -> (pid, pipe), while the worker is unreaped
     try:
         _pin(shares[0])
         for b, (lo, hi) in enumerate(blocks[1:], 1):
             live[b] = _fork(work, lo, hi, shares[b])
         take(work(*blocks[0]))
         for b, (lo, hi) in enumerate(blocks[1:], 1):
-            pid, read_end = live[b]
-            result = _read_all(read_end)
-            status = os.waitpid(pid, 0)[1]
-            del live[b]
-            os.close(read_end)
-            code = os.waitstatus_to_exitcode(status)
+            pid, pipe = live[b]
+            try:
+                result, error = pickle.load(pipe), None
+            except Exception as exc:  # raised if the worker exits 0
+                error = exc
+                pipe.read()  # the rest, so that the worker can end
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            live.pop(b)[1].close()
             if code:
                 how = (f"exited with status {code}" if code > 0
                        else f"was killed by signal {-code}")
                 raise OSError(f"{label(lo, hi)} {how}")
-            take(pickle.loads(result))
+            if error is not None:
+                raise error
+            take(result)
     finally:
         _pin(mine)
-        for pid, read_end in live.values():
+        for pid, pipe in live.values():
             with contextlib.suppress(OSError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-            os.close(read_end)
+            pipe.close()

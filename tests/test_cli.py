@@ -591,19 +591,22 @@ class TestTrainWorkers:
 
     def test_a_failed_first_group_leaves_no_out(self, wide_field, tmp_path,
                                                 capsys, monkeypatch):
-        # the first group fails only once the workers have staged the last
-        # group's checkpoint, making the --out that it is staged in
+        # the first group fails only once a worker has trained the last
+        # group, as a marker file beside the root (outside --out) shows
         real = cli._train_group
 
         def train_group(cfg, group, gpanel):
+            marker = Path(cfg.out).parents[1].with_suffix(".trained")
             if group == GROUPS[0]:
-                staged = checkpoint.staged(cli._ckpt_path(cfg, GROUPS[-1]))
                 deadline = time.monotonic() + 30
-                while workers.count() > 1 and not staged.exists():
+                while workers.count() > 1 and not marker.exists():
                     assert time.monotonic() < deadline
                     time.sleep(0.01)
                 raise ParameterError(f"group {group} refused")
-            return real(cfg, group, gpanel)
+            trained = real(cfg, group, gpanel)
+            if group == GROUPS[-1]:
+                marker.touch()
+            return trained
 
         monkeypatch.setattr(cli, "_train_group", train_group)
         got = self.outcomes(tmp_path, capsys, monkeypatch, None, lambda root: (
@@ -611,6 +614,26 @@ class TestTrainWorkers:
                        "--checkpoint", str(root / "a" / "ck" / "{group}.gck"))))
         assert got[0] == (2, ["error=validation detail=group SITE00 refused"],
                           {})
+        assert got[1] == got[0]
+        assert got[2] == got[0]
+        assert [(tmp_path / f"workers{n}.trained").exists()
+                for n in (1, 2, 3)] == [False, True, True]
+
+    def test_workers_write_nothing(self, wide_field, tmp_path, capsys,
+                                   monkeypatch):
+        # every file goes through atomic_write, which refuses any process
+        # but this one
+        pid, real = os.getpid(), checkpoint.atomic_write
+
+        def atomic_write(path, *args, **kwargs):
+            if os.getpid() != pid:
+                raise RuntimeError(f"process {os.getpid()} wrote {path}")
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint, "atomic_write", atomic_write)
+        got = self.outcomes(tmp_path, capsys, monkeypatch, None, lambda root: [
+            self.train(wide_field, root) for _ in range(2)])
+        assert got[0][0] == [0, 0]
         assert got[1] == got[0]
         assert got[2] == got[0]
 

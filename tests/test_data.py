@@ -236,6 +236,28 @@ class TestCsv:
         save_csv(loaded, again)
         assert again.read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("days", [[DAY_ONE - 1, DAY_ONE],
+                                      [DAY_LAST - 1, DAY_LAST, DAY_LAST + 1]])
+    def test_date_outside_iso_range_refused_before_writing(self, tmp_path,
+                                                            days):
+        # datetime.date holds years 1 to 9999 only; a library caller got an
+        # OverflowError traceback here
+        odd = days[0] if days[0] < DAY_ONE else days[-1]
+        panel = SeriesPanel(columns=[("A", "oil")], timestamps=days,
+                            values=np.ones((len(days), 1)))
+        with pytest.raises(ParameterError, match=f"^timestamp {odd} "):
+            save_csv(panel, tmp_path / "out" / "panel.csv")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("iso", ["0001-01-01", "0004-03-08", "1970-01-01",
+                                     "9999-12-31"])
+    def test_dates_written_as_iso(self, tmp_path, iso):
+        day = (datetime.date.fromisoformat(iso) - EPOCH).days
+        save_csv(SeriesPanel(columns=[("A", "oil")], timestamps=[day],
+                             values=[[1.0]]), tmp_path / "one.csv")
+        assert (tmp_path / "one.csv").read_text() == (
+            f"{CSV_HEADER}\n{iso},A,oil,1.000000\n")
+
     def test_large_panel_split_index(self, tmp_path):
         panel = generate_synthetic(SyntheticFieldConfig(
             n_sites=1, wells_per_site=1, n_steps=7200, seed=3,
@@ -711,9 +733,11 @@ def csv_panels(draw):
     values = st.one_of(st.floats(0.0, 1e12), st.floats(0.0, 1.7e308),
                        st.sampled_from([-0.0, 0.0, 5e-7, 1e9, 999999999.9999995,
                                         2.0 ** 53 + 2.0]))
+    last_start = DAY_LAST - (n - 1) * stride
     return SeriesPanel(
         columns=columns,
-        timestamps=draw(st.integers(DAY_ONE, DAY_LAST - (n - 1) * stride))
+        timestamps=draw(st.one_of(st.sampled_from([DAY_ONE, last_start]),
+                                  st.integers(DAY_ONE, last_start)))
         + stride * np.arange(n),
         values=np.array(draw(st.lists(values, min_size=n * len(columns),
                                       max_size=n * len(columns))))

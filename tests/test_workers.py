@@ -117,6 +117,51 @@ def test_a_dead_worker_is_an_os_error_after_the_blocks_before_it(how, status):
     assert no_child_left()
 
 
+def test_a_worker_killed_part_way_through_its_result_is_an_os_error():
+    # the worker's pipe takes half of a result larger than its buffer, then
+    # the worker is killed, leaving a truncated pickle to read
+    big = bytes(range(256)) * 4096
+
+    def work(lo, hi):
+        if lo == 0:
+            return lo
+        write = os.write
+
+        def write_half_then_die(fd, data):
+            write(fd, data[:len(data) // 2])
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        os.write = write_half_then_die  # in the worker only
+        return big
+
+    taken = []
+    with pytest.raises(OSError, match="^worker for 1 to 1 was killed by "
+                                      "signal 9$"):
+        workers.run(work, [0, 1, 2], label, taken.append)
+    assert taken == [0]
+    assert no_child_left()
+
+
+def _refuse():
+    raise ValueError("refused here")
+
+
+class RefusedHere:
+    def __reduce__(self):
+        return _refuse, ()
+
+
+def test_a_result_that_fails_to_load_from_a_sound_worker_raises_its_error():
+    # the load fails at the result's first item, before the worker has
+    # written the rest, which is larger than the pipe's buffer
+    taken = []
+    with pytest.raises(ValueError, match="^refused here$"):
+        workers.run(lambda lo, hi: [RefusedHere(), bytes(1 << 20)] if lo
+                    else lo, [0, 1, 2], label, taken.append)
+    assert taken == [0]
+    assert no_child_left()
+
+
 def test_an_exception_here_kills_every_worker():
     mine = os.sched_getaffinity(0)
 

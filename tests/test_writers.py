@@ -1,6 +1,8 @@
 """Every file wellcast writes goes to disk through ``checkpoint.atomic_write``
-(tmp-and-rename); this guard fails when a module writes a file any other way:
-``write_text``, ``write_bytes`` or ``open(...)`` with a w, a or x mode."""
+(tmp-and-rename); this guard fails when a module changes the file system any
+other way: ``write_text``, ``write_bytes``, ``open(...)`` with a w, a or x
+mode, a rename, replace, link, copy, move or removal of a path, or the
+making of a directory or an empty file (``METHODS`` and ``MODULE_CALLS``)."""
 
 import ast
 from pathlib import Path
@@ -31,9 +33,19 @@ def _open_mode(call: ast.Call) -> str | None:
     return "w"
 
 
+# calls that change the file system on any receiver, and those that do so
+# on one module only (``str.replace`` and ``list.remove`` hide a
+# ``Path.replace``, which the guard does not see)
+METHODS = {"write_text", "write_bytes", "rename", "unlink", "rmdir", "mkdir",
+           "touch", "symlink_to", "hardlink_to", "makedirs", "removedirs"}
+MODULE_CALLS = {
+    "os": {"replace", "remove", "link", "symlink", "truncate"},
+    "shutil": {"copy", "copy2", "copyfile", "copytree", "move", "rmtree"}}
+
+
 def writes(source: str, allowed: str | None = None) -> list[int]:
-    """Line numbers of the file writes in ``source`` outside the top-level
-    function named ``allowed``."""
+    """Line numbers of the file-system changes in ``source`` outside the
+    top-level function named ``allowed``."""
     tree = ast.parse(source)
     exempt = {node for fn in tree.body
               if isinstance(fn, ast.FunctionDef) and fn.name == allowed
@@ -44,8 +56,9 @@ def writes(source: str, allowed: str | None = None) -> list[int]:
             continue
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else None
-        if name in ("write_text", "write_bytes") or set("wax") & set(
-                _open_mode(node) or ""):
+        module = getattr(getattr(func, "value", None), "id", None)
+        if name in METHODS or name in MODULE_CALLS.get(module, ()) or set(
+                "wax") & set(_open_mode(node) or ""):
             lines.append(node.lineno)
     return lines
 
@@ -67,6 +80,8 @@ def test_guard_sees_each_way_of_writing():
         'open(p, "r")',
         'p.open()',
         'p.read_text()',
+        's.replace(a, b)',
+        'xs.remove(x)',
         'open(p, "w")',
         'open(p, mode="a")',
         'open(p, "xb")',
@@ -74,5 +89,23 @@ def test_guard_sees_each_way_of_writing():
         'p.open("wb")',
         'p.write_text(s)',
         'p.write_bytes(b)',
+        'os.replace(p, q)',
+        'os.rename(p, q)',
+        'p.rename(q)',
+        'os.remove(p)',
+        'p.unlink()',
+        'os.unlink(p)',
+        'p.rmdir()',
+        'os.rmdir(p)',
+        'p.mkdir(parents=True)',
+        'os.mkdir(p)',
+        'p.touch()',
+        'p.symlink_to(q)',
+        'os.makedirs(p)',
+        'os.symlink(p, q)',
+        'os.truncate(p, 0)',
+        'shutil.copy(p, q)',
+        'shutil.move(p, q)',
+        'shutil.rmtree(p)',
     ])
-    assert writes(source) == list(range(5, 12))
+    assert writes(source) == list(range(7, 32))
