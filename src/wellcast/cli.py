@@ -58,11 +58,18 @@ class RunConfig:
     token_length: int = 48
 
     def check_paths(self) -> None:
-        """Refuse a path field that no file can be named by."""
+        """Refuse a path field that no file can be named by, and an out
+        whose nearest existing path (itself or an ancestor) is no
+        directory, before any work."""
         for name in ("data", "out", "checkpoint", "synthetic_config"):
             if "\0" in getattr(self, name):
                 raise ParameterError(f"{name} holds a NUL byte, which no "
                                      f"file name may hold")
+        out = Path(self.out).absolute()
+        near = next(p for p in (out, *out.parents) if p.exists())
+        if not near.is_dir():
+            raise NotADirectoryError(f"out {self.out} cannot be a directory: "
+                                     f"{near} exists and is not one")
 
     def validate(self) -> None:
         self.check_paths()

@@ -84,8 +84,9 @@ class AdamW:
 
     def step(self) -> None:
         """One update. Parameters whose grad is None are left untouched, and
-        so are their moments.  A non-finite gradient raises TrainingError
-        naming the first such parameter, before its run is updated."""
+        so are their moments.  A non-finite gradient, or one whose square
+        overflows, raises TrainingError naming the first such parameter,
+        before its run is updated."""
         self.step_count += 1
         t = self.step_count
         b1, b2, lr = self.beta1, self.beta2, self.lr
@@ -100,17 +101,22 @@ class AdamW:
                 lo, hi = offsets[k], offsets[k + len(run)]
                 if has_grad:
                     g = np.concatenate([p.grad.reshape(-1) for p in run])
-                    if not np.isfinite(g).all():
-                        bad = next(first + k + r for r, p in enumerate(run)
-                                   if not np.isfinite(p.grad).all())
+                    upd = g * (1.0 - b1)
+                    with np.errstate(over="ignore"):
+                        g *= g  # g is spent from here on: reuse it
+                    finite = np.isfinite(g)
+                    if not finite.all():
+                        r = next(r for r in range(len(run)) if not finite[
+                            offsets[k + r] - lo:offsets[k + r + 1] - lo].all())
+                        what = ("non-finite gradient"
+                                if not np.isfinite(run[r].grad).all() else
+                                "gradient that overflows when squared")
                         raise TrainingError(
-                            f"non-finite gradient at parameter {bad} on step {t}")
+                            f"{what} at parameter {first + k + r} on step {t}")
                     m, v = m_block[lo:hi], v_block[lo:hi]
                     m *= b1
-                    upd = g * (1.0 - b1)
                     m += upd
                     v *= b2
-                    g *= g  # g is spent from here on: reuse it
                     g *= 1.0 - b2
                     v += g
                     np.divide(m, bc1, out=upd)

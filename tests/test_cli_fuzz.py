@@ -303,6 +303,9 @@ def run_case(case, base: Path) -> int:
             errors = [line for line in printed.getvalue().splitlines()
                       if line.startswith("error=")]
             assert len(errors) == 1, (argv, printed.getvalue())
+            if case[0] == "path" and case[3].startswith("out_"):
+                # refused before any work, naming the --out given last
+                assert code == 4 and f"out {argv[-1]} " in errors[0], errors
             assert ((run / "data.csv").read_bytes()
                     == (base / "data.csv").read_bytes()), argv
         return code

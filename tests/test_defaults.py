@@ -20,15 +20,16 @@ Every function and method in wellcast is used by code in ``src/`` itself,
 or is part of the package's interface: ``wellcast.__all__`` exports it, or
 it is a public method of an exported class or of a class one extends.  The
 second guard fails on any other function that nothing in ``src/`` uses,
-matched by name alone: a function counts as used where its name is read
-(called or passed), a method where an attribute of its name is read (a
-property is read, not called).  Python calls the dunder methods."""
+matched by name alone: a function counts as used where its name (or an
+alias) is read (called or passed), a method where an attribute of its name
+is read (a property is read, not called).  Python calls the dunders."""
 
 import ast
 from dataclasses import dataclass
 from pathlib import Path
 
 import wellcast
+from srcnames import dotted, imported
 
 SRC = Path(wellcast.__file__).resolve().parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -140,34 +141,6 @@ def _calls(tree: ast.Module):
     yield from visit(tree, None)
 
 
-def _aliases(trees) -> dict:
-    """``import x as y`` and ``from m import x as y``: y -> x."""
-    return {a.asname: a.name.rsplit(".", 1)[-1]
-            for tree in trees for node in ast.walk(tree)
-            if isinstance(node, (ast.Import, ast.ImportFrom))
-            for a in node.names if a.asname}
-
-
-def _imports(trees: dict) -> dict:
-    """(module, name) -> (module, name) it imports, for each ``from m import
-    x as y`` in ``trees`` ({dotted module name: tree}); a package's module
-    is ``<package>.__init__``."""
-    out = {}
-    for mod, tree in trees.items():
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ImportFrom):
-                continue
-            source = node.module or ""
-            if node.level:
-                base = mod.rsplit(".", node.level)[0]
-                source = f"{base}.{source}" if source else base
-            if f"{source}.__init__" in trees:
-                source = f"{source}.__init__"
-            for a in node.names:
-                out[mod, a.asname or a.name] = (source, a.name)
-    return out
-
-
 def unpassed(defined: dict[str, str], calling: dict[str, str]) -> list[str]:
     """``Class.method(param)`` for each defaulted parameter of a function in
     the ``defined`` sources that no call in the ``calling`` sources passes;
@@ -179,7 +152,7 @@ def unpassed(defined: dict[str, str], calling: dict[str, str]) -> list[str]:
     for d in defs:
         by_name.setdefault(d.qualname.rsplit(".", 1)[-1], []).append(d)
     bases = _bases(list(def_trees.values()) + list(call_trees.values()))
-    imports = _imports({**def_trees, **call_trees})
+    bound = {m: imported(m, t) for m, t in {**def_trees, **call_trees}.items()}
 
     def inits(classes, module=None):
         return [d for d in defs if d.cls in classes
@@ -190,9 +163,11 @@ def unpassed(defined: dict[str, str], calling: dict[str, str]) -> list[str]:
         """What a bare ``name`` calls in ``module``."""
         own = [d for d in by_name.get(name, [])
                if d.module == module and d.cls is None] + inits({name}, module)
-        if own or (module, name) not in imports:
+        if own or name not in bound.get(module, {}):
             return own
-        return resolve(*imports[module, name])
+        source, _, name = bound[module][name].rpartition(".")
+        return resolve(source if source in bound else f"{source}.__init__",
+                       name)
 
     passed = set()
     for module, tree in call_trees.items():
@@ -231,13 +206,13 @@ def unused(defined: dict[str, str], exported: set) -> list[str]:
     the ``defined`` sources ({module name: source}) that no code in them
     uses and that is not part of the interface that ``exported`` names."""
     trees = {mod: ast.parse(src) for mod, src in defined.items()}
-    aliases = _aliases(trees.values())
     bases = _bases(trees.values())
     names, attrs = set(), set()
-    for tree in trees.values():
+    for mod, tree in trees.items():
+        bound = imported(mod, tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(aliases.get(node.id, node.id))
+                names.add(dotted(bound, node).rsplit(".", 1)[-1])
             elif (isinstance(node, ast.Attribute)
                   and isinstance(node.ctx, ast.Load)):
                 attrs.add(node.attr)
@@ -272,6 +247,13 @@ def _sources(directory, package="") -> dict[str, str]:
 def _unpassed_in_program() -> list[str]:
     src = _sources(SRC, "wellcast.")
     return unpassed(src, {**src, **_sources(BENCH)})
+
+
+def test_kept_default_guard_fails_on_src_plus_one_call():
+    src = _sources(SRC, "wellcast.")
+    src["wellcast.cli"] += "\nAdamW([], beta1=0.8)\n"  # through cli's import
+    found = unpassed(src, {**src, **_sources(BENCH)})
+    assert set(KEPT) - set(found) == {"AdamW.__init__(beta1)"}
 
 
 def test_every_default_is_passed_somewhere():
@@ -350,19 +332,21 @@ def test_detector_resolves_a_bare_name_in_its_own_module():
         "forecast(keys)", "stray(b)"]
 
 
-def _src_modules() -> dict[str, str]:
-    return {p.stem: p.read_text(encoding="utf-8")
-            for p in sorted(SRC.glob("*.py"))}
-
-
 def test_every_function_is_used_in_src_or_exported():
-    found = unused(_src_modules(), set(wellcast.__all__))
+    found = unused(_sources(SRC), set(wellcast.__all__))
     assert sorted(set(found) - set(UNUSED_KEPT)) == []
 
 
 def test_kept_unused_functions_are_still_unused():
-    found = unused(_src_modules(), set(wellcast.__all__))
+    found = unused(_sources(SRC), set(wellcast.__all__))
     assert sorted(set(UNUSED_KEPT) - set(found)) == []
+
+
+def test_kept_unused_guard_fails_on_src_plus_one_call():
+    modules = _sources(SRC)
+    modules["cli"] += "\nfrom .tensor import reset_record as fresh\nfresh()\n"
+    found = unused(modules, set(wellcast.__all__))
+    assert set(UNUSED_KEPT) - set(found) == {"tensor.reset_record"}
 
 
 def test_detector_sees_each_way_of_using():

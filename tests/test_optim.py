@@ -122,18 +122,24 @@ class TestMatchesReference:
 
 
 class TestNonFiniteGradient:
-    @pytest.mark.parametrize("bad", [[0], [2, 4], [5, 8], [8]])
-    def test_names_first_bad_parameter(self, bad):
+    # at each bad parameter's last entry: nan at an odd index and inf at an
+    # even one, or a finite value whose square overflows
+    @pytest.mark.parametrize("bad, value", [
+        ([0], None), ([2, 4], None), ([5, 8], None), ([8], None),
+        ([3, 6], 1e200)], ids=[f"bad{i}" for i in range(5)])
+    def test_names_first_bad_parameter(self, bad, value):
         params = make_params()
         opt = AdamW(params, lr=1e-3)
         for i, p in enumerate(params):
             p.grad = np.ones(p.shape)
             if i in bad:
-                p.grad.reshape(-1)[-1] = np.nan if i % 2 else np.inf
+                p.grad.reshape(-1)[-1] = value or (np.nan if i % 2 else np.inf)
+        what = ("gradient that overflows when squared" if value else
+                "non-finite gradient")
         with pytest.raises(TrainingError,
-                           match=f"non-finite gradient at parameter {bad[0]} "
-                                 f"on step 1$"):
+                           match=f"{what} at parameter {bad[0]} on step 1$"):
             opt.step()
+        assert not opt.m[bad[0]].any() and not opt.v[bad[0]].any()
 
 
 class TestHyperparameters:

@@ -11,7 +11,11 @@ from pathlib import Path
 import pytest
 
 import wellcast
+from srcnames import dotted, imported
 from wellcast import workers
+
+SOURCES = {p.name: p.read_text(encoding="utf-8")
+           for p in sorted(Path(wellcast.__file__).parent.rglob("*.py"))}
 
 
 def no_child_left():
@@ -30,18 +34,36 @@ def run(work, cuts):
     return taken
 
 
+def forks(sources: dict[str, str]) -> list[str]:
+    """"<name> in <file>" for each mention of ``os.fork``, ``os.forkpty`` or
+    ``os._exit`` in ``sources``, however it was imported; sorted."""
+    found = []
+    for file, source in sources.items():
+        names = imported("", tree := ast.parse(source))
+        found += [f"{dotted(names, node)} in {file}" for node in ast.walk(tree)
+                  if dotted(names, node) in ("os.fork", "os.forkpty",
+                                             "os._exit")]
+    return sorted(found)
+
+
 def test_fork_and_exit_appear_at_one_place_in_src():
-    found = {"fork": [], "_exit": []}
-    for path in sorted(Path(wellcast.__file__).parent.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.Attribute) and node.attr in found
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "os"):
-                found[node.attr].append(f"{path.name}:{node.lineno}")
-    assert len(found["fork"]) == 1, found
-    assert len(found["_exit"]) == 1, found
-    assert found["fork"][0].startswith("workers.py:")
-    assert found["_exit"][0].startswith("workers.py:")
+    assert forks(SOURCES) == ["os._exit in workers.py",
+                              "os.fork in workers.py"]
+
+
+def test_fork_guard_fails_on_src_plus_one_call():
+    cli = SOURCES["cli.py"] + "\nfrom os import fork as spawn\nspawn()\n"
+    assert forks({**SOURCES, "cli.py": cli}) == [
+        "os._exit in workers.py", "os.fork in cli.py", "os.fork in workers.py"]
+
+
+def test_fork_guard_sees_each_way_of_forking():
+    assert forks({"m": "\n".join([
+        "os.fork()", "import os as o; o.fork()", "f = os.forkpty",
+        "from os import fork; fork()", "from os import _exit as q; q(0)",
+        "fork_worker()", "s.fork()"])}) == [
+        "os._exit in m", "os.fork in m", "os.fork in m", "os.fork in m",
+        "os.forkpty in m"]
 
 
 def test_results_come_back_in_block_order():

@@ -1,8 +1,12 @@
 """Every file wellcast writes goes to disk through ``checkpoint.atomic_write``
 (tmp-and-rename); this guard fails when a module changes the file system any
-other way: ``write_text``, ``write_bytes``, ``open(...)`` with a w, a or x
-mode, a rename, replace, link, copy, move or removal of a path, or the
-making of a directory or an empty file (``METHODS`` and ``MODULE_CALLS``)."""
+other way: a call of a path method in ``METHODS`` on any receiver, of an
+``os`` or ``shutil`` function in ``WRITERS`` however it was imported, of
+``open``, ``io.open`` or ``.open`` with a w, a, x, + or non-literal mode, or
+of ``.replace`` with one positional argument and no keyword: that is
+``Path.replace``, as ``str.replace`` takes two (so spell a one-argument
+``datetime.replace`` with a keyword).  It cannot see a writer looked up by
+a string, bound by ``from os import *`` or called through a value."""
 
 import ast
 from pathlib import Path
@@ -10,43 +14,37 @@ from pathlib import Path
 import pytest
 
 import wellcast
+from srcnames import dotted, imported
 
 SRC = Path(wellcast.__file__).resolve().parent
 MODULES = sorted(SRC.glob("*.py"))
-
-
-def _open_mode(call: ast.Call) -> str | None:
-    """The mode of an ``open(path, ...)`` or ``path.open(...)`` call, "w" when
-    it is not a literal, or None when the call is no open."""
-    func = call.func
-    if isinstance(func, ast.Name) and func.id == "open":
-        pos = 1
-    elif isinstance(func, ast.Attribute) and func.attr == "open":
-        pos = 0
-    else:
-        return None
-    modes = [k.value for k in call.keywords if k.arg == "mode"]
-    mode = call.args[pos] if len(call.args) > pos else (
-        modes[0] if modes else ast.Constant("r"))
-    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
-        return mode.value
-    return "w"
-
-
-# calls that change the file system on any receiver, and those that do so
-# on one module only (``str.replace`` and ``list.remove`` hide a
-# ``Path.replace``, which the guard does not see)
 METHODS = {"write_text", "write_bytes", "rename", "unlink", "rmdir", "mkdir",
            "touch", "symlink_to", "hardlink_to", "makedirs", "removedirs"}
-MODULE_CALLS = {
-    "os": {"replace", "remove", "link", "symlink", "truncate"},
-    "shutil": {"copy", "copy2", "copyfile", "copytree", "move", "rmtree"}}
+WRITERS = {"pathlib.Path.replace"} | {f"{module}.{name}" for module, names in {
+    "os": "replace rename renames remove unlink rmdir mkdir makedirs "
+          "removedirs link symlink truncate",
+    "shutil": "copy copy2 copyfile copytree move rmtree"}.items()
+    for name in names.split()}
+
+
+def _open_mode(call: ast.Call, name: str | None) -> str:
+    """The mode of an ``open(path, ...)``, ``io.open(path, ...)`` or
+    ``path.open(...)`` call, "w" when it is not a literal, or "" when the
+    call is no open; ``name`` is what the call's function resolves to."""
+    pos = 1 if name in ("open", "io.open") else 0
+    if not pos and getattr(call.func, "attr", None) != "open":
+        return ""
+    modes = [k.value for k in call.keywords if k.arg == "mode"]
+    mode = (call.args[pos:pos + 1] + modes + [ast.Constant("r")])[0]
+    literal = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+    return mode.value if literal else "w"
 
 
 def writes(source: str, allowed: str | None = None) -> list[int]:
     """Line numbers of the file-system changes in ``source`` outside the
     top-level function named ``allowed``."""
     tree = ast.parse(source)
+    names = imported("", tree)
     exempt = {node for fn in tree.body
               if isinstance(fn, ast.FunctionDef) and fn.name == allowed
               for node in ast.walk(fn)}
@@ -54,11 +52,12 @@ def writes(source: str, allowed: str | None = None) -> list[int]:
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call) or node in exempt:
             continue
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else None
-        module = getattr(getattr(func, "value", None), "id", None)
-        if name in METHODS or name in MODULE_CALLS.get(module, ()) or set(
-                "wax") & set(_open_mode(node) or ""):
+        name = dotted(names, node.func)
+        attr = getattr(node.func, "attr", None)
+        if (name in WRITERS or attr in METHODS
+                or set("wax+") & set(_open_mode(node, name))
+                or attr == "replace" and len(node.args) == 1
+                and not node.keywords):  # Path.replace
             lines.append(node.lineno)
     return lines
 
@@ -75,37 +74,33 @@ def test_atomic_write_is_the_one_writer():
 
 
 def test_guard_sees_each_way_of_writing():
-    source = "\n".join([
-        'open(p).read()',
-        'open(p, "r")',
-        'p.open()',
-        'p.read_text()',
-        's.replace(a, b)',
-        'xs.remove(x)',
-        'open(p, "w")',
-        'open(p, mode="a")',
-        'open(p, "xb")',
-        'open(p, mode)',
-        'p.open("wb")',
-        'p.write_text(s)',
-        'p.write_bytes(b)',
-        'os.replace(p, q)',
-        'os.rename(p, q)',
-        'p.rename(q)',
-        'os.remove(p)',
-        'p.unlink()',
-        'os.unlink(p)',
-        'p.rmdir()',
-        'os.rmdir(p)',
-        'p.mkdir(parents=True)',
-        'os.mkdir(p)',
-        'p.touch()',
-        'p.symlink_to(q)',
-        'os.makedirs(p)',
-        'os.symlink(p, q)',
-        'os.truncate(p, 0)',
-        'shutil.copy(p, q)',
-        'shutil.move(p, q)',
-        'shutil.rmtree(p)',
-    ])
-    assert writes(source) == list(range(7, 32))
+    unseen = [
+        'open(p).read()', 'open(p, "r")', 'open(fd, "rb")', 'io.open(p)',
+        'p.open()', 'p.read_text()', 's.replace(a, b)', 'xs.remove(x)',
+        'from dataclasses import replace; replace(cfg, x=1)',
+    ]
+    seen = [
+        'open(p, "w")', 'open(p, mode="a")', 'open(p, "xb")', 'open(p, mode)',
+        'open(p, "r+")', 'open(p, "rb+")', 'io.open(p, "w")', 'p.open("wb")',
+        'p.open("r+")', 'p.write_text(s)', 'p.write_bytes(b)',
+        'os.replace(p, q)', 'p.replace(q)', 'Path(p).replace(q)',
+        'from pathlib import Path; Path.replace(p, q)',
+        'from os import replace; replace(p, q)', 'os.rename(p, q)',
+        'p.rename(q)', 'os.remove(p)', 'import os as o; o.remove(p)',
+        'p.unlink()', 'os.unlink(p)', 'p.rmdir()', 'os.rmdir(p)',
+        'p.mkdir(parents=True)', 'os.mkdir(p)', 'p.touch()',
+        'p.symlink_to(q)', 'os.makedirs(p)', 'os.symlink(p, q)',
+        'os.truncate(p, 0)', 'shutil.copy(p, q)', 'shutil.move(p, q)',
+        'shutil.rmtree(p)', 'from shutil import rmtree; rmtree(p)',
+        'import shutil as sh; sh.rmtree(p)',
+    ]
+    assert [line for line in unseen if writes(line)] == []
+    assert [line for line in seen if not writes(line)] == []
+
+
+def test_guard_fails_on_src_plus_one_call():
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert writes(source) == []
+    # in cli.py, Path is pathlib.Path and replace is dataclasses.replace
+    source += "\nreplace(cfg, model=m)\nPath.replace(Path(cfg.out), p)\n"
+    assert writes(source) == [source.count("\n")]
