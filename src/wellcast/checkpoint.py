@@ -13,7 +13,9 @@ save -> load -> save reproduces identical bytes.  ``load`` checks every
 record header of a file, but may read only the payloads whose names start
 with a prefix (``forecast`` reads only ``<kind>/``, not the optimizer
 moments); the size bounds still count every value the file stores.  Every
-artifact, checkpoint or not, reaches disk through ``atomic_write``.
+loader checks records through ``read``'s rules, and ``load_params`` adopts
+a ``Records``' arrays, which ``load`` allocated for it.  Every artifact,
+checkpoint or not, reaches disk through ``atomic_write``.
 """
 
 import math
@@ -150,16 +152,23 @@ def load(path, prefix: str = "") -> Records:
         return _read_records(fh, os.fstat(fh.fileno()).st_size, prefix)
 
 
-def read(records: dict, name: str, shape: tuple | None = None) -> np.ndarray:
-    """A copy of record ``name``; FormatError if it is absent or, when
-    ``shape`` is given, shaped otherwise.  Every loader reads through here."""
+def checked(records: dict, name: str, shape: tuple | None) -> np.ndarray:
+    """Record ``name`` itself, not a copy; FormatError if it is absent or,
+    when ``shape`` is not None, shaped otherwise."""
     if name not in records:
         raise FormatError(f"checkpoint has no record {name!r}")
     arr = records[name]
     if shape is not None and arr.shape != tuple(shape):
         raise FormatError(f"record {name!r} has shape {arr.shape}, "
                           f"expected {tuple(shape)}")
-    return arr.copy()
+    return arr
+
+
+def read(records: dict, name: str, shape: tuple | None = None) -> np.ndarray:
+    """A copy of ``checked(records, name, shape)``.  Every loader checks
+    records through these rules, and ``load_params`` adopts a ``Records``'
+    arrays instead of copying them."""
+    return checked(records, name, shape).copy()
 
 
 def _stored_values(records: dict) -> int:
@@ -191,9 +200,11 @@ def read_int(records: dict, name: str, index: int,
 
 class Undrawn:
     """Init stream for a model whose parameters are then set from
-    ``records``: each ``uniform`` draw is left unset, and FormatError once
-    the draws ask for more values than the records hold (as ``read_int``
-    counts them), which a model that the records can fill never does."""
+    ``records``: each ``uniform`` draw is a read-only view of one zero, so
+    the model allocates nothing that ``load_params`` replaces, and
+    FormatError once the draws ask for more values than the records hold
+    (as ``read_int`` counts them), which a model that the records can fill
+    never does."""
 
     def __init__(self, records: dict):
         self.budget = _stored_values(records)
@@ -203,10 +214,15 @@ class Undrawn:
         if self.budget < 0:
             raise FormatError("checkpoint config asks for more parameter "
                               "values than the checkpoint holds")
-        return np.empty(size)
+        return np.broadcast_to(0.0, size)
 
 
 def load_params(records: dict, named: dict) -> None:
-    """Set each parameter of ``{record name: tensor}`` from its record."""
+    """Set each parameter of ``{record name: tensor}`` from its record,
+    checked by ``checked``.  Nothing else holds the arrays of a ``Records``
+    that ``load`` returned, so the parameters adopt them; a plain dict's
+    (a live model's ``state_records()``) are copied, so two models never
+    share an array."""
+    get = checked if isinstance(records, Records) else read
     for name, p in named.items():
-        p.data = read(records, name, p.shape)
+        p.data = get(records, name, p.shape)

@@ -197,6 +197,7 @@ _BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # does (digits, ".", "e", "E", "+" and "-")
 _ODD = np.ones(256, dtype=bool)
 _ODD[list(b"0123456789.eE+-")] = False
+_TENS = np.array([float(10 ** k) for k in range(16)])  # each one exact
 _DASHES = np.array([c == ord("-") for c in b"YYYY-MM-DD"])
 _DAY_ONE = date_to_epoch_days("0001-01-01")  # fromisoformat's first day
 _DAY_LAST = date_to_epoch_days("9999-12-31")  # and its last
@@ -262,6 +263,31 @@ def _codes(raw: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple:
     return first[order], rank[code]
 
 
+def _fixed_point(spans: np.ndarray) -> np.ndarray | None:
+    """``float`` of each span when every span is digits around one ``.``
+    in one column, with at most 15 digits; else None.
+
+    The digits read as an integer N below 10^15 < 2^53: every product and
+    partial sum of ``digits @ places`` is an integer that float64 holds
+    exactly, so N is exact whatever the summation order, and the one
+    division N / 10^f by the exact power rounds as ``float`` does (Clinger's
+    fast path, as in ``_snap_6_decimals``).
+    """
+    width = spans.itemsize
+    if not 2 <= width <= 16:
+        return None
+    byte = spans.view(np.uint8).reshape(-1, width)
+    dot = _first(byte[0] == ord("."))
+    if dot is None or not np.all(byte[:, dot] == ord(".")):
+        return None
+    digit = byte - np.uint8(ord("0"))
+    digit[:, dot] = 0
+    if digit.max() > 9:  # bytes below "0" wrap past 9
+        return None
+    places = np.insert(_TENS[width - 2::-1], dot, 0.0)
+    return (digit.astype(np.float64) @ places) / _TENS[width - 1 - dot]
+
+
 def _iso_days(raw: bytes, starts: np.ndarray, ends: np.ndarray):
     """Epoch days of the date spans, as ``date_to_epoch_days`` gives them,
     when every span is a valid ``YYYY-MM-DD``; else None.
@@ -295,9 +321,13 @@ def load_csv(path) -> SeriesPanel:
     each line's commas.  The date and ``site,channel`` spans are numbered
     in first-seen order by numpy's unique.  The distinct dates go through
     numpy's datetime64 cast when all are ``YYYY-MM-DD``, and through
-    ``date_to_epoch_days`` otherwise.  The value spans made of digits,
-    ``.``, ``e``, ``E``, ``+`` and ``-`` are converted by one ``S`` to
-    float64 cast per span length, which gives ``float``'s bits; any other
+    ``date_to_epoch_days`` otherwise.  The value spans are taken one span
+    length at a time.  When every span of a length is plain fixed point
+    (digits around a ``.`` in one column, at most 15 digits, as every value
+    ``save_csv`` writes), they are read as integers and divided by a power
+    of ten, which is exact: see ``_fixed_point``.  Otherwise the spans made
+    of digits, ``.``, ``e``, ``E``, ``+`` and ``-`` are converted by one
+    ``S`` to float64 cast, which also gives ``float``'s bits; any other
     value goes through ``float``.
 
     Each row check runs over the lines before the first failure found so
@@ -355,6 +385,10 @@ def load_csv(path) -> SeriesPanel:
     slow = [np.empty(0, dtype=np.int64)]  # rows the cast does not parse
     for at, spans in _spans(raw, pair_end[:n] + 1,
                             ends[:n] - pair_end[:n] - 1):
+        fixed = _fixed_point(spans)
+        if fixed is not None:
+            values[at] = fixed
+            continue
         odd = np.flatnonzero(_ODD.take(spans.view(np.uint8)))
         plain = np.ones(len(at), dtype=bool)
         plain[odd // spans.itemsize] = False

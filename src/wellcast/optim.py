@@ -25,7 +25,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .checkpoint import read, read_int
+from .checkpoint import checked, read, read_int
 from .errors import FormatError, ParameterError, TrainingError
 from .tensor import Tensor
 
@@ -145,6 +145,25 @@ class AdamW:
         return rec
 
     def load_state_records(self, records: dict) -> None:
+        """Set the counter, hyperparameters and moments from ``records``.
+        A first moment that is not finite, or a second moment that is not
+        finite and nonnegative, raises FormatError before anything is set:
+        no step makes one, and stepping on one freezes or poisons its
+        parameter."""
+        moments = [(checked(records, f"opt/m/{i}", p.shape),
+                    checked(records, f"opt/v/{i}", p.shape))
+                   for i, p in enumerate(self.params)]
+        for i, (m, v) in enumerate(moments):
+            for name, ok, expected in (  # negated tests: nan fails both
+                    (f"opt/m/{i}", np.isfinite(m), "finite"),
+                    (f"opt/v/{i}", (v >= 0.0) & (v < np.inf),
+                     "finite and >= 0")):
+                if not ok.all():
+                    k = int(np.argmin(ok.reshape(-1)))  # the first failure
+                    raise FormatError(
+                        f"record {name!r} entry {k} is "
+                        f"{float(records[name].reshape(-1)[k])}, "
+                        f"expected {expected}")
         self.step_count = read_int(records, "opt/step", 0, (1,))
         if self.step_count < 0:
             raise FormatError(f"record 'opt/step' is {self.step_count}, "
@@ -152,6 +171,6 @@ class AdamW:
         self.lr, self.beta1, self.beta2, self.epsilon, self.weight_decay = (
             float(h) for h in read(records, "opt/hyper", (5,)))
         self._check_hyper(lambda msg: FormatError(f"record 'opt/hyper': {msg}"))
-        for i, p in enumerate(self.params):
-            self.m[i][...] = read(records, f"opt/m/{i}", p.shape)
-            self.v[i][...] = read(records, f"opt/v/{i}", p.shape)
+        for i, (m, v) in enumerate(moments):
+            self.m[i][...] = m
+            self.v[i][...] = v

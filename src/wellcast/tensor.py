@@ -114,30 +114,33 @@ def backward(loss: Tensor) -> None:
     accumulate additively across multiple uses of a tensor and across repeated
     ``backward`` calls; optimizers reset them via ``zero_grad``.  Gradients of
     intermediate outputs flow through the walk and are not kept.  The record
-    is consumed: it is cleared once traversal finishes.
+    is consumed: it is cleared once traversal finishes, or fails.
     """
     if not isinstance(loss, Tensor) or loss.size != 1:
         raise ContractError("backward expects a scalar loss tensor")
     if not loss._recorded:
         raise ContractError("loss is not connected to the active record")
     flows: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(_RECORD):
-        g = flows.pop(id(node.output), None)
-        if g is None:
-            continue
-        # the pop above completes accumulation for this output (topological
-        # order guarantees all its consumers were already visited)
-        for t, gi in zip(node.inputs, node.backward_fn(g)):
-            if gi is None or not t.requires_grad:
+    try:
+        for node in reversed(_RECORD):
+            g = flows.pop(id(node.output), None)
+            if g is None:
                 continue
-            if t._recorded:
-                acc = flows.get(id(t))
-                flows[id(t)] = gi if acc is None else acc + gi
-            elif t.grad is None:
-                t.grad = np.array(gi, dtype=np.float64, copy=True)
-            else:
-                t.grad += gi
-    _RECORD.clear()
+            # the pop above completes accumulation for this output
+            # (topological order guarantees all its consumers were already
+            # visited)
+            for t, gi in zip(node.inputs, node.backward_fn(g)):
+                if gi is None or not t.requires_grad:
+                    continue
+                if t._recorded:
+                    acc = flows.get(id(t))
+                    flows[id(t)] = gi if acc is None else acc + gi
+                elif t.grad is None:
+                    t.grad = np.array(gi, dtype=np.float64, copy=True)
+                else:
+                    t.grad += gi
+    finally:
+        _RECORD.clear()
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

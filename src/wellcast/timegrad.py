@@ -40,8 +40,8 @@ from .errors import ContractError, FormatError, ParameterError, TrainingError
 from .evaluation import ForecastEnsemble, check_draws
 from .optim import AdamW
 from .tensor import (Tensor, _record, add, backward, constant, matmul, mul,
-                     no_grad, parameter, sigmoid, slice_rows, sub, tanh,
-                     zeros_parameter)
+                     no_grad, parameter, reset_record, sigmoid, slice_rows,
+                     sub, tanh, zeros_parameter)
 
 
 class GRUCell:
@@ -472,6 +472,7 @@ def fit(model, panel, epochs: int, seed: int, lr: float = 1e-4,
             loss = model.window_loss(values, timestamps, start, rng, drop_rng)
             losses.append(loss.item())
             if not np.isfinite(losses[-1]):
+                reset_record()  # the window's tape holds its activations
                 raise TrainingError(
                     f"non-finite loss at epoch={e} window={w} start={start}")
             opt.zero_grad()

@@ -1134,6 +1134,27 @@ class TestMalformedInputs:
         assert "Traceback" not in printed.out + printed.err
         assert ckpt.read_bytes() == before
 
+    @pytest.mark.parametrize("name,value", [("opt/m/0", np.nan),
+                                            ("opt/v/2", np.inf),
+                                            ("opt/v/1", -1.0)])
+    def test_unusable_moment_resume_exits_2(self, initial, tmp_path, capsys,
+                                            name, value):
+        csv_path, out = initial
+        rec = checkpoint.load(out / "informer_all.gck")
+        rec[name].reshape(-1)[0] = value
+        ckpt = tmp_path / "informer_all.gck"
+        checkpoint.save(ckpt, rec)
+        loss_csv = tmp_path / "informer_all_loss.csv"
+        loss_csv.write_bytes((out / "informer_all_loss.csv").read_bytes())
+        before = ckpt.read_bytes(), loss_csv.read_bytes()
+        capsys.readouterr()
+        assert run("train", "--model", "informer", "--data", str(csv_path),
+                   "--out", str(tmp_path), *COMMON, *ENC, "--epochs", "1") == 2
+        printed = capsys.readouterr()
+        assert f"record {name!r} entry 0 is" in printed.out
+        assert "Traceback" not in printed.out + printed.err
+        assert (ckpt.read_bytes(), loss_csv.read_bytes()) == before
+
     @pytest.mark.parametrize("name", ["opt/hyper", "meta/epochs_done"])
     def test_resume_without_state_record_exits_2(self, initial, tmp_path,
                                                  capsys, name):

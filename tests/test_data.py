@@ -458,6 +458,58 @@ class TestCsvParserMatchesReference:
         assert np.array_equal(p.values, [[1.0, 2.0], [3.0, 4.0]])
 
 
+@st.composite
+def fixed_point(draw, width=None):
+    """Digits around one "." (or none): 1 to 16 digits, 0 to 9 of them
+    after the point; with ``width``, that many characters, dot anywhere."""
+    if width is None:
+        n = draw(st.integers(1, 16))
+        f = draw(st.integers(0, min(9, n)))
+        digits = draw(st.text("0123456789", min_size=n, max_size=n))
+        dot = n - f if f or draw(st.booleans()) else None
+    else:
+        digits = draw(st.text("0123456789", min_size=width - 1,
+                              max_size=width - 1))
+        dot = draw(st.integers(0, width - 1))
+    return digits if dot is None else digits[:dot] + "." + digits[dot:]
+
+
+@st.composite
+def value_columns(draw):
+    """One column of value texts: fixed point of any width, a group of one
+    width whose dot moves, other spellings float takes, and faults."""
+    width = draw(st.integers(2, 17))
+    texts = st.one_of(
+        fixed_point(), fixed_point(width),
+        st.sampled_from(["5.", ".5", "+1.5", "1e5", "1E-3", "00012.5",
+                         "0.000000", "999999999999999.9", "9999999999999999."]),
+        st.sampled_from(["-1.5", "-0.000", "nan", "inf", "abc", ".", "1.2.3",
+                         "1.5\x00", "1..5", "١.5"]))
+    good = st.one_of(fixed_point(), fixed_point(width))
+    values = draw(st.lists(good, min_size=1, max_size=30))
+    for _ in range(draw(st.integers(0, 4))):
+        values.insert(draw(st.integers(0, len(values))), draw(texts))
+    return values
+
+
+class TestCsvValues:
+    @settings(max_examples=300, deadline=None)
+    @given(texts=value_columns())
+    @example(texts=["12.5", "1.25", ".125", "125."])
+    @example(texts=["1234567890123456.", "1.5"])
+    @example(texts=["1.5", "-1.5", "nan", "abc"])
+    def test_values_have_float_bits(self, tmp_path_factory, texts):
+        """Every value has the bits of ``float(text)``, as the per-row
+        parser reads it, or the file fails with that parser's error and
+        row."""
+        path = tmp_path_factory.getbasetemp() / "values_case.csv"
+        path.write_text(CSV_HEADER + "\n" + "".join(
+            f"{epoch_days_to_date(t)},A,oil,{text}\n"
+            for t, text in enumerate(texts)))
+        assert parse_outcome(load_csv, path) == \
+            parse_outcome(reference_load_csv, path)
+
+
 class TestArps:
     def test_exponential_limit(self):
         dt = np.array([0.0, 10.0, 100.0])

@@ -75,8 +75,6 @@ UNUSED_KEPT = {
     "cli.cmd_pipeline": "cli.main finds cmd_<command> through globals()",
     "tensor.current_record": "tape introspection: bench/tracing.py and the "
                              "tape-size tests read the record",
-    "tensor.reset_record": "tape introspection: tests start each case from "
-                           "an empty record",
     "tensor.softmax": "criterion 1's op; the op-by-op attention reference",
     "tensor.layer_norm": "criterion 1's op; the op-by-op sublayer reference",
     "tensor.conv1d": "criterion 1's op; the op-by-op distill reference",
@@ -344,9 +342,9 @@ def test_kept_unused_functions_are_still_unused():
 
 def test_kept_unused_guard_fails_on_src_plus_one_call():
     modules = _sources(SRC)
-    modules["cli"] += "\nfrom .tensor import reset_record as fresh\nfresh()\n"
+    modules["cli"] += "\nfrom .tensor import current_record as fresh\nfresh()\n"
     found = unused(modules, set(wellcast.__all__))
-    assert set(UNUSED_KEPT) - set(found) == {"tensor.reset_record"}
+    assert set(UNUSED_KEPT) - set(found) == {"tensor.current_record"}
 
 
 def test_detector_sees_each_way_of_using():

@@ -160,3 +160,19 @@ class TestHyperparameters:
         rec["opt/hyper"][entry] = np.inf
         with pytest.raises(FormatError, match="record 'opt/hyper'"):
             AdamW(make_params(), lr=1e-3).load_state_records(rec)
+
+    @pytest.mark.parametrize("name,value", [
+        ("opt/m/3", np.inf), ("opt/m/5", np.nan), ("opt/v/3", np.inf),
+        ("opt/v/9", np.nan), ("opt/v/5", -1e-12)])
+    def test_resume_refuses_unusable_moment(self, name, value):
+        """A moment the optimizer cannot have made is refused, and nothing
+        of the optimizer it was loading into changes."""
+        rec = AdamW(make_params(), lr=1e-3).state_records()
+        rec["opt/step"][0] = 3.0
+        rec[name].reshape(-1)[1] = value
+        opt = AdamW(make_params(), lr=2e-3)
+        with pytest.raises(FormatError) as raised:
+            opt.load_state_records(rec)
+        assert str(raised.value).startswith(f"record {name!r} entry 1 is ")
+        assert opt.step_count == 0 and opt.lr == 2e-3
+        assert not any(m.any() or v.any() for m, v in zip(opt.m, opt.v))

@@ -1,17 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gradcheck import check_gradients
 from toys import as_panel
+from wellcast import checkpoint
 from wellcast import tensor as T
 from wellcast.attention import full_attention, probsparse_attention, QKV, AttentionConfig
-from wellcast.errors import ContractError, ParameterError, TrainingError
+from wellcast.errors import (ContractError, FormatError, ParameterError,
+                             TrainingError)
 from wellcast.optim import AdamW
 from wellcast.rng import TRAIN, stream
 from wellcast.seqmodels import (InformerModel, LOG_TWO_PI,
                                 VanillaTransformer, forecast, gaussian_nll,
                                 sample_paths, train_model, time_encoding)
 from wellcast.tensor import Tensor
+from wellcast.timegrad import TimeGradModel
 
 
 @pytest.fixture(autouse=True)
@@ -260,6 +265,16 @@ class TestTraining:
             train_model(model, as_panel(trend_panel(60, 1)), epochs=1,
                         seed=24, windows_per_epoch=2)
 
+    def test_diverged_fit_leaves_no_tape(self):
+        # lr 1e300 makes the second window's loss non-finite; its tape
+        # (and the activations it holds) must not outlive the error
+        model = tiny_vanilla(data_dim=1, seed=17)
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingError, match="non-finite loss at epoch=0 window=1"):
+            train_model(model, as_panel(trend_panel(60, 1)), epochs=1,
+                        seed=18, lr=1e300, windows_per_epoch=3)
+        assert T.current_record() == []
+
     def test_validation_never_touches_test_span(self):
         # the panel's test span is NaN-poisoned; training plus validation on
         # the train view must stay finite throughout
@@ -352,6 +367,16 @@ class TestForecastInterface:
                      n_samples=1, seed=0)
 
 
+def tiny_timegrad(data_dim=2, seed=0):
+    return TimeGradModel(data_dim, hidden_dim=8, context_length=6,
+                         prediction_length=3, seed=seed)
+
+
+MODELS = pytest.mark.parametrize("factory,cls", [
+    (tiny_informer, InformerModel), (tiny_vanilla, VanillaTransformer),
+    (tiny_timegrad, TimeGradModel)])
+
+
 class TestCheckpointRoundTrip:
     @pytest.mark.parametrize("factory,cls", [
         (tiny_informer, InformerModel), (tiny_vanilla, VanillaTransformer)])
@@ -363,6 +388,58 @@ class TestCheckpointRoundTrip:
         (mean_b, lv_b), *_ = forward_window(clone, seed=31)
         assert np.array_equal(mean_a.data, mean_b.data)
         assert np.array_equal(lv_a.data, lv_b.data)
+
+    @MODELS
+    def test_live_model_records_are_copied(self, factory, cls):
+        model = factory(seed=30)
+        clone = cls.from_records(model.state_records())
+        for p, q in zip(model.params(), clone.params()):
+            assert np.array_equal(p.data, q.data)
+            assert not any(np.shares_memory(q.data, r.data)
+                           for r in model.params())
+
+    @MODELS
+    def test_loaded_records_are_adopted(self, factory, cls, tmp_path):
+        model = factory(seed=30)
+        checkpoint.save(tmp_path / "model.gck", model.state_records())
+        rec = checkpoint.load(tmp_path / "model.gck")
+        clone = cls.from_records(rec)
+        for name, q in clone.named_params().items():
+            assert np.shares_memory(q.data, rec[name])
+            assert q.data.flags.writeable  # an optimizer steps in place
+        for p, q in zip(model.params(), clone.params()):
+            assert np.array_equal(p.data, q.data)
+
+    @pytest.mark.parametrize("factory,cls,config", [
+        (tiny_informer, InformerModel, "informer/config"),
+        (tiny_vanilla, VanillaTransformer, "vanilla/config"),
+        (tiny_timegrad, TimeGradModel, "timegrad/config")])
+    def test_oversized_config_refused_before_allocating(
+            self, factory, cls, config, tmp_path):
+        """A width within the stored value count whose square is not: the
+        load stops before the square is allocated."""
+        rec = factory(seed=30).state_records()
+        stored = sum(arr.size for arr in rec.values())
+        # entry 1: d_model (over 2 heads) or the GRU's hidden_dim
+        rec[config][1] = stored - stored % 2
+        checkpoint.save(tmp_path / "model.gck", rec)
+        rec = checkpoint.load(tmp_path / "model.gck")
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="more parameter values"):
+                cls.from_records(rec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    def test_undrawn_draws_are_read_only_views(self):
+        draws = checkpoint.Undrawn({"a": np.ones((2, 3))})
+        w = draws.uniform(-1.0, 1.0, (2, 3))
+        assert w.shape == (2, 3) and w.strides == (0, 0)
+        assert not w.flags.writeable and not w.any()
+        with pytest.raises(FormatError, match="more parameter values"):
+            draws.uniform(-1.0, 1.0, (1,))
 
 
 class TestTimeEncoding:

@@ -257,6 +257,16 @@ class TestBackward:
         with pytest.raises(ContractError):
             T.backward(Tensor([1.0]))
 
+    def test_failed_walk_clears_the_record(self):
+        def bwd(g):
+            raise FloatingPointError("overflow in a backward")
+
+        x = Tensor(np.ones(2), requires_grad=True)
+        loss = T.tsum(T._record((x,), 2.0 * x.data, bwd))
+        with pytest.raises(FloatingPointError):
+            T.backward(loss)
+        assert T.current_record() == []
+
     def test_accumulation_across_uses(self):
         x = Tensor([2.0], requires_grad=True)
         y = T.add(T.mul(x, x), T.scale(x, 3.0))  # x^2 + 3x -> 2x + 3 = 7

@@ -402,6 +402,15 @@ class TestTraining:
             fit(model, as_panel(values), epochs=2, seed=21, lr=1e300,
                 windows_per_epoch=1)
 
+    def test_diverged_fit_leaves_no_tape(self):
+        model = tiny_model(seed=19)
+        values = stream(20, TRAIN).normal(size=(200, 2))
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingError, match="non-finite loss at epoch=0 window=1"):
+            fit(model, as_panel(values), epochs=1, seed=21, lr=1e300,
+                windows_per_epoch=3)
+        assert T.current_record() == []
+
     def test_no_validation_windows_is_nan_not_divergence(self):
         model = tiny_model(seed=19)
         values = stream(20, TRAIN).normal(size=(40, 2))

@@ -2,11 +2,14 @@
 (tmp-and-rename); this guard fails when a module changes the file system any
 other way: a call of a path method in ``METHODS`` on any receiver, of an
 ``os`` or ``shutil`` function in ``WRITERS`` however it was imported, of
-``open``, ``io.open`` or ``.open`` with a w, a, x, + or non-literal mode, or
-of ``.replace`` with one positional argument and no keyword: that is
-``Path.replace``, as ``str.replace`` takes two (so spell a one-argument
-``datetime.replace`` with a keyword).  It cannot see a writer looked up by
-a string, bound by ``from os import *`` or called through a value."""
+``open``, ``io.open``, ``os.fdopen`` or ``.open`` with a w, a, x, + or
+non-literal mode, of ``os.open`` with flags that are not an ``|`` of the
+read-only ones in ``READ_ONLY`` (so a pipe's ``os.write`` passes, but not a
+file opened for it), or of ``.replace`` with one positional argument and no
+keyword: that is ``Path.replace``, as ``str.replace`` takes two (so spell a
+one-argument ``datetime.replace`` with a keyword).  It cannot see a writer
+looked up by a string, bound by ``from os import *`` or called through a
+value."""
 
 import ast
 from pathlib import Path
@@ -25,19 +28,36 @@ WRITERS = {"pathlib.Path.replace"} | {f"{module}.{name}" for module, names in {
           "removedirs link symlink truncate",
     "shutil": "copy copy2 copyfile copytree move rmtree"}.items()
     for name in names.split()}
+READ_ONLY = {f"os.{flag}" for flag in "O_RDONLY O_CLOEXEC O_NOFOLLOW "
+             "O_DIRECTORY O_NONBLOCK O_NOCTTY O_NOATIME O_BINARY".split()}
 
 
 def _open_mode(call: ast.Call, name: str | None) -> str:
-    """The mode of an ``open(path, ...)``, ``io.open(path, ...)`` or
-    ``path.open(...)`` call, "w" when it is not a literal, or "" when the
-    call is no open; ``name`` is what the call's function resolves to."""
-    pos = 1 if name in ("open", "io.open") else 0
-    if not pos and getattr(call.func, "attr", None) != "open":
+    """The mode of an ``open(path, ...)``, ``io.open(path, ...)``,
+    ``os.fdopen(fd, ...)`` or ``path.open(...)`` call, "w" when it is not a
+    literal, or "" when the call is no open; ``name`` is what the call's
+    function resolves to."""
+    pos = 1 if name in ("open", "io.open", "os.fdopen") else 0
+    if not pos and (name == "os.open"
+                    or getattr(call.func, "attr", None) != "open"):
         return ""
     modes = [k.value for k in call.keywords if k.arg == "mode"]
     mode = (call.args[pos:pos + 1] + modes + [ast.Constant("r")])[0]
     literal = isinstance(mode, ast.Constant) and isinstance(mode.value, str)
     return mode.value if literal else "w"
+
+
+def _writable_flags(call: ast.Call, names: dict[str, str]) -> bool:
+    """Whether the flags of an ``os.open(path, flags, ...)`` call are
+    anything but an ``|`` of ``READ_ONLY`` flags."""
+    flags = [k.value for k in call.keywords if k.arg == "flags"]
+
+    def read_only(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            return read_only(node.left) and read_only(node.right)
+        return dotted(names, node) in READ_ONLY
+
+    return not read_only((call.args[1:2] + flags + [ast.Constant(None)])[0])
 
 
 def writes(source: str, allowed: str | None = None) -> list[int]:
@@ -56,6 +76,7 @@ def writes(source: str, allowed: str | None = None) -> list[int]:
         attr = getattr(node.func, "attr", None)
         if (name in WRITERS or attr in METHODS
                 or set("wax+") & set(_open_mode(node, name))
+                or name == "os.open" and _writable_flags(node, names)
                 or attr == "replace" and len(node.args) == 1
                 and not node.keywords):  # Path.replace
             lines.append(node.lineno)
@@ -78,6 +99,11 @@ def test_guard_sees_each_way_of_writing():
         'open(p).read()', 'open(p, "r")', 'open(fd, "rb")', 'io.open(p)',
         'p.open()', 'p.read_text()', 's.replace(a, b)', 'xs.remove(x)',
         'from dataclasses import replace; replace(cfg, x=1)',
+        'os.open(p, os.O_RDONLY)', 'os.open(p, flags=os.O_RDONLY)',
+        'os.open(p, os.O_RDONLY | os.O_CLOEXEC)',
+        'from os import O_RDONLY, open as o; o(p, O_RDONLY)',
+        'os.fdopen(fd)', 'os.fdopen(fd, "rb")',
+        'r, w = os.pipe(); os.write(w, b); open(r, "rb")',
     ]
     seen = [
         'open(p, "w")', 'open(p, mode="a")', 'open(p, "xb")', 'open(p, mode)',
@@ -93,6 +119,11 @@ def test_guard_sees_each_way_of_writing():
         'os.truncate(p, 0)', 'shutil.copy(p, q)', 'shutil.move(p, q)',
         'shutil.rmtree(p)', 'from shutil import rmtree; rmtree(p)',
         'import shutil as sh; sh.rmtree(p)',
+        'os.fdopen(fd, "w")', 'os.fdopen(fd, mode="ab")',
+        'from os import fdopen; fdopen(fd, "w")', 'open(fd, "wb")',
+        'os.open("f", os.O_WRONLY | os.O_CREAT)', 'os.open(p, os.O_RDWR)',
+        'os.open(p, flags)', 'os.open(p, os.O_RDONLY | os.O_TRUNC)',
+        'import os as o; o.open(p, o.O_APPEND)',
     ]
     assert [line for line in unseen if writes(line)] == []
     assert [line for line in seen if not writes(line)] == []
