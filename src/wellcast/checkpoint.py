@@ -13,9 +13,8 @@ save -> load -> save reproduces identical bytes.  ``load`` checks every
 record header of a file, but may read only the payloads whose names start
 with a prefix (``forecast`` reads only ``<kind>/``, not the optimizer
 moments); the size bounds still count every value the file stores.  Every
-loader checks records through ``read``'s rules, and ``load_params`` adopts
-a ``Records``' arrays, which ``load`` allocated for it.  Every artifact,
-checkpoint or not, reaches disk through ``atomic_write``.
+loader takes records through ``read``, which returns the record itself,
+and only ``load_params`` copies, from a plain dict.  Every artifact, checkpoint or not, reaches disk through ``atomic_write``.
 """
 
 import math
@@ -58,8 +57,8 @@ def _read_records(fh, size: int, prefix: str = "") -> Records:
     with ``prefix``.  Every record's header is checked (its lengths against
     ``size``, its name against every earlier name, its byte count against
     its dims) before its payload is read or allocated.  A matching payload
-    is read straight into an array that the record owns, so a loader's
-    ``read`` makes the one copy; every other payload is seeked past."""
+    is read straight into an array that the record owns, and every other
+    payload is seeked past."""
     if fh.read(4) != MAGIC:
         raise FormatError("not a GCK1 checkpoint (bad magic bytes)")
     pos = 4
@@ -152,7 +151,7 @@ def load(path, prefix: str = "") -> Records:
         return _read_records(fh, os.fstat(fh.fileno()).st_size, prefix)
 
 
-def checked(records: dict, name: str, shape: tuple | None) -> np.ndarray:
+def read(records: dict, name: str, shape: tuple | None = None) -> np.ndarray:
     """Record ``name`` itself, not a copy; FormatError if it is absent or,
     when ``shape`` is not None, shaped otherwise."""
     if name not in records:
@@ -162,13 +161,6 @@ def checked(records: dict, name: str, shape: tuple | None) -> np.ndarray:
         raise FormatError(f"record {name!r} has shape {arr.shape}, "
                           f"expected {tuple(shape)}")
     return arr
-
-
-def read(records: dict, name: str, shape: tuple | None = None) -> np.ndarray:
-    """A copy of ``checked(records, name, shape)``.  Every loader checks
-    records through these rules, and ``load_params`` adopts a ``Records``'
-    arrays instead of copying them."""
-    return checked(records, name, shape).copy()
 
 
 def _stored_values(records: dict) -> int:
@@ -218,11 +210,10 @@ class Undrawn:
 
 
 def load_params(records: dict, named: dict) -> None:
-    """Set each parameter of ``{record name: tensor}`` from its record,
-    checked by ``checked``.  Nothing else holds the arrays of a ``Records``
-    that ``load`` returned, so the parameters adopt them; a plain dict's
-    (a live model's ``state_records()``) are copied, so two models never
-    share an array."""
-    get = checked if isinstance(records, Records) else read
+    """Set each parameter of ``{record name: tensor}`` from its record.
+    Nothing else holds the arrays of a ``Records`` that ``load`` returned,
+    so the parameters adopt them; a plain dict's (a live model's
+    ``state_records()``) are copied, so two models never share an array."""
     for name, p in named.items():
-        p.data = get(records, name, p.shape)
+        arr = read(records, name, p.shape)
+        p.data = arr if isinstance(records, Records) else arr.copy()

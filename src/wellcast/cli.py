@@ -153,14 +153,15 @@ def _ensemble_path(cfg: RunConfig, group: str) -> Path:
     return Path(cfg.out) / f"{cfg.model}_{group}_ensemble.gck"
 
 
-def _build_model(cfg: RunConfig, dim: int, stride: float):
+def _build_model(cfg: RunConfig, dim: int, stride: float, init_rng=None):
+    """The flags' model; an ``init_rng`` replaces its init stream."""
     if cfg.model == "timegrad":
         return timegrad.TimeGradModel(
             dim, context_length=cfg.context_length,
-            prediction_length=cfg.horizon, seed=cfg.seed)
+            prediction_length=cfg.horizon, seed=cfg.seed, init_rng=init_rng)
     return MODELS[cfg.model](
         dim, l_x=cfg.enc_length, l_token=cfg.token_length,
-        l_y=cfg.horizon, stride=stride, seed=cfg.seed)
+        l_y=cfg.horizon, stride=stride, seed=cfg.seed, init_rng=init_rng)
 
 
 def _check_resume(cfg: RunConfig, ckpt: Path, fresh, rec: dict) -> None:
@@ -235,16 +236,19 @@ def _train_group(cfg: RunConfig, group: str, gpanel) -> _Trained:
     loss_csv = _loss_path(cfg, group)
     start_epoch = 0
     opt = None
-    model = _build_model(cfg, gpanel.values.shape[1], float(gpanel.stride))
+    dim, stride = gpanel.values.shape[1], float(gpanel.stride)
     if ckpt.exists():
         rec = checkpoint.load(ckpt)
-        fresh, model = model, MODELS[cfg.model].from_records(rec)
+        fresh = _build_model(cfg, dim, stride, checkpoint.Undrawn(rec))
+        model = MODELS[cfg.model].from_records(rec)
         _check_resume(cfg, ckpt, fresh, rec)
         start_epoch = checkpoint.read_int(rec, "meta/epochs_done", 0, (1,))
         opt = AdamW(model.params(), lr=cfg.lr)
         opt.load_state_records(rec)
         log(command="train", group=group, resumed_from=ckpt,
             epochs_done=start_epoch)
+    else:
+        model = _build_model(cfg, dim, stride)
     epochs = cfg.effective_epochs
     epoch_start = time.perf_counter()
 

@@ -146,13 +146,14 @@ def posterior_params(xn: np.ndarray, x0: np.ndarray, n: int,
     return mean, float(sched.beta_tilde[i])
 
 
-def sinusoidal_embedding(n_steps: int, dim: int) -> np.ndarray:
-    """Step-index embedding table; row i encodes step n = i + 1."""
+def sinusoidal_embedding(positions, dim: int) -> np.ndarray:
+    """Both forecasters' sinusoid table: row i holds the sines (even
+    columns) and cosines (odd) of ``positions[i]`` * 10000^(-2k / dim)."""
     if dim % 2 != 0:
         raise ParameterError("embedding dimension must be even")
-    pos = np.arange(1, n_steps + 1, dtype=np.float64)[:, None]
+    pos = np.asarray(positions, dtype=np.float64)[:, None]
     freq = np.exp(-np.log(10000.0) * np.arange(0, dim, 2) / dim)[None, :]
-    table = np.empty((n_steps, dim))
+    table = np.empty((len(pos), dim))
     table[:, 0::2] = np.sin(pos * freq)
     table[:, 1::2] = np.cos(pos * freq)
     return table
@@ -174,7 +175,8 @@ class EpsilonNet:
         self.n_steps = int(n_steps)
         self.hidden = int(hidden)
         self.embed_dim = int(embed_dim)
-        self.embed_table = sinusoidal_embedding(n_steps, embed_dim)
+        self.embed_table = sinusoidal_embedding(np.arange(1, n_steps + 1),
+                                                embed_dim)
         in_dim = self.data_dim + self.cond_dim + embed_dim
         self.w1 = parameter(rng, (in_dim, hidden))
         self.b1 = zeros_parameter((hidden,))

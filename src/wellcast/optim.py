@@ -25,7 +25,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .checkpoint import checked, read, read_int
+from .checkpoint import read, read_int
 from .errors import FormatError, ParameterError, TrainingError
 from .tensor import Tensor
 
@@ -150,8 +150,8 @@ class AdamW:
         finite and nonnegative, raises FormatError before anything is set:
         no step makes one, and stepping on one freezes or poisons its
         parameter."""
-        moments = [(checked(records, f"opt/m/{i}", p.shape),
-                    checked(records, f"opt/v/{i}", p.shape))
+        moments = [(read(records, f"opt/m/{i}", p.shape),
+                    read(records, f"opt/v/{i}", p.shape))
                    for i, p in enumerate(self.params)]
         for i, (m, v) in enumerate(moments):
             for name, ok, expected in (  # negated tests: nan fails both

@@ -27,6 +27,7 @@ from . import rng as rng_mod
 from .attention import (AttentionConfig, DistillWeights, MultiHeadWeights,
                         distill, multi_head)
 from .checkpoint import Undrawn, load_params, read, read_int
+from .diffusion import sinusoidal_embedding
 from .errors import ContractError, ParameterError, TrainingError
 from .evaluation import ForecastEnsemble, check_draws
 # backward stays bound here although fit walks the tape from timegrad:
@@ -48,15 +49,10 @@ def time_encoding(timestamps, d_model: int, stride: float, anchor: float) -> np.
     the native stride (sinusoidal over positions relative to the window
     anchor) and the day-of-year phase folded into the first two channels."""
     ts = np.asarray(timestamps, dtype=np.float64)
-    pos = (ts - anchor) / stride
-    half = np.arange(0, d_model, 2, dtype=np.float64)
-    freq = np.exp(-np.log(10000.0) * half / d_model)
-    enc = np.empty((len(ts), d_model))
-    enc[:, 0::2] = np.sin(pos[:, None] * freq[None, :])
-    enc[:, 1::2] = np.cos(pos[:, None] * freq[None, :])
+    enc = sinusoidal_embedding((ts - anchor) / stride, d_model)
+    # the phase's one sine-cosine pair, at frequency exactly 1
     phase = 2.0 * np.pi * (ts % DAYS_PER_YEAR) / DAYS_PER_YEAR
-    enc[:, 0] += np.sin(phase)
-    enc[:, 1] += np.cos(phase)
+    enc[:, :2] += sinusoidal_embedding(phase, 2)
     return enc
 
 
@@ -214,6 +210,9 @@ class _SeqForecaster:
         if not 0 < stride < np.inf:  # also rejects nan
             raise ParameterError(
                 f"time stride must be positive and finite, got {stride}")
+        if d_model % 2:
+            raise ParameterError(f"d_model {d_model} must be even: the time "
+                                 f"encoding pairs a sine with a cosine")
         self.cfg = AttentionConfig(d_model=d_model, n_heads=n_heads, c=c)
         self.data_dim = int(data_dim)
         self.d_model = int(d_model)

@@ -10,6 +10,7 @@ from wellcast.data import (CSV_HEADER, OIL, WATER, SeriesPanel,
                            SyntheticFieldConfig, _snap_6_decimals, arps_rate,
                            epoch_days_to_date)
 from wellcast.errors import DimensionError, ValidationError
+from wellcast.seqmodels import DAYS_PER_YEAR
 from wellcast.tensor import Tensor, _record
 
 
@@ -17,6 +18,33 @@ def elu_sum(x):
     """ELU as four ufuncs, max(x, 0) + expm1(min(x, 0)): the form that
     ``tensor.elu_array`` and ``tensor.elu_inplace`` replaced."""
     return np.maximum(x, 0.0) + np.expm1(np.minimum(x, 0.0))
+
+
+def sinusoidal_embedding(n_steps: int, dim: int) -> np.ndarray:
+    """The diffusion-step table over steps 1..n_steps: the form that
+    ``diffusion.sinusoidal_embedding(positions, dim)`` replaced."""
+    pos = np.arange(1, n_steps + 1, dtype=np.float64)[:, None]
+    freq = np.exp(-np.log(10000.0) * np.arange(0, dim, 2) / dim)[None, :]
+    table = np.empty((n_steps, dim))
+    table[:, 0::2] = np.sin(pos * freq)
+    table[:, 1::2] = np.cos(pos * freq)
+    return table
+
+
+def time_encoding(timestamps, d_model: int, stride: float, anchor: float):
+    """The time encoding with its own sinusoids: the form that
+    ``seqmodels.time_encoding`` replaced with ``sinusoidal_embedding``."""
+    ts = np.asarray(timestamps, dtype=np.float64)
+    pos = (ts - anchor) / stride
+    half = np.arange(0, d_model, 2, dtype=np.float64)
+    freq = np.exp(-np.log(10000.0) * half / d_model)
+    enc = np.empty((len(ts), d_model))
+    enc[:, 0::2] = np.sin(pos[:, None] * freq[None, :])
+    enc[:, 1::2] = np.cos(pos[:, None] * freq[None, :])
+    phase = 2.0 * np.pi * (ts % DAYS_PER_YEAR) / DAYS_PER_YEAR
+    enc[:, 0] += np.sin(phase)
+    enc[:, 1] += np.cos(phase)
+    return enc
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -20,6 +20,7 @@ from wellcast import checkpoint, cli, data, timegrad, workers
 from wellcast.cli import DEFAULT_EPOCHS, RunConfig, main
 from wellcast.errors import FormatError, ParameterError
 from wellcast.evaluation import MetricsReport
+from wellcast.optim import AdamW
 from wellcast.seqmodels import InformerModel
 
 
@@ -153,16 +154,29 @@ class TestTrain:
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("model,sizes", [("vanilla", ENC),
-                                             ("timegrad", SIZES)])
+                                             ("timegrad", SIZES),
+                                             ("informer", ENC)])
     def test_resumed_run_gives_straight_run_bytes(self, small_field, tmp_path,
-                                                  model, sizes):
+                                                  monkeypatch, model, sizes):
+        """The resume also draws no (seed, TRAIN, 7000) or (seed, TRAIN,
+        9000) initialisation for the flags' model it checks against."""
         csv_path, _, _ = small_field
         args = ["train", "--model", model, "--data", str(csv_path), *COMMON,
                 *sizes]
         straight, resumed = tmp_path / "straight", tmp_path / "resumed"
         assert run(*args, "--out", str(straight), "--epochs", "2") == 0
-        for _ in range(2):
-            assert run(*args, "--out", str(resumed), "--epochs", "1") == 0
+        assert run(*args, "--out", str(resumed), "--epochs", "1") == 0
+        keys, real = [], wellcast.rng.stream
+
+        def stream(seed, domain, index=0):
+            keys.append((domain, index))
+            return real(seed, domain, index)
+
+        monkeypatch.setattr(wellcast.rng, "stream", stream)
+        assert run(*args, "--out", str(resumed), "--epochs", "1") == 0
+        assert keys  # the resumed epoch still draws its windows
+        assert not {(wellcast.rng.TRAIN, 7000),
+                    (wellcast.rng.TRAIN, 9000)} & set(keys)
         for name in (f"{model}_all.gck", f"{model}_all_loss.csv"):
             assert (resumed / name).read_bytes() == (straight / name).read_bytes()
 
@@ -1114,6 +1128,42 @@ class TestMalformedInputs:
         assert "record 'informer/p/0' has shape (64, 16)" in printed.out
         assert "Traceback" not in printed.out + printed.err
         assert not (tmp_path / "informer_all_ensemble.gck").exists()
+
+    def test_odd_d_model_checkpoint_forecast_exits_2(self, initial,
+                                                     tmp_path, capsys):
+        """An informer checkpoint with d_model 3 (3 heads of width 1) and
+        records of consistent shapes: the time encoding pairs each sine with
+        a cosine, so the model refuses it.  The constructor refuses that
+        d_model too, so the records are those of d_model 6 and 12, extended
+        to 3 along each dimension (every one is affine in d_model)."""
+        csv_path, out = initial
+        keys = InformerModel.config_keys
+        config = checkpoint.load(out / "informer_all.gck")["informer/config"]
+        dim, stride = (int(config[keys.index("data_dim")]),
+                       float(config[keys.index("stride")]))
+
+        def full_records(d_model):
+            model = InformerModel(dim, d_model=d_model, n_heads=3, ff_width=4,
+                                  l_x=24, l_token=8, l_y=6, stride=stride)
+            return {**model.state_records(),
+                    **AdamW(model.params()).state_records()}
+
+        at6, at12 = full_records(6), full_records(12)
+        rec = {name: a if a.shape == at12[name].shape else np.zeros(
+                   [(3 * i - j) // 2 for i, j in zip(a.shape, at12[name].shape)])
+               for name, a in at6.items()}
+        rec["informer/config"][keys.index("d_model")] = 3.0
+        rec["meta/epochs_done"] = np.zeros(1)
+        checkpoint.save(tmp_path / "informer_all.gck", rec)
+        capsys.readouterr()
+        assert run("forecast", "--model", "informer", "--data", str(csv_path),
+                   "--out", str(tmp_path), *COMMON, *ENC) == 2
+        printed = capsys.readouterr()
+        lines = printed.out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "error=validation detail=d_model 3 must be even")
+        assert "Traceback" not in printed.out + printed.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["informer_all.gck"]
 
     @pytest.mark.parametrize("name,value", [("opt/step", -np.inf),
                                             ("meta/epochs_done", np.nan),

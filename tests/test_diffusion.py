@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from gradcheck import check_gradients
 from oracles import elu_sum
 from toys import train_toy_net
@@ -425,6 +426,16 @@ class TestGenerativeSanity:
                      net, sched,
                      rng.standard_normal((sched.n_steps - 1, draws, 1)))
         assert abs(out.mean() - c) < 0.05 * abs(c)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=1, max_value=200),
+       st.integers(min_value=1, max_value=64).map(lambda k: 2 * k))
+def test_step_table_matches_its_own_form_bitwise(n_steps, dim):
+    net = EpsilonNet(1, 2, n_steps, hidden=4, embed_dim=dim,
+                     rng=stream(0, TRAIN))
+    want = oracles.sinusoidal_embedding(n_steps, dim)
+    assert net.embed_table.tobytes() == want.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

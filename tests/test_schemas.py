@@ -154,12 +154,11 @@ class TestCheckpointRecords:
 
 
 class TestRead:
-    def test_returns_a_copy(self):
+    def test_returns_the_record_itself(self):
+        # every caller only reads; load_params alone copies (a plain dict's)
         records = {"w": np.zeros((2, 3))}
-        got = checkpoint.read(records, "w", (2, 3))
-        got[0, 0] = 1.0
-        assert records["w"][0, 0] == 0.0
-        assert checkpoint.read(records, "w").shape == (2, 3)
+        assert checkpoint.read(records, "w", (2, 3)) is records["w"]
+        assert checkpoint.read(records, "w") is records["w"]
 
     def test_missing_record(self):
         with pytest.raises(FormatError, match="no record 'w'"):

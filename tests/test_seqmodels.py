@@ -2,7 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from gradcheck import check_gradients
 from toys import as_panel
 from wellcast import checkpoint
@@ -443,6 +446,16 @@ class TestCheckpointRoundTrip:
 
 
 class TestTimeEncoding:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e6, 4e6), min_size=1, max_size=40),
+           st.floats(1e-3, 1e4), st.floats(-1e6, 4e6),
+           st.integers(1, 64).map(lambda k: 2 * k))
+    def test_matches_its_own_sinusoids_bitwise(self, ts, stride, anchor,
+                                               d_model):
+        got = time_encoding(ts, d_model, stride, anchor)
+        want = oracles.time_encoding(ts, d_model, stride, anchor)
+        assert got.tobytes() == want.tobytes()
+
     def test_shape_and_position_anchor(self):
         enc = time_encoding(np.arange(10) * 2.0, 8, 2.0, 0.0)
         assert enc.shape == (10, 8)
