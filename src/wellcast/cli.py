@@ -301,11 +301,11 @@ def cmd_train(cfg: RunConfig) -> None:
     committing each group as it ends.  A forked worker trains each other
     block and writes nothing: it returns each group's log lines, loss CSV
     text and checkpoint bytes through its pipe, and this process commits
-    them in group order: it relays the lines, writes the loss CSV, then the
-    checkpoint, through ``checkpoint.atomic_write``, and logs it.  So the
-    files, bytes and log lines are a one-process run's for any worker
-    count.  That holds when a group fails, too: the groups before it are
-    committed, none after it.
+    them in group order, each before it loads the next: it relays the
+    lines, writes the loss CSV, then the checkpoint, through
+    ``checkpoint.atomic_write``, and logs it.  So the files, bytes and log
+    lines are a one-process run's for any worker count.  That holds when a
+    group fails, too: the groups before it are committed, none after it.
     """
     cfg.validate()
     groups = build_groups(load_panel(cfg), cfg.grouping)
@@ -342,12 +342,12 @@ def cmd_train(cfg: RunConfig) -> None:
             done.append((printed.getvalue(), t))
         return done
 
-    def take(done: list) -> None:
-        for printed, t in done:
-            sys.stdout.write(printed)
-            if isinstance(t, Exception):
-                raise t
-            write(t)
+    def take(item: tuple) -> None:
+        printed, t = item
+        sys.stdout.write(printed)
+        if isinstance(t, Exception):
+            raise t
+        write(t)
 
     workers.run(train, cuts, lambda lo, hi: (
         f"train worker for groups {', '.join(names[lo:hi])}"), take)

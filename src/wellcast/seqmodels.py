@@ -203,6 +203,12 @@ class _SeqForecaster:
 
     def __init__(self, data_dim, d_model, n_heads, ff_width, p_drop, c,
                  l_x, l_token, l_y, stride, seed, init_rng=None):
+        for name, size in (("data_dim", data_dim), ("d_model", d_model),
+                           ("n_heads", n_heads), ("ff_width", ff_width),
+                           ("n_stacks", self.n_stacks),
+                           ("main_blocks", self.main_blocks)):
+            if size < 1:
+                raise ParameterError(f"{name} must be >= 1, got {size}")
         if l_token > l_x:
             raise ParameterError(f"start token {l_token} longer than context {l_x}")
         if min(l_x, l_token, l_y) < 1:

@@ -198,6 +198,10 @@ class TimeGradModel:
                  context_length: int = 90, prediction_length: int = 45,
                  sched: NoiseSchedule | None = None, loss_norm: str = "l1",
                  seed: int = 0, init_rng=None):
+        for name, size in (("data_dim", data_dim), ("hidden_dim", hidden_dim),
+                           ("n_layers", n_layers)):
+            if size < 1:
+                raise ParameterError(f"{name} must be >= 1, got {size}")
         if context_length < 1 or prediction_length < 1:
             raise ParameterError("context and prediction lengths must be >= 1")
         if loss_norm not in ("l1", "l2"):
@@ -406,7 +410,7 @@ def forecast(model: TimeGradModel, context: np.ndarray, horizon: int,
     with no_grad():
         states = model.unroll(ctx_n)
         workers.run(
-            lambda lo, hi: _rollout(model, states, lo, hi, seed, horizon),
+            lambda lo, hi: [_rollout(model, states, lo, hi, seed, horizon)],
             _block_cuts(n_samples, workers.count()),
             lambda lo, hi: f"forecast worker for paths {lo} to {hi - 1}",
             done.append)

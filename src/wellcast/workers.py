@@ -1,9 +1,10 @@
 """Contiguous blocks of independent work, run in forked worker processes.
 
 ``run`` runs the first block in the calling process and each other block in
-a forked worker, which writes nothing but its result, pickled, to a pipe;
-the caller takes the results in block order.  ``timegrad.forecast`` rolls
-blocks of paths out this way and ``cli.cmd_train`` trains blocks of groups.
+a forked worker, which writes nothing but its results, pickled, to a pipe;
+the caller takes the results one at a time, in block order.
+``timegrad.forecast`` rolls blocks of paths out this way and
+``cli.cmd_train`` trains blocks of groups.
 This is the package's one ``os.fork`` and ``os._exit``.
 """
 
@@ -58,10 +59,12 @@ def _pin(cores) -> None:
 
 
 def _fork(work, lo: int, hi: int, cores) -> tuple:
-    """Fork a worker, pinned to ``cores``, that writes ``work(lo, hi)``,
-    pickled, to a pipe; return (its pid, the pipe's read end, opened).  The
-    worker ends with os._exit: status 0 once its result is written, 1 on
-    any exception; it never flushes inherited stdio or runs exit handlers."""
+    """Fork a worker, pinned to ``cores``, that runs ``work(lo, hi)`` to the
+    end, then writes to a pipe the length of the list it returned and each
+    item, one pickle apiece; return (its pid, the pipe's read end, opened).
+    The worker ends with os._exit: status 0 once its items are written, 1
+    on any exception; it never flushes inherited stdio or runs exit
+    handlers."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -76,9 +79,11 @@ def _fork(work, lo: int, hi: int, cores) -> tuple:
             _in_worker = True
             os.close(read_end)
             _pin(cores)
-            result = memoryview(pickle.dumps(work(lo, hi)))
-            while result:
-                result = result[os.write(write_end, result):]
+            items = work(lo, hi)
+            for obj in (len(items), *items):
+                data = memoryview(pickle.dumps(obj))
+                while data:
+                    data = data[os.write(write_end, data):]
             code = 0
         finally:
             os._exit(code)
@@ -86,19 +91,34 @@ def _fork(work, lo: int, hi: int, cores) -> tuple:
     return pid, open(read_end, "rb")
 
 
+def _load(pipe) -> tuple:
+    """(the next object pickled on ``pipe``, None), or (None, the error) with
+    the rest of the pipe read, so that its worker can end."""
+    try:
+        return pickle.load(pipe), None
+    except Exception as exc:  # raised if the worker exits 0
+        pipe.read()
+        return None, exc
+
+
 def run(work, cuts: list, label, take) -> None:
-    """Run ``work(lo, hi)`` for each block [lo, hi) between consecutive
-    ``cuts`` and pass each result to ``take``, in block order.  This process
-    forks one worker for each block but the first, then runs the first
-    itself.  Each process is pinned to its own share of the cores while
-    the blocks run: left to the scheduler on a 2-vCPU VM, a worker and this
-    process often shared one vCPU, and training four groups took longer
-    than in one process.  A result is unpickled as it streams from the pipe
-    (read whole first, it raised the reforecast benchmark's peak RSS by a
-    fifth).  A worker that exits non-zero or dies by a signal, mid-result
-    or not, raises OSError naming its block by ``label(lo, hi)``, after the
-    blocks before it are taken; one that exits 0 raises any unpickling
-    error.  On any exception every live worker is killed and reaped.
+    """Run ``work(lo, hi)``, which returns a list, for each block [lo, hi)
+    between consecutive ``cuts`` and pass each item of each list to
+    ``take``, in block order.  This process forks one worker for each block
+    but the first, then runs the first itself.  Each process is pinned to
+    its own share of the cores while the blocks run: left to the scheduler
+    on a 2-vCPU VM, a worker and this process often shared one vCPU, and
+    training four groups took longer than in one process.  A worker's items
+    are unpickled as they stream from its pipe, and each is taken before
+    the next is loaded, so that this process holds one at a time: a train
+    worker's items are whole checkpoints.  A worker sends nothing until its
+    whole block is done: a pipe holds 64 KB and this process reads only
+    after its own block, so a worker that sent each item as it came would
+    wait on this process's block.  A worker that exits non-zero or dies by
+    a signal, mid-result or not, raises OSError naming its block by
+    ``label(lo, hi)``, after the items before it are taken; one that exits
+    0 raises any unpickling error.  On any exception every live worker is
+    killed and reaped.
     """
     blocks = list(zip(cuts[:-1], cuts[1:]))
     shares = _shares(len(blocks))
@@ -108,14 +128,17 @@ def run(work, cuts: list, label, take) -> None:
         _pin(shares[0])
         for b, (lo, hi) in enumerate(blocks[1:], 1):
             live[b] = _fork(work, lo, hi, shares[b])
-        take(work(*blocks[0]))
+        for item in work(*blocks[0]):
+            take(item)
         for b, (lo, hi) in enumerate(blocks[1:], 1):
             pid, pipe = live[b]
-            try:
-                result, error = pickle.load(pipe), None
-            except Exception as exc:  # raised if the worker exits 0
-                error = exc
-                pipe.read()  # the rest, so that the worker can end
+            items, error = _load(pipe)
+            for _ in range(items or 0):
+                item, error = _load(pipe)
+                if error is not None:
+                    break
+                take(item)
+                del item  # before the next one is loaded
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             live.pop(b)[1].close()
             if code:
@@ -124,7 +147,6 @@ def run(work, cuts: list, label, take) -> None:
                 raise OSError(f"{label(lo, hi)} {how}")
             if error is not None:
                 raise error
-            take(result)
     finally:
         _pin(mine)
         for pid, pipe in live.values():

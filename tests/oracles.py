@@ -2,6 +2,8 @@
 faster forms that replaced them, and tape ops that only the op-by-op
 references use."""
 
+import struct
+
 import numpy as np
 
 from wellcast import checkpoint
@@ -45,6 +47,23 @@ def time_encoding(timestamps, d_model: int, stride: float, anchor: float):
     enc[:, 0] += np.sin(phase)
     enc[:, 1] += np.cos(phase)
     return enc
+
+
+def pack_records(records: dict) -> bytes:
+    """The GCK1 bytes with each payload copied out by ``tobytes`` first: the
+    form that ``checkpoint.pack_records``'s byte views replaced."""
+    parts = [checkpoint.MAGIC, struct.pack("<I", len(records))]
+    for name, arr in records.items():
+        arr = np.ascontiguousarray(arr, dtype="<f8")
+        name_b = name.encode("utf-8")
+        parts.append(struct.pack("<I", len(name_b)))
+        parts.append(name_b)
+        parts.append(struct.pack("<I", arr.ndim))
+        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        payload = arr.tobytes()
+        parts.append(struct.pack("<Q", len(payload)))
+        parts.append(payload)
+    return b"".join(parts)
 
 
 def transpose(a: Tensor) -> Tensor:

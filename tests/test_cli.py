@@ -1,5 +1,6 @@
 import hashlib
 import os
+import pickle
 import re
 import shutil
 import signal
@@ -632,6 +633,42 @@ class TestTrainWorkers:
         assert got[2] == got[0]
         assert [(tmp_path / f"workers{n}.trained").exists()
                 for n in (1, 2, 3)] == [False, True, True]
+
+    def test_each_worker_checkpoint_is_written_before_the_next_is_loaded(
+            self, wide_field, tmp_path, capsys, monkeypatch):
+        # 4 groups on 2 workers: the worker trains the last two, and this
+        # process writes each one's files before it unpickles the next
+        events = []
+        real_load, real_write = pickle.load, checkpoint.atomic_write
+
+        def load(pipe):
+            obj = real_load(pipe)
+            items = obj if isinstance(obj, list) else [obj]
+            groups = [item[1].group for item in items
+                      if isinstance(item, tuple)]
+            if groups:
+                events.append(f"load {' '.join(groups)}")
+            return obj
+
+        def atomic_write(path, *args, **kwargs):
+            events.append(f"write {Path(path).name}")
+            return real_write(path, *args, **kwargs)
+
+        def act(root):
+            events.clear()
+            return self.train(wide_field, root), list(events)
+
+        monkeypatch.setattr(pickle, "load", load)
+        monkeypatch.setattr(checkpoint, "atomic_write", atomic_write)
+        got = self.outcomes(tmp_path, capsys, monkeypatch, None, act,
+                            counts=(1, 2))
+        writes = [f"write informer_{group}{end}" for group in GROUPS
+                  for end in ("_loss.csv", ".gck")]
+        assert got[0][0] == (0, writes)
+        assert got[1][0] == (0, writes[:4] + [f"load {GROUPS[2]}"]
+                             + writes[4:6] + [f"load {GROUPS[3]}"]
+                             + writes[6:])
+        assert got[1][1:] == got[0][1:]
 
     def test_workers_write_nothing(self, wide_field, tmp_path, capsys,
                                    monkeypatch):

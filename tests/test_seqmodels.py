@@ -82,6 +82,17 @@ class TestForwardShapes:
         with pytest.raises(ParameterError):
             tiny_informer(l_token=13)
 
+    @pytest.mark.parametrize("factory,name,size", [
+        (tiny_informer, "data_dim", 0), (tiny_informer, "d_model", 0),
+        (tiny_informer, "n_heads", 0), (tiny_informer, "ff_width", 0),
+        (tiny_informer, "n_stacks", 0), (tiny_informer, "main_blocks", 0),
+        (tiny_vanilla, "data_dim", 0), (tiny_vanilla, "d_model", -2),
+        (tiny_vanilla, "n_heads", -1), (tiny_vanilla, "ff_width", -1)])
+    def test_a_size_below_one_is_refused_by_name(self, factory, name, size):
+        with pytest.raises(ParameterError,
+                           match=f"^{name} must be >= 1, got {size}$"):
+            factory(**{name: size})
+
     def test_variance_positive_and_clamped(self):
         model = tiny_informer()
         model.head.b_lv.data[...] = 500.0  # force the clamp

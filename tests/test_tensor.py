@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from gradcheck import check_gradients
+import oracles
 from oracles import elu_sum, transpose
 from wellcast import checkpoint
 from wellcast import tensor as T
@@ -672,6 +673,45 @@ class TestCheckpoint:
                     + bytes(nbytes))
             with pytest.raises(FormatError, match="exceed numpy's array limits"):
                 unpack(blob, prefix)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(
+        st.text(max_size=5),
+        st.tuples(
+            arrays(np.uint64, array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                           max_side=4),
+                   elements=st.integers(0, 2**64 - 1) | st.sampled_from(
+                       [0x8000000000000000, 0x7FF8000000000001,
+                        0xFFF4000000000abc])),
+            st.sampled_from(["<f8", ">f8", "int64"]),
+            st.sampled_from(["whole", "transposed", "strided"])),
+        max_size=5))
+    def test_pack_has_the_tobytes_forms_bytes(self, draws):
+        # the uint64 elements are the bits: NaN payloads and -0.0 included
+        records = {}
+        for name, (bits, dtype, view) in draws.items():
+            arr = bits.view("int64" if dtype == "int64" else "<f8")
+            arr = arr.astype(dtype)
+            if view == "transposed":
+                arr = arr.T
+            elif view == "strided" and arr.ndim:
+                arr = arr[..., ::2]
+            records[name] = arr
+        assert checkpoint.pack_records(records) == \
+            oracles.pack_records(records)
+
+    def test_pack_has_the_tobytes_forms_bytes_on_edge_records(self):
+        nan = np.array([0x7FF8000000000001, 0xFFF4000000000abc],
+                       np.uint64).view("<f8")
+        records = {"s": np.array(-0.0), "": np.ones((0, 4)),
+                   "é/∑/0": np.arange(12.0).reshape(3, 4).T,
+                   "every other": np.arange(10.0)[::2], "nan": nan,
+                   "big-endian": np.arange(3.0, dtype=">f8"),
+                   "int": np.arange(-2, 2, dtype=np.int64)}
+        blob = checkpoint.pack_records(records)
+        assert type(blob) is bytes
+        assert blob == oracles.pack_records(records)
+        assert unpack(blob)["nan"].tobytes() == nan.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

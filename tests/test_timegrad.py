@@ -338,6 +338,12 @@ class TestTraining:
             T.reset_record()
         assert lengths[0] == lengths[1]
 
+    @pytest.mark.parametrize("name", ["data_dim", "hidden_dim", "n_layers"])
+    def test_a_size_below_one_is_refused_by_name(self, name):
+        with pytest.raises(ParameterError,
+                           match=f"^{name} must be >= 1, got 0$"):
+            tiny_model(**{name: 0})
+
     def test_window_too_long_raises(self):
         model = tiny_model()
         with pytest.raises(ParameterError):

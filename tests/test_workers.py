@@ -29,6 +29,7 @@ def label(lo, hi):
 
 
 def run(work, cuts):
+    """The items that ``work``'s lists pass to ``take``, in order."""
     taken = []
     workers.run(work, cuts, label, taken.append)
     return taken
@@ -70,7 +71,7 @@ def test_results_come_back_in_block_order():
     # the first block runs in this process, each other one in a worker;
     # a result larger than a pipe's buffer comes back whole
     big = bytes(range(256)) * 4096
-    taken = run(lambda lo, hi: (lo, hi, os.getpid(), big), [0, 2, 3, 7])
+    taken = run(lambda lo, hi: [(lo, hi, os.getpid(), big)], [0, 2, 3, 7])
     assert [t[:2] for t in taken] == [(0, 2), (2, 3), (3, 7)]
     assert taken[0][2] == os.getpid()
     assert len({t[2] for t in taken}) == 3
@@ -80,13 +81,13 @@ def test_results_come_back_in_block_order():
 
 def test_one_block_runs_here_without_forking(monkeypatch):
     monkeypatch.delattr(os, "fork")
-    assert run(lambda lo, hi: (lo, hi, os.getpid()), [0, 5]) == [
+    assert run(lambda lo, hi: [(lo, hi, os.getpid())], [0, 5]) == [
         (0, 5, os.getpid())]
 
 
 def test_workers_are_pinned_to_their_share_of_the_cores():
     mine = os.sched_getaffinity(0)
-    taken = run(lambda lo, hi: os.sched_getaffinity(0), [0, 1, 2])
+    taken = run(lambda lo, hi: [os.sched_getaffinity(0)], [0, 1, 2])
     assert os.sched_getaffinity(0) == mine
     if len(mine) > 1:
         assert not taken[0] & taken[1]
@@ -99,7 +100,7 @@ def test_a_refused_pin_is_no_error(monkeypatch):
         raise OSError(22, "Invalid argument")
 
     monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
-    assert run(lambda lo, hi: lo, [0, 1, 2]) == [0, 1]
+    assert run(lambda lo, hi: [lo], [0, 1, 2]) == [0, 1]
     assert no_child_left()
 
 
@@ -110,7 +111,7 @@ def test_a_worker_never_forks(monkeypatch):
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cores: None,
                         raising=False)
     assert workers.count() == 4
-    taken = run(lambda lo, hi: workers.count(), [0, 1, 2])
+    taken = run(lambda lo, hi: [workers.count()], [0, 1, 2])
     assert taken == [4, 1]
     assert no_child_left()
 
@@ -123,13 +124,13 @@ def test_a_worker_never_forks(monkeypatch):
 def test_a_dead_worker_is_an_os_error_after_the_blocks_before_it(how, status):
     def work(lo, hi):
         if lo < 2:
-            return lo
+            return [lo]
         if how == "raise":
             raise RuntimeError("worker fault")
         if how == "exit":
             os._exit(1)
         if how == "unpicklable":
-            return threading.Lock()
+            return [threading.Lock()]
         os.kill(os.getpid(), signal.SIGKILL)
 
     taken = []
@@ -146,21 +147,83 @@ def test_a_worker_killed_part_way_through_its_result_is_an_os_error():
 
     def work(lo, hi):
         if lo == 0:
-            return lo
+            return [lo]
         write = os.write
 
         def write_half_then_die(fd, data):
+            if len(data) < len(big):  # the item count
+                return write(fd, data)
             write(fd, data[:len(data) // 2])
             os.kill(os.getpid(), signal.SIGKILL)
 
         os.write = write_half_then_die  # in the worker only
-        return big
+        return [big]
 
     taken = []
     with pytest.raises(OSError, match="^worker for 1 to 1 was killed by "
                                       "signal 9$"):
         workers.run(work, [0, 1, 2], label, taken.append)
     assert taken == [0]
+    assert no_child_left()
+
+
+def test_each_item_of_each_list_is_taken_in_order():
+    # items larger than a pipe's buffer, several to a worker
+    items = [bytes([i]) * (1 << 20) for i in range(7)]
+    assert run(lambda lo, hi: items[lo:hi], [0, 2, 5, 7]) == items
+    assert no_child_left()
+
+
+def _counted(n):
+    Counted.loads += 1
+    return Counted(n)
+
+
+class Counted:
+    """An item that counts, in ``Counted.loads``, each time it is
+    unpickled."""
+
+    loads = 0
+
+    def __init__(self, n):
+        self.n = n
+
+    def __reduce__(self):
+        return _counted, (self.n,)
+
+
+def test_a_workers_items_are_loaded_one_at_a_time(monkeypatch):
+    # each item is loaded just before it is taken, not its whole list
+    monkeypatch.setattr(Counted, "loads", 0)
+    taken = []
+    workers.run(lambda lo, hi: [Counted(n) for n in range(lo, hi)],
+                [0, 1, 4, 6], label,
+                lambda item: taken.append((item.n, Counted.loads)))
+    assert taken == [(n, n) for n in range(6)]
+    assert no_child_left()
+
+
+class KillsItsWorker:
+    def __init__(self, how):
+        self.how = how
+
+    def __reduce__(self):
+        if self.how == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise RuntimeError("worker fault")
+
+
+@pytest.mark.parametrize("how,status", [
+    ("raise", "exited with status 1"), ("kill", "was killed by signal 9")])
+def test_a_worker_dead_on_its_second_item_is_an_os_error_after_its_first(
+        how, status):
+    def work(lo, hi):
+        return [lo] if lo == 0 else ["first", KillsItsWorker(how), "third"]
+
+    taken = []
+    with pytest.raises(OSError, match=f"^worker for 1 to 1 {status}$"):
+        workers.run(work, [0, 1, 2], label, taken.append)
+    assert taken == [0, "first"]
     assert no_child_left()
 
 
@@ -174,12 +237,12 @@ class RefusedHere:
 
 
 def test_a_result_that_fails_to_load_from_a_sound_worker_raises_its_error():
-    # the load fails at the result's first item, before the worker has
+    # the load fails at the worker's first item, before the worker has
     # written the rest, which is larger than the pipe's buffer
     taken = []
     with pytest.raises(ValueError, match="^refused here$"):
         workers.run(lambda lo, hi: [RefusedHere(), bytes(1 << 20)] if lo
-                    else lo, [0, 1, 2], label, taken.append)
+                    else [lo], [0, 1, 2], label, taken.append)
     assert taken == [0]
     assert no_child_left()
 
@@ -204,7 +267,7 @@ def test_an_interrupt_while_waiting_kills_every_worker(interrupt_after):
     def work(lo, hi):
         if lo > 0:
             time.sleep(60)
-        return lo
+        return [lo]
 
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt), interrupt_after(0.5):
