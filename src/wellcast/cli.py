@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 I/O error.
 
 import argparse
 import contextlib
-import io
 import os
 import sys
 import time
@@ -110,7 +109,8 @@ def build_groups(panel: data.SeriesPanel, grouping: str) -> list:
     a univariate panel).
 
     Site and channel names become file names under --out, so a name
-    holding '/' or a NUL byte is refused before anything is written.
+    holding '/' or a NUL byte, or two groups with one name, are refused
+    before anything is written.
     """
     for name in (n for column in panel.columns for n in column):
         if "/" in name or "\0" in name:
@@ -125,10 +125,15 @@ def build_groups(panel: data.SeriesPanel, grouping: str) -> list:
             sub = panel.select([(s, data.OIL), (s, data.WATER)])
             groups.append((s, data.truncate_at_breakthrough(sub)))
         return groups
-    groups = []
+    groups, pairs = [], {}  # group name -> its sites
     for i in range(0, len(sites), 2):
         pair = sites[i:i + 2]
         name = "+".join(pair)
+        if name in pairs:
+            raise ParameterError(
+                f"sites {', '.join(pairs[name])} and sites {', '.join(pair)} "
+                f"both make group {name!r}; group names become file names")
+        pairs[name] = pair
         groups.append((name, panel.select([(s, data.OIL) for s in pair])))
     return groups
 
@@ -297,15 +302,12 @@ def cmd_train(cfg: RunConfig) -> None:
 
     The groups are cut into contiguous blocks, one per ``workers.count()``
     process, or one block when two groups' files or their ``.tmp`` files
-    could collide.  This process trains the first block, logging live and
-    committing each group as it ends.  A forked worker trains each other
-    block and writes nothing: it returns each group's log lines, loss CSV
-    text and checkpoint bytes through its pipe, and this process commits
-    them in group order, each before it loads the next: it relays the
-    lines, writes the loss CSV, then the checkpoint, through
+    could collide.  ``workers.run`` hands each group's ``_Trained`` back
+    here in group order, after the lines logged while it trained; this
+    process writes its loss CSV, then its checkpoint, through
     ``checkpoint.atomic_write``, and logs it.  So the files, bytes and log
-    lines are a one-process run's for any worker count.  That holds when a
-    group fails, too: the groups before it are committed, none after it.
+    lines are a one-process run's for any worker count, also when a group
+    fails: the groups before it are committed, none after it.
     """
     cfg.validate()
     groups = build_groups(load_panel(cfg), cfg.grouping)
@@ -325,32 +327,11 @@ def cmd_train(cfg: RunConfig) -> None:
         log(command="train", group=t.group, checkpoint=ckpt,
             final_loss=t.final_loss)
 
-    def train(lo: int, hi: int) -> list:
-        if lo == 0:  # this process
-            for group, gpanel in groups[lo:hi]:
-                write(_train_group(cfg, group, gpanel))
-            return []
-        done = []  # (printed lines, _Trained or the error that stopped it)
-        for group, gpanel in groups[lo:hi]:
-            printed = io.StringIO()
-            try:
-                with contextlib.redirect_stdout(printed):
-                    t = _train_group(cfg, group, gpanel)
-            except Exception as exc:  # raised again here, in group order
-                done.append((printed.getvalue(), exc))
-                break
-            done.append((printed.getvalue(), t))
-        return done
-
-    def take(item: tuple) -> None:
-        printed, t = item
-        sys.stdout.write(printed)
-        if isinstance(t, Exception):
-            raise t
-        write(t)
-
-    workers.run(train, cuts, lambda lo, hi: (
-        f"train worker for groups {', '.join(names[lo:hi])}"), take)
+    workers.run(lambda lo, hi: (_train_group(cfg, group, gpanel)
+                                for group, gpanel in groups[lo:hi]),
+                cuts, lambda lo, hi: (
+                    f"train worker for groups {', '.join(names[lo:hi])}"),
+                write)
 
 
 def _group_context(cfg: RunConfig, model, gpanel):

@@ -388,9 +388,9 @@ def forecast(model: TimeGradModel, context: np.ndarray, horizon: int,
     forked worker each other one (``workers.run``), whose rows come back
     through its pipe, so the ensemble has the same bytes for any worker
     count.  Raises TrainingError naming the first horizon step, over all
-    blocks, whose draws are not finite, and OSError naming the paths of a
-    worker that exits non-zero or dies by a signal.  On any exception every
-    live worker is killed and reaped.
+    blocks, whose draws are not finite; a worker's own exception; and
+    OSError naming the paths of one that exits non-zero or dies by a
+    signal.  On any exception every live worker is killed and reaped.
     """
     context = np.atleast_2d(np.asarray(context, dtype=np.float64))
     if context.shape[0] != model.context_length:

@@ -1,17 +1,20 @@
 """Contiguous blocks of independent work, run in forked worker processes.
 
 ``run`` runs the first block in the calling process and each other block in
-a forked worker, which writes nothing but its results, pickled, to a pipe;
-the caller takes the results one at a time, in block order.
-``timegrad.forecast`` rolls blocks of paths out this way and
-``cli.cmd_train`` trains blocks of groups.
-This is the package's one ``os.fork`` and ``os._exit``.
+a forked worker, which writes nothing but its results, pickled, to a pipe:
+each item with the lines printed before it, then an end slot of the lines
+printed after and the exception that ended the block, or None.  The caller
+relays them in block order, so a block ends as it would in one process.
+``timegrad.forecast`` and ``cli.cmd_train`` run blocks this way.  This is
+the package's one ``os.fork``, ``os._exit`` and replacement of stdout.
 """
 
 import contextlib
+import io
 import os
 import pickle
 import signal
+import sys
 
 # set in a forked worker only, so that a worker never forks
 _in_worker = False
@@ -59,12 +62,13 @@ def _pin(cores) -> None:
 
 
 def _fork(work, lo: int, hi: int, cores) -> tuple:
-    """Fork a worker, pinned to ``cores``, that runs ``work(lo, hi)`` to the
-    end, then writes to a pipe the length of the list it returned and each
-    item, one pickle apiece; return (its pid, the pipe's read end, opened).
-    The worker ends with os._exit: status 0 once its items are written, 1
-    on any exception; it never flushes inherited stdio or runs exit
-    handlers."""
+    """Fork a worker, pinned to ``cores``, that runs ``work(lo, hi)`` with
+    stdout set to a buffer and writes to a pipe, one pickle apiece, its item
+    count, each (lines printed before it, item) and the end slot (lines
+    printed after the last, the Exception that ended the block or None);
+    return (its pid, the pipe's read end, opened).  The worker ends with
+    os._exit, 0 once the end slot is written, else 1: it never flushes
+    inherited stdio or runs exit handlers."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -79,8 +83,16 @@ def _fork(work, lo: int, hi: int, cores) -> tuple:
             _in_worker = True
             os.close(read_end)
             _pin(cores)
-            items = work(lo, hi)
-            for obj in (len(items), *items):
+            pairs, error = [], None
+            # kept: collecting it here would flush the caller's lines again
+            inherited, sys.stdout = sys.stdout, io.StringIO()
+            try:
+                for item in work(lo, hi):
+                    pairs.append((sys.stdout.getvalue(), item))
+                    sys.stdout = io.StringIO()
+            except Exception as exc:  # raised again by the caller, in order
+                error = exc
+            for obj in (len(pairs), *pairs, (sys.stdout.getvalue(), error)):
                 data = memoryview(pickle.dumps(obj))
                 while data:
                     data = data[os.write(write_end, data):]
@@ -102,22 +114,23 @@ def _load(pipe) -> tuple:
 
 
 def run(work, cuts: list, label, take) -> None:
-    """Run ``work(lo, hi)``, which returns a list, for each block [lo, hi)
-    between consecutive ``cuts`` and pass each item of each list to
-    ``take``, in block order.  This process forks one worker for each block
-    but the first, then runs the first itself.  Each process is pinned to
-    its own share of the cores while the blocks run: left to the scheduler
-    on a 2-vCPU VM, a worker and this process often shared one vCPU, and
-    training four groups took longer than in one process.  A worker's items
-    are unpickled as they stream from its pipe, and each is taken before
-    the next is loaded, so that this process holds one at a time: a train
-    worker's items are whole checkpoints.  A worker sends nothing until its
-    whole block is done: a pipe holds 64 KB and this process reads only
-    after its own block, so a worker that sent each item as it came would
-    wait on this process's block.  A worker that exits non-zero or dies by
-    a signal, mid-result or not, raises OSError naming its block by
-    ``label(lo, hi)``, after the items before it are taken; one that exits
-    0 raises any unpickling error.  On any exception every live worker is
+    """Run ``work(lo, hi)``, which returns an iterable, for each block
+    [lo, hi) between consecutive ``cuts`` and pass each item to ``take``,
+    in block order, each dropped before the next is made or loaded, so that
+    this process holds one at a time: a train worker's items are whole
+    checkpoints.  This process forks one worker for each block but the
+    first, then runs the first itself.  Each process is pinned to its own
+    share of the cores while the blocks run: left to the scheduler on a
+    2-vCPU VM, a worker and this process often shared one vCPU, and
+    training four groups took longer than in one process.  A worker's
+    items are each taken after their lines are written to stdout.  A
+    worker sends nothing until its whole block is done: a pipe holds 64 KB
+    and this process reads only after its own block, so a worker that sent
+    each item as it came would wait on this process's block.  A reaped
+    worker's end-slot exception is raised; one that exits non-zero or dies
+    by a signal, mid-result or not, raises OSError naming its block by
+    ``label(lo, hi)``, and one that exits 0 any unpickling error, after the
+    items before it are taken.  On any exception every live worker is
     killed and reaped.
     """
     blocks = list(zip(cuts[:-1], cuts[1:]))
@@ -130,15 +143,20 @@ def run(work, cuts: list, label, take) -> None:
             live[b] = _fork(work, lo, hi, shares[b])
         for item in work(*blocks[0]):
             take(item)
+            del item  # before the next one is made
         for b, (lo, hi) in enumerate(blocks[1:], 1):
             pid, pipe = live[b]
             items, error = _load(pipe)
-            for _ in range(items or 0):
-                item, error = _load(pipe)
+            for i in range(0 if error else items + 1):  # and the end slot
+                pair, error = _load(pipe)
                 if error is not None:
                     break
-                take(item)
-                del item  # before the next one is loaded
+                sys.stdout.write(pair[0])
+                if i < items:
+                    take(pair[1])
+                else:  # the exception that ended the block, or None
+                    error = pair[1]
+                del pair  # before the next one is loaded
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             live.pop(b)[1].close()
             if code:

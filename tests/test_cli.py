@@ -19,7 +19,7 @@ import pytest
 import wellcast
 from wellcast import checkpoint, cli, data, timegrad, workers
 from wellcast.cli import DEFAULT_EPOCHS, RunConfig, main
-from wellcast.errors import FormatError, ParameterError
+from wellcast.errors import FormatError, ParameterError, TrainingError
 from wellcast.evaluation import MetricsReport
 from wellcast.optim import AdamW
 from wellcast.seqmodels import InformerModel
@@ -458,9 +458,33 @@ class TestForecastWorkers:
         assert printed.err == ""
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("how", ["raise", "exit"])
+    def test_worker_error_exits_as_in_one_process(
+            self, trained_timegrad, tmp_path, capfd, monkeypatch):
+        # the block holding path 16 fails: a worker's on 3 processes, this
+        # process's own on 1, and both end alike
+        real = timegrad._rollout
+
+        def rollout(model, states, lo, hi, *args):
+            if lo <= 16 < hi:
+                raise TrainingError("path 16 refused")
+            return real(model, states, lo, hi, *args)
+
+        monkeypatch.setattr(timegrad, "_rollout", rollout)
+        for count in (1, 3):
+            monkeypatch.setattr(workers, "count", lambda: count)
+            capfd.readouterr()
+            assert self.forecast(trained_timegrad, tmp_path / "out") == 3
+            printed = capfd.readouterr()
+            assert printed.out.splitlines() == [
+                "error=numeric detail=path 16 refused"]
+            assert printed.err == ""
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("how,status", [
+        ("exit", "exited with status 1"), ("kill", "was killed by signal 9")],
+        ids=["exit", "kill"])
     def test_dead_worker_exits_4(self, trained_timegrad, tmp_path, capfd,
-                                 monkeypatch, how):
+                                 monkeypatch, how, status):
         real = timegrad._rollout
 
         def rollout(model, states, lo, *args):
@@ -468,7 +492,7 @@ class TestForecastWorkers:
                 return real(model, states, lo, *args)
             if how == "exit":
                 os._exit(1)
-            raise RuntimeError("worker fault")
+            os.kill(os.getpid(), signal.SIGKILL)
 
         monkeypatch.setattr(workers, "count", lambda: 3)
         monkeypatch.setattr(timegrad, "_rollout", rollout)
@@ -476,8 +500,7 @@ class TestForecastWorkers:
         assert self.forecast(trained_timegrad, tmp_path / "out") == 4
         printed = capfd.readouterr()
         assert printed.out.splitlines() == [
-            "error=io detail=forecast worker for paths 16 to 31 exited with "
-            "status 1"]
+            f"error=io detail=forecast worker for paths 16 to 31 {status}"]
         assert printed.err == ""
         assert not (tmp_path / "out").exists()
 
@@ -643,11 +666,9 @@ class TestTrainWorkers:
 
         def load(pipe):
             obj = real_load(pipe)
-            items = obj if isinstance(obj, list) else [obj]
-            groups = [item[1].group for item in items
-                      if isinstance(item, tuple)]
-            if groups:
-                events.append(f"load {' '.join(groups)}")
+            # a (lines, group) pair; not the item count or the end slot
+            if isinstance(obj, tuple) and isinstance(obj[1], cli._Trained):
+                events.append(f"load {obj[1].group}")
             return obj
 
         def atomic_write(path, *args, **kwargs):
@@ -1503,6 +1524,26 @@ class TestGroupings:
                    "--grouping", "oil_only_pairs", "--out", str(out),
                    *COMMON, *SIZES) == 0
         assert (out / "timegrad_SITE00+SITE01.gck").exists()
+
+    @pytest.mark.parametrize("command", ["train", "forecast", "evaluate"])
+    def test_two_groups_with_one_name_exit_2(self, wide_field, tmp_path,
+                                             capsys, command):
+        # sites a+b, c, a, b+c pair into two groups named a+b+c, which
+        # would share a checkpoint, an ensemble and a report's rows
+        panel = data.load_csv(wide_field)
+        names = dict(zip(panel.site_names, ["a+b", "c", "a", "b+c"]))
+        csv_path, out = tmp_path / "data.csv", tmp_path / "out"
+        data.save_csv(data.SeriesPanel(
+            columns=[(names[site], ch) for site, ch in panel.columns],
+            timestamps=panel.timestamps, values=panel.values), csv_path)
+        capsys.readouterr()
+        assert run(command, "--model", "informer", "--data", str(csv_path),
+                   "--grouping", "oil_only_pairs", "--out", str(out),
+                   *COMMON, *ENC) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "error=validation detail=sites a+b, c and sites a, b+c both make "
+            "group 'a+b+c'; group names become file names"]
+        assert not out.exists()
 
 
 class TestSiteNames:

@@ -745,16 +745,26 @@ class TestForecastWorkers:
             forecast(model, ctx, horizon=2, n_samples=100, seed=1)
         assert no_child_left()
 
+    def test_worker_error_is_raised_here(self, monkeypatch):
+        # as in one process: the error itself, not an OSError
+        model, ctx = self.model_and_context()
+
+        def fail(*args):
+            raise RuntimeError("worker fault")
+
+        use_workers(monkeypatch, 3)
+        monkeypatch.setattr(timegrad, "_rollout", outside_block_0(fail))
+        with pytest.raises(RuntimeError, match="^worker fault$"):
+            forecast(model, ctx, horizon=3, n_samples=48, seed=1)
+        assert no_child_left()
+
     @pytest.mark.parametrize("how,status", [
-        ("raise", "exited with status 1"),
         ("exit", "exited with status 1"),
         ("kill", "was killed by signal 9")])
     def test_dead_worker_is_an_os_error(self, monkeypatch, how, status):
         model, ctx = self.model_and_context()
 
         def die(*args):
-            if how == "raise":
-                raise RuntimeError("worker fault")
             if how == "exit":
                 os._exit(1)
             os.kill(os.getpid(), signal.SIGKILL)

@@ -1,11 +1,14 @@
 """The forked-worker helper that ``timegrad.forecast`` and ``cli.cmd_train``
-share, and a guard that it stays the package's only fork."""
+share, and guards that it stays the package's only fork and only
+replacement of stdout."""
 
 import ast
 import os
 import signal
+import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ import pytest
 import wellcast
 from srcnames import dotted, imported
 from wellcast import workers
+from wellcast.errors import ParameterError
 
 SOURCES = {p.name: p.read_text(encoding="utf-8")
            for p in sorted(Path(wellcast.__file__).parent.rglob("*.py"))}
@@ -67,6 +71,48 @@ def test_fork_guard_sees_each_way_of_forking():
         "os.forkpty in m"]
 
 
+def stdout_replacements(sources: dict[str, str]) -> list[str]:
+    """"<name> in <file>" for each mention of ``contextlib.redirect_stdout``
+    and each assignment to (or deletion of) ``sys.stdout`` in ``sources``,
+    however it was imported; sorted."""
+    found = []
+    for file, source in sources.items():
+        names = imported("", tree := ast.parse(source))
+        for node in ast.walk(tree):
+            name = dotted(names, node)
+            if (name == "contextlib.redirect_stdout"
+                    or name == "sys.stdout"
+                    and not isinstance(node.ctx, ast.Load)):
+                found.append(f"{name} in {file}")
+    return sorted(found)
+
+
+def test_only_workers_replace_stdout():
+    # a forked worker buffers its block's lines and the caller relays
+    # them, so no other module redirects stdout
+    assert stdout_replacements(SOURCES) == ["sys.stdout in workers.py"] * 2
+
+
+def test_stdout_guard_fails_on_src_plus_one_call():
+    cli = (SOURCES["cli.py"]
+           + "\nfrom contextlib import redirect_stdout as quiet\n"
+             "with quiet(None):\n    pass\n")
+    assert stdout_replacements({**SOURCES, "cli.py": cli}) == [
+        "contextlib.redirect_stdout in cli.py",
+        "sys.stdout in workers.py", "sys.stdout in workers.py"]
+
+
+def test_stdout_guard_sees_each_way_of_replacing_stdout():
+    assert stdout_replacements({"m": "\n".join([
+        "contextlib.redirect_stdout(b)", "import contextlib as c",
+        "c.redirect_stdout(b)", "import sys as s; s.stdout = b",
+        "sys.stdout, x = b, 1", "del sys.stdout", "print(sys.stdout)",
+        "sys.stdout.write('x')", "redirect_stderr(b)",
+        "s.stdout.flush()"])}) == [
+        "contextlib.redirect_stdout in m", "contextlib.redirect_stdout in m",
+        "sys.stdout in m", "sys.stdout in m", "sys.stdout in m"]
+
+
 def test_results_come_back_in_block_order():
     # the first block runs in this process, each other one in a worker;
     # a result larger than a pipe's buffer comes back whole
@@ -116,8 +162,21 @@ def test_a_worker_never_forks(monkeypatch):
     assert no_child_left()
 
 
+def test_a_worker_error_is_raised_here_after_the_blocks_before_it():
+    # as in one process: the error itself, not an OSError
+    def work(lo, hi):
+        if lo < 2:
+            return [lo]
+        raise RuntimeError("worker fault")
+
+    taken = []
+    with pytest.raises(RuntimeError, match="^worker fault$"):
+        workers.run(work, [0, 1, 2, 3], label, taken.append)
+    assert taken == [0, 1]
+    assert no_child_left()
+
+
 @pytest.mark.parametrize("how,status", [
-    ("raise", "exited with status 1"),
     ("exit", "exited with status 1"),
     ("unpicklable", "exited with status 1"),
     ("kill", "was killed by signal 9")])
@@ -125,8 +184,6 @@ def test_a_dead_worker_is_an_os_error_after_the_blocks_before_it(how, status):
     def work(lo, hi):
         if lo < 2:
             return [lo]
-        if how == "raise":
-            raise RuntimeError("worker fault")
         if how == "exit":
             os._exit(1)
         if how == "unpicklable":
@@ -201,6 +258,83 @@ def test_a_workers_items_are_loaded_one_at_a_time(monkeypatch):
                 lambda item: taken.append((item.n, Counted.loads)))
     assert taken == [(n, n) for n in range(6)]
     assert no_child_left()
+
+
+def printing(stop=None):
+    """A ``work`` that prints a line before each item of its block and one
+    after the last, or raises a ParameterError in place of item ``stop``."""
+    def work(lo, hi):
+        for n in range(lo, hi):
+            print(f"before {n}")
+            if n == stop:
+                raise ParameterError(f"refused at {n}")
+            yield n
+        print(f"after {hi - 1}")
+    return work
+
+
+def test_printed_lines_come_back_in_order_before_their_items(capsys):
+    # each take sees the lines printed before its item, and no more
+    taken = []
+    capsys.readouterr()
+    workers.run(printing(), [0, 2, 3, 5], label,
+                lambda n: taken.append((capsys.readouterr().out, n)))
+    assert taken == [
+        ("before 0\n", 0), ("before 1\n", 1), ("after 1\nbefore 2\n", 2),
+        ("after 2\nbefore 3\n", 3), ("before 4\n", 4)]
+    assert capsys.readouterr().out == "after 4\n"
+    assert no_child_left()
+
+
+def test_an_error_part_way_through_a_block_is_raised_here_after_its_items(
+        capsys):
+    # a ParameterError in place of item 3, in the second of two workers,
+    # ends the run as it would in one process: items 0 to 2 and their
+    # lines first, then the error, and nothing of the blocks after
+    taken = []
+    capsys.readouterr()
+    with pytest.raises(ParameterError, match="^refused at 3$"):
+        workers.run(printing(stop=3), [0, 1, 2, 5, 7], label,
+                    lambda n: taken.append((capsys.readouterr().out, n)))
+    assert taken == [("before 0\n", 0), ("after 0\nbefore 1\n", 1),
+                     ("after 1\nbefore 2\n", 2)]
+    assert capsys.readouterr().out == "before 3\n"
+    assert no_child_left()
+
+
+def test_a_worker_never_flushes_the_stdout_it_inherits(tmp_path,
+                                                     monkeypatch):
+    # a stream that only sys.stdout holds, with a line still in its
+    # buffer: the worker must not write that line a second time
+    monkeypatch.setattr(sys, "stdout", open(tmp_path / "out", "w"))
+    print("pending here")
+    assert run(printing(), [0, 1, 2]) == [0, 1]
+    sys.stdout.close()
+    assert (tmp_path / "out").read_text() == (
+        "pending here\nbefore 0\nafter 0\nbefore 1\nafter 1\n")
+
+
+class Item:
+    def __init__(self, n):
+        self.n = n
+
+
+def test_this_process_holds_one_item_of_its_block_at_a_time():
+    # when item n + 1 is made, nothing here holds item n any more; work
+    # is a generator expression, as cmd_train's is
+    refs, live = [], []
+
+    def make(n):
+        live.append([r() is not None for r in refs])
+        item = Item(n)
+        refs.append(weakref.ref(item))
+        return item
+
+    taken = []
+    workers.run(lambda lo, hi: (make(n) for n in range(lo, hi)), [0, 3],
+                label, lambda item: taken.append(item.n))
+    assert taken == [0, 1, 2]
+    assert live == [[], [False], [False, False]]
 
 
 class KillsItsWorker:
