@@ -14,7 +14,8 @@ record header of a file, but may read only the payloads whose names start
 with a prefix (``forecast`` reads only ``<kind>/``, not the optimizer
 moments); the size bounds still count every value the file stores.  Every
 loader takes records through ``read``, which returns the record itself,
-and only ``load_params`` copies, from a plain dict.  Every artifact, checkpoint or not, reaches disk through ``atomic_write``.
+and only ``load_params`` copies, from a plain dict.  Every artifact,
+checkpoint or not, reaches disk through ``atomic_write``.
 """
 
 import math
@@ -120,26 +121,25 @@ def _read_records(fh, size: int, prefix: str = "") -> Records:
     return records
 
 
-def staged(path) -> Path:
-    """The ``<name>.tmp`` beside ``path`` that ``atomic_write`` writes first."""
-    path = Path(path)
-    return path.with_name(path.name + ".tmp")
-
-
 def atomic_write(path, data: bytes | str) -> None:
-    """Write ``data`` (a str as utf-8) to ``staged(path)``, making the parent
-    directory first, then rename it over ``path``, so a crash leaves either
-    the old file or the new one, never a torn one.  A failed write or rename
-    leaves no ``.tmp`` behind.  Only a calling process writes: forked
-    workers (``workers.run``) send their results back through a pipe."""
+    """Write ``data`` (a str as utf-8) to ``<name>.<pid>.tmp`` beside
+    ``path``, making the parent directory first, then rename it over
+    ``path``, so a crash leaves the old file or the new one, never a torn
+    one, also with two runs writing into one directory: each write stages
+    under its own name, as a process writes one file at a time and forked
+    workers (``workers.run``) write nothing.  A failed write or rename
+    leaves no ``.tmp`` behind; a killed writer leaves its own, and no later
+    run removes it, since it cannot tell that the writer is dead."""
     if isinstance(data, str):
         data = data.encode("utf-8")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
-        staged(path).write_bytes(data)
-        os.replace(staged(path), path)
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
     except BaseException:
-        staged(path).unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -301,8 +301,8 @@ def cmd_train(cfg: RunConfig) -> None:
     """Train one model per group.
 
     The groups are cut into contiguous blocks, one per ``workers.count()``
-    process, or one block when two groups' files or their ``.tmp`` files
-    could collide.  ``workers.run`` hands each group's ``_Trained`` back
+    process, or one block when two groups' checkpoints or loss CSVs could
+    collide.  ``workers.run`` hands each group's ``_Trained`` back
     here in group order, after the lines logged while it trained; this
     process writes its loss CSV, then its checkpoint, through
     ``checkpoint.atomic_write``, and logs it.  So the files, bytes and log
@@ -313,8 +313,7 @@ def cmd_train(cfg: RunConfig) -> None:
     groups = build_groups(load_panel(cfg), cfg.grouping)
     names = [group for group, _ in groups]
     paths = [p for group in names
-             for path in (_ckpt_path(cfg, group), _loss_path(cfg, group))
-             for p in (path, checkpoint.staged(path))]
+             for p in (_ckpt_path(cfg, group), _loss_path(cfg, group))]
     k = min(len(groups), workers.count()) if _disjoint(paths) else 1
     cuts = [i * len(groups) // k for i in range(k + 1)]
 

@@ -3,8 +3,9 @@
 ``run`` runs the first block in the calling process and each other block in
 a forked worker, which writes nothing but its results, pickled, to a pipe:
 each item with the lines printed before it, then an end slot of the lines
-printed after and the exception that ended the block, or None.  The caller
-relays them in block order, so a block ends as it would in one process.
+printed after, the exception that ended the block, or None, and its
+traceback text.  The caller relays them in block order, so a block ends as
+it would in one process.
 ``timegrad.forecast`` and ``cli.cmd_train`` run blocks this way.  This is
 the package's one ``os.fork``, ``os._exit`` and replacement of stdout.
 """
@@ -15,6 +16,7 @@ import os
 import pickle
 import signal
 import sys
+import traceback
 
 # set in a forked worker only, so that a worker never forks
 _in_worker = False
@@ -42,6 +44,23 @@ def count() -> int:
     return 1
 
 
+class WorkerTraceback(Exception):
+    """The traceback text of an exception raised in a worker: pickling
+    drops an exception's traceback, so the worker sends it as text."""
+
+
+def _end_slot(lines: str, error) -> tuple:
+    """The end slot: ``lines``, ``error`` (or None) and its traceback text.
+    An error that does not pickle goes as its "TypeName: message" text."""
+    text = None if error is None else "".join(
+        traceback.format_exception(error))
+    try:
+        pickle.dumps(error)
+    except Exception:
+        error = f"{type(error).__name__}: {error}"
+    return lines, error, text
+
+
 def _shares(blocks: int) -> list:
     """For each of ``blocks`` processes, a contiguous share of the cores
     this process may run on, or None where the platform cannot pin."""
@@ -64,8 +83,8 @@ def _pin(cores) -> None:
 def _fork(work, lo: int, hi: int, cores) -> tuple:
     """Fork a worker, pinned to ``cores``, that runs ``work(lo, hi)`` with
     stdout set to a buffer and writes to a pipe, one pickle apiece, its item
-    count, each (lines printed before it, item) and the end slot (lines
-    printed after the last, the Exception that ended the block or None);
+    count, each (lines printed before it, item) and the end slot
+    (``_end_slot``);
     return (its pid, the pipe's read end, opened).  The worker ends with
     os._exit, 0 once the end slot is written, else 1: it never flushes
     inherited stdio or runs exit handlers."""
@@ -92,7 +111,8 @@ def _fork(work, lo: int, hi: int, cores) -> tuple:
                     sys.stdout = io.StringIO()
             except Exception as exc:  # raised again by the caller, in order
                 error = exc
-            for obj in (len(pairs), *pairs, (sys.stdout.getvalue(), error)):
+            for obj in (len(pairs), *pairs,
+                        _end_slot(sys.stdout.getvalue(), error)):
                 data = memoryview(pickle.dumps(obj))
                 while data:
                     data = data[os.write(write_end, data):]
@@ -130,8 +150,10 @@ def run(work, cuts: list, label, take) -> None:
     worker's end-slot exception is raised; one that exits non-zero or dies
     by a signal, mid-result or not, raises OSError naming its block by
     ``label(lo, hi)``, and one that exits 0 any unpickling error, after the
-    items before it are taken.  On any exception every live worker is
-    killed and reaped.
+    items before it are taken.  An end-slot exception that did not pickle
+    is raised as an OSError naming the block, with its type and message.
+    Either has the worker's traceback text as its ``__cause__``.  On any
+    exception every live worker is killed and reaped.
     """
     blocks = list(zip(cuts[:-1], cuts[1:]))
     shares = _shares(len(blocks))
@@ -155,7 +177,12 @@ def run(work, cuts: list, label, take) -> None:
                 if i < items:
                     take(pair[1])
                 else:  # the exception that ended the block, or None
-                    error = pair[1]
+                    error, text = pair[1:]
+                    if isinstance(error, str):  # one that did not pickle
+                        error = OSError(f"{label(lo, hi)} raised {error}")
+                    if text:  # printed before the error, as its cause
+                        error.__cause__ = WorkerTraceback(
+                            f"raised in the {label(lo, hi)}:\n{text}")
                 del pair  # before the next one is loaded
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             live.pop(b)[1].close()

@@ -608,7 +608,8 @@ class TestTrainWorkers:
                 checkpoint.save(root / ckpt, rec)
             elif how == "staging":
                 def refuse(path, blob):
-                    if path == checkpoint.staged(root / ckpt):
+                    if (path.parent == root and path.suffix == ".tmp"
+                            and path.name.startswith(f"{ckpt}.")):
                         raise OSError(28, "No space left on device", str(path))
                     return real_write(path, blob)
                 monkeypatch.setattr(Path, "write_bytes", refuse)

@@ -197,6 +197,53 @@ def test_a_dead_worker_is_an_os_error_after_the_blocks_before_it(how, status):
     assert no_child_left()
 
 
+class HoldsALock(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()  # so the exception does not pickle
+
+
+def _raise_holding_a_lock():
+    raise HoldsALock("the real message")
+
+
+def test_an_error_that_does_not_pickle_keeps_its_message():
+    # an OSError naming the block, as for a dead worker, with the message
+    def work(lo, hi):
+        if lo < 2:
+            return [lo]
+        _raise_holding_a_lock()
+
+    taken = []
+    with pytest.raises(OSError, match="^worker for 2 to 2 raised HoldsALock: "
+                                      "the real message$") as caught:
+        workers.run(work, [0, 1, 2, 3], label, taken.append)
+    assert taken == [0, 1]
+    assert "in _raise_holding_a_lock\n" in str(caught.value.__cause__)
+    assert no_child_left()
+
+
+def _refuse_in_a_worker():
+    raise ParameterError("refused in a worker")
+
+
+def test_a_relayed_error_carries_the_frame_that_raised_it():
+    def work(lo, hi):
+        if lo:
+            _refuse_in_a_worker()
+        return [lo]
+
+    with pytest.raises(ParameterError, match="^refused in a worker$") as caught:
+        workers.run(work, [0, 1, 2], label, [].append)
+    cause = caught.value.__cause__
+    assert isinstance(cause, workers.WorkerTraceback)
+    assert str(cause).startswith("raised in the worker for 1 to 1:\n"
+                                 "Traceback ")
+    assert "in _refuse_in_a_worker\n" in str(cause)
+    assert str(cause).endswith("ParameterError: refused in a worker\n")
+    assert no_child_left()
+
+
 def test_a_worker_killed_part_way_through_its_result_is_an_os_error():
     # the worker's pipe takes half of a result larger than its buffer, then
     # the worker is killed, leaving a truncated pickle to read

@@ -9,15 +9,19 @@ file opened for it), or of ``.replace`` with one positional argument and no
 keyword: that is ``Path.replace``, as ``str.replace`` takes two (so spell a
 one-argument ``datetime.replace`` with a keyword).  It cannot see a writer
 looked up by a string, bound by ``from os import *`` or called through a
-value."""
+value.  The last tests check that ``atomic_write`` stays atomic with two
+writer processes on one path, and when a writer is killed mid-write."""
 
 import ast
+import os
+import signal
 from pathlib import Path
 
 import pytest
 
 import wellcast
 from srcnames import dotted, imported
+from wellcast import checkpoint
 
 SRC = Path(wellcast.__file__).resolve().parent
 MODULES = sorted(SRC.glob("*.py"))
@@ -135,3 +139,86 @@ def test_guard_fails_on_src_plus_one_call():
     # in cli.py, Path is pathlib.Path and replace is dataclasses.replace
     source += "\nreplace(cfg, model=m)\nPath.replace(Path(cfg.out), p)\n"
     assert writes(source) == [source.count("\n")]
+
+
+def _fork(act) -> int:
+    """Fork a child that runs ``act()`` and exits 0, or 1 if it raised;
+    return its pid."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            act()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
+def test_two_writers_on_one_path_never_publish_a_torn_file(tmp_path):
+    # 20 MB apiece, so that the writes overlap: at 2 MB no read was torn
+    # even when both writers staged at one name
+    path = tmp_path / "model.gck"
+    payloads = [bytes([i]) * (20 << 20) for i in (1, 2)]
+    checkpoint.atomic_write(path, payloads[0])
+
+    def write(payload):
+        for _ in range(20):
+            checkpoint.atomic_write(path, payload)
+
+    pids = [_fork(lambda p=p: write(p)) for p in payloads]
+    reads = torn = 0
+    codes = {}
+    while len(codes) < len(pids):
+        torn += path.read_bytes() not in payloads
+        reads += 1
+        for pid in set(pids) - set(codes):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                codes[pid] = os.waitstatus_to_exitcode(status)
+    assert reads > 1 and torn == 0
+    assert list(codes.values()) == [0, 0]  # neither writer raised
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_writer_killed_mid_write_leaves_a_whole_file(tmp_path,
+                                                       monkeypatch):
+    # this process stages its payload and, before renaming it, lets a
+    # second writer stage half of its own and stop, then kills it
+    path = tmp_path / "model.gck"
+    mine, theirs = b"m" * (1 << 20), b"t" * (1 << 20)
+    go_r, go_w = os.pipe()
+    half_r, half_w = os.pipe()
+
+    def write_half(self, data):
+        with open(self, "wb") as fh:
+            fh.write(data[:len(data) // 2])
+        os.write(half_w, b"h")
+        os.read(go_r, 1)  # never sent: the writer is killed here
+
+    def theirs_write():
+        os.read(go_r, 1)
+        monkeypatch.setattr(Path, "write_bytes", write_half)
+        checkpoint.atomic_write(path, theirs)
+
+    pid = _fork(theirs_write)
+    os.close(go_r)  # so that a child that dies early ends the wait below
+    os.close(half_w)
+    real_replace = os.replace
+
+    def replace(src, dst):
+        os.write(go_w, b"g")
+        os.read(half_r, 1)
+        return real_replace(src, dst)
+
+    try:
+        monkeypatch.setattr(os, "replace", replace)
+        checkpoint.atomic_write(path, mine)
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        os.close(go_w)
+        os.close(half_r)
+    assert path.read_bytes() == mine
+    assert sorted(tmp_path.iterdir()) == [
+        path, tmp_path / f"model.gck.{pid}.tmp"]
