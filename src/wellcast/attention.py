@@ -216,12 +216,12 @@ def _top_u_rows(measures: np.ndarray, u: int, prefix: bool) -> np.ndarray:
     return active
 
 
-def _attend(q, k, v, mask=None, u=None, prefix=False):
+def _attend(q, k, v, mask=None, u=None):
     """Attention over head batches q [H, L_q, d] and k, v [H, L_k, d], under
     the checked ``_Mask`` ``mask`` (None: every key visible).
 
     Full attention when ``u`` is None; otherwise sparse attention with u
-    active queries per head, ranked per prefix when ``prefix``.  Returns the
+    active queries per head, ranked per prefix when masked.  Returns the
     output [H, L_q, d] and a function mapping its gradient to (dq, dk, dv).
     """
     n_heads, l_q, _ = q.shape
@@ -239,11 +239,11 @@ def _attend(q, k, v, mask=None, u=None, prefix=False):
         mean = _mean_term(scores, mask)
         probs, lse = _softmax_rows(scores, mask)
         measures = lse - mean
-        if prefix:
+        if mask is not None:
             # center by the uniform-scores baseline log(visible keys): a
             # flat score row then nets exactly zero whatever its count
-            measures -= np.log(l_k) if mask is None else mask.log_count
-        active = _top_u_rows(measures, u, prefix)[..., None]
+            measures -= mask.log_count
+        active = _top_u_rows(measures, u, mask is not None)[..., None]
         COUNTER.attention_dot_products += int(active.sum()) * l_k
         # a lazy row's weights are the constants mask / count (the mean of
         # the visible values), shared by every head, and carry no softmax
@@ -267,9 +267,9 @@ def _attend(q, k, v, mask=None, u=None, prefix=False):
     return out, bwd
 
 
-def _one_head(qkv: QKV, mask, u=None, prefix=False) -> Tensor:
+def _one_head(qkv: QKV, mask, u=None) -> Tensor:
     out, attend_bwd = _attend(qkv.q.data[None], qkv.k.data[None],
-                              qkv.v.data[None], mask, u, prefix)
+                              qkv.v.data[None], mask, u)
 
     def bwd(g):
         return tuple(d[0] for d in attend_bwd(g[None]))
@@ -291,7 +291,7 @@ def probsparse_attention(qkv: QKV, cfg: AttentionConfig,
     (running mean under causality) for the rest."""
     l_q, l_k = qkv.q.shape[0], qkv.k.shape[0]
     mask = _causal_constants(l_q, l_k) if causal else None
-    return _one_head(qkv, mask, top_u_count(cfg.c, l_q), causal)
+    return _one_head(qkv, mask, top_u_count(cfg.c, l_q))
 
 
 class MultiHeadWeights:
@@ -341,7 +341,7 @@ def multi_head(x_q: Tensor, x_kv: Tensor, weights: MultiHeadWeights,
         split_heads(x_q.data @ w_q), split_heads(kv[:, :width]),
         split_heads(kv[:, width:]),
         _causal_constants(l_q, l_k) if causal else None,
-        top_u_count(cfg.c, l_q) if mode == "prob" else None, causal)
+        top_u_count(cfg.c, l_q) if mode == "prob" else None)
     joined = join_heads(out)
 
     def bwd(g):

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import FormatError
 
 MAGIC = b"GCK1"
+NAME_MAX = 255  # bytes in one file name, on Linux's file systems
 
 
 def pack_records(records: dict[str, np.ndarray]) -> bytes:
@@ -127,13 +128,19 @@ def atomic_write(path, data: bytes | str) -> None:
     ``path``, so a crash leaves the old file or the new one, never a torn
     one, also with two runs writing into one directory: each write stages
     under its own name, as a process writes one file at a time and forked
-    workers (``workers.run``) write nothing.  A failed write or rename
-    leaves no ``.tmp`` behind; a killed writer leaves its own, and no later
-    run removes it, since it cannot tell that the writer is dead."""
+    workers (``workers.run``) write nothing.  ``<name>`` loses characters
+    from its end until the staged name's bytes (utf-8 on Linux) fit in
+    ``NAME_MAX``, so any name that fits there can be written.  A failed
+    write or rename leaves no ``.tmp`` behind; a killed writer leaves its
+    own, and no later run removes it, since it cannot tell that the writer
+    is dead."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    stem, suffix = path.name, f".{os.getpid()}.tmp"
+    while len(os.fsencode(stem + suffix)) > NAME_MAX:
+        stem = stem[:-1]  # a character at a time, so none is cut in two
+    tmp = path.with_name(stem + suffix)
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
         tmp.write_bytes(data)

@@ -169,14 +169,19 @@ def _build_model(cfg: RunConfig, dim: int, stride: float, init_rng=None):
         l_y=cfg.horizon, stride=stride, seed=cfg.seed, init_rng=init_rng)
 
 
-def _check_resume(cfg: RunConfig, ckpt: Path, fresh, rec: dict) -> None:
-    """Refuse to resume a checkpoint under flags it was not trained with."""
-    key = f"{cfg.model}/config"
-    wanted, saved = fresh.state_records()[key], checkpoint.read(rec, key)
+def _check_resume(cfg: RunConfig, ckpt: Path, model, rec: dict) -> None:
+    """Refuse to resume a checkpoint under flags it was not trained with:
+    its lr, and each record of the flags' ``model`` that is not a parameter
+    (``<kind>/config``, and timegrad's ``timegrad/sched``), must match."""
+    params = model.named_params()
     saved_lr = checkpoint.read(rec, "opt/hyper", (5,))[0]
     diffs = []
-    if not np.array_equal(wanted, saved):
-        diffs.append(f"{key} {saved.tolist()} vs {wanted.tolist()}")
+    for key, wanted in model.state_records().items():
+        if key in params:
+            continue
+        saved = checkpoint.read(rec, key)
+        if not np.array_equal(wanted, saved):
+            diffs.append(f"{key} {saved.tolist()} vs {wanted.tolist()}")
     if cfg.lr != saved_lr:
         diffs.append(f"lr {float(saved_lr)!r} vs {cfg.lr!r}")
     if diffs:
@@ -244,9 +249,9 @@ def _train_group(cfg: RunConfig, group: str, gpanel) -> _Trained:
     dim, stride = gpanel.values.shape[1], float(gpanel.stride)
     if ckpt.exists():
         rec = checkpoint.load(ckpt)
-        fresh = _build_model(cfg, dim, stride, checkpoint.Undrawn(rec))
-        model = MODELS[cfg.model].from_records(rec)
-        _check_resume(cfg, ckpt, fresh, rec)
+        model = _build_model(cfg, dim, stride, checkpoint.Undrawn(rec))
+        _check_resume(cfg, ckpt, model, rec)
+        checkpoint.load_params(rec, model.named_params())
         start_epoch = checkpoint.read_int(rec, "meta/epochs_done", 0, (1,))
         opt = AdamW(model.params(), lr=cfg.lr)
         opt.load_state_records(rec)

@@ -103,11 +103,11 @@ class ResidualNorm:
         return [self.gain, self.bias]
 
     def forward(self, x: Tensor, sublayer_out: Tensor, p_drop: float,
-                training: bool, rng: np.random.Generator) -> Tensor:
+                rng: np.random.Generator | None) -> Tensor:
         """layer_norm(x + dropout(sublayer_out)), recorded as one tape node;
         the dropout mask is drawn from ``rng`` as ``dropout`` draws it."""
         s = sublayer_out.data
-        keep = dropout_mask(s.shape, p_drop, training, rng)
+        keep = dropout_mask(s.shape, p_drop, rng)
         out, norm_bwd = layer_norm_array(
             x.data + (s if keep is None else s * keep),
             self.gain.data, self.bias.data)
@@ -130,11 +130,10 @@ class EncoderBlock:
         return (self.attn.params() + self.norm1.params() + self.ff.params()
                 + self.norm2.params())
 
-    def forward(self, x, cfg, mode, p_drop, training, drop_rng):
+    def forward(self, x, cfg, mode, p_drop, drop_rng):
         a = multi_head(x, x, self.attn, cfg, mode=mode, causal=False)
-        x = self.norm1.forward(x, a, p_drop, training, drop_rng)
-        return self.norm2.forward(x, self.ff.forward(x), p_drop, training,
-                                  drop_rng)
+        x = self.norm1.forward(x, a, p_drop, drop_rng)
+        return self.norm2.forward(x, self.ff.forward(x), p_drop, drop_rng)
 
 
 class DecoderLayer:
@@ -151,13 +150,12 @@ class DecoderLayer:
                 + self.cross_attn.params() + self.norm2.params()
                 + self.ff.params() + self.norm3.params())
 
-    def forward(self, x, memory, cfg, self_mode, p_drop, training, drop_rng):
+    def forward(self, x, memory, cfg, self_mode, p_drop, drop_rng):
         a = multi_head(x, x, self.self_attn, cfg, mode=self_mode, causal=True)
-        x = self.norm1.forward(x, a, p_drop, training, drop_rng)
+        x = self.norm1.forward(x, a, p_drop, drop_rng)
         c = multi_head(x, memory, self.cross_attn, cfg, mode="full", causal=False)
-        x = self.norm2.forward(x, c, p_drop, training, drop_rng)
-        return self.norm3.forward(x, self.ff.forward(x), p_drop, training,
-                                  drop_rng)
+        x = self.norm2.forward(x, c, p_drop, drop_rng)
+        return self.norm3.forward(x, self.ff.forward(x), p_drop, drop_rng)
 
 
 class GaussianHead:
@@ -253,14 +251,14 @@ class _SeqForecaster:
             out += layer.params()
         return out + self.head.params()
 
-    def _encode(self, e: Tensor, training, drop):
+    def _encode(self, e: Tensor, drop):
         parts = []
         for s, blocks in enumerate(self.stacks):
             take = _ceil_half(self.l_x, s)
             x = slice_rows(e, self.l_x - take, self.l_x) if take < self.l_x else e
             for block, dw in blocks:
                 x = block.forward(x, self.cfg, self.attention_mode, self.p_drop,
-                                  training, drop)
+                                  drop)
                 if dw:
                     x = distill(x, dw)
             parts.append(x)
@@ -309,49 +307,44 @@ class _SeqForecaster:
         mid, end = start + self.l_x, start + self.l_x + self.l_y
         ts = timestamps[start:end]
         ctx_n, stats = normalize_window(values[start:mid])
-        mean, log_var = self.forward(
-            ctx_n, ctx_n[-self.l_token:], ts[:self.l_x], ts[self.l_x:],
-            training=drop_rng is not None, drop_rng=drop_rng)
+        mean, log_var = self.forward(ctx_n, ts[:self.l_x], ts[self.l_x:],
+                                     drop_rng)
         return gaussian_nll(mean, log_var, stats.normalize(values[mid:end]))
 
     def forecast(self, context, context_ts, target_ts, n_samples, seed):
         return forecast(self, context, context_ts, target_ts, n_samples, seed)
 
-    def forward(self, x_enc, x_token, enc_timestamps, target_timestamps,
-                training: bool = False, drop_rng=None):
-        """One generative pass: Gaussian parameters for all target positions.
+    def forward(self, x_enc, enc_timestamps, target_timestamps, drop_rng=None):
+        """One generative pass: Gaussian parameters for all target positions,
+        with dropout masks drawn from ``drop_rng``, or none without it.
 
-        The decoder consumes concat(token, zero placeholder); the placeholder
-        rows carry only the target timestamps through the time encoding.
+        The decoder consumes concat(start token, zero placeholder), the token
+        being the last ``l_token`` rows of ``x_enc``; the placeholder rows
+        carry only the target timestamps through the time encoding.
         """
         x_enc = np.atleast_2d(np.asarray(x_enc, dtype=np.float64))
-        x_token = np.atleast_2d(np.asarray(x_token, dtype=np.float64))
         if x_enc.shape[0] != self.l_x:
             raise ParameterError(f"encoder input must have {self.l_x} rows")
-        if x_token.shape[0] > self.l_x:
-            raise ParameterError("start token longer than the encoder context")
         enc_ts = np.asarray(enc_timestamps, dtype=np.float64)
         tgt_ts = np.asarray(target_timestamps, dtype=np.float64)
         if len(tgt_ts) != self.l_y:
             raise ParameterError(
                 f"one-shot decoder emits {self.l_y} steps, not {len(tgt_ts)}; "
                 f"retrain at horizon {len(tgt_ts)} to forecast that many")
-        if training and drop_rng is None:
-            raise ContractError("training mode needs a dropout stream")
         anchor = float(enc_ts[0])
 
         e = self.embed_enc.forward(x_enc, enc_ts, self.stride, anchor)
-        e = dropout(e, self.p_drop, training, drop_rng)
-        memory = self._encode(e, training, drop_rng)
+        e = dropout(e, self.p_drop, drop_rng)
+        memory = self._encode(e, drop_rng)
 
-        l_tok = x_token.shape[0]
-        dec_vals = np.concatenate([x_token, np.zeros((self.l_y, self.data_dim))])
+        l_tok = self.l_token
+        dec_vals = np.concatenate([x_enc[-l_tok:], np.zeros((self.l_y, self.data_dim))])
         dec_ts = np.concatenate([enc_ts[-l_tok:], tgt_ts])
         d = self.embed_dec.forward(dec_vals, dec_ts, self.stride, anchor)
-        d = dropout(d, self.p_drop, training, drop_rng)
+        d = dropout(d, self.p_drop, drop_rng)
         for layer in self.decoder:
             d = layer.forward(d, memory, self.cfg, self.attention_mode,
-                              self.p_drop, training, drop_rng)
+                              self.p_drop, drop_rng)
         out = slice_rows(d, l_tok, l_tok + self.l_y)
         self.decoder_forward_count += 1
         return self.head.forward(out)
@@ -431,10 +424,9 @@ def forecast(model, context, context_timestamps, target_timestamps,
     if context.shape[0] != model.l_x:
         raise ParameterError(f"context must supply exactly {model.l_x} rows")
     ctx_n, stats = normalize_window(context)
-    token = ctx_n[-model.l_token:]
     with no_grad():
-        mean, log_var = model.forward(ctx_n, token, context_timestamps,
-                                      target_timestamps, training=False)
+        mean, log_var = model.forward(ctx_n, context_timestamps,
+                                      target_timestamps)
     ens = sample_paths(mean, log_var, n_samples,
                        rng_mod.stream(seed, rng_mod.PATH),
                        timestamps=target_timestamps)

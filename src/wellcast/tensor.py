@@ -325,26 +325,25 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _record((x, gain, bias), out, bwd)
 
 
-def dropout_mask(shape, p: float, training: bool,
-                 rng: np.random.Generator) -> Optional[np.ndarray]:
+def dropout_mask(shape, p: float,
+                 rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
     """The inverted-dropout multiplier for an array of ``shape`` (1/(1-p)
-    where kept, 0 where dropped), or None, drawing nothing, in eval mode or
-    at p = 0.  p must lie in [0, 1)."""
+    where kept, 0 where dropped), or None, drawing nothing, without a
+    stream ``rng`` (eval mode) or at p = 0.  p must lie in [0, 1)."""
     if not 0.0 <= p < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if rng is None or p == 0.0:
         return None
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: surviving entries are scaled by 1/(1-p) in training
-    mode; identity in eval mode.  p must lie in [0, 1)."""
-    keep = dropout_mask(x.shape, p, training, rng)
+def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
+    """Inverted dropout, its mask drawn from ``rng``: surviving entries are
+    scaled by 1/(1-p).  Without a stream (eval mode) or at p = 0 it returns
+    ``x`` itself, recording nothing.  p must lie in [0, 1)."""
+    keep = dropout_mask(x.shape, p, rng)
     if keep is None:
-        def bwd_id(g):
-            return (g,)
-        return _record((x,), x.data.copy(), bwd_id)
+        return x
 
     def bwd(g):
         return (g * keep,)

@@ -2,10 +2,10 @@
 
 ``run`` runs the first block in the calling process and each other block in
 a forked worker, which writes nothing but its results, pickled, to a pipe:
-each item with the lines printed before it, then an end slot of the lines
-printed after, the exception that ended the block, or None, and its
-traceback text.  The caller relays them in block order, so a block ends as
-it would in one process.
+each item as a pair with the lines printed before it, then an end slot of
+three: the lines printed after, the exception that ended the block, or
+None, and its traceback text.  The caller relays them in block order, so a
+block ends as it would in one process.
 ``timegrad.forecast`` and ``cli.cmd_train`` run blocks this way.  This is
 the package's one ``os.fork``, ``os._exit`` and replacement of stdout.
 """
@@ -49,16 +49,25 @@ class WorkerTraceback(Exception):
     drops an exception's traceback, so the worker sends it as text."""
 
 
-def _end_slot(lines: str, error) -> tuple:
+def _end_slot(lines: str, error, as_text: bool) -> tuple:
     """The end slot: ``lines``, ``error`` (or None) and its traceback text.
-    An error that does not pickle goes as its "TypeName: message" text."""
+    An error goes as its "TypeName: message" text if ``as_text`` or if it
+    does not pickle."""
     text = None if error is None else "".join(
         traceback.format_exception(error))
     try:
         pickle.dumps(error)
     except Exception:
+        as_text = True
+    if as_text:
         error = f"{type(error).__name__}: {error}"
     return lines, error, text
+
+
+def _write(fd: int, data: bytes) -> None:
+    data = memoryview(data)
+    while data:
+        data = data[os.write(fd, data):]
 
 
 def _shares(blocks: int) -> list:
@@ -82,12 +91,13 @@ def _pin(cores) -> None:
 
 def _fork(work, lo: int, hi: int, cores) -> tuple:
     """Fork a worker, pinned to ``cores``, that runs ``work(lo, hi)`` with
-    stdout set to a buffer and writes to a pipe, one pickle apiece, its item
-    count, each (lines printed before it, item) and the end slot
-    (``_end_slot``);
-    return (its pid, the pipe's read end, opened).  The worker ends with
-    os._exit, 0 once the end slot is written, else 1: it never flushes
-    inherited stdio or runs exit handlers."""
+    stdout set to a buffer and writes to a pipe, one pickle apiece, each
+    (lines printed before it, item) and the end slot (``_end_slot``).  An
+    item that does not pickle ends the block there: the end slot takes its
+    lines and, as text, the pickling error.  Return (its pid, the pipe's
+    read end, opened).  The worker ends with os._exit, 0 once the end slot
+    is written, else 1: it never flushes inherited stdio or runs exit
+    handlers."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -111,11 +121,15 @@ def _fork(work, lo: int, hi: int, cores) -> tuple:
                     sys.stdout = io.StringIO()
             except Exception as exc:  # raised again by the caller, in order
                 error = exc
-            for obj in (len(pairs), *pairs,
-                        _end_slot(sys.stdout.getvalue(), error)):
-                data = memoryview(pickle.dumps(obj))
-                while data:
-                    data = data[os.write(write_end, data):]
+            end, as_text = (sys.stdout.getvalue(), error), False
+            for pair in pairs:
+                try:
+                    data = pickle.dumps(pair)
+                except Exception as exc:  # sent in the end slot, as text
+                    end, as_text = (pair[0], exc), True
+                    break
+                _write(write_end, data)
+            _write(write_end, pickle.dumps(_end_slot(*end, as_text)))
             code = 0
         finally:
             os._exit(code)
@@ -150,10 +164,11 @@ def run(work, cuts: list, label, take) -> None:
     worker's end-slot exception is raised; one that exits non-zero or dies
     by a signal, mid-result or not, raises OSError naming its block by
     ``label(lo, hi)``, and one that exits 0 any unpickling error, after the
-    items before it are taken.  An end-slot exception that did not pickle
-    is raised as an OSError naming the block, with its type and message.
-    Either has the worker's traceback text as its ``__cause__``.  On any
-    exception every live worker is killed and reaped.
+    items before it are taken.  An end-slot exception that did not pickle,
+    or the error that kept an item from pickling, is raised as an OSError
+    naming the block, with that error's type and message.  Either has the
+    worker's traceback text as its ``__cause__``.  On any exception every
+    live worker is killed and reaped.
     """
     blocks = list(zip(cuts[:-1], cuts[1:]))
     shares = _shares(len(blocks))
@@ -168,22 +183,22 @@ def run(work, cuts: list, label, take) -> None:
             del item  # before the next one is made
         for b, (lo, hi) in enumerate(blocks[1:], 1):
             pid, pipe = live[b]
-            items, error = _load(pipe)
-            for i in range(0 if error else items + 1):  # and the end slot
-                pair, error = _load(pipe)
+            while True:
+                slot, error = _load(pipe)
                 if error is not None:
                     break
-                sys.stdout.write(pair[0])
-                if i < items:
-                    take(pair[1])
-                else:  # the exception that ended the block, or None
-                    error, text = pair[1:]
-                    if isinstance(error, str):  # one that did not pickle
-                        error = OSError(f"{label(lo, hi)} raised {error}")
-                    if text:  # printed before the error, as its cause
-                        error.__cause__ = WorkerTraceback(
-                            f"raised in the {label(lo, hi)}:\n{text}")
-                del pair  # before the next one is loaded
+                sys.stdout.write(slot[0])
+                if len(slot) == 2:  # (lines, item)
+                    take(slot[1])
+                    del slot  # before the next one is loaded
+                    continue
+                error, text = slot[1:]  # the end slot
+                if isinstance(error, str):  # one sent as text
+                    error = OSError(f"{label(lo, hi)} raised {error}")
+                if text:  # printed before the error, as its cause
+                    error.__cause__ = WorkerTraceback(
+                        f"raised in the {label(lo, hi)}:\n{text}")
+                break
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             live.pop(b)[1].close()
             if code:

@@ -117,7 +117,7 @@ def _check_all_ops(seed):
                          T.constant(stream(seed + 4, TRAIN).normal(size=(2, 5)))),
         [px])
     check_gradients(
-        lambda: weighted(T.dropout(a, 0.3, True, stream(seed + 5, TRAIN))),
+        lambda: weighted(T.dropout(a, 0.3, stream(seed + 5, TRAIN))),
         [a])
 
 
@@ -158,7 +158,7 @@ def test_criterion_1_autodiff():
             params = model.params()
 
             def make_loss(m=model):
-                mean, lv = m.forward(x, x[-3:], enc_ts, tgt_ts)
+                mean, lv = m.forward(x, enc_ts, tgt_ts)
                 return seqmodels.gaussian_nll(mean, lv, tgt)
 
             for seed in range(100):

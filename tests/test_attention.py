@@ -611,9 +611,10 @@ def reference_softmax_rows(scores, mask):
     return scores, (row_max + np.log(total))[..., 0]
 
 
-def reference_attend(q, k, v, mask, u, prefix):
+def reference_attend(q, k, v, mask, u):
     """_attend under an allow-mask, with -inf scores and the mask
-    constants built on every call; returns the output and its backward."""
+    constants built on every call, ranking per prefix as a masked call
+    does; returns the output and its backward."""
     l_q, l_k = mask.shape
     inv_sqrt_d = 1.0 / np.sqrt(q.shape[2])
     scores = q @ np.swapaxes(k, -1, -2)
@@ -625,9 +626,8 @@ def reference_attend(q, k, v, mask, u, prefix):
         mean = reference_mean_term(scores, mask)
         probs, lse = reference_softmax_rows(scores, mask)
         measures = lse - mean
-        if prefix:
-            measures -= np.log(mask.sum(axis=-1))
-        active = _top_u_rows(measures, u, prefix)[..., None]
+        measures -= np.log(mask.sum(axis=-1))
+        active = _top_u_rows(measures, u, True)[..., None]
         lazy_rows = ~active
         lazy = mask / mask.sum(axis=1, keepdims=True)
         np.multiply(probs, active, out=probs)
@@ -694,10 +694,9 @@ class TestMaskedAttentionBitwise:
         k[:, -1] = k[:, 0]  # tied scores
         q[:, 0] *= 40.0  # rows whose masked scores would underflow exp
         u = top_u_count(1.0, l_q) if mode == "prob" else None
-        got_out, got_bwd = _attend(q, k, v, _causal_constants(l_q, l_k), u,
-                                   u is not None)
+        got_out, got_bwd = _attend(q, k, v, _causal_constants(l_q, l_k), u)
         want_out, want_bwd = reference_attend(q, k, v, causal_mask(l_q, l_k),
-                                              u, u is not None)
+                                              u)
         assert_same_bits(got_out, want_out)
         g = rng.normal(size=got_out.shape)
         for got, want in zip(got_bwd(g), want_bwd(g)):

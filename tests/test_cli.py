@@ -119,6 +119,27 @@ class TestTrain:
         assert ("vanilla/config" in detail) == ("--horizon" in changed)
         assert (ckpt.read_bytes(), loss_csv.read_bytes()) == before
 
+    def test_resume_refuses_another_noise_schedule(self, small_field, tmp_path,
+                                                   capsys):
+        """A timegrad checkpoint whose schedule is not the flags' one is
+        refused by name, not resumed under its own schedule."""
+        csv_path, _, _ = small_field
+        out = tmp_path / "run"
+        args = ["train", "--model", "timegrad", "--data", str(csv_path),
+                "--out", str(out), *COMMON, *SIZES]
+        assert run(*args) == 0
+        ckpt, loss_csv = out / "timegrad_all.gck", out / "timegrad_all_loss.csv"
+        rec = checkpoint.load(ckpt)
+        rec["timegrad/sched"][2] = 0.2  # beta_end; the default is 0.1
+        checkpoint.save(ckpt, rec)
+        before = ckpt.read_bytes(), loss_csv.read_bytes()
+        capsys.readouterr()
+        assert run(*args) == 2
+        detail = capsys.readouterr().out
+        assert "timegrad/sched [100.0, 0.0001, 0.2] vs [100.0, 0.0001, 0.1]" in detail
+        assert "timegrad/config" not in detail and "lr " not in detail
+        assert (ckpt.read_bytes(), loss_csv.read_bytes()) == before
+
     def test_seed_reproducibility(self, small_field, tmp_path):
         csv_path, _, _ = small_field
         outs = []
@@ -667,8 +688,8 @@ class TestTrainWorkers:
 
         def load(pipe):
             obj = real_load(pipe)
-            # a (lines, group) pair; not the item count or the end slot
-            if isinstance(obj, tuple) and isinstance(obj[1], cli._Trained):
+            # a (lines, group) pair; not the end slot
+            if isinstance(obj[1], cli._Trained):
                 events.append(f"load {obj[1].group}")
             return obj
 

@@ -19,7 +19,8 @@ from wellcast.rng import DROPOUT, TRAIN, stream
 from wellcast.seqmodels import FeedForward, ResidualNorm
 from wellcast.tensor import Tensor
 
-# (training, p_drop): train mode, eval mode, and train mode at p = 0
+# (drawn, p_drop): a dropout stream (train mode), none (eval mode), and a
+# stream at p = 0
 MODES = [(True, 0.3), (False, 0.3), (True, 0.0)]
 
 
@@ -68,27 +69,27 @@ def residual_norm_case(seed=0, shape=(7, 6)):
 
 
 class TestResidualNorm:
-    @pytest.mark.parametrize("training,p_drop", MODES)
-    def test_gradients(self, training, p_drop):
+    @pytest.mark.parametrize("drawn,p_drop", MODES)
+    def test_gradients(self, drawn, p_drop):
         norm, x, sub = residual_norm_case()
 
         def loss():
-            return weighted(norm.forward(x, sub, p_drop, training,
-                                         stream(4, DROPOUT)))
+            return weighted(norm.forward(x, sub, p_drop,
+                                         stream(4, DROPOUT) if drawn else None))
 
         check_gradients(loss, [x, sub, norm.gain, norm.bias])
 
-    @pytest.mark.parametrize("training,p_drop", MODES)
+    @pytest.mark.parametrize("drawn,p_drop", MODES)
     @pytest.mark.parametrize("shape", [(96, 64), (45, 64), (1, 8)])
-    def test_matches_op_by_op_reference(self, training, p_drop, shape):
+    def test_matches_op_by_op_reference(self, drawn, p_drop, shape):
         norm, x, sub = residual_norm_case(1, shape)
         rngs = [stream(4, DROPOUT), stream(4, DROPOUT)]
 
         def fused():
-            return norm.forward(x, sub, p_drop, training, rngs[0])
+            return norm.forward(x, sub, p_drop, rngs[0] if drawn else None)
 
         def reference():
-            dropped = T.dropout(sub, p_drop, training, rngs[1])
+            dropped = T.dropout(sub, p_drop, rngs[1] if drawn else None)
             return T.layer_norm(T.add(x, dropped), norm.gain, norm.bias)
 
         assert_bitwise(run_both(fused, reference,
@@ -98,17 +99,17 @@ class TestResidualNorm:
 
     def test_one_node_and_none_without_grad(self):
         norm, x, sub = residual_norm_case()
-        norm.forward(x, sub, 0.3, True, stream(4, DROPOUT))
+        norm.forward(x, sub, 0.3, stream(4, DROPOUT))
         assert len(T.current_record()) == 1
         T.reset_record()
         with T.no_grad():
-            norm.forward(x, sub, 0.3, True, stream(4, DROPOUT))
+            norm.forward(x, sub, 0.3, stream(4, DROPOUT))
         assert len(T.current_record()) == 0
 
     def test_rejects_bad_rate(self):
         norm, x, sub = residual_norm_case()
         with pytest.raises(ParameterError, match="dropout rate"):
-            norm.forward(x, sub, 1.0, True, stream(4, DROPOUT))
+            norm.forward(x, sub, 1.0, stream(4, DROPOUT))
 
 
 def feed_forward_case(seed=0, rows=7, d_model=6, width=10):

@@ -44,14 +44,13 @@ def tiny_vanilla(data_dim=2, seed=0, **kw):
     return VanillaTransformer(data_dim, **defaults)
 
 
-def forward_window(model, seed=1, training=False, drop_rng=None):
+def forward_window(model, seed=1, drop_rng=None):
     rng = stream(seed, TRAIN)
     x_enc = rng.normal(size=(model.l_x, model.data_dim))
     enc_ts = np.arange(model.l_x) * model.stride
     tgt_ts = (model.l_x + np.arange(model.l_y)) * model.stride
-    token = x_enc[-model.l_token:]
-    return model.forward(x_enc, token, enc_ts, tgt_ts, training=training,
-                         drop_rng=drop_rng), x_enc, enc_ts, tgt_ts
+    return (model.forward(x_enc, enc_ts, tgt_ts, drop_rng), x_enc, enc_ts,
+            tgt_ts)
 
 
 class TestForwardShapes:
@@ -106,9 +105,33 @@ class TestForwardShapes:
         model = tiny_informer(l_x=16, main_blocks=2, n_stacks=2)
         e = model.embed_enc.forward(np.zeros((16, 2)), np.arange(16) * 2.0,
                                     2.0, 0.0)
-        memory = model._encode(e, False, None)
+        memory = model._encode(e, None)
         # main: 16 -> 8 -> 4; replica: tail 8 -> 4. concat: 8 rows
         assert memory.shape == (8, model.d_model)
+
+
+class TestDropoutStream:
+    @pytest.mark.parametrize("factory", [tiny_informer, tiny_vanilla])
+    def test_a_stream_at_p_zero_changes_no_bit(self, factory):
+        """Dropout runs iff a stream is given, and at p = 0 it draws
+        nothing: the outputs, the tape and the stream are as without it."""
+        model = factory(p_drop=0.0, seed=3)
+        (mean_a, lv_a), *_ = forward_window(model, seed=5)
+        nodes = len(T.current_record())
+        T.reset_record()
+        drop_rng = stream(5, TRAIN, 1)
+        (mean_b, lv_b), *_ = forward_window(model, seed=5, drop_rng=drop_rng)
+        assert len(T.current_record()) == nodes
+        assert mean_a.data.tobytes() == mean_b.data.tobytes()
+        assert lv_a.data.tobytes() == lv_b.data.tobytes()
+        assert drop_rng.random() == stream(5, TRAIN, 1).random()
+
+    def test_a_stream_draws_masks_at_a_positive_rate(self):
+        model = tiny_vanilla(seed=3)
+        (mean_a, _), *_ = forward_window(model, seed=5)
+        (mean_b, _), *_ = forward_window(model, seed=5,
+                                         drop_rng=stream(5, TRAIN, 1))
+        assert not np.array_equal(mean_a.data, mean_b.data)
 
 
 class TestOneShotDecoding:
@@ -132,8 +155,7 @@ class TestCausality:
         p = 3
         tgt_b = tgt_ts.copy()
         tgt_b[p:] += 1000.0
-        token = x_enc[-model.l_token:]
-        mean_b, lv_b = model.forward(x_enc, token, enc_ts, tgt_b)
+        mean_b, lv_b = model.forward(x_enc, enc_ts, tgt_b)
         assert np.array_equal(mean_a.data[:p], mean_b.data[:p])
         assert np.array_equal(lv_a.data[:p], lv_b.data[:p])
         assert not np.array_equal(mean_a.data[p:], mean_b.data[p:])
@@ -188,7 +210,7 @@ class TestGaussianNLL:
         tgt_ts = (6 + np.arange(2)) * 2.0
 
         def make_loss():
-            mean, log_var = model.forward(x, x[-3:], enc_ts, tgt_ts)
+            mean, log_var = model.forward(x, enc_ts, tgt_ts)
             return gaussian_nll(mean, log_var, target)
 
         # the fused attention weights whole: every head's Q block, and the K

@@ -172,23 +172,27 @@ class TestElementwise:
         assert np.allclose(out.data.mean(axis=-1), 0.0, atol=1e-12)
         assert np.allclose(out.data.std(axis=-1), 1.0, atol=1e-2)
 
+    # without a mask dropout is its input itself, and records no tape node
     def test_dropout_identity_when_p_zero(self):
-        x = Tensor(np.arange(6.0))
-        out = T.dropout(x, 0.0, True, stream(3, TRAIN))
+        x = Tensor(np.arange(6.0), requires_grad=True)
+        out = T.dropout(x, 0.0, stream(3, TRAIN))
         assert np.array_equal(out.data, x.data)
+        assert out is x and T.current_record() == []
 
     def test_dropout_eval_mode_identity(self):
-        x = Tensor(np.arange(6.0))
-        out = T.dropout(x, 0.5, False, stream(3, TRAIN))
+        # eval mode is dropout without a stream
+        x = Tensor(np.arange(6.0), requires_grad=True)
+        out = T.dropout(x, 0.5, None)
         assert np.array_equal(out.data, x.data)
+        assert out is x and T.current_record() == []
 
     def test_dropout_rejects_p_one(self):
         with pytest.raises(ParameterError):
-            T.dropout(Tensor([1.0]), 1.0, True, stream(3, TRAIN))
+            T.dropout(Tensor([1.0]), 1.0, stream(3, TRAIN))
 
     def test_dropout_scales_survivors(self):
         x = Tensor(np.ones(10000))
-        out = T.dropout(x, 0.25, True, stream(4, TRAIN))
+        out = T.dropout(x, 0.25, stream(4, TRAIN))
         kept = out.data[out.data > 0]
         assert np.allclose(kept, 1.0 / 0.75)
         assert abs(out.data.mean() - 1.0) < 0.05
@@ -386,7 +390,7 @@ class TestPerOpGradients:
         rng = stream(800 + seed, TRAIN)
         x = _rand_tensor(rng, (4, 5))
         check_gradients(
-            lambda: self._weighted(T.dropout(x, 0.3, True, stream(42, TRAIN)),
+            lambda: self._weighted(T.dropout(x, 0.3, stream(42, TRAIN)),
                                    stream(9, TRAIN)),
             [x])
 

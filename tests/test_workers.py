@@ -178,7 +178,8 @@ def test_a_worker_error_is_raised_here_after_the_blocks_before_it():
 
 @pytest.mark.parametrize("how,status", [
     ("exit", "exited with status 1"),
-    ("unpicklable", "exited with status 1"),
+    ("unpicklable",
+     "raised TypeError: cannot pickle '_thread.lock' object"),
     ("kill", "was killed by signal 9")])
 def test_a_dead_worker_is_an_os_error_after_the_blocks_before_it(how, status):
     def work(lo, hi):
@@ -255,7 +256,7 @@ def test_a_worker_killed_part_way_through_its_result_is_an_os_error():
         write = os.write
 
         def write_half_then_die(fd, data):
-            if len(data) < len(big):  # the item count
+            if len(data) < len(big):  # not the item's pair
                 return write(fd, data)
             write(fd, data[:len(data) // 2])
             os.kill(os.getpid(), signal.SIGKILL)
@@ -349,6 +350,29 @@ def test_an_error_part_way_through_a_block_is_raised_here_after_its_items(
     assert no_child_left()
 
 
+def test_an_item_that_does_not_pickle_ends_its_block_there(capsys):
+    # the items before it and their lines are taken, then the lines before
+    # it are written and the pickling error is raised as an OSError, with
+    # the worker's traceback as its cause
+    def work(lo, hi):
+        for n in range(lo, hi):
+            print(f"before {n}")
+            yield threading.Lock() if n == 3 else n
+
+    taken = []
+    capsys.readouterr()
+    with pytest.raises(OSError, match="^worker for 2 to 4 raised TypeError: "
+                                      "cannot pickle '_thread.lock' object$"
+                       ) as caught:
+        workers.run(work, [0, 2, 5], label,
+                    lambda n: taken.append((capsys.readouterr().out, n)))
+    assert taken == [("before 0\n", 0), ("before 1\n", 1), ("before 2\n", 2)]
+    assert capsys.readouterr().out == "before 3\n"
+    assert isinstance(caught.value.__cause__, workers.WorkerTraceback)
+    assert "TypeError: cannot pickle" in str(caught.value.__cause__)
+    assert no_child_left()
+
+
 def test_a_worker_never_flushes_the_stdout_it_inherits(tmp_path,
                                                      monkeypatch):
     # a stream that only sys.stdout holds, with a line still in its
@@ -395,7 +419,8 @@ class KillsItsWorker:
 
 
 @pytest.mark.parametrize("how,status", [
-    ("raise", "exited with status 1"), ("kill", "was killed by signal 9")])
+    ("raise", "raised RuntimeError: worker fault"),
+    ("kill", "was killed by signal 9")])
 def test_a_worker_dead_on_its_second_item_is_an_os_error_after_its_first(
         how, status):
     def work(lo, hi):

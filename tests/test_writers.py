@@ -222,3 +222,24 @@ def test_a_writer_killed_mid_write_leaves_a_whole_file(tmp_path,
     assert path.read_bytes() == mine
     assert sorted(tmp_path.iterdir()) == [
         path, tmp_path / f"model.gck.{pid}.tmp"]
+
+
+@pytest.mark.parametrize("name", ["a" * 250, "b" * 255, "\u20ac" * 83 + ".gck"],
+                         ids=["ascii-250", "ascii-255", "multibyte-253"])
+def test_any_name_that_fits_name_max_is_written(tmp_path, monkeypatch, name):
+    # the staged copy of the name loses whole characters from its end until
+    # it fits in 255 bytes too, and no more of them
+    staged, real = [], Path.write_bytes
+
+    def write_bytes(self, data):
+        staged.append(self.name)
+        return real(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", write_bytes)
+    checkpoint.atomic_write(tmp_path / name, "payload")
+    assert (tmp_path / name).read_text() == "payload"
+    assert list(tmp_path.iterdir()) == [tmp_path / name]
+    [tmp] = staged
+    stem = tmp.removesuffix(f".{os.getpid()}.tmp")
+    assert name.startswith(stem) and len(tmp.encode()) <= 255
+    assert len(tmp.encode()) > 255 - len("\u20ac".encode())
