@@ -10,9 +10,9 @@ ensembles; evaluation reports MSE and MASE.
 __version__ = "0.1.0"
 
 from .data import (SeriesPanel, SyntheticFieldConfig, generate_synthetic,
-                   load_csv, save_csv, split, truncate_at_breakthrough)
+                   load_csv, save_csv, truncate_at_breakthrough)
 from .diffusion import (EpsilonNet, NoiseSchedule, build_schedule, ddpm_loss,
-                        forward_sample, posterior_params, reverse_step, sample)
+                        forward_sample, reverse_step, sample)
 from .evaluation import (ForecastEnsemble, MetricsReport, best_quantile,
                          ensemble_moments, mase, mse, quantile_path)
 from .seqmodels import (InformerModel, VanillaTransformer, gaussian_nll,
@@ -22,9 +22,9 @@ from .timegrad import GRUCell, TimeGradModel, fit, forecast, normalize_window
 
 __all__ = [
     "SeriesPanel", "SyntheticFieldConfig", "generate_synthetic", "load_csv",
-    "save_csv", "split", "truncate_at_breakthrough",
+    "save_csv", "truncate_at_breakthrough",
     "EpsilonNet", "NoiseSchedule", "build_schedule", "ddpm_loss",
-    "forward_sample", "posterior_params", "reverse_step", "sample",
+    "forward_sample", "reverse_step", "sample",
     "ForecastEnsemble", "MetricsReport", "best_quantile", "ensemble_moments",
     "mase", "mse", "quantile_path",
     "InformerModel", "VanillaTransformer", "gaussian_nll", "sample_paths",

@@ -301,6 +301,7 @@ class MultiHeadWeights:
     blocks are drawn head by head (all Q, then K, then V), then laid out."""
 
     def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator):
+        self.n_heads = n_heads
         blocks = parameter(rng, (3 * n_heads, d_model, d_model // n_heads),
                            fan_in=d_model).data
         self.w_q, self.w_kv = (
@@ -318,14 +319,15 @@ def multi_head(x_q: Tensor, x_kv: Tensor, weights: MultiHeadWeights,
     """Project, attend per head, concatenate, and project back to d_model,
     recorded as one tape node over x_q, x_kv and the three weights.
 
-    Each side is projected by one matmul against its fused weight; the heads
-    then run as one batch through ``_attend``.  Residual connections and
-    layer normalization are the caller's job.
+    Each side is projected by one matmul against its fused weight; the
+    weights' own heads then run as one batch through ``_attend`` (``cfg``
+    gives only c).  Residual connections and layer normalization are the
+    caller's job.
     """
     if mode not in ("full", "prob"):
         raise ParameterError(f"mode must be 'full' or 'prob', got {mode!r}")
     l_q, l_k = x_q.shape[0], x_kv.shape[0]
-    n_heads = cfg.n_heads
+    n_heads = weights.n_heads
     w_q, w_kv, w_out = (w.data for w in weights.params())
     width = w_q.shape[1]
     d = width // n_heads

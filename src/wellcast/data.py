@@ -102,27 +102,12 @@ class SeriesPanel:
             raise ParameterError(f"no column ({site}, {channel})") from None
 
     def select(self, columns: list) -> "SeriesPanel":
-        """Sub-panel with the named (site, channel) columns (column-gathered
-        copy; temporal views stay with ``split``)."""
+        """Sub-panel with the named (site, channel) columns (a
+        column-gathered copy)."""
         idx = [self.column_index(s, c) for s, c in columns]
         return SeriesPanel(columns=list(columns), timestamps=self.timestamps,
                            values=self.values[:, idx],
                            split_index=self.split_index)
-
-
-def split(panel: SeriesPanel, train_fraction: float = 0.8) -> tuple:
-    """Contiguous temporal split at floor(fraction * T); views share storage."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ParameterError("train_fraction must lie strictly in (0, 1)")
-    t = panel.n_steps
-    k = int(train_fraction * t)
-    if k == 0 or k == t:
-        raise ParameterError(f"split at {k} leaves one side empty")
-    train = SeriesPanel(columns=panel.columns, timestamps=panel.timestamps[:k],
-                        values=panel.values[:k], split_index=k)
-    test = SeriesPanel(columns=panel.columns, timestamps=panel.timestamps[k:],
-                       values=panel.values[k:], split_index=0)
-    return train, test
 
 
 def truncate_at_breakthrough(panel: SeriesPanel) -> SeriesPanel:

@@ -12,13 +12,15 @@ where btilde_n = (1 - abar_{n-1}) / (1 - abar_n) beta_n and z = 0 at n = 1.
 
 The noise predictor is trained on
     || eps - eps_hat(sqrt(abar_n) x_0 + sqrt(1 - abar_n) eps, h, n) ||
-with the norm selectable between squared L2 and L1.
+with the norm selectable between squared L2 and L1.  The net carries the
+one schedule it is trained and sampled under, ``net.sched``.
 
 Sampling and training evaluate the same network two ways.  Training goes
-through ``EpsilonNet.forward`` on the tape, because the loss needs
-gradients for every weight, including the rows of w1 that read h and the
-step embedding.  A reverse rollout conditions all N steps on one h and
-needs no gradient, so ``EpsilonNet.conditioned`` splits w1 into its x, h
+through ``EpsilonNet.forward`` on the tape, one h row per batch row,
+because the loss needs gradients for every weight, including the rows of
+w1 that read h and the step embedding.  A reverse rollout conditions all N
+steps on one h (a row per path, or one row numpy broadcasts) and needs no
+gradient, so ``EpsilonNet.conditioned`` splits w1 into its x, h
 and embedding row blocks and hoists what the loop cannot change: h @ W1h
 once per rollout and the [N, hidden] table embed @ W1e + b1 once.  Each
 reverse step is then x_n @ W1x plus those two rows, two ELUs and two small
@@ -47,7 +49,7 @@ import numpy as np
 
 from .errors import ContractError, ParameterError
 from .tensor import (Tensor, absolute, add, concat, constant, elu, elu_inplace,
-                     matmul, mul, no_grad, parameter, sub, take_rows, tsum,
+                     matmul, mul, no_grad, parameter, sub, tsum,
                      zeros_parameter)
 
 
@@ -106,10 +108,11 @@ def build_schedule(n_steps: int = 100, beta_start: float = 1e-4,
     return schedule_from_betas(beta, beta_start=beta_start, beta_end=beta_end)
 
 
-def _check_step(n: int, sched: NoiseSchedule) -> int:
-    n = int(n)
-    if not 1 <= n <= sched.n_steps:
-        raise ParameterError(f"diffusion step {n} outside 1..{sched.n_steps}")
+def _check_step(n, sched: NoiseSchedule) -> np.ndarray:
+    n = np.asarray(n, dtype=np.intp)
+    bad = n[(n < 1) | (n > sched.n_steps)]
+    if bad.size:
+        raise ParameterError(f"diffusion step {bad[0]} outside 1..{sched.n_steps}")
     return n
 
 
@@ -120,30 +123,9 @@ def forward_sample(x0: np.ndarray, n, eps: np.ndarray, sched: NoiseSchedule) -> 
     """
     x0 = np.asarray(x0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
-    n_arr = np.asarray(n)
-    if n_arr.ndim == 0:
-        abar = sched.alpha_bar[_check_step(n_arr, sched) - 1]
-        return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
-    if np.any(n_arr < 1) or np.any(n_arr > sched.n_steps):
-        raise ParameterError("diffusion step outside schedule range")
-    abar = sched.alpha_bar[n_arr - 1][:, None]
+    # one column of abar: a scalar step's broadcasts over every row
+    abar = sched.alpha_bar[_check_step(n, sched)[..., None] - 1]
     return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
-
-
-def posterior_params(xn: np.ndarray, x0: np.ndarray, n: int,
-                     sched: NoiseSchedule) -> tuple:
-    """Mean and variance of q(x_{n-1} | x_n, x_0).
-
-    mean = sqrt(alpha_n)(1 - abar_{n-1})/(1 - abar_n) x_n
-         + sqrt(abar_{n-1}) beta_n /(1 - abar_n) x_0
-    var  = beta_tilde_n  (zero at n = 1 by the abar_0 = 1 convention)
-    """
-    i = _check_step(n, sched) - 1
-    denom = 1.0 - sched.alpha_bar[i]
-    coef_xn = np.sqrt(sched.alpha[i]) * (1.0 - sched.alpha_bar_prev[i]) / denom
-    coef_x0 = np.sqrt(sched.alpha_bar_prev[i]) * sched.beta[i] / denom
-    mean = coef_xn * np.asarray(xn, dtype=np.float64) + coef_x0 * np.asarray(x0, dtype=np.float64)
-    return mean, float(sched.beta_tilde[i])
 
 
 def sinusoidal_embedding(positions, dim: int) -> np.ndarray:
@@ -164,19 +146,20 @@ class EpsilonNet:
 
     Input is the concatenation [x_n, h, embed(n)]; two ELU hidden layers of
     equal width feed a linear output matching the data dimension, so the
-    prediction always has the shape of the injected noise.
+    prediction always has the shape of the injected noise.  ``sched`` is
+    the schedule the net is trained and sampled under.
     """
 
-    def __init__(self, data_dim: int, cond_dim: int, n_steps: int,
+    def __init__(self, data_dim: int, cond_dim: int, sched: NoiseSchedule,
                  hidden: int = 128, embed_dim: int = 64, *,
                  rng: np.random.Generator):
         self.data_dim = int(data_dim)
         self.cond_dim = int(cond_dim)
-        self.n_steps = int(n_steps)
+        self.sched = sched
         self.hidden = int(hidden)
         self.embed_dim = int(embed_dim)
-        self.embed_table = sinusoidal_embedding(np.arange(1, n_steps + 1),
-                                                embed_dim)
+        self.embed_table = sinusoidal_embedding(
+            np.arange(1, sched.n_steps + 1), embed_dim)
         in_dim = self.data_dim + self.cond_dim + embed_dim
         self.w1 = parameter(rng, (in_dim, hidden))
         self.b1 = zeros_parameter((hidden,))
@@ -195,17 +178,13 @@ class EpsilonNet:
         if x_n.shape[1] != self.data_dim:
             raise ContractError(
                 f"data dimension {x_n.shape[1]} does not match network ({self.data_dim})")
-        n_arr = np.atleast_1d(np.asarray(n, dtype=np.intp))
-        if n_arr.size == 1:
-            n_arr = np.full(batch, n_arr[0], dtype=np.intp)
-        emb = self.embed_table[n_arr - 1]
+        emb = self.embed_table[
+            np.broadcast_to(np.asarray(n, dtype=np.intp), (batch,)) - 1]
         h_t = h if isinstance(h, Tensor) else constant(np.atleast_2d(h))
-        if h_t.shape[0] == 1 and batch > 1:
-            # share one conditioning row across the batch
-            h_t = take_rows(h_t, np.zeros(batch, dtype=np.intp))
-        if h_t.shape[1] != self.cond_dim:
+        if h_t.shape != (batch, self.cond_dim):
             raise ContractError(
-                f"conditioning width {h_t.shape[1]} does not match network ({self.cond_dim})")
+                f"conditioning of shape {h_t.shape} does not fit x_n of shape "
+                f"{x_n.shape}: the network needs ({batch}, {self.cond_dim})")
         inp = concat([constant(x_n), h_t, constant(emb)], axis=1)
         z1 = elu(add(matmul(inp, self.w1), self.b1))
         z2 = elu(add(matmul(z1, self.w2), self.b2))
@@ -232,12 +211,13 @@ class EpsilonNet:
         table = self.embed_table @ w1[d + c:] + self.b1.data
         w2, b2 = self.w2.data, self.b2.data
         w3, b3 = self.w3.data, self.b3.data
+        n_steps = self.sched.n_steps
         bufs = ()
 
         def predict(x_n: np.ndarray, n: int) -> np.ndarray:
             nonlocal bufs
-            if not 1 <= n <= self.n_steps:
-                raise ParameterError(f"diffusion step {n} outside 1..{self.n_steps}")
+            if not 1 <= n <= n_steps:
+                raise ParameterError(f"diffusion step {n} outside 1..{n_steps}")
             if not bufs or len(bufs[0]) != len(x_n):
                 # the two [B, hidden] activations, the ELU scratch and b2's block
                 shape = (len(x_n), self.hidden)
@@ -257,12 +237,12 @@ class EpsilonNet:
         return predict
 
 
-def ddpm_loss(x0, h_prev, net: EpsilonNet, sched: NoiseSchedule,
-              rng: np.random.Generator, norm: str = "l1") -> Tensor:
+def ddpm_loss(x0, h_prev, net: EpsilonNet, rng: np.random.Generator,
+              norm: str = "l1") -> Tensor:
     """Noise-prediction loss for one or more timesteps.
 
     Draws n ~ Uniform{1..N} and eps ~ N(0, I) per row from ``rng``, noises
-    x0 in closed form and scores the predictor against the injected noise:
+    x0 in closed form under ``net.sched`` and scores the predictor against the injected noise:
     squared L2 or element-sum L1, summed over rows.
     """
     if norm not in ("l1", "l2"):
@@ -272,9 +252,9 @@ def ddpm_loss(x0, h_prev, net: EpsilonNet, sched: NoiseSchedule,
     if dim != net.data_dim:
         raise ContractError(
             f"data dimension {dim} does not match network ({net.data_dim})")
-    n = rng.integers(1, sched.n_steps + 1, size=batch)
+    n = rng.integers(1, net.sched.n_steps + 1, size=batch)
     eps = rng.standard_normal((batch, dim))
-    x_n = forward_sample(x0, n, eps, sched)
+    x_n = forward_sample(x0, n, eps, net.sched)
     pred = net.forward(x_n, h_prev, n)
     resid = sub(constant(eps), pred)
     if norm == "l2":
@@ -303,26 +283,24 @@ def _posterior_update(xn: np.ndarray, eps_hat: np.ndarray, z, coefs: tuple,
     return eps_hat
 
 
-def reverse_step(xn, h_prev, n: int, net: EpsilonNet, sched: NoiseSchedule,
-                 z) -> np.ndarray:
+def reverse_step(xn, h_prev, n: int, net: EpsilonNet, z) -> np.ndarray:
     """One reverse-chain update from x_n to x_{n-1}, through ``net.forward``.
 
     The caller supplies z ~ N(0, I) for n > 1 and z = 0 at n = 1; ``sample``
     enforces the final-step branch.  ``sample`` runs the same update on the
     hoisted predictor; this single step is its reference.
     """
-    n = _check_step(n, sched)
+    n = int(_check_step(n, net.sched))
     xn = np.asarray(xn, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     with no_grad():
         eps_hat = net.forward(np.atleast_2d(xn), h_prev, n).data
     eps_hat = eps_hat.reshape(xn.shape)
-    coefs = _update_coefs(sched)[n - 1]
+    coefs = _update_coefs(net.sched)[n - 1]
     return _posterior_update(xn, eps_hat, z, coefs, np.empty_like(eps_hat))
 
 
-def sample(x_init, h_prev, net: EpsilonNet, sched: NoiseSchedule,
-           noise) -> np.ndarray:
+def sample(x_init, h_prev, net: EpsilonNet, noise) -> np.ndarray:
     """Full reverse rollout from x_N = ``x_init`` down to a data-space draw.
 
     ``noise`` holds at least N - 1 draws of x_init's shape: noise[i] is z at
@@ -334,7 +312,7 @@ def sample(x_init, h_prev, net: EpsilonNet, sched: NoiseSchedule,
     x = np.asarray(x_init, dtype=np.float64)
     shape = x.shape
     x = np.atleast_2d(x)
-    big_n = sched.n_steps
+    big_n = net.sched.n_steps
     noise = np.asarray(noise, dtype=np.float64)
     if noise.ndim < 1 or noise.shape[1:] != shape or len(noise) < big_n - 1:
         raise ParameterError(
@@ -342,7 +320,7 @@ def sample(x_init, h_prev, net: EpsilonNet, sched: NoiseSchedule,
             f"array of shape {noise.shape}")
     noise = noise.reshape(len(noise), *x.shape)
     predict = net.conditioned(h_prev)
-    coefs = _update_coefs(sched)
+    coefs = _update_coefs(net.sched)
     scratch = np.empty(x.shape)
     for i, n in enumerate(range(big_n, 0, -1)):
         z = noise[i] if n > 1 else np.zeros(x.shape)

@@ -397,20 +397,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return _record((a,), out, bwd)
 
 
-def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows along axis 0; duplicate indices accumulate in backward."""
-    idx = np.asarray(indices, dtype=np.intp)
-    out = a.data[idx]
-    shape = a.shape
-
-    def bwd(g):
-        dz = np.zeros(shape)
-        np.add.at(dz, idx, g)
-        return (dz,)
-
-    return _record((a,), out, bwd)
-
-
 def tsum(a: Tensor, axis=None) -> Tensor:
     out = a.data.sum(axis=axis)
     shape = a.shape

@@ -211,11 +211,13 @@ class TimeGradModel:
         self.context_length = int(context_length)
         self.prediction_length = int(prediction_length)
         self.loss_norm = loss_norm
-        self.sched = sched if sched is not None else build_schedule()
         rng = init_rng or rng_mod.stream(seed, rng_mod.TRAIN, 9000)
         self.layers = [GRUCell(data_dim if i == 0 else hidden_dim, hidden_dim, rng)
                        for i in range(int(n_layers))]
-        self.eps_net = EpsilonNet(data_dim, hidden_dim, self.sched.n_steps, rng=rng)
+        self.eps_net = EpsilonNet(data_dim, hidden_dim,
+                                  sched or build_schedule(), rng=rng)
+
+    sched = property(lambda self: self.eps_net.sched)
 
     def params(self) -> list:
         out = []
@@ -329,7 +331,7 @@ def window_loss(model: TimeGradModel, ctx: np.ndarray, target: np.ndarray,
     inputs = np.concatenate([ctx_n, target_n[:-1]])
     h_all = model.sequences(inputs)[-1]
     h_batch = slice_rows(h_all, ctx_n.shape[0] - 1, inputs.shape[0])
-    return ddpm_loss(target_n, h_batch, model.eps_net, model.sched, rng,
+    return ddpm_loss(target_n, h_batch, model.eps_net, rng,
                      norm=model.loss_norm)
 
 
@@ -369,7 +371,7 @@ def _rollout(model, states: list, lo: int, hi: int, seed: int,
         for gen, block in zip(gens, noise):
             gen.standard_normal(out=block)
         x = sample(noise[:, 0], states[-1].data, model.eps_net,
-                   model.sched, noise=noise[:, 1:].swapaxes(0, 1))
+                   noise=noise[:, 1:].swapaxes(0, 1))
         if not np.isfinite(x).all():
             return t, out
         out[:, t, :] = x

@@ -202,8 +202,7 @@ def test_criterion_3_generative_sanity():
         rng = stream(22, TRAIN)
         draws = 2000
         out = sample(rng.standard_normal((draws, 1)), np.zeros((draws, 0)),
-                     net, sched,
-                     rng.standard_normal((sched.n_steps - 1, draws, 1)))
+                     net, rng.standard_normal((sched.n_steps - 1, draws, 1)))
         frac_neg = float(np.mean(out < 0.0))
         assert abs(frac_neg - 0.5) < 0.1
 
@@ -211,7 +210,7 @@ def test_criterion_3_generative_sanity():
         net_c = train_toy_net(np.full(64, c), sched, steps=800, seed=23)
         rng = stream(24, TRAIN)
         out_c = sample(rng.standard_normal((10_000, 1)),
-                       np.zeros((10_000, 0)), net_c, sched,
+                       np.zeros((10_000, 0)), net_c,
                        rng.standard_normal((sched.n_steps - 1, 10_000, 1)))
         assert abs(out_c.mean() - c) < 0.05 * abs(c)
 

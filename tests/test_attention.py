@@ -373,6 +373,18 @@ class TestMultiHead:
         assert np.allclose(out[:, :d], swapped[:, d:], atol=1e-12)
         assert np.allclose(out[:, d:], swapped[:, :d], atol=1e-12)
 
+    @pytest.mark.parametrize("mode", ["full", "prob"])
+    def test_heads_come_from_the_weights(self, mode):
+        rng = stream(23, TRAIN)
+        weights = MultiHeadWeights(8, 4, rng)
+        x = Tensor(rng.normal(size=(7, 8)))
+        want = multi_head(x, x, weights, AttentionConfig(8, 4, c=1.0),
+                          mode=mode).data
+        for cfg_heads in (1, 2, 8):
+            got = multi_head(x, x, weights, AttentionConfig(8, cfg_heads, c=1.0),
+                             mode=mode).data
+            assert got.tobytes() == want.tobytes()
+
     def test_multi_head_gradcheck(self):
         rng = stream(21, TRAIN)
         cfg = AttentionConfig(d_model=4, n_heads=2, c=5.0)

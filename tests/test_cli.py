@@ -733,7 +733,8 @@ class TestTrainWorkers:
 
     @pytest.mark.parametrize("count", [2, 3])
     @pytest.mark.parametrize("how,status", [
-        ("exit", "exited with status 1"), ("kill", "was killed by signal 9")])
+        ("exit", "exited with status 1"), ("kill", "was killed by signal 9")],
+        ids=["exit", "kill"])
     def test_dead_worker_exits_4(self, wide_trained, tmp_path, capsys,
                                  monkeypatch, count, how, status):
         real = cli._train_group

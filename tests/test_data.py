@@ -14,7 +14,7 @@ from wellcast.data import (CSV_HEADER, EPOCH, SeriesPanel,
                            SyntheticFieldConfig, _snap_6_decimals,
                            _well_series, arps_rate, config_from_text,
                            config_to_text, epoch_days_to_date,
-                           generate_synthetic, load_csv, save_csv, split,
+                           generate_synthetic, load_csv, save_csv,
                            truncate_at_breakthrough)
 from wellcast.errors import (FormatError, NoBreakthroughError, ParameterError,
                              ValidationError)
@@ -72,37 +72,6 @@ class TestSeriesPanel:
         sub = p.select([("A", "water")])
         assert sub.columns == [("A", "water")]
         assert np.array_equal(sub.values[:, 0], p.values[:, 1])
-
-
-class TestSplit:
-    def test_arithmetic(self):
-        p = panel_from(np.ones((10, 1)))
-        train, test = split(p, 0.8)
-        assert train.n_steps == 8 and test.n_steps == 2
-
-    def test_7200_split(self):
-        p = panel_from(np.ones((7200, 1)))
-        train, test = split(p, 0.8)
-        assert train.n_steps == 5760 and test.n_steps == 1440
-
-    def test_views_share_storage_and_partition(self):
-        p = panel_from(np.arange(20.0).reshape(10, 2) + 1.0)
-        train, test = split(p, 0.8)
-        assert np.shares_memory(train.values, p.values)
-        assert np.shares_memory(test.values, p.values)
-        rebuilt = np.concatenate([train.values, test.values])
-        assert np.array_equal(rebuilt, p.values)
-        rebuilt_ts = np.concatenate([train.timestamps, test.timestamps])
-        assert np.array_equal(rebuilt_ts, p.timestamps)
-
-    def test_empty_side_rejected(self):
-        p = panel_from(np.ones((3, 1)))
-        with pytest.raises(ParameterError):
-            split(p, 0.01)  # floor(0.01 * 3) = 0: empty train side
-        with pytest.raises(ParameterError):
-            split(p, 1.5)
-        with pytest.raises(ParameterError):
-            split(p, 0.0)
 
 
 class TestTruncation:

@@ -406,9 +406,6 @@ class TestPerOpGradients:
         check_gradients(
             lambda: self._weighted(T.slice_rows(a, 1, 3), stream(11, TRAIN)), [a])
         check_gradients(
-            lambda: self._weighted(T.take_rows(a, np.array([2, 0, 2])), stream(12, TRAIN)),
-            [a])
-        check_gradients(
             lambda: self._weighted(T.tsum(a, axis=0), stream(13, TRAIN)), [a])
 
 

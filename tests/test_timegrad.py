@@ -283,6 +283,20 @@ def tiny_model(data_dim=2, seed=3, **kw):
     return TimeGradModel(data_dim, **defaults)
 
 
+class TestModelSchedule:
+    def test_model_reads_its_nets_schedule(self):
+        model = tiny_model()
+        assert model.sched is model.eps_net.sched
+        assert TimeGradModel(2).sched.n_steps == 100
+
+    def test_rebuilt_model_writes_the_same_schedule_record(self):
+        rec = tiny_model().state_records()
+        back = TimeGradModel.from_records(rec)
+        assert back.sched is back.eps_net.sched
+        got = back.state_records()["timegrad/sched"]
+        assert got.tobytes() == rec["timegrad/sched"].tobytes()
+
+
 class TestTraining:
     def test_empty_epoch_changes_nothing(self):
         model = tiny_model()
@@ -310,7 +324,7 @@ class TestTraining:
                 states = model.step_state(x[None, :], states)
                 rows.append(states[-1])
             h_batch = T.concat(rows[ctx_n.shape[0] - 1:], axis=0)
-            return ddpm_loss(target_n, h_batch, model.eps_net, model.sched,
+            return ddpm_loss(target_n, h_batch, model.eps_net,
                              stream(46, TRAIN), norm=model.loss_norm)
 
         grads = []
@@ -516,8 +530,7 @@ class TestForecast:
                 x = noise[:, t, 0]
                 for n in range(big_n, 0, -1):
                     z = np.zeros_like(x) if n == 1 else noise[:, t, big_n - n + 1]
-                    x = reverse_step(x, states[-1].data, n, model.eps_net,
-                                     model.sched, z)
+                    x = reverse_step(x, states[-1].data, n, model.eps_net, z)
                 ref[:, t] = x
                 states = model.step_state(x, states)
         ref = stats.denormalize(ref)

@@ -180,7 +180,7 @@ def test_a_worker_error_is_raised_here_after_the_blocks_before_it():
     ("exit", "exited with status 1"),
     ("unpicklable",
      "raised TypeError: cannot pickle '_thread.lock' object"),
-    ("kill", "was killed by signal 9")])
+    ("kill", "was killed by signal 9")], ids=["exit", "unpicklable", "kill"])
 def test_a_dead_worker_is_an_os_error_after_the_blocks_before_it(how, status):
     def work(lo, hi):
         if lo < 2:
@@ -420,7 +420,7 @@ class KillsItsWorker:
 
 @pytest.mark.parametrize("how,status", [
     ("raise", "raised RuntimeError: worker fault"),
-    ("kill", "was killed by signal 9")])
+    ("kill", "was killed by signal 9")], ids=["raise", "kill"])
 def test_a_worker_dead_on_its_second_item_is_an_os_error_after_its_first(
         how, status):
     def work(lo, hi):

@@ -14,14 +14,13 @@ def train_toy_net(x0_draws, sched, steps=1500, lr=2e-3, seed=11, norm="l2",
                   hidden=64):
     """Fit an EpsilonNet on a fixed pool of 1-D draws (no conditioning)."""
     rng = stream(seed, TRAIN)
-    net = EpsilonNet(1, 0, sched.n_steps, hidden=hidden, embed_dim=32, rng=rng)
+    net = EpsilonNet(1, 0, sched, hidden=hidden, embed_dim=32, rng=rng)
     opt = AdamW(net.params(), lr=lr)
     pool = np.asarray(x0_draws, dtype=np.float64).reshape(-1, 1)
     batch = 64
     for _ in range(steps):
         idx = rng.integers(0, len(pool), size=batch)
-        loss = ddpm_loss(pool[idx], np.zeros((batch, 0)), net, sched, rng,
-                         norm=norm)
+        loss = ddpm_loss(pool[idx], np.zeros((batch, 0)), net, rng, norm=norm)
         opt.zero_grad()
         T.backward(loss)
         opt.step()
