@@ -67,21 +67,6 @@ COUNTER = OpCounter()
 
 
 @dataclass
-class AttentionConfig:
-    d_model: int
-    n_heads: int
-    c: float = 5.0
-
-    def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ParameterError(
-                f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if not 0 < self.c < np.inf:  # also rejects nan
-            raise ParameterError(
-                f"sampling constant c must be positive and finite, got {self.c}")
-
-
-@dataclass
 class QKV:
     q: Tensor
     k: Tensor
@@ -285,13 +270,12 @@ def full_attention(qkv: QKV, mask: np.ndarray | None = None) -> Tensor:
     return _one_head(qkv, mask)
 
 
-def probsparse_attention(qkv: QKV, cfg: AttentionConfig,
-                         causal: bool = False) -> Tensor:
-    """Sparse attention: exact rows for active queries, mean-of-values rows
-    (running mean under causality) for the rest."""
+def probsparse_attention(qkv: QKV, c: float, causal: bool = False) -> Tensor:
+    """Sparse attention with sampling constant ``c``: exact rows for active
+    queries, mean-of-values rows (running mean under causality) for the rest."""
     l_q, l_k = qkv.q.shape[0], qkv.k.shape[0]
     mask = _causal_constants(l_q, l_k) if causal else None
-    return _one_head(qkv, mask, top_u_count(cfg.c, l_q))
+    return _one_head(qkv, mask, top_u_count(c, l_q))
 
 
 class MultiHeadWeights:
@@ -301,6 +285,9 @@ class MultiHeadWeights:
     blocks are drawn head by head (all Q, then K, then V), then laid out."""
 
     def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator):
+        if d_model % n_heads != 0:
+            raise ParameterError(
+                f"d_model {d_model} not divisible by n_heads {n_heads}")
         self.n_heads = n_heads
         blocks = parameter(rng, (3 * n_heads, d_model, d_model // n_heads),
                            fan_in=d_model).data
@@ -314,15 +301,14 @@ class MultiHeadWeights:
 
 
 def multi_head(x_q: Tensor, x_kv: Tensor, weights: MultiHeadWeights,
-               cfg: AttentionConfig, mode: str = "full",
-               causal: bool = False) -> Tensor:
+               c: float, mode: str = "full", causal: bool = False) -> Tensor:
     """Project, attend per head, concatenate, and project back to d_model,
     recorded as one tape node over x_q, x_kv and the three weights.
 
     Each side is projected by one matmul against its fused weight; the
-    weights' own heads then run as one batch through ``_attend`` (``cfg``
-    gives only c).  Residual connections and layer normalization are the
-    caller's job.
+    weights' own heads then run as one batch through ``_attend``, sparse
+    ones with the sampling constant ``c``.  Residual connections and layer
+    normalization are the caller's job.
     """
     if mode not in ("full", "prob"):
         raise ParameterError(f"mode must be 'full' or 'prob', got {mode!r}")
@@ -343,7 +329,7 @@ def multi_head(x_q: Tensor, x_kv: Tensor, weights: MultiHeadWeights,
         split_heads(x_q.data @ w_q), split_heads(kv[:, :width]),
         split_heads(kv[:, width:]),
         _causal_constants(l_q, l_k) if causal else None,
-        top_u_count(cfg.c, l_q) if mode == "prob" else None)
+        top_u_count(c, l_q) if mode == "prob" else None)
     joined = join_heads(out)
 
     def bwd(g):

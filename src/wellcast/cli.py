@@ -38,7 +38,6 @@ def log(**kw) -> None:
 
 @dataclass
 class RunConfig:
-    command: str = ""
     model: str = "informer"
     data: str = ""
     synthetic_config: str = ""
@@ -490,9 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="flat key=value file")
     for f in fields(RunConfig):
-        if f.name != "command":
-            parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                                type=type(f.default), choices=CHOICES.get(f.name))
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            type=type(f.default), choices=CHOICES.get(f.name))
     return parser
 
 
@@ -500,8 +498,8 @@ def config_from_args(args) -> RunConfig:
     """The --config file's fields, overridden by the flags given."""
     text = data.read_text(args.config) if args.config else ""
     cfg = RunConfig(**data.parse_config(text, RunConfig))
-    for f in fields(RunConfig):  # command included: the parser sets it
-        flag = getattr(args, f.name, None)
+    for f in fields(RunConfig):
+        flag = getattr(args, f.name)
         if flag is not None:
             setattr(cfg, f.name, flag)
     return cfg

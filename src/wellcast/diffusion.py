@@ -179,7 +179,7 @@ class EpsilonNet:
             raise ContractError(
                 f"data dimension {x_n.shape[1]} does not match network ({self.data_dim})")
         emb = self.embed_table[
-            np.broadcast_to(np.asarray(n, dtype=np.intp), (batch,)) - 1]
+            np.broadcast_to(_check_step(n, self.sched), (batch,)) - 1]
         h_t = h if isinstance(h, Tensor) else constant(np.atleast_2d(h))
         if h_t.shape != (batch, self.cond_dim):
             raise ContractError(

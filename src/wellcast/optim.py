@@ -7,10 +7,14 @@ nonzero decay shrinks weights by exactly that factor.
 The moments of consecutive parameters share flat blocks of at most
 ``BLOCK_ELEMENTS`` values (a larger parameter gets a block of its own),
 cut from one zeroed array per moment; ``m[i]`` and ``v[i]`` are views of
-them shaped like parameter i.  A large zeroed array comes as fresh pages
-that take memory only once written, so an optimizer that never steps
-holds almost no moment memory.  A step
-updates each run of a block's consecutive parameters that have gradients
+them shaped like parameter i.  A large zeroed array that comes as fresh
+pages takes memory only once written, so an optimizer that never steps
+holds almost no moment memory, but only while ``np.zeros`` gets such
+pages.  Once glibc's heap has grown, it serves the moments from there
+instead: in the informer training benchmark, after its training chunks,
+each further ``AdamW`` over the model's 236,000 values (two moments of
+1.9 MB) raised RSS by 2.9 to 3.35 MB.  A step updates each
+run of a block's consecutive parameters that have gradients
 at once: one concatenate gathers their gradients, and a dozen in-place
 vector ops over the run give every element the arithmetic of the
 one-array-at-a-time update, so results are bit-identical to it.  A block,

@@ -15,8 +15,7 @@ layers and a higher dropout rate.
 Decoding is generative and one-shot: the decoder input concatenates a start
 token (the tail of the encoder context) with a zero-valued placeholder that
 carries only the target timestamps, and every target position is emitted in
-a single forward pass.  An instrumented counter records decoder passes so
-tests can assert the one-pass contract.
+a single forward pass.
 """
 
 import inspect
@@ -24,8 +23,7 @@ import inspect
 import numpy as np
 
 from . import rng as rng_mod
-from .attention import (AttentionConfig, DistillWeights, MultiHeadWeights,
-                        distill, multi_head)
+from .attention import DistillWeights, MultiHeadWeights, distill, multi_head
 from .checkpoint import Undrawn, load_params, read, read_int
 from .diffusion import sinusoidal_embedding
 from .errors import ContractError, ParameterError, TrainingError
@@ -130,8 +128,8 @@ class EncoderBlock:
         return (self.attn.params() + self.norm1.params() + self.ff.params()
                 + self.norm2.params())
 
-    def forward(self, x, cfg, mode, p_drop, drop_rng):
-        a = multi_head(x, x, self.attn, cfg, mode=mode, causal=False)
+    def forward(self, x, c, mode, p_drop, drop_rng):
+        a = multi_head(x, x, self.attn, c, mode=mode, causal=False)
         x = self.norm1.forward(x, a, p_drop, drop_rng)
         return self.norm2.forward(x, self.ff.forward(x), p_drop, drop_rng)
 
@@ -150,11 +148,11 @@ class DecoderLayer:
                 + self.cross_attn.params() + self.norm2.params()
                 + self.ff.params() + self.norm3.params())
 
-    def forward(self, x, memory, cfg, self_mode, p_drop, drop_rng):
-        a = multi_head(x, x, self.self_attn, cfg, mode=self_mode, causal=True)
+    def forward(self, x, memory, c, self_mode, p_drop, drop_rng):
+        a = multi_head(x, x, self.self_attn, c, mode=self_mode, causal=True)
         x = self.norm1.forward(x, a, p_drop, drop_rng)
-        c = multi_head(x, memory, self.cross_attn, cfg, mode="full", causal=False)
-        x = self.norm2.forward(x, c, p_drop, drop_rng)
+        a = multi_head(x, memory, self.cross_attn, c, mode="full", causal=False)
+        x = self.norm2.forward(x, a, p_drop, drop_rng)
         return self.norm3.forward(x, self.ff.forward(x), p_drop, drop_rng)
 
 
@@ -217,21 +215,24 @@ class _SeqForecaster:
         if d_model % 2:
             raise ParameterError(f"d_model {d_model} must be even: the time "
                                  f"encoding pairs a sine with a cosine")
-        self.cfg = AttentionConfig(d_model=d_model, n_heads=n_heads, c=c)
+        if not 0 < c < np.inf:  # also rejects nan
+            raise ParameterError(
+                f"sampling constant c must be positive and finite, got {c}")
         self.data_dim = int(data_dim)
         self.d_model = int(d_model)
+        self.n_heads = n_heads
+        self.c = c
         self.ff_width = int(ff_width)
         self.p_drop = float(p_drop)
         self.l_x = int(l_x)
         self.l_token = int(l_token)
         self.l_y = int(l_y)
         self.stride = float(stride)
-        self.decoder_forward_count = 0
         rng = init_rng or rng_mod.stream(seed, rng_mod.TRAIN, 7000)
         self.embed_enc = ValueEmbedding(data_dim, d_model, rng)
         self.embed_dec = ValueEmbedding(data_dim, d_model, rng)
         # stack s runs on the tail ceil(L_x / 2^s) rows with one fewer block
-        width = (self.d_model, self.cfg.n_heads, self.ff_width)
+        width = (self.d_model, self.n_heads, self.ff_width)
         self.stacks = [[(EncoderBlock(*width, rng),
                          DistillWeights(self.d_model, rng) if self.distilling
                          else None)
@@ -257,16 +258,12 @@ class _SeqForecaster:
             take = _ceil_half(self.l_x, s)
             x = slice_rows(e, self.l_x - take, self.l_x) if take < self.l_x else e
             for block, dw in blocks:
-                x = block.forward(x, self.cfg, self.attention_mode, self.p_drop,
+                x = block.forward(x, self.c, self.attention_mode, self.p_drop,
                                   drop)
                 if dw:
                     x = distill(x, dw)
             parts.append(x)
         return concat(parts, axis=0) if len(parts) > 1 else parts[0]
-
-    # config_keys entries that live on the attention config
-    n_heads = property(lambda self: self.cfg.n_heads)
-    c = property(lambda self: self.cfg.c)
 
     def named_params(self) -> dict:
         return {f"{self.kind}/p/{i}": p for i, p in enumerate(self.params())}
@@ -343,11 +340,9 @@ class _SeqForecaster:
         d = self.embed_dec.forward(dec_vals, dec_ts, self.stride, anchor)
         d = dropout(d, self.p_drop, drop_rng)
         for layer in self.decoder:
-            d = layer.forward(d, memory, self.cfg, self.attention_mode,
+            d = layer.forward(d, memory, self.c, self.attention_mode,
                               self.p_drop, drop_rng)
-        out = slice_rows(d, l_tok, l_tok + self.l_y)
-        self.decoder_forward_count += 1
-        return self.head.forward(out)
+        return self.head.forward(slice_rows(d, l_tok, l_tok + self.l_y))
 
 
 class InformerModel(_SeqForecaster):

@@ -16,8 +16,8 @@ from gradcheck import check_gradients
 from toys import train_toy_net
 from wellcast import data, evaluation, seqmodels, timegrad
 from wellcast import tensor as T
-from wellcast.attention import (AttentionConfig, QKV, causal_mask,
-                                full_attention, probsparse_attention)
+from wellcast.attention import (QKV, causal_mask, full_attention,
+                                probsparse_attention)
 from wellcast.data import SyntheticFieldConfig
 from wellcast.diffusion import build_schedule, sample
 from wellcast.errors import NoBreakthroughError
@@ -233,8 +233,7 @@ def test_criterion_4_probsparse_reduction():
             qkv = QKV(Tensor(rng.normal(size=(l_q, d))),
                       Tensor(rng.normal(size=(l_k, d))),
                       Tensor(rng.normal(size=(l_k, d))))
-            cfg = AttentionConfig(d_model=d, n_heads=1, c=1e6)
-            sparse = probsparse_attention(qkv, cfg, causal=causal)
+            sparse = probsparse_attention(qkv, 1e6, causal=causal)
             dense = full_attention(
                 qkv, causal_mask(l_q, l_k) if causal else None)
             assert np.abs(sparse.data - dense.data).max() < 1e-10
@@ -259,11 +258,10 @@ def test_criterion_5_causality():
             dense_b = full_attention(
                 QKV(Tensor(pert), Tensor(pert), Tensor(pert)), mask)
             assert np.array_equal(dense_a.data[:t0 + 1], dense_b.data[:t0 + 1])
-            cfg = AttentionConfig(d_model=d, n_heads=1, c=1.0)
             sparse_a = probsparse_attention(
-                QKV(Tensor(base), Tensor(base), Tensor(base)), cfg, causal=True)
+                QKV(Tensor(base), Tensor(base), Tensor(base)), 1.0, causal=True)
             sparse_b = probsparse_attention(
-                QKV(Tensor(pert), Tensor(pert), Tensor(pert)), cfg, causal=True)
+                QKV(Tensor(pert), Tensor(pert), Tensor(pert)), 1.0, causal=True)
             assert np.array_equal(sparse_a.data[:t0 + 1], sparse_b.data[:t0 + 1])
 
 
@@ -285,17 +283,25 @@ def test_criterion_6_distill_lengths():
 # criterion 7: one-shot decoding
 # -------------------------------------------------------------------------
 
-def test_criterion_7_one_shot_decoding():
+def test_criterion_7_one_shot_decoding(monkeypatch):
     with criterion(7, "45 forecast steps from exactly one decoder pass"):
         model = seqmodels.InformerModel(2, d_model=8, n_heads=2, ff_width=16,
                                         l_x=24, l_token=12, l_y=45, seed=70)
         ctx = stream(700, EVAL).normal(size=(24, 2))
-        before = model.decoder_forward_count
+        calls, layer_forward = [], seqmodels.DecoderLayer.forward
+
+        def counted(layer, x, *args):
+            calls.append((layer, x.shape[0]))
+            return layer_forward(layer, x, *args)
+
+        monkeypatch.setattr(seqmodels.DecoderLayer, "forward", counted)
         ens = seqmodels.forecast(model, ctx, np.arange(24) * 2.0,
                                  (24 + np.arange(45)) * 2.0,
                                  n_samples=100, seed=0)
         assert ens.samples.shape == (100, 45, 2)
-        assert model.decoder_forward_count - before == 1
+        # one pass: each decoder layer runs once, over the token and all 45
+        # target rows
+        assert calls == [(layer, 12 + 45) for layer in model.decoder]
 
 
 # -------------------------------------------------------------------------

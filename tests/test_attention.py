@@ -9,12 +9,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from gradcheck import check_gradients
 from oracles import transpose
 from wellcast import tensor as T
-from wellcast.attention import (COUNTER, AttentionConfig, DistillWeights,
-                                MultiHeadWeights, QKV, _attend,
-                                _causal_constants, _earlier, _mean_term,
-                                _scaled_scores, _softmax_rows, _top_u_rows,
-                                _uniform_weights, causal_mask, distill,
-                                full_attention, multi_head,
+from wellcast.attention import (COUNTER, DistillWeights, MultiHeadWeights,
+                                QKV, _attend, _causal_constants, _earlier,
+                                _mean_term, _scaled_scores, _softmax_rows,
+                                _top_u_rows, _uniform_weights, causal_mask,
+                                distill, full_attention, multi_head,
                                 probsparse_attention, top_u_count)
 from wellcast.errors import DimensionError, ParameterError
 from wellcast.rng import TRAIN, stream
@@ -116,10 +115,10 @@ def measure(q_i, keys):
     return float(measures(q_i, keys)[0])
 
 
-def top_queries(q, keys, cfg):
+def top_queries(q, keys, c):
     """Ascending indices of the u queries that unmasked sparse attention
     grants exact rows."""
-    u = top_u_count(cfg.c, len(q))
+    u = top_u_count(c, len(q))
     return np.flatnonzero(_top_u_rows(measures(q, keys), u, False))
 
 
@@ -164,22 +163,22 @@ class TestSparsityMeasure:
 class TestSelectTopQueries:
     def test_saturation_returns_all_in_order(self):
         rng = stream(9, TRAIN)
-        cfg = AttentionConfig(d_model=4, n_heads=1, c=50.0)
+        c = 50.0
         q = rng.normal(size=(5, 4))
         k = rng.normal(size=(6, 4))
-        sel = top_queries(q, k, cfg)
+        sel = top_queries(q, k, c)
         assert np.array_equal(sel, np.arange(5))
 
     def test_dominant_query_selected_first(self):
         # one query aligned with a key direction produces a one-hot-ish score
         # row; uniform rows give minimal M, so the spiky query must win
-        cfg = AttentionConfig(d_model=4, n_heads=1, c=0.1)
+        c = 0.1
         keys = np.eye(4)
         q = np.vstack([np.ones(4) * 0.2,
                        np.ones(4) * 0.2,
                        np.array([8.0, 0.0, 0.0, 0.0]),
                        np.ones(4) * 0.2])
-        sel = top_queries(q, keys, cfg)
+        sel = top_queries(q, keys, c)
         assert top_u_count(0.1, 4) == 1
         assert np.array_equal(sel, [2])
         # brute-force M ranking oracle
@@ -187,11 +186,11 @@ class TestSelectTopQueries:
         assert np.argmax(ms) == 2
 
     def test_tie_break_lower_indices(self):
-        cfg = AttentionConfig(d_model=4, n_heads=1, c=1.0)
+        c = 1.0
         q = np.tile(np.ones(4), (6, 1))
         k = stream(10, TRAIN).normal(size=(5, 4))
         u = top_u_count(1.0, 6)
-        sel = top_queries(q, k, cfg)
+        sel = top_queries(q, k, c)
         assert np.array_equal(sel, np.arange(u))
 
     def test_u_formula(self):
@@ -247,17 +246,16 @@ class TestProbSparse:
         d = int(rng.integers(1, 5))
         causal = bool(seed % 2 == 0)  # causal needs L_k == L_q alignment here
         qkv = make_qkv(rng, l_q, l_k, d)
-        cfg = AttentionConfig(d_model=d, n_heads=1, c=1000.0)
-        sparse = probsparse_attention(qkv, cfg, causal=causal)
+        sparse = probsparse_attention(qkv, 1000.0, causal=causal)
         dense = full_attention(qkv, causal_mask(l_q, l_k) if causal else None)
         assert np.abs(sparse.data - dense.data).max() < 1e-10
 
     def test_lazy_rows_get_mean_of_values(self):
         rng = stream(11, TRAIN)
-        cfg = AttentionConfig(d_model=3, n_heads=1, c=0.1)  # u = 1
+        c = 0.1  # u = 1
         qkv = make_qkv(rng, 4, 4, 3)
-        out = probsparse_attention(qkv, cfg, causal=False)
-        sel = top_queries(qkv.q.data, qkv.k.data, cfg)
+        out = probsparse_attention(qkv, c, causal=False)
+        sel = top_queries(qkv.q.data, qkv.k.data, c)
         dense = full_attention(qkv)
         mean_v = qkv.v.data.mean(axis=0)
         for i in range(4):
@@ -270,13 +268,13 @@ class TestProbSparse:
         # force the active set: zero queries have exactly-uniform score rows
         # (zero excess measure), the aligned query at row 2 exceeds them
         rng = stream(12, TRAIN)
-        cfg = AttentionConfig(d_model=3, n_heads=1, c=0.1)  # u = 1
+        c = 0.1  # u = 1
         keys = rng.normal(size=(5, 3))
         q = np.zeros((5, 3))
         q[2] = keys[1] * 4.0
         v = rng.normal(size=(5, 3))
         qkv = QKV(Tensor(q), Tensor(keys), Tensor(v))
-        out = probsparse_attention(qkv, cfg, causal=True)
+        out = probsparse_attention(qkv, c, causal=True)
         running = np.cumsum(v, axis=0) / np.arange(1, 6)[:, None]
         dense = full_attention(qkv, causal_mask(5, 5))
         for i in (1, 3, 4):  # lazy rows: running mean of visible values
@@ -286,17 +284,17 @@ class TestProbSparse:
 
     def test_causal_bit_exact(self):
         rng = stream(13, TRAIN)
-        cfg = AttentionConfig(d_model=4, n_heads=1, c=1.0)
+        c = 1.0
         base = rng.normal(size=(8, 4))
         keys = base.copy()
         t0 = 4
         for mode_causal in (True,):
             qkv_a = QKV(Tensor(base.copy()), Tensor(keys.copy()), Tensor(keys.copy()))
-            out_a = probsparse_attention(qkv_a, cfg, causal=mode_causal)
+            out_a = probsparse_attention(qkv_a, c, causal=mode_causal)
             perturbed = base.copy()
             perturbed[t0 + 1:] += rng.normal(size=(8 - t0 - 1, 4)) * 5.0
             qkv_b = QKV(Tensor(perturbed), Tensor(perturbed), Tensor(perturbed))
-            out_b = probsparse_attention(qkv_b, cfg, causal=mode_causal)
+            out_b = probsparse_attention(qkv_b, c, causal=mode_causal)
             assert np.array_equal(out_a.data[:t0 + 1], out_b.data[:t0 + 1])
 
     def test_full_attention_causal_bit_exact(self):
@@ -312,9 +310,8 @@ class TestProbSparse:
 
     def test_convex_combination_in_sparse_mode(self):
         rng = stream(15, TRAIN)
-        cfg = AttentionConfig(d_model=4, n_heads=1, c=0.5)
         qkv = make_qkv(rng, 9, 9, 4)
-        out = probsparse_attention(qkv, cfg, causal=False)
+        out = probsparse_attention(qkv, 0.5, causal=False)
         lo = qkv.v.data.min(axis=0) - 1e-12
         hi = qkv.v.data.max(axis=0) + 1e-12
         assert np.all(out.data >= lo) and np.all(out.data <= hi)
@@ -322,22 +319,21 @@ class TestProbSparse:
     def test_dot_product_counter(self):
         rng = stream(16, TRAIN)
         l_q, l_k, d = 10, 12, 4
-        cfg = AttentionConfig(d_model=d, n_heads=1, c=1.0)
         qkv = make_qkv(rng, l_q, l_k, d)
         COUNTER.reset()
-        probsparse_attention(qkv, cfg, causal=False)
+        probsparse_attention(qkv, 1.0, causal=False)
         u = top_u_count(1.0, l_q)
         assert COUNTER.measure_dot_products == l_q * l_k
         assert COUNTER.attention_dot_products == u * l_k
 
     def test_gradients_through_sparse_path(self):
         rng = stream(17, TRAIN)
-        cfg = AttentionConfig(d_model=2, n_heads=1, c=0.5)
+        c = 0.5
         qkv = make_qkv(rng, 5, 5, 2, requires_grad=True)
         w = T.constant(stream(18, TRAIN).normal(size=(5, 2)))
 
         def make_loss():
-            return T.tsum(T.mul(probsparse_attention(qkv, cfg, causal=True), w))
+            return T.tsum(T.mul(probsparse_attention(qkv, c, causal=True), w))
 
         check_gradients(make_loss, [qkv.q, qkv.k, qkv.v])
 
@@ -346,60 +342,70 @@ class TestMultiHead:
     def test_single_head_identity_projections_match_full(self):
         rng = stream(19, TRAIN)
         d_model = 4
-        cfg = AttentionConfig(d_model=d_model, n_heads=1, c=5.0)
         weights = MultiHeadWeights(d_model, 1, rng)
         assert [w.shape for w in weights.params()] == [(4, 4), (4, 8), (4, 4)]
         weights.w_q.data = weights.w_out.data = np.eye(d_model)
         weights.w_kv.data = np.hstack([np.eye(d_model)] * 2)
         x = Tensor(rng.normal(size=(6, d_model)))
-        out = multi_head(x, x, weights, cfg, mode="full")
+        out = multi_head(x, x, weights, 5.0, mode="full")
         direct = full_attention(QKV(x, x, x))
         assert np.allclose(out.data, direct.data, atol=1e-12)
 
     def test_head_permutation_permutes_concat_blocks(self):
         rng = stream(20, TRAIN)
         d_model, n_heads = 8, 2
-        cfg = AttentionConfig(d_model=d_model, n_heads=n_heads, c=5.0)
+        c = 5.0
         weights = MultiHeadWeights(d_model, n_heads, rng)
         weights.w_out.data = np.eye(d_model)  # expose the concatenation
         x = Tensor(rng.normal(size=(5, d_model)))
-        out = multi_head(x, x, weights, cfg, mode="full").data
+        out = multi_head(x, x, weights, c, mode="full").data
         # swap the two heads' column blocks of Q, of K and of V
         d = d_model // n_heads
         swap = np.r_[d:2 * d, 0:d]
         weights.w_q.data = weights.w_q.data[:, swap]
         weights.w_kv.data = weights.w_kv.data[:, np.r_[swap, swap + d_model]]
-        swapped = multi_head(x, x, weights, cfg, mode="full").data
+        swapped = multi_head(x, x, weights, c, mode="full").data
         assert np.allclose(out[:, :d], swapped[:, d:], atol=1e-12)
         assert np.allclose(out[:, d:], swapped[:, :d], atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["full", "prob"])
     def test_heads_come_from_the_weights(self, mode):
+        # 4-head weights run as 4 heads of width 2, not as any other split
         rng = stream(23, TRAIN)
         weights = MultiHeadWeights(8, 4, rng)
         x = Tensor(rng.normal(size=(7, 8)))
-        want = multi_head(x, x, weights, AttentionConfig(8, 4, c=1.0),
-                          mode=mode).data
-        for cfg_heads in (1, 2, 8):
-            got = multi_head(x, x, weights, AttentionConfig(8, cfg_heads, c=1.0),
-                             mode=mode).data
-            assert got.tobytes() == want.tobytes()
+        q = x.data @ weights.w_q.data
+        kv = x.data @ weights.w_kv.data
+
+        def split_as(n_heads):
+            d, heads = 8 // n_heads, []
+            for lo in range(0, 8, d):
+                qkv = QKV(Tensor(q[:, lo:lo + d]), Tensor(kv[:, lo:lo + d]),
+                          Tensor(kv[:, 8 + lo:8 + lo + d]))
+                heads.append((full_attention(qkv) if mode == "full"
+                               else probsparse_attention(qkv, 1.0)).data)
+            return np.hstack(heads) @ weights.w_out.data
+
+        got = multi_head(x, x, weights, 1.0, mode=mode).data
+        assert np.allclose(got, split_as(4), rtol=0, atol=1e-12)
+        for other in (1, 2, 8):
+            assert not np.allclose(got, split_as(other), rtol=0, atol=1e-6)
 
     def test_multi_head_gradcheck(self):
         rng = stream(21, TRAIN)
-        cfg = AttentionConfig(d_model=4, n_heads=2, c=5.0)
+        c = 5.0
         weights = MultiHeadWeights(4, 2, rng)
         x = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
         w = T.constant(stream(22, TRAIN).normal(size=(4, 4)))
 
         def make_loss():
-            return T.tsum(T.mul(multi_head(x, x, weights, cfg, mode="full",
+            return T.tsum(T.mul(multi_head(x, x, weights, c, mode="full",
                                            causal=True), w))
 
         check_gradients(make_loss, [x, weights.w_q])
 
 
-def reference_multi_head(x_q, x_kv, weights, cfg, mode, causal):
+def reference_multi_head(x_q, x_kv, weights, c, mode, causal):
     """multi_head from one-head tape ops on column blocks of the fused
     weights, with the query selection written out here; returns the output
     and the expected COUNTER deltas."""
@@ -407,7 +413,8 @@ def reference_multi_head(x_q, x_kv, weights, cfg, mode, causal):
     mask = causal_mask(l_q, l_k) if causal else np.ones((l_q, l_k), bool)
     counts = mask.sum(axis=1)
     heads, measure_dots, attention_dots = [], 0, 0
-    d, width = cfg.d_model // cfg.n_heads, cfg.d_model
+    width = weights.w_q.shape[1]
+    d = width // weights.n_heads
 
     def columns(w, lo):  # w[:, lo:lo + d], on the tape
         return transpose(T.slice_rows(transpose(w), lo, lo + d))
@@ -426,7 +433,7 @@ def reference_multi_head(x_q, x_kv, weights, cfg, mode, causal):
             lse = np.array([np.log(np.exp(s[i][mask[i]]).sum())
                             for i in range(l_q)])
             measure = lse - np.where(mask, s, 0.0).sum(axis=1) / counts
-            u = top_u_count(cfg.c, l_q)
+            u = top_u_count(c, l_q)
             if causal:
                 active = prefix_rank_loop(measure - np.log(counts), u)
             else:
@@ -462,11 +469,10 @@ class TestFusedMultiHead:
     @pytest.mark.parametrize("mode,causal,c,cross", FUSED_CASES)
     def test_gradcheck_every_input(self, mode, causal, c, cross):
         weights, x_q, x_kv, probe = fused_inputs(0, cross)
-        cfg = AttentionConfig(d_model=4, n_heads=2, c=c)
         assert (top_u_count(c, 5) < 5) == (c == 0.5)
 
         def make_loss():
-            return T.tsum(T.mul(multi_head(x_q, x_kv, weights, cfg, mode=mode,
+            return T.tsum(T.mul(multi_head(x_q, x_kv, weights, c, mode=mode,
                                            causal=causal), probe))
 
         inputs = [x_q] + ([x_kv] if cross else [])
@@ -475,14 +481,13 @@ class TestFusedMultiHead:
     @pytest.mark.parametrize("mode,causal,c,cross", FUSED_CASES)
     def test_matches_one_head_tape_reference(self, mode, causal, c, cross):
         weights, x_q, x_kv, probe = fused_inputs(1, cross, d_model=8, l_q=9)
-        cfg = AttentionConfig(d_model=8, n_heads=2, c=c)
         inputs = [x_q] + ([x_kv] if cross else []) + weights.params()
         results = []
         for build in (multi_head, reference_multi_head):
             for t in inputs:
                 t.grad = None
             COUNTER.reset()
-            out = build(x_q, x_kv, weights, cfg, mode, causal)
+            out = build(x_q, x_kv, weights, c, mode, causal)
             if build is multi_head:
                 counted = (COUNTER.measure_dot_products,
                            COUNTER.attention_dot_products)
@@ -501,15 +506,13 @@ class TestFusedMultiHead:
     @pytest.mark.parametrize("causal", [False, True])
     def test_one_tape_node_per_call(self, mode, causal):
         weights, x_q, _, _ = fused_inputs(2, False, d_model=8, l_q=12)
-        cfg = AttentionConfig(d_model=8, n_heads=2, c=1.0)
-        multi_head(x_q, x_q, weights, cfg, mode=mode, causal=causal)
+        multi_head(x_q, x_q, weights, 1.0, mode=mode, causal=causal)
         assert len(T.current_record()) == 1
 
     def test_no_grad_records_nothing(self):
         weights, x_q, _, _ = fused_inputs(3, False)
-        cfg = AttentionConfig(d_model=4, n_heads=2, c=1.0)
         with T.no_grad():
-            out = multi_head(x_q, x_q, weights, cfg, mode="prob", causal=True)
+            out = multi_head(x_q, x_q, weights, 1.0, mode="prob", causal=True)
         assert T.current_record() == [] and not out.requires_grad
 
 
@@ -754,7 +757,6 @@ class TestMaskedAttentionBitwise:
         no_key[1] = False
         with pytest.raises(ParameterError):
             full_attention(qkv, no_key)
-        cfg = AttentionConfig(d_model=2, n_heads=1, c=1.0)
         with pytest.raises(ParameterError):  # causal with L_k < L_q
-            probsparse_attention(make_qkv(stream(28, TRAIN), 4, 2, 2), cfg,
+            probsparse_attention(make_qkv(stream(28, TRAIN), 4, 2, 2), 1.0,
                                  causal=True)

@@ -829,6 +829,16 @@ class TestConfigFile:
         conf.write_text("bogus=1\n")
         assert run("train", "--config", str(conf)) == 2
 
+    def test_command_key_rejected(self, tmp_path, capsys):
+        # the command is named on the command line only
+        conf = tmp_path / "bad.cfg"
+        conf.write_text("command=evaluate\n")
+        out = tmp_path / "o"
+        assert run("generate", "--config", str(conf), "--out", str(out)) == 2
+        assert ("unknown config key at line 1: 'command=evaluate'"
+                in capsys.readouterr().out)
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["horizon=abc", "lr=fast"])
     def test_non_numeric_value_exits_2(self, tmp_path, capsys, line):
         conf = tmp_path / "bad.cfg"
@@ -1192,7 +1202,7 @@ class TestMalformedInputs:
         layers = [block.attn for blocks in model.stacks for block, _ in blocks]
         layers += [attn for layer in model.decoder
                    for attn in (layer.self_attn, layer.cross_attn)]
-        heads = model.cfg.n_heads
+        heads = model.n_heads
         pieces = {}
         for attn in layers:
             pieces[id(attn.w_q)] = np.split(attn.w_q.data, heads, axis=1)

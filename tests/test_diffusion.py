@@ -341,6 +341,29 @@ class TestNetOwnsItsSchedule:
                            match=rf"shape \({h_rows}, 4\).*shape \(3, 2\)"):
             net.forward(np.zeros((3, 2)), np.zeros((h_rows, 4)), 2)
 
+    @pytest.mark.parametrize("steps,bad", [
+        (0, 0), (6, 6), ([1, 0, 2], 0), ([5, 6, 5], 6)],
+        ids=["scalar-0", "scalar-N+1", "row-0", "row-N+1"])
+    def test_forward_refuses_a_step_outside_the_schedule(self, steps, bad):
+        net = EpsilonNet(2, 4, build_schedule(5), hidden=8, embed_dim=8,
+                         rng=stream(83, TRAIN))
+        with pytest.raises(ParameterError,
+                           match=rf"^diffusion step {bad} outside 1\.\.5$"):
+            net.forward(np.zeros((3, 2)), np.zeros((3, 4)), steps)
+
+    @pytest.mark.parametrize("steps", [1, 5, [1, 3, 5]])
+    def test_forward_reads_the_embedding_row_of_its_step(self, steps):
+        net = EpsilonNet(2, 4, build_schedule(5), hidden=8, embed_dim=8,
+                         rng=stream(84, TRAIN))
+        rng = stream(85, TRAIN)
+        x, h = rng.normal(size=(3, 2)), rng.normal(size=(3, 4))
+        emb = net.embed_table[np.broadcast_to(steps, (3,)) - 1]
+        inp = T.constant(np.hstack([x, h, emb]))
+        z1 = T.elu(T.add(T.matmul(inp, net.w1), net.b1))
+        z2 = T.elu(T.add(T.matmul(z1, net.w2), net.b2))
+        want = T.add(T.matmul(z2, net.w3), net.b3).data
+        assert net.forward(x, h, steps).data.tobytes() == want.tobytes()
+
     def test_steps_come_from_the_nets_schedule(self):
         net = EpsilonNet(1, 0, build_schedule(50), hidden=8, embed_dim=8,
                          rng=stream(81, TRAIN))

@@ -16,14 +16,15 @@ from wellcast.errors import FormatError
 from wellcast.seqmodels import InformerModel, VanillaTransformer
 from wellcast.timegrad import TimeGradModel
 
-RUN_FIELDS = [f for f in fields(cli.RunConfig) if f.name != "command"]
+RUN_FIELDS = fields(cli.RunConfig)
 SAMPLE = {int: "7", float: "0.25", str: "x"}  # differs from every default
 
 
 class TestRunConfig:
     def test_flags_are_exactly_the_fields(self):
         parsed = vars(cli.build_parser().parse_args(["train"]))
-        assert set(parsed) == {f.name for f in fields(cli.RunConfig)} | {"config"}
+        assert set(parsed) == {"command", "config",
+                               *(f.name for f in RUN_FIELDS)}
 
     def test_unset_flags_parse_as_none(self):
         parsed = vars(cli.build_parser().parse_args(["train", "--seed", "3"]))

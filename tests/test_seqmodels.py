@@ -10,12 +10,12 @@ from gradcheck import check_gradients
 from toys import as_panel
 from wellcast import checkpoint
 from wellcast import tensor as T
-from wellcast.attention import full_attention, probsparse_attention, QKV, AttentionConfig
+from wellcast.attention import full_attention, probsparse_attention, QKV
 from wellcast.errors import (ContractError, FormatError, ParameterError,
                              TrainingError)
 from wellcast.optim import AdamW
 from wellcast.rng import TRAIN, stream
-from wellcast.seqmodels import (InformerModel, LOG_TWO_PI,
+from wellcast.seqmodels import (DecoderLayer, InformerModel, LOG_TWO_PI,
                                 VanillaTransformer, forecast, gaussian_nll,
                                 sample_paths, train_model, time_encoding)
 from wellcast.tensor import Tensor
@@ -92,6 +92,23 @@ class TestForwardShapes:
                            match=f"^{name} must be >= 1, got {size}$"):
             factory(**{name: size})
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.inf, np.nan])
+    def test_a_sampling_constant_outside_0_inf_is_refused(self, c):
+        with pytest.raises(ParameterError, match="^sampling constant c must "
+                           f"be positive and finite, got {c}$"):
+            tiny_informer(c=c)
+
+    def test_heads_that_do_not_divide_d_model_are_refused(self):
+        with pytest.raises(ParameterError,
+                           match="^d_model 8 not divisible by n_heads 3$"):
+            tiny_vanilla(n_heads=3)
+
+    def test_forward_changes_no_model_state(self):
+        model = tiny_informer()
+        before = dict(vars(model))
+        forward_window(model, drop_rng=stream(5, TRAIN, 1))
+        assert vars(model) == before
+
     def test_variance_positive_and_clamped(self):
         model = tiny_informer()
         model.head.b_lv.data[...] = 500.0  # force the clamp
@@ -135,13 +152,20 @@ class TestDropoutStream:
 
 
 class TestOneShotDecoding:
-    def test_single_decoder_pass_per_forecast(self):
+    def test_single_decoder_pass_per_forecast(self, monkeypatch):
         model = tiny_informer(data_dim=1, l_x=12, l_token=6, l_y=45)
         ctx = stream(3, TRAIN).normal(size=(12, 1))
-        before = model.decoder_forward_count
+        calls, layer_forward = [], DecoderLayer.forward
+
+        def counted(layer, x, *args):
+            calls.append((layer, x.shape[0]))
+            return layer_forward(layer, x, *args)
+
+        monkeypatch.setattr(DecoderLayer, "forward", counted)
         forecast(model, ctx, np.arange(12) * 2.0, (12 + np.arange(45)) * 2.0,
                  n_samples=7, seed=0)
-        assert model.decoder_forward_count - before == 1
+        # each decoder layer runs once, over the token and every target row
+        assert calls == [(layer, 6 + 45) for layer in model.decoder]
 
 
 class TestCausality:
@@ -336,9 +360,8 @@ class TestVanillaWiring:
         qkv = QKV(Tensor(rng.normal(size=(6, d))),
                   Tensor(rng.normal(size=(6, d))),
                   Tensor(rng.normal(size=(6, d))))
-        cfg = AttentionConfig(d_model=d, n_heads=1, c=1000.0)
         dense = full_attention(qkv)
-        sparse = probsparse_attention(qkv, cfg, causal=False)
+        sparse = probsparse_attention(qkv, 1000.0, causal=False)
         assert np.abs(dense.data - sparse.data).max() < 1e-10
 
     def test_layer_counts(self):

@@ -773,7 +773,7 @@ class TestForecastWorkers:
 
     @pytest.mark.parametrize("how,status", [
         ("exit", "exited with status 1"),
-        ("kill", "was killed by signal 9")])
+        ("kill", "was killed by signal 9")], ids=["exit", "kill"])
     def test_dead_worker_is_an_os_error(self, monkeypatch, how, status):
         model, ctx = self.model_and_context()
 
