@@ -181,12 +181,13 @@ def _stored_values(records: dict) -> int:
 
 
 def read_int(records: dict, name: str, index: int,
-             shape: tuple | None = None, size: bool = False) -> int:
+             shape: tuple | None = None, size: bool = False,
+             count: bool = False) -> int:
     """Entry ``index`` of record ``name`` (read as by ``read``) as an int;
     FormatError unless the entry exists and is finite and integral.  A
-    ``size`` shapes an allocation, so it must also lie between 1 and the
-    number of float64 values the records hold (for a loaded file, every
-    value it stores, loaded or not)."""
+    ``count`` must also be >= 0.  A ``size`` shapes an allocation, so it
+    must also lie between 1 and the number of float64 values the records
+    hold (for a loaded file, every value it stores, loaded or not)."""
     flat = read(records, name, shape).reshape(-1)
     if index >= flat.size:
         raise FormatError(f"record {name!r} has no entry {index}")
@@ -194,6 +195,9 @@ def read_int(records: dict, name: str, index: int,
     if not (np.isfinite(value) and value == np.floor(value)):
         raise FormatError(f"record {name!r} entry {index} is {float(value)}, "
                           f"expected an integer")
+    if count and value < 0:
+        raise FormatError(f"record {name!r} entry {index} is {float(value)}, "
+                          f"expected a count >= 0")
     if size and not 1 <= value <= _stored_values(records):
         raise FormatError(f"record {name!r} entry {index} is {float(value)}, "
                           f"expected a size from 1 to {_stored_values(records)}")

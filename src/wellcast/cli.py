@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 I/O error.
 
 import argparse
 import contextlib
+import hashlib
 import os
 import sys
 import time
@@ -137,10 +138,26 @@ def build_groups(panel: data.SeriesPanel, grouping: str) -> list:
     return groups
 
 
+# sha256 of the last data file parsed -> its panel; one entry
+_panels: dict = {}
+
+
 def load_panel(cfg: RunConfig) -> data.SeriesPanel:
+    """The panel of ``cfg.data``, parsed once per distinct content: the
+    file is read once a call, and a memo miss parses the very bytes it
+    hashed.  Each call returns a fresh ``SeriesPanel`` over the memo's
+    read-only arrays."""
     if not cfg.data:
         raise ParameterError("a data CSV is required (--data)")
-    return data.load_csv(cfg.data)
+    raw = Path(cfg.data).read_bytes()
+    key = hashlib.sha256(raw).digest()
+    if key not in _panels:
+        panel = data.parse_csv(raw, cfg.data)
+        panel.timestamps.flags.writeable = False
+        panel.values.flags.writeable = False
+        _panels.clear()
+        _panels[key] = panel
+    return replace(_panels[key], columns=list(_panels[key].columns))
 
 
 def _ckpt_path(cfg: RunConfig, group: str) -> Path:
@@ -251,7 +268,8 @@ def _train_group(cfg: RunConfig, group: str, gpanel) -> _Trained:
         model = _build_model(cfg, dim, stride, checkpoint.Undrawn(rec))
         _check_resume(cfg, ckpt, model, rec)
         checkpoint.load_params(rec, model.named_params())
-        start_epoch = checkpoint.read_int(rec, "meta/epochs_done", 0, (1,))
+        start_epoch = checkpoint.read_int(rec, "meta/epochs_done", 0, (1,),
+                                          count=True)
         opt = AdamW(model.params(), lr=cfg.lr)
         opt.load_state_records(rec)
         log(command="train", group=group, resumed_from=ckpt,

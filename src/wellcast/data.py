@@ -162,7 +162,10 @@ def save_csv(panel: SeriesPanel, path) -> None:
 
 def read_text(path) -> str:
     """The file's text, read as UTF-8; invalid bytes raise FormatError."""
-    raw = Path(path).read_bytes()
+    return _utf8(Path(path).read_bytes(), path)
+
+
+def _utf8(raw: bytes, path) -> str:
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -292,12 +295,19 @@ def _iso_days(raw: bytes, starts: np.ndarray, ends: np.ndarray):
 
 
 def load_csv(path) -> SeriesPanel:
-    """Parse a panel; every (date, site, channel) cell must be present
-    exactly once.  Out-of-order dates are sorted; duplicates are errors.
+    """The panel of the file at ``path``: see ``parse_csv``."""
+    return parse_csv(Path(path).read_bytes(), path)
 
-    The file is parsed from its UTF-8 bytes with numpy, with no Python
-    string per row.  A file holding any other line break of
-    ``str.splitlines`` is first rewritten with ``\\n`` breaks.  One scan
+
+def parse_csv(raw: bytes, path) -> SeriesPanel:
+    """Parse a panel from a file's bytes (``path`` names the file in the
+    error for bytes that are not UTF-8); every (date, site, channel) cell
+    must be present exactly once.  Out-of-order dates are sorted;
+    duplicates are errors.
+
+    The bytes are parsed as UTF-8 with numpy, with no Python string per
+    row.  A file holding any other line break of ``str.splitlines`` is
+    first rewritten with ``\\n`` breaks.  One scan
     each finds the newlines and the commas, and ``searchsorted`` counts
     each line's commas.  The date and ``site,channel`` spans are numbered
     in first-seen order by numpy's unique.  The distinct dates go through
@@ -316,10 +326,9 @@ def load_csv(path) -> SeriesPanel:
     check.  The whole-file checks (no data rows, ragged stride, missing
     cell) come after every row passes.
     """
-    text = read_text(path)
+    text = _utf8(raw, path)
     if any(c in text for c in _BREAKS):
-        text = "\n".join(text.splitlines()) + "\n"
-    raw = text.encode("utf-8")
+        raw = ("\n".join(text.splitlines()) + "\n").encode("utf-8")
     del text
     byte = np.frombuffer(raw, dtype=np.uint8)
     # line i is raw[starts[i]:ends[i]]; a final line break ends no line

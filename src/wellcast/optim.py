@@ -168,10 +168,7 @@ class AdamW:
                         f"record {name!r} entry {k} is "
                         f"{float(records[name].reshape(-1)[k])}, "
                         f"expected {expected}")
-        self.step_count = read_int(records, "opt/step", 0, (1,))
-        if self.step_count < 0:
-            raise FormatError(f"record 'opt/step' is {self.step_count}, "
-                              f"expected a count >= 0")
+        self.step_count = read_int(records, "opt/step", 0, (1,), count=True)
         self.lr, self.beta1, self.beta2, self.epsilon, self.weight_decay = (
             float(h) for h in read(records, "opt/hyper", (5,)))
         self._check_hyper(lambda msg: FormatError(f"record 'opt/hyper': {msg}"))

@@ -4,6 +4,15 @@ import signal
 
 import pytest
 
+from wellcast import cli
+
+
+@pytest.fixture(autouse=True)
+def cold_panel_memo():
+    """Empty the CLI's parsed-panel memo before each test, so no test's
+    outcome depends on which test ran before it in the process."""
+    cli._panels.clear()
+
 
 @pytest.fixture(autouse=True)
 def no_leftover_child():

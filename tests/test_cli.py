@@ -1275,6 +1275,24 @@ class TestMalformedInputs:
         assert "Traceback" not in printed.out + printed.err
         assert ckpt.read_bytes() == before
 
+    @pytest.mark.parametrize("name", ["opt/step", "meta/epochs_done"])
+    def test_negative_counter_resume_exits_2(self, initial, tmp_path, capsys,
+                                             name):
+        csv_path, out = initial
+        rec = checkpoint.load(out / "informer_all.gck")
+        rec[name][0] = -1.0
+        ckpt = tmp_path / "informer_all.gck"
+        checkpoint.save(ckpt, rec)
+        before = ckpt.read_bytes()
+        capsys.readouterr()
+        assert run("train", "--model", "informer", "--data", str(csv_path),
+                   "--out", str(tmp_path), *COMMON, *ENC, "--epochs", "1") == 2
+        printed = capsys.readouterr()
+        assert (f"record {name!r} entry 0 is -1.0, expected a count >= 0"
+                in printed.out)
+        assert "Traceback" not in printed.out + printed.err
+        assert ckpt.read_bytes() == before
+
     @pytest.mark.parametrize("name,value", [("opt/m/0", np.nan),
                                             ("opt/v/2", np.inf),
                                             ("opt/v/1", -1.0)])
@@ -1716,3 +1734,113 @@ class TestPipeline:
             digests.append({f.name: file_hash(f) for f in sorted(out.iterdir())})
         assert len(digests[0]) > 0
         assert digests[0] == digests[1]
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The paths that ``data.parse_csv`` parsed, in call order."""
+    calls = []
+    parse = data.parse_csv
+
+    def counted(raw, path):
+        calls.append(path)
+        return parse(raw, path)
+
+    monkeypatch.setattr(data, "parse_csv", counted)
+    return calls
+
+
+class TestPanelMemo:
+    """``cli.load_panel`` parses each distinct content of a data file once
+    per process, and a memo hit changes no output."""
+
+    def test_forecast_then_evaluate_parse_once(self, trained, parses):
+        csv_path, out = trained
+        for command in ("forecast", "evaluate"):
+            assert run(command, "--model", "informer", "--data",
+                       str(csv_path), "--out", str(out), *COMMON, *ENC) == 0
+        assert parses == [str(csv_path)]
+
+    def test_pipeline_parses_once_for_nine_loads(self, tmp_path, parses,
+                                                 monkeypatch):
+        loads = []
+        load_panel = cli.load_panel
+        monkeypatch.setattr(cli, "load_panel",
+                            lambda cfg: loads.append(cfg) or load_panel(cfg))
+        conf = tmp_path / "field.cfg"
+        conf.write_text(data.config_to_text(data.SyntheticFieldConfig(
+            n_sites=2, wells_per_site=2, n_steps=220, seed=5)))
+        out = tmp_path / "run"
+        assert run("pipeline", "--synthetic-config", str(conf),
+                   "--out", str(out), "--horizon", "5", "--samples", "6",
+                   "--epochs", "1", "--windows-per-epoch", "2",
+                   "--seed", "11", "--lr", "1e-3", "--context-length", "20",
+                   "--enc-length", "20", "--token-length", "6") == 0
+        assert len(loads) == 9
+        assert parses == [str(out / "data.csv")]
+
+    def test_rewritten_bytes_are_parsed_again(self, trained, tmp_path,
+                                              parses):
+        csv_path, out = trained
+        field = tmp_path / "data.csv"
+        shutil.copyfile(csv_path, field)
+        args = ("forecast", "--model", "informer", "--data", str(field),
+                "--out", str(tmp_path), "--checkpoint",
+                str(out / "informer_all.gck"), *COMMON, *ENC)
+        plot = tmp_path / "informer_all_SITE00_oil_plot.csv"
+
+        def first_truth():
+            return float(plot.read_text().splitlines()[1].split(",")[1])
+
+        panel = data.load_csv(field)
+        k, j = panel.split_index, panel.column_index("SITE00", data.OIL)
+        parses.clear()
+        assert run(*args) == 0
+        assert first_truth() == panel.values[k, j]
+        field.write_bytes(field.read_bytes())  # the same bytes, a new mtime
+        assert run(*args) == 0
+        assert len(parses) == 1
+        panel.values[k, j] += 1.0
+        data.save_csv(panel, field)
+        assert run(*args) == 0
+        assert len(parses) == 2
+        assert first_truth() == panel.values[k, j]  # the new value
+
+    @pytest.mark.parametrize("model, sizes", [("timegrad", SIZES),
+                                              ("informer", ENC)])
+    def test_warm_and_cold_memo_write_the_same_bytes(self, small_field,
+                                                     tmp_path, parses, model,
+                                                     sizes):
+        csv_path, _, _ = small_field
+        digests = []
+        for warm in (False, True):
+            out = tmp_path / ("warm" if warm else "cold")
+            for command in ("train", "forecast", "evaluate"):
+                if not warm:
+                    cli._panels.clear()
+                assert run(command, "--model", model, "--data", str(csv_path),
+                           "--out", str(out), *COMMON, *sizes) == 0
+            digests.append({f.name: file_hash(f)
+                            for f in sorted(out.iterdir())})
+        assert len(parses) == 3  # the cold run's commands; none warm
+        assert len(digests[0]) > 5
+        assert digests[0] == digests[1]
+
+    def test_each_call_is_a_fresh_panel_over_read_only_arrays(self,
+                                                              small_field):
+        csv_path, _, _ = small_field
+        cfg = RunConfig(data=str(csv_path))
+        a, b = cli.load_panel(cfg), cli.load_panel(cfg)
+        assert a is not b and a.columns is not b.columns
+        for x, y in ((a.values, b.values), (a.timestamps, b.timestamps)):
+            assert x is y and not x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.values[0, 0] = 1.0
+        a.split_index = 3
+        a.columns.append(("SITE09", data.OIL))
+        c = cli.load_panel(cfg)
+        assert (c.split_index, c.columns) == (b.split_index, b.columns)
+        # a library load keeps its own writable arrays
+        own = data.load_csv(csv_path)
+        assert own.values.flags.writeable and own.timestamps.flags.writeable
+        assert np.array_equal(own.values, c.values)

@@ -5,11 +5,12 @@ Each example starts from the files of a small valid run (a generated field,
 an informer and a timegrad checkpoint trained one short epoch, and their
 ensembles) and changes one input: a ``--config`` line, a line of the
 generator sidecar, a single flag, a few records or bytes of a checkpoint or
-of an ensemble, a path, or a huge size.  A sidecar line may also set
-``start_day`` or ``stride_days`` to 10^6, -10^6, 3*10^6 or 10^18, which
-puts the field's dates inside or outside years 1 to 9999.  A bad path is a ``--data`` or a
-``--synthetic-config`` that is a directory, is missing or holds a byte that
-is not UTF-8, an ``--out`` that is a regular file or lies under one, or a
+of an ensemble, a few values or bytes of ``data.csv``, a path, or a huge
+size.  A
+sidecar line may also set ``start_day`` or ``stride_days`` to 10^6, -10^6,
+3*10^6 or 10^18, which puts the field's dates inside or outside years 1 to
+9999.  A bad path is a ``--data`` or a ``--synthetic-config`` that is a
+directory, is missing or holds a byte that is not UTF-8, an ``--out`` that is a regular file or lies under one, or a
 NUL byte in any path field of a ``--config`` file (any command, ``pipeline``
 too); such a run must exit 2 or 4 and print one ``error=`` line, and a
 regular file given as ``--out`` keeps its bytes.  ``train`` and ``forecast`` also get a
@@ -20,17 +21,23 @@ last two must exit 2 or 4 and print one ``error=`` line.
 Every example runs with two workers, so a ``train`` of two groups trains
 the second in a forked worker, and the no-``*.tmp`` rule covers the
 checkpoints that workers stage.
+A command given a ``data.csv`` changed by a few bytes runs twice, once
+with the CLI's panel memo empty and once with the valid field's panel in
+it; both runs must end with the same exit code, ``error=`` lines and file
+bytes, so a changed file is never served from the memo.
 Other values stay small (sizes up to 8), so each run is short.  The huge
 sizes (10^10 and up) go where a draw bound must refuse them before anything
 is allocated: a field's site, well or step count given to ``generate``, and
 ``--samples`` given to ``forecast``.  Such a run must exit 2, and its
 Python-side allocations must peak below 64 MB.  Every path stays inside the
 run's own directory, so no run writes outside it.
-The targeted cases of ``test_cli.py::TestMalformedInputs`` are its seed
-examples.
+The targeted cases of ``test_cli.py::TestMalformedInputs``, and three
+edits of ``data.csv`` (another value, a fifth field, a byte that is not
+UTF-8), are its seed examples.
 """
 
 import contextlib
+import hashlib
 import io
 import shutil
 import tempfile
@@ -44,7 +51,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from wellcast import checkpoint, data, workers
+from wellcast import checkpoint, cli, data, workers
 from wellcast.cli import GROUPINGS, RunConfig, main
 
 BASE = {"horizon": "6", "samples": "8", "epochs": "1",
@@ -85,6 +92,13 @@ EDIT = st.one_of(
     st.tuples(st.just("byte"), POSITION, st.integers(0, 255)),
     st.tuples(st.just("truncate"), POSITION))
 EDITS = st.lists(EDIT, min_size=1, max_size=3)
+# edits of the field CSV: a data row's value gets another first digit, so
+# the field stays valid, or a byte is set
+CSV_EDITS = st.lists(st.one_of(
+    st.tuples(st.just("value"), st.integers(0, 10 ** 6),
+              st.sampled_from(b"123456789")),
+    st.tuples(st.just("byte"), POSITION, st.integers(0, 255))),
+    min_size=1, max_size=3)
 # a bad --data (read by every command but generate) or a bad --out
 PATH_FAULTS = ["data_dir", "data_missing", "data_not_utf8", "out_under_file",
                "out_is_file"]
@@ -113,6 +127,8 @@ CASES = st.one_of(
     st.tuples(st.just("checkpoint"), st.sampled_from(["forecast", "train"]),
               st.sampled_from(MODELS), EDITS),
     st.tuples(st.just("ensemble"), st.sampled_from(MODELS), EDITS),
+    st.tuples(st.just("data"), st.sampled_from(COMMANDS[1:]),
+              st.sampled_from(MODELS), CSV_EDITS),
     st.tuples(st.just("path"), st.sampled_from(COMMANDS[1:]),
               st.sampled_from(MODELS), st.sampled_from(PATH_FAULTS[:3]),
               POSITION, st.integers(0x80, 0xFF)),
@@ -265,6 +281,19 @@ def _argv(case, run: Path, base: Path):
             ckpt.mkdir()
         return base_argv(command, model, run) + [
             "--grouping", grouping, "--checkpoint", str(ckpt)]
+    if kind == "data":
+        _, command, model, edits = case
+        # value edits, then byte edits; the last line is empty
+        lines = (run / "data.csv").read_bytes().split(b"\n")
+        for _, row, digit in (e for e in edits if e[0] == "value"):
+            i = 1 + row % (len(lines) - 2)
+            head, _, value = lines[i].rpartition(b",")
+            lines[i] = head + b"," + bytes([digit]) + value[1:]
+        blob = bytearray(b"\n".join(lines))
+        for _, position, byte in (e for e in edits if e[0] == "byte"):
+            blob[position % len(blob)] = byte
+        (run / "data.csv").write_bytes(bytes(blob))
+        return base_argv(command, model, run)
     if kind == "checkpoint":
         _, command, model, edits = case
         _mutate(run / f"{model}_all.gck", edits)
@@ -275,6 +304,24 @@ def _argv(case, run: Path, base: Path):
 
 
 def run_case(case, base: Path) -> int:
+    if case[0] != "data":
+        return _run(case, base)[0]
+    # a field CSV that differs by any byte is never served from the memo:
+    # with the valid field's panel in it, a run ends as a cold-memo run does
+    outcomes = []
+    for warm in (False, True):
+        cli._panels.clear()
+        if warm:
+            cli.load_panel(RunConfig(data=str(base / "data.csv")))
+        outcomes.append(_run(case, base))
+    assert outcomes[0] == outcomes[1], case
+    return outcomes[0][0]
+
+
+def _run(case, base: Path) -> tuple:
+    """Run one case in a copy of the valid run: its exit code, its
+    ``error=`` lines and the sha256 of each file it leaves, with the copy's
+    directory named ``<run>``."""
     with tempfile.TemporaryDirectory() as tmp:
         run = Path(tmp) / "run"
         shutil.copytree(base, run)
@@ -297,21 +344,24 @@ def run_case(case, base: Path) -> int:
             assert code == 2, (argv, printed.getvalue())
             assert peak < 64 << 20, (argv, peak)
         assert not list(Path(tmp).rglob("*.tmp")), argv
+        errors = [line for line in printed.getvalue().splitlines()
+                  if line.startswith("error=")]
         if case[0] in ("path", "huge") or (case[0] == "ckpt_path"
                                            and case[-1] in CHECKPOINTS[2:]):
             assert code in (2, 4), (argv, code)
-            errors = [line for line in printed.getvalue().splitlines()
-                      if line.startswith("error=")]
             assert len(errors) == 1, (argv, printed.getvalue())
             if case[0] == "path" and case[3].startswith("out_"):
                 # refused before any work, naming the --out given last
                 assert code == 4 and f"out {argv[-1]} " in errors[0], errors
             assert ((run / "data.csv").read_bytes()
                     == (base / "data.csv").read_bytes()), argv
-        return code
+        files = {str(p.relative_to(run)): hashlib.sha256(p.read_bytes()).digest()
+                 for p in sorted(run.rglob("*")) if p.is_file()}
+        return code, [e.replace(str(run), "<run>") for e in errors], files
 
 
-SEEDS = [  # the targeted cases in test_cli.py::TestMalformedInputs
+SEEDS = [  # the targeted cases in test_cli.py::TestMalformedInputs, and
+    # three edits of data.csv
     ("sidecar", "n_sites", "abc"), ("sidecar", "seed", "1.5"),
     ("sidecar", "q_init_range", "1,x"), ("sidecar", "wells_per_site", ""),
     ("sidecar", "start_day", "2932890"), ("sidecar", "start_day", "-719200"),
@@ -324,6 +374,9 @@ SEEDS = [  # the targeted cases in test_cli.py::TestMalformedInputs
     ("checkpoint", "train", "informer", [("drop", "opt/hyper")]),
     ("checkpoint", "train", "informer", [("drop", "meta/epochs_done")]),
     ("ensemble", "informer", [("drop", "ensemble/samples")]),
+    ("data", "evaluate", "timegrad", [("value", 0, ord("9"))]),
+    ("data", "train", "timegrad", [("byte", 50, ord(","))]),  # five fields
+    ("data", "forecast", "informer", [("byte", 5, 0xFF)]),  # not UTF-8
     *[("path", "evaluate", "informer", fault, 5, 0xFF)
       for fault in PATH_FAULTS],
     *[("path", command, "timegrad", "out_is_file", 0, 0)
