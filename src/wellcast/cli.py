@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 I/O error.
 
 import argparse
 import contextlib
+import copy
 import hashlib
 import os
 import sys
@@ -151,13 +152,16 @@ def load_panel(cfg: RunConfig) -> data.SeriesPanel:
         raise ParameterError("a data CSV is required (--data)")
     raw = Path(cfg.data).read_bytes()
     key = hashlib.sha256(raw).digest()
-    if key not in _panels:
+    panel = _panels.get(key)
+    if panel is None:
         panel = data.parse_csv(raw, cfg.data)
         panel.timestamps.flags.writeable = False
         panel.values.flags.writeable = False
         _panels.clear()
         _panels[key] = panel
-    return replace(_panels[key], columns=list(_panels[key].columns))
+    out = copy.copy(panel)
+    out.columns = list(panel.columns)
+    return out
 
 
 def _ckpt_path(cfg: RunConfig, group: str) -> Path:

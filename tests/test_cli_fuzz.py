@@ -400,7 +400,7 @@ def _seeded(test):
 
 
 @_seeded
-@settings(max_examples=360, deadline=None, derandomize=True,
+@settings(max_examples=388, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
 @given(case=CASES)
