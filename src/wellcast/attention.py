@@ -142,10 +142,12 @@ def _scaled_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _mean_term(scores, mask: _Mask | None):
-    """Mean of each row's visible scores."""
+    """Mean of each row's visible scores.  Under a mask it writes over
+    ``scores``: the hidden entries become zeros of their sign."""
     if mask is None:
         return scores.sum(axis=-1) / scores.shape[-1]
-    return (scores * mask.weight).sum(axis=-1) / mask.count
+    scores *= mask.weight
+    return scores.sum(axis=-1) / mask.count
 
 
 def _softmax_rows(scores: np.ndarray, mask: _Mask | None):

@@ -5,7 +5,8 @@ Every command is deterministic given (config, seed, input files) and writes
 only under its --out directory (made by checkpoint.atomic_write on the first
 write).  Logs are line-oriented key=value records.
 
-Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 I/O error.
+Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 I/O error
+or out of memory (one ``error=memory`` line naming the command).
 """
 
 import argparse
@@ -538,6 +539,9 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         log(error="numeric", detail=str(exc))
         return 3
+    except MemoryError as exc:  # numpy's message names the array's shape
+        log(error="memory", command=args.command, detail=str(exc))
+        return 4
     except BrokenPipeError:
         # stdout's reader has gone, so there is no one to log to; closing
         # stdout drops its undeliverable lines, and the interpreter's exit

@@ -182,7 +182,6 @@ def _first(mask: np.ndarray) -> int | None:
 # every line break of str.splitlines but "\n"
 _BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _TENS = np.array([float(10 ** k) for k in range(16)])  # each one exact
-_DASHES = np.array([c == ord("-") for c in b"YYYY-MM-DD"])
 _DAY_ONE = date_to_epoch_days("0001-01-01")  # fromisoformat's first day
 _DAY_LAST = date_to_epoch_days("9999-12-31")  # and its last
 
@@ -191,10 +190,7 @@ def _spans(raw: bytes, starts: np.ndarray, lengths: np.ndarray):
     """For each span length: the rows whose span has that length, and the
     spans' bytes as an ``S<length>`` array (``b""`` in ``S1`` for length 0).
     """
-    if not len(lengths):
-        return
-    low = lengths.min()
-    for length in np.flatnonzero(np.bincount(lengths - low)) + low:
+    for length in np.flatnonzero(np.bincount(lengths)):
         rows = np.flatnonzero(lengths == length)
         if not length:
             yield rows, np.zeros(len(rows), dtype="S1")
@@ -213,32 +209,15 @@ def _codes(raw: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple:
     first row of each, each row's number).
 
     Spans are compared within one length, so spans that differ only in
-    trailing NULs stay apart.  The period is the distance from the first
-    span to its next repeat; a span equal to the one a period before it
-    takes that one's number, so only the others are sorted.  In a file
-    that ``save_csv`` wrote, dates repeat with period 1 and ``site,channel``
-    pairs with period the number of columns.
+    trailing NULs stay apart.
     """
     firsts = [np.empty(0, dtype=np.int64)]
     code, count = np.empty(len(starts), dtype=np.int64), 0
     for rows, spans in _spans(raw, starts, ends - starts):
-        m = len(rows)
-        p = _first(spans[1:] == spans[0])
-        p = m if p is None else p + 1
-        head = np.ones(m, dtype=bool)
-        head[p:] = spans[p:] != spans[:-p]
-        heads = np.flatnonzero(head)
-        _, at, inverse = np.unique(spans[heads], return_index=True,
+        _, at, inverse = np.unique(spans, return_index=True,
                                    return_inverse=True)
-        # each row's head: the last one at or before it, a whole number of
-        # periods back
-        back = np.zeros(-(-m // p) * p, dtype=np.int64)
-        back[heads] = heads
-        back = np.maximum.accumulate(back.reshape(-1, p), axis=0).ravel()
-        number = np.empty(m, dtype=np.int64)
-        number[heads] = count + inverse
-        code[rows] = number[back[:m]]
-        firsts.append(rows[heads[at]])
+        code[rows] = count + inverse
+        firsts.append(rows[at])
         count += len(at)
     first = np.concatenate(firsts)
     order = np.argsort(first)
@@ -272,28 +251,6 @@ def _fixed_point(spans: np.ndarray) -> np.ndarray | None:
     return (digit.astype(np.float64) @ places) / _TENS[width - 1 - dot]
 
 
-def _iso_days(raw: bytes, starts: np.ndarray, ends: np.ndarray):
-    """Epoch days of the date spans, as ``date_to_epoch_days`` gives them,
-    when every span is a valid ``YYYY-MM-DD``; else None.
-
-    numpy's datetime64 cast reads that form as ``fromisoformat`` does, but
-    for year 0, which it takes and ``fromisoformat`` refuses.
-    """
-    if not np.all(ends - starts == 10):
-        return None
-    spans = np.ndarray(len(raw) - 9, dtype="S10", buffer=raw,
-                       strides=(1,))[starts]
-    byte = spans.view(np.uint8).reshape(-1, 10)
-    digit = byte - np.uint8(ord("0")) < 10  # bytes below "0" wrap past 10
-    if not np.where(_DASHES, byte == ord("-"), digit).all():
-        return None
-    try:
-        days = spans.astype("datetime64[D]").astype(np.int64)
-    except ValueError:  # a month or a day out of range
-        return None
-    return days if np.all(days >= _DAY_ONE) else None
-
-
 def load_csv(path) -> SeriesPanel:
     """The panel of the file at ``path``: see ``parse_csv``."""
     return parse_csv(Path(path).read_bytes(), path)
@@ -310,15 +267,14 @@ def parse_csv(raw: bytes, path) -> SeriesPanel:
     first rewritten with ``\\n`` breaks.  One scan
     each finds the newlines and the commas, and ``searchsorted`` counts
     each line's commas.  The date and ``site,channel`` spans are numbered
-    in first-seen order by numpy's unique.  The distinct dates go through
-    numpy's datetime64 cast when all are ``YYYY-MM-DD``, and through
-    ``date_to_epoch_days`` otherwise.  The value spans are taken one span
+    in first-seen order by numpy's unique, and each distinct date goes
+    through ``date_to_epoch_days``.  The value spans are taken one span
     length at a time.  When every span of a length is plain fixed point
     (digits around a ``.`` in one column, at most 15 digits, as every value
     ``save_csv`` writes), they are read as integers and divided by a power
     of ten, which is exact: see ``_fixed_point``.  Every other value goes
-    through ``float``, one row at a time: a 16,000-row field loads in about
-    4.5 ms in ``%.6f``, 6.5 ms in ``repr`` spellings and 14 ms in ``%.6e``.
+    through ``float``, one row at a time: a 16,000-row field parses in about
+    6-9 ms in ``%.6f`` and 15-26 ms in ``repr`` or ``%.6e`` spellings.
 
     Each row check runs over the lines before the first failure found so
     far, in the order fields, date, number, range, duplicate, so the error
@@ -356,16 +312,13 @@ def parse_csv(raw: bytes, path) -> SeriesPanel:
     del commas, before
 
     first, date_code = _codes(raw, starts, date_end)
-    days = _iso_days(raw, starts[first], date_end[first])
-    if days is None:  # first-seen order: a bad date is in the first bad row
-        days = []
-        isos = _texts(raw, starts[first], date_end[first])
-        for k, iso in zip(first, isos):
-            try:
-                days.append(date_to_epoch_days(iso))
-            except FormatError as exc:
-                n, bad = k, (FormatError, str(exc))
-                break
+    days = []  # first-seen order: a bad date is in the first bad row
+    for k, iso in zip(first, _texts(raw, starts[first], date_end[first])):
+        try:
+            days.append(date_to_epoch_days(iso))
+        except FormatError as exc:
+            n, bad = k, (FormatError, str(exc))
+            break
 
     def value_text(k):
         return raw[pair_end[k] + 1:ends[k]].decode()

@@ -2,6 +2,7 @@ import hashlib
 import os
 import pickle
 import re
+import resource
 import shutil
 import signal
 import struct
@@ -522,6 +523,60 @@ class TestForecastWorkers:
         printed = capfd.readouterr()
         assert printed.out.splitlines() == [
             f"error=io detail=forecast worker for paths 16 to 31 {status}"]
+        assert printed.err == ""
+        assert not (tmp_path / "out").exists()
+
+
+class TestOutOfMemory:
+    """A forecast that runs out of memory exits 4 with one `error=memory`
+    line naming the command and the allocation, and no traceback."""
+
+    SHAPE = "(1400000, 45, 2)"
+
+    def test_informer_under_an_address_space_limit(self, small_field,
+                                                   tmp_path):
+        csv_path = str(small_field[0])
+        args = ["--model", "informer", "--grouping", "oil_water_per_site",
+                "--data", csv_path, "--out", str(tmp_path), *ENC]
+        assert run("train", *args, "--epochs", "1", "--windows-per-epoch",
+                   "2") == 0
+        src = str(Path(wellcast.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        limit = 2 ** 30  # 1 GiB: the first (1400000, 45, 2) array is 961 MiB
+
+        def cap_address_space():  # in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "wellcast", "forecast", *args,
+             "--samples", "1400000"],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=cap_address_space)
+        assert proc.returncode == 4, proc.stdout + proc.stderr
+        line, = proc.stdout.splitlines()
+        assert line.startswith("error=memory command=forecast detail=")
+        assert self.SHAPE in line
+        assert proc.stderr == ""
+
+    def test_forked_timegrad_worker(self, trained_timegrad, tmp_path, capfd,
+                                    monkeypatch):
+        real = timegrad._rollout
+        message = f"Unable to allocate 961. MiB for an array with shape {self.SHAPE}"
+
+        def rollout(model, states, lo, *args):
+            if lo == 0:  # the block the calling process rolls out
+                return real(model, states, lo, *args)
+            raise MemoryError(message)
+
+        monkeypatch.setattr(workers, "count", lambda: 2)
+        monkeypatch.setattr(timegrad, "_rollout", rollout)
+        capfd.readouterr()
+        assert TestForecastWorkers.forecast(trained_timegrad,
+                                            tmp_path / "out") == 4
+        printed = capfd.readouterr()
+        assert printed.out.splitlines() == [
+            f"error=memory command=forecast detail={message}"]
         assert printed.err == ""
         assert not (tmp_path / "out").exists()
 
