@@ -391,21 +391,28 @@ def gaussian_nll(mean: Tensor, log_var: Tensor, target) -> Tensor:
     return scale(add(tsum(inner), n * LOG_TWO_PI), 0.5)
 
 
-def sample_paths(mean, log_var, n_samples: int, rng: np.random.Generator,
-                 timestamps=None) -> ForecastEnsemble:
+def sample_paths(mean, log_var, n_samples: int,
+                 rng: np.random.Generator) -> ForecastEnsemble:
     """Draw independent Gaussian paths mean + exp(log_var/2) * z.
 
     Output stays in the caller's (normalized) space; denormalization is the
     caller's responsibility.
     """
+    return ForecastEnsemble(samples=_draw(mean, log_var, n_samples, rng))
+
+
+def _draw(mean, log_var, n_samples, rng) -> np.ndarray:
+    """``sample_paths``' samples as one writable array: z is drawn, then
+    scaled and shifted in place."""
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")
     mean = np.asarray(mean.data if isinstance(mean, Tensor) else mean)
     log_var = np.asarray(log_var.data if isinstance(log_var, Tensor) else log_var)
     check_draws(n_samples, mean.size)
     z = rng.standard_normal((n_samples,) + mean.shape)
-    samples = mean[None] + np.exp(0.5 * log_var)[None] * z
-    return ForecastEnsemble(samples=samples, timestamps=timestamps)
+    z *= np.exp(0.5 * log_var)
+    z += mean
+    return z
 
 
 def forecast(model, context, context_timestamps, target_timestamps,
@@ -422,11 +429,11 @@ def forecast(model, context, context_timestamps, target_timestamps,
     with no_grad():
         mean, log_var = model.forward(ctx_n, context_timestamps,
                                       target_timestamps)
-    ens = sample_paths(mean, log_var, n_samples,
-                       rng_mod.stream(seed, rng_mod.PATH),
-                       timestamps=target_timestamps)
-    bad = np.flatnonzero(~np.isfinite(ens.samples).all(axis=(0, 2)))
+    samples = _draw(mean, log_var, n_samples,
+                    rng_mod.stream(seed, rng_mod.PATH))
+    bad = np.flatnonzero(~np.isfinite(samples).all(axis=(0, 2)))
     if bad.size:
         raise TrainingError(f"non-finite forecast samples at horizon step t={bad[0]}")
-    return ForecastEnsemble(samples=stats.denormalize(ens.samples),
-                            timestamps=ens.timestamps)
+    samples *= stats.scale  # stats.denormalize, in place
+    samples += stats.mean
+    return ForecastEnsemble(samples=samples, timestamps=target_timestamps)

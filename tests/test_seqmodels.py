@@ -419,6 +419,22 @@ class TestForecastInterface:
             forecast(model, ctx, np.arange(12) * 2.0, (12 + np.arange(5)) * 2.0,
                      n_samples=3, seed=1)
 
+    @pytest.mark.parametrize("factory", [tiny_informer, tiny_vanilla])
+    def test_peak_memory_is_two_ensembles(self, factory):
+        # the draws are scaled, shifted and denormalized in place, so only
+        # they and the ensemble's read-only copy are ever live together
+        model = factory(data_dim=2, seed=28)
+        paths = 50_000
+        ensemble = paths * model.l_y * model.data_dim * 8
+        tracemalloc.start()
+        try:
+            forecast(model, trend_panel(12, 2), np.arange(12) * 2.0,
+                     (12 + np.arange(5)) * 2.0, n_samples=paths, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * ensemble
+
     def test_wrong_context_length(self):
         model = tiny_informer(seed=29)
         with pytest.raises(ParameterError):
